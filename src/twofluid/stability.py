@@ -106,8 +106,9 @@ def e_coeff(
     𝔢(ζ) = sup_V μ(𝒢̃⁻¹∂xV, ∂xV)/|(1+√μ|D|)^{1/2}V|².  A flat interface
     reduces to the maximum of the mode-wise quotient over the grid
     wavenumbers; otherwise the generalized Rayleigh quotient is maximized
-    by power iteration (converged when successive estimates differ by less
-    than ``tol`` relatively, capped at ``maxiter``).
+    by Lanczos iteration (ARPACK's ``eigsh`` with relative tolerance ``tol``,
+    capped at ``maxiter`` restarts); ``iterations`` counts its operator
+    applications.
     """
     p = state.params
     grid = state.grid
@@ -132,8 +133,12 @@ def e_coeff(
             grid, lambda k: 1.0 / np.sqrt(1.0 + smu * np.abs(k)), v
         )
 
+    matvecs = 0
+
     def c_apply(v):
         # symmetric operator B^{-1/2} (μ ℰ) B^{-1/2}
+        nonlocal matvecs
+        matvecs += 1
         w = b_inv_half(v)
         g = deriv(grid, w)
         u = mix_pinv @ g
@@ -152,10 +157,10 @@ def e_coeff(
             op, k=1, which="LA", v0=v0, tol=tol, maxiter=maxiter,
             return_eigenvectors=False,
         )
-        return ECoeffResult(value=float(vals[0]), converged=True, iterations=maxiter)
+        return ECoeffResult(value=float(vals[0]), converged=True, iterations=matvecs)
     except ArpackNoConvergence as exc:
         best = float(exc.eigenvalues[0]) if len(exc.eigenvalues) else float("nan")
-        return ECoeffResult(value=best, converged=False, iterations=maxiter)
+        return ECoeffResult(value=best, converged=False, iterations=matvecs)
 
 
 def a_field(

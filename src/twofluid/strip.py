@@ -17,9 +17,11 @@ semi-definite.  The Dirichlet-Neumann map is read off as the variational
 flux at the interface row, which makes symmetry, sign-definiteness and flux
 balance of the discrete operator exact to rounding.
 
-Solves use matrix-free preconditioned conjugate gradients; the
-preconditioner is the exact flat-interface operator (Fourier in x,
-prefactored tridiagonal in z), so the flat case converges in one iteration.
+All solves, the two-strip glued solve of :mod:`twofluid.operators` included,
+run one preconditioned CG (:func:`_pcg`) with a true-residual exit.  Its
+preconditioner is the exact flat operator of the column of weighted layers
+(Fourier in x, tridiagonal in z), and :func:`_deflate` removes the kernel
+(constants, z-independent Nyquist column) of the pure-Neumann operators.
 """
 
 from __future__ import annotations
@@ -75,13 +77,6 @@ class DiffeoData:
     p_matrix: PMatrixField = field(repr=False, default=None)
     min_depth: float = 0.0
     _op: "StripOperator" = field(repr=False, default=None, compare=False)
-
-    def sigma_fn(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """σ±(x, z) = ε±(1 ± z)ζ(x), evaluated off-grid by periodic interpolation."""
-        zv = np.interp(
-            np.asarray(x), self.grid.nodes, self.zeta, period=self.grid.length
-        )
-        return self.eps_layer * (1.0 + self.layer_sign * np.asarray(z)) * zv
 
     def operator(self) -> "StripOperator":
         if self._op is None:
@@ -155,6 +150,14 @@ def build_trivial_diffeo(
     )
 
 
+def _deflate(v: np.ndarray) -> np.ndarray:
+    """Project a field (or a trace) off constants and the z-independent
+    Nyquist column, which the spectral derivative zeroes."""
+    nyq = np.cos(np.pi * np.arange(v.shape[-1]))
+    v = v - np.mean(v)
+    return v - np.mean(v * nyq) * nyq
+
+
 class _Tridiag:
     """Prefactored symmetric tridiagonal solves, vectorized over Fourier modes.
 
@@ -200,6 +203,97 @@ class _Tridiag:
             x[:, i] = d[:, i] - self.cp[:, i] * x[:, i + 1]
         return x
 
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """Flat-operator solve of a (rows, n) field: Fourier in x, tridiagonal in z."""
+        rh = np.fft.rfft(r, axis=-1).T
+        xr = self.solve(rh.real)
+        xi = self.solve(rh.imag)
+        return np.fft.irfft((xr + 1j * xi).T, n=r.shape[-1], axis=-1)
+
+
+def _mode_tridiag(grid: PeriodicGrid, n_z: int, layers, keep=None, shift0=False) -> _Tridiag:
+    """Flat operator of a column of stacked layers, one tridiagonal per mode.
+
+    ``layers`` lists (weight, μ) per layer from the bottom up, n_z cells each,
+    neighbours sharing a row; ``keep`` selects the unknown rows.  ``shift0``
+    keeps the singular k = 0 mode of a column without Dirichlet row SPD.
+    """
+    h = 1.0 / n_z
+    k = np.fft.rfftfreq(grid.n, d=1.0 / (grid.n * grid.k_fundamental))
+    mass = np.repeat([w * mu * h / 4.0 for w, mu in layers], n_z)
+    stiff = np.repeat([w / h for w, _ in layers], n_z)
+    a_loc = mass * k[:, None] ** 2 + stiff
+    off = mass * k[:, None] ** 2 - stiff
+    diag = np.zeros((k.size, mass.size + 1))
+    diag[:, :-1] += a_loc
+    diag[:, 1:] += a_loc
+    if keep is not None:
+        diag = diag[:, keep]
+        consecutive = np.nonzero(np.diff(keep) == 1)[0]
+        off = off[:, keep[consecutive]]
+    if shift0:
+        diag[0, :] += h * min(w for w, _ in layers)
+    return _Tridiag(diag, off)
+
+
+def _pcg(aop, b, precondition, tol, maxiter=None, x0=None, project=lambda v: v):
+    """Preconditioned conjugate gradients for a symmetric PSD operator.
+
+    ``project`` maps onto the complement of the operator's kernel; it is
+    applied to the data, the iterates and every residual.  When the updated
+    residual meets tol·‖b‖ the true residual b − A x is computed; the
+    iteration restarts from it until it meets the same bound, and raises
+    NumericalError when it stops shrinking or after ``maxiter`` iterations.
+    Returns (x, iterations, relative true residual).
+    """
+    b = project(b)
+    nb = float(np.linalg.norm(b))
+    if nb == 0.0:
+        return np.zeros_like(b), 0, 0.0
+    if maxiter is None:
+        maxiter = 10 * b.size
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = project(np.array(x0, dtype=float))
+        r = project(b - aop(x))
+    it = 0
+    history = []
+    last = math.inf
+    while True:
+        z = project(precondition(r))
+        p = z.copy()
+        rz = float(np.vdot(r, z))
+        while float(np.linalg.norm(r)) > tol * nb:
+            if it >= maxiter:
+                raise NumericalError(
+                    f"CG failed to converge: residual {np.linalg.norm(r)/nb:.3e} "
+                    f"after {it} iterations",
+                    residual_history=history,
+                )
+            ap = aop(p)
+            alpha = rz / float(np.vdot(p, ap))
+            x += alpha * p
+            r = project(r - alpha * ap)
+            z = project(precondition(r))
+            rz_new = float(np.vdot(r, z))
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+            it += 1
+            history.append(float(np.linalg.norm(r)) / nb)
+        r = project(b - aop(x))
+        res = float(np.linalg.norm(r)) / nb
+        if res <= tol:
+            return x, it, res
+        if res > 0.5 * last or it >= maxiter:
+            raise NumericalError(
+                f"CG true residual {res:.3e} stalled above tolerance {tol:.1e} "
+                f"after {it} iterations",
+                residual_history=history,
+            )
+        last = res
+
 
 class StripOperator:
     """Matrix-free discrete operator for one straightened layer."""
@@ -216,19 +310,8 @@ class StripOperator:
         self._neumann_fac = None
         k = np.fft.rfftfreq(self.grid.n, d=1.0 / (self.grid.n * self.grid.k_fundamental))
         ik = 1j * k
-        if self.grid.n % 2 == 0:
-            ik[-1] = 0.0
+        ik[-1] = 0.0  # the grid is even: Nyquist is zeroed
         self._ik = ik
-        # kernel of the pure-Neumann operator: constants, plus the
-        # z-independent Nyquist column (the spectral derivative zeroes it)
-        nyq = np.cos(np.pi * np.arange(self.grid.n))
-        w = np.broadcast_to(nyq, (d.n_z + 1, self.grid.n)).copy()
-        self._nyq_kernel = w / np.linalg.norm(w)
-
-    def _deflate(self, v: np.ndarray) -> np.ndarray:
-        v = v - np.mean(v)
-        v -= float(np.vdot(self._nyq_kernel, v).real) * self._nyq_kernel
-        return v
 
     # -- discrete bilinear form -------------------------------------------------
     def apply(self, phi: np.ndarray) -> np.ndarray:
@@ -250,47 +333,29 @@ class StripOperator:
         out[1:-1] = t[:-1] + f2[:-1] + t[1:] - f2[1:]
         return out
 
-    # -- flat preconditioners ---------------------------------------------------
-    def _mode_tridiag(self, keep: np.ndarray, shift0: bool):
-        n_z, h = self.d.n_z, self.h
-        k = np.fft.rfftfreq(self.grid.n, d=1.0 / (self.grid.n * self.grid.k_fundamental))
-        a_loc = h * self.d.mu_layer * k**2 / 4.0 + 1.0 / h
-        o_loc = h * self.d.mu_layer * k**2 / 4.0 - 1.0 / h
-        diag = np.zeros((k.size, n_z + 1))
-        diag[:, :-1] += a_loc[:, None]
-        diag[:, 1:] += a_loc[:, None]
-        off = np.tile(o_loc[:, None], (1, n_z))
-        diag = diag[:, keep]
-        consecutive = np.nonzero(np.diff(keep) == 1)[0]
-        off = off[:, keep[consecutive]]
-        if shift0:
-            # pure-Neumann mode k=0 is singular: shift it to keep the
-            # preconditioner SPD (constants are projected out separately)
-            diag[0, :] += h
-        return _Tridiag(diag, off)
-
-    def _precondition(self, r: np.ndarray, fac: _Tridiag) -> np.ndarray:
-        rh = np.fft.rfft(r, axis=-1).T
-        xr = fac.solve(rh.real)
-        xi = fac.solve(rh.imag)
-        return np.fft.irfft((xr + 1j * xi).T, n=self.grid.n, axis=-1)
-
-    # -- solves -------------------------------------------------------------m---
+    # -- solves -----------------------------------------------------------------
     def solve_dirichlet(self, psi, tol=DEFAULT_TOL, maxiter=None, x0=None):
         d = self.d
         psi = np.asarray(psi, dtype=float)
         if not np.all(np.isfinite(psi)):
             raise NumericalError("Dirichlet data contains non-finite values")
         if self._dirichlet_fac is None:
-            self._dirichlet_fac = self._mode_tridiag(self.interior, shift0=False)
+            self._dirichlet_fac = _mode_tridiag(
+                self.grid, d.n_z, [(1.0, d.mu_layer)], keep=self.interior
+            )
         phi = np.zeros((d.n_z + 1, self.grid.n))
         phi[self.iface] = psi
         b = -self.apply(phi)[self.interior]
-        x = None
+
+        def aop(v):
+            full = np.zeros((d.n_z + 1, self.grid.n))
+            full[self.interior] = v
+            return self.apply(full)[self.interior]
+
         if x0 is not None:
-            x = np.asarray(x0, dtype=float)[self.interior].copy()
-        x, it, res = self._pcg(
-            b, self._dirichlet_fac, tol=tol, maxiter=maxiter, x0=x, deflate=False
+            x0 = np.asarray(x0, dtype=float)[self.interior]
+        x, it, res = _pcg(
+            aop, b, self._dirichlet_fac.precondition, tol, maxiter, x0
         )
         phi[self.interior] = x
         return StripSolution(phi=phi, residual_norm=res, iterations=it)
@@ -298,7 +363,6 @@ class StripOperator:
     def solve_neumann(self, g_data, tol=DEFAULT_TOL, maxiter=None, x0=None):
         d = self.d
         g_data = np.asarray(g_data, dtype=float)
-        w = self.grid.quad_weight()
         gmean = abs(float(np.mean(g_data)))
         gscale = float(np.max(np.abs(g_data))) if g_data.size else 0.0
         if gmean > 1e-8 * max(gscale, 1.0):
@@ -306,71 +370,16 @@ class StripOperator:
                 f"Neumann data must have zero mean on the periodic strip, got {gmean:.3e}"
             )
         if self._neumann_fac is None:
-            keep = np.arange(d.n_z + 1)
-            self._neumann_fac = self._mode_tridiag(keep, shift0=True)
+            self._neumann_fac = _mode_tridiag(
+                self.grid, d.n_z, [(1.0, d.mu_layer)], shift0=True
+            )
         b = np.zeros((d.n_z + 1, self.grid.n))
         b[self.iface] = g_data if d.layer_sign > 0 else -g_data
-        b = self._deflate(b)
-        x = np.asarray(x0, dtype=float).copy() if x0 is not None else None
-        x, it, res = self._pcg(
-            b, self._neumann_fac, tol=tol, maxiter=maxiter, x0=x, deflate=True
+        x, it, res = _pcg(
+            self.apply, b, self._neumann_fac.precondition, tol, maxiter, x0, _deflate
         )
         x -= np.mean(x[self.iface])
         return StripSolution(phi=x, residual_norm=res, iterations=it)
-
-    def _pcg(self, b, fac, tol, maxiter, x0, deflate):
-        d = self.d
-        if maxiter is None:
-            maxiter = 10 * self.grid.n * d.n_z
-        full = b.shape[0] == d.n_z + 1
-
-        def aop(v):
-            if full:
-                return self.apply(v)
-            phi = np.zeros((d.n_z + 1, self.grid.n))
-            phi[self.interior] = v
-            return self.apply(phi)[self.interior]
-
-        x = np.zeros_like(b) if x0 is None else x0
-        if deflate:
-            x = self._deflate(x)
-        r = b - aop(x)
-        if deflate:
-            r = self._deflate(r)
-        nb = float(np.linalg.norm(b))
-        if nb == 0.0:
-            return np.zeros_like(b), 0, 0.0
-        z = self._precondition(r, fac)
-        if deflate:
-            z = self._deflate(z)
-        p = z.copy()
-        rz = float(np.vdot(r, z).real)
-        it = 0
-        history = []
-        while True:
-            nr = float(np.linalg.norm(r))
-            history.append(nr)
-            if nr <= tol * nb:
-                break
-            if it >= maxiter:
-                raise NumericalError(
-                    f"strip CG failed to converge: residual {nr/nb:.3e} after {it} iterations",
-                    residual_history=history,
-                )
-            ap = aop(p)
-            alpha = rz / float(np.vdot(p, ap).real)
-            x += alpha * p
-            r -= alpha * ap
-            if deflate:
-                r = self._deflate(r)
-            z = self._precondition(r, fac)
-            if deflate:
-                z = self._deflate(z)
-            rz_new = float(np.vdot(r, z).real)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-            it += 1
-        return x, it, float(np.linalg.norm(r)) / nb
 
     def dn(self, psi, tol=DEFAULT_TOL, maxiter=None, x0=None):
         sol = self.solve_dirichlet(psi, tol=tol, maxiter=maxiter, x0=x0)
@@ -414,9 +423,3 @@ def dn_flat(grid: PeriodicGrid, mu_layer: float, layer_sign: int, psi) -> np.nda
         return layer_sign * smu * np.abs(k) * np.tanh(smu * np.abs(k))
 
     return apply_multiplier(grid, m, psi)
-
-
-def dn_flat_symbol(mu_layer: float, layer_sign: int, k) -> np.ndarray:
-    """Multiplier values of the flat Dirichlet-Neumann map (signed)."""
-    smu = math.sqrt(mu_layer)
-    return layer_sign * smu * np.abs(k) * np.tanh(smu * np.abs(k))

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import TwoFluidError
 from .params import DimensionlessParams, config_from_dimensionless, derive_params
 from .spectral import (
     PeriodicGrid,
@@ -228,8 +229,9 @@ def tail_error_report(
     For each sweep entry the exact operator is the elliptic strip solve and
     the approximation is the quantized tail symbol; the table also carries
     the tail-less comparison Op(√μ⁺|ξ|), whose error does not vanish
-    relative to ‖G⁺ψ‖ as μ → 0.  Failed solves flag their row and the sweep
-    continues.
+    relative to ‖G⁺ψ‖ as μ → 0.  An entry the package rejects (a
+    :class:`TwoFluidError`, e.g. a layer that pinches off) flags its row and
+    the sweep continues; any other exception propagates.
     """
     zeta_shape = np.asarray(zeta_shape, dtype=float)
     psi = np.asarray(psi, dtype=float) - float(np.mean(psi))
@@ -263,7 +265,7 @@ def tail_error_report(
             row["tailless_ratio"] = (
                 row["err_tailless"] / norm_exact if norm_exact else 0.0
             )
-        except Exception as exc:  # flagged, sweep continues
+        except TwoFluidError as exc:  # flagged, sweep continues
             row["failed"] = True
             row["error"] = str(exc)
         rows.append(row)

@@ -93,6 +93,7 @@ def test_e_coeff_flat_closed_form(grid64):
     # never exceeds the continuum supremum of the same quotient
     cont = c_flat(p.rhobar_plus, p.rhobar_minus, p.hbar_plus, p.hbar_minus)
     assert closed.value <= cont.value + 1e-12
+    assert closed.iterations == 0
 
 
 def test_e_coeff_flat_two_code_paths(grid64):
@@ -117,7 +118,10 @@ def test_e_coeff_continuity_in_amplitude(grid64):
     diffs = []
     for amp in (0.4, 0.2, 0.1):
         st = make_state(grid64, amp * zeta, np.zeros(64), eps=0.3)
-        diffs.append(abs(e_coeff(st).value - flat))
+        res = e_coeff(st, maxiter=500)
+        # iterations counts the Lanczos operator applications actually made
+        assert res.converged and 0 < res.iterations < 500
+        diffs.append(abs(res.value - flat))
     assert diffs[0] < 0.5
     assert diffs[2] <= diffs[0] + 1e-9
     # roughly linear decay of the perturbation

@@ -6,6 +6,7 @@ import pytest
 from twofluid import (
     DegenerateGeometryError,
     IncompatibleDataError,
+    NumericalError,
     PeriodicGrid,
     build_trivial_diffeo,
     dn_apply,
@@ -120,6 +121,18 @@ def test_neumann_dirichlet_round_trip(grid64, rng):
     tr = solve_neumann(d, g).interface_trace(d)
     back = dn_apply(d, tr)
     assert np.max(np.abs(back - g)) < 1e-7 * max(1.0, np.max(np.abs(g)))
+
+
+def test_solves_exit_on_the_true_residual(grid64):
+    d = build_trivial_diffeo(grid64, 0.25 * np.cos(grid64.nodes), 0.3, 0.6, -1, n_z=16)
+    psi = np.sin(grid64.nodes)
+    for solve in (solve_dirichlet, solve_neumann):
+        sol = solve(d, psi, tol=1e-12)
+        assert 0.0 < sol.residual_norm <= 1e-12
+        # below the rounding floor the true residual cannot follow the
+        # updated one: the solve raises instead of returning it
+        with pytest.raises(NumericalError):
+            solve(d, psi, tol=1e-18)
 
 
 def test_dn_constant_maps_to_zero(grid64):

@@ -120,6 +120,19 @@ def test_tail_report_tailless_ratio_does_not_vanish():
     assert with_tail[-1] < 0.1 * ratios[-1]
 
 
+def test_tail_report_flags_degenerate_rows_and_raises_on_bad_input():
+    grid = PeriodicGrid(32)
+    zeta = np.cos(grid.nodes)
+    psi = np.sin(grid.nodes)
+    # at eps = 5 the lower layer pinches off: that row is flagged, the rest run
+    rep = tail_error_report(grid, zeta, psi, [(0.1, 0.5), (5.0, 0.5), (0.2, 0.5)], n_z=32)
+    assert [r["failed"] for r in rep.rows] == [False, True, False]
+    assert "depth vanishes" in rep.rows[1]["error"]
+    # a zeta of the wrong shape is a caller error, not a failed row
+    with pytest.raises(ValueError):
+        tail_error_report(grid, zeta[:-1], psi, [(0.1, 0.5)], n_z=32)
+
+
 def test_tail_report_csv(tmp_path):
     grid = PeriodicGrid(32)
     rep = tail_error_report(
