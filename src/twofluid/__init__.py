@@ -1,7 +1,6 @@
 """Two-layer interfacial waves: operators, stability criteria, and solvers."""
 
 from .errors import (
-    BreakdownError,
     DegenerateGeometryError,
     IncompatibleDataError,
     InvalidConfigError,
@@ -48,7 +47,6 @@ from .strip import (
 from .operators import (
     InterfaceState,
     TraceBundle,
-    Workspace,
     apply_e,
     apply_g,
     apply_g_tilde,

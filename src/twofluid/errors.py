@@ -18,20 +18,4 @@ class IncompatibleDataError(TwoFluidError):
 
 
 class NumericalError(TwoFluidError):
-    """An iterative solve failed to converge or produced non-finite values."""
-
-    def __init__(self, message, residual_history=None):
-        super().__init__(message)
-        self.residual_history = residual_history
-
-
-class BreakdownError(TwoFluidError):
-    """Time integration broke down (NaN, vanishing depth, or solver failure).
-
-    Breakdown is an expected outcome for shear-unstable runs; the time stamp
-    of the last valid state is attached.
-    """
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
+    """A solve failed its residual check or met non-finite values."""

@@ -6,17 +6,20 @@ State (ζ, ψ) on a periodic grid evolves by
     ∂tψ = −ζ − (ε/2)⟦ρ̄±(∂xψ±)²⟧ + (ε/2μ)(1+ε²μζₓ²)⟦ρ̄±(w±)²⟧
           + (1/Bo) ∂x( ζₓ / √(1+ε²μζₓ²) ),
 
-with the layer traces ψ±, w± supplied by the transmission solve each
-evaluation.  Classical RK4 in time with a conservative CFL cap; optional
-2/3-rule dealiasing acts as a fixed spectral projection of the right-hand
-side, which keeps the integrated system a well-defined ODE (fourth-order
-convergence and exact mass conservation are preserved).  RK4 is fourth order
-but not energy-conserving: on a linear mode of frequency ω it scales the
-quadratic invariant by |R(iωΔt)|² = 1 − (ωΔt)⁶/72 + (ωΔt)⁸/576 per step.
+with the layer traces ψ±, w± supplied by the transmission solve at each
+evaluation: one block elimination per layer and one gauged Cholesky solve
+with 𝒢̃ (:mod:`twofluid.operators`).  These solves are direct, so a run has
+no solver tolerance to set.  Classical RK4 in time with a conservative CFL
+cap; optional 2/3-rule dealiasing acts as a fixed spectral projection of
+the right-hand side, which keeps the integrated system a well-defined ODE
+(fourth-order convergence and exact mass conservation are preserved).  RK4
+is fourth order but not energy-conserving: on a linear mode of frequency ω
+it scales the quadratic invariant by |R(iωΔt)|² = 1 − (ωΔt)⁶/72 +
+(ωΔt)⁸/576 per step.
 
-Breakdown (vanishing layer depth, solver failure or NaN) is a first-class
-outcome: shear-unstable runs are expected to end this way and the series
-reports the breakdown time together with a spectral-tail diagnostic.
+Breakdown (vanishing layer depth, a failed residual check or NaN) is a
+first-class outcome: shear-unstable runs are expected to end this way and
+the series reports the breakdown time together with a spectral-tail diagnostic.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError, NumericalError, TwoFluidError
-from .operators import InterfaceState, TraceBundle, Workspace, transmission_solve
+from .operators import InterfaceState, TraceBundle, transmission_solve
 from .params import DimensionlessParams
 from .spectral import PeriodicGrid, dealias_mask, deriv, truncate
 from .stability import StabilityReport, evaluate_criteria, stability_inputs
@@ -52,7 +55,6 @@ class EvolutionConfig:
     dt: Optional[float] = None
     dealias: Optional[bool] = None
     snapshot_every: int = 10
-    solver_tol: float = 1e-10
 
     def resolve(self, state: InterfaceState) -> tuple:
         cap = cfl_cap(state.params, state.grid.n, state.grid.length)
@@ -82,23 +84,21 @@ class TimeSeries:
 
 def rhs(
     state: InterfaceState,
-    workspace: Optional[Workspace] = None,
     mask: Optional[np.ndarray] = None,
-    tol: float = 1e-10,
     traces: Optional[TraceBundle] = None,
 ) -> tuple:
     """Right-hand side (∂tζ, ∂tψ) of the evolution system."""
     p = state.params
     grid = state.grid
     if traces is None:
-        traces = transmission_solve(state, tol=tol, workspace=workspace)
+        traces = transmission_solve(state)
     zx = deriv(grid, state.zeta)
     denom = 1.0 + p.eps**2 * p.mu * zx**2
     # (1/H̄⁺)G⁺ψ⁺ recovered from the trace identities (no extra solve)
     g_over_h = traces.w_plus * denom - p.eps * p.mu * zx * deriv(grid, traces.psi_plus)
     dzeta = g_over_h / p.mu
     # the continuous flux balance makes this mean exactly zero; remove the
-    # solver-noise mean so the discrete mass invariant holds to rounding
+    # rounding-level mean so the discrete mass invariant holds to rounding
     dzeta -= np.mean(dzeta)
     dxp = deriv(grid, traces.psi_plus)
     dxm = deriv(grid, traces.psi_minus)
@@ -108,11 +108,7 @@ def rhs(
         0.5 * p.eps / p.mu
     ) * denom * jump_w_sq
     if not math.isinf(p.bond):
-        slope = p.eps**2 * p.mu * float(np.max(zx**2))
-        if slope < 1e-16:
-            dpsi += deriv(grid, zx) / p.bond
-        else:
-            dpsi += deriv(grid, zx / np.sqrt(denom)) / p.bond
+        dpsi += deriv(grid, zx / np.sqrt(denom)) / p.bond
     if mask is not None:
         dzeta = truncate(grid, dzeta, mask)
         dpsi = truncate(grid, dpsi, mask)
@@ -122,20 +118,16 @@ def rhs(
 
 
 def rk4_step(
-    state: InterfaceState,
-    dt: float,
-    workspace: Optional[Workspace] = None,
-    mask: Optional[np.ndarray] = None,
-    tol: float = 1e-10,
+    state: InterfaceState, dt: float, mask: Optional[np.ndarray] = None
 ) -> InterfaceState:
     """One classical four-stage step."""
-    k1 = rhs(state, workspace, mask, tol)
+    k1 = rhs(state, mask)
     s2 = state.replace_fields(state.zeta + 0.5 * dt * k1[0], state.psi + 0.5 * dt * k1[1])
-    k2 = rhs(s2, workspace, mask, tol)
+    k2 = rhs(s2, mask)
     s3 = state.replace_fields(state.zeta + 0.5 * dt * k2[0], state.psi + 0.5 * dt * k2[1])
-    k3 = rhs(s3, workspace, mask, tol)
+    k3 = rhs(s3, mask)
     s4 = state.replace_fields(state.zeta + dt * k3[0], state.psi + dt * k3[1])
-    k4 = rhs(s4, workspace, mask, tol)
+    k4 = rhs(s4, mask)
     zeta = state.zeta + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     psi = state.psi + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
     if not (np.all(np.isfinite(zeta)) and np.all(np.isfinite(psi))):
@@ -182,19 +174,18 @@ def run(config: EvolutionConfig, initial: InterfaceState) -> TimeSeries:
         state = state.replace_fields(
             truncate(grid, state.zeta, mask), truncate(grid, state.psi, mask)
         )
-    ws = Workspace()
     series = TimeSeries()
     n_steps = int(math.ceil(config.t_end / dt - 1e-12))
     t = 0.0
     try:
-        traces0 = transmission_solve(state, tol=config.solver_tol, workspace=ws)
+        traces0 = transmission_solve(state)
         _record(series, t, state, traces0, grid)
         for step in range(1, n_steps + 1):
             step_dt = min(dt, config.t_end - t)
-            state = rk4_step(state, step_dt, ws, mask, config.solver_tol)
+            state = rk4_step(state, step_dt, mask)
             t += step_dt
             if step % config.snapshot_every == 0 or step == n_steps:
-                tr = transmission_solve(state, tol=config.solver_tol, workspace=ws)
+                tr = transmission_solve(state)
                 _record(series, t, state, tr, grid)
     except TwoFluidError as exc:
         series.breakdown = {

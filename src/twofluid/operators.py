@@ -12,17 +12,18 @@ exposes
   * the shear operator  ℰ = −∂x ∘ 𝒢̃⁻¹ ∘ ∂x  whose quadratic form measures
     the destabilizing inertia of a velocity jump.
 
-J⁻¹, 𝒢, 𝒢̃⁻¹ and the transmission solve each run one CG solve on the two
-strips glued at the interface row, whose Schur complement on that row is
-the discrete 𝒢̃ (:func:`_glued_solve`); at ρ̄⁻ = 0 the layers decouple.
-Traces are gauged by zero mean and zero Nyquist content.  Sign conventions
-are pinned by the positivity of the associated quadratic forms, which the
-tests check.
+Everything is assembled from the layer DN matrices S± of
+:mod:`twofluid.strip` (G± = ±S±): the discrete 𝒢̃ is the N×N sum
+(ρ̄⁻/H̄⁺)S⁺ + (ρ̄⁺/H̄⁻)S⁻, and J⁻¹, 𝒢, 𝒢̃⁻¹ and the transmission solve
+share one Cholesky factor of 𝒢̃ + Π per state, Π the projector onto the
+common kernel (constants and the Nyquist mode).  Traces are gauged by zero
+mean and zero Nyquist content, and every solve checks its residual.  The
+same formulas hold at ρ̄⁻ = 0.  Sign conventions are pinned by the
+positivity of the associated quadratic forms, which the tests check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,15 +37,16 @@ from .params import DimensionlessParams
 from .spectral import PeriodicGrid, deriv, inner
 from .strip import (
     DiffeoData,
+    _check_residual,
     _deflate,
-    _mode_tridiag,
-    _pcg,
+    _finite,
+    _gauge_factor,
+    _gauged_solve,
     build_trivial_diffeo,
     dn_apply,
+    flat_symbol,
     solve_neumann,
 )
-
-DEFAULT_TOL = 1e-10
 
 
 @dataclass
@@ -57,6 +59,7 @@ class InterfaceState:
     params: DimensionlessParams
     n_z: int = 32
     _diffeos: dict = field(default_factory=dict, repr=False, compare=False)
+    _g_tilde_factor: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.zeta = np.asarray(self.zeta, dtype=float)
@@ -109,26 +112,15 @@ class TraceBundle:
         return 0.5 * (self.v_plus + self.v_minus)
 
 
-class Workspace:
-    """Warm-start cache for repeated solves on slowly varying states: the
-    last glued potential Φ."""
-
-    def __init__(self):
-        self.phi = None
-
-
 # -- flat multipliers ------------------------------------------------------------
 
 
 def j_flat_symbol(params: DimensionlessParams, k) -> np.ndarray:
     """Multiplier of the flat coupling map J (value ρ̄⁺ at ξ = 0 by the gauge)."""
-    k = np.abs(np.asarray(k, dtype=float))
-    tp = np.tanh(math.sqrt(params.mu_plus) * k)
-    tm = np.tanh(math.sqrt(params.mu_minus) * k)
-    out = np.full_like(k, params.rhobar_plus)
-    nz = k > 0.0
-    out[nz] = params.rhobar_plus + params.rhobar_minus * tp[nz] / tm[nz]
-    return out
+    p = params
+    gp, gm = flat_symbol(p.mu_plus, k), flat_symbol(p.mu_minus, k)
+    ratio = np.divide(gp, gm, out=np.zeros_like(gp), where=gm > 0.0)
+    return p.rhobar_plus + p.rhobar_minus * (p.hbar_minus / p.hbar_plus) * ratio
 
 
 def coupled_dn_flat_symbol(params: DimensionlessParams, k) -> np.ndarray:
@@ -136,14 +128,7 @@ def coupled_dn_flat_symbol(params: DimensionlessParams, k) -> np.ndarray:
 
     √μ|ξ| tanh(√μ⁺|ξ|) tanh(√μ⁻|ξ|) / (ρ̄⁺tanh(√μ⁻|ξ|) + ρ̄⁻tanh(√μ⁺|ξ|)).
     """
-    k = np.abs(np.asarray(k, dtype=float))
-    tp = np.tanh(math.sqrt(params.mu_plus) * k)
-    tm = np.tanh(math.sqrt(params.mu_minus) * k)
-    den = params.rhobar_plus * tm + params.rhobar_minus * tp
-    out = np.zeros_like(k)
-    nz = k > 0.0
-    out[nz] = math.sqrt(params.mu) * k[nz] * tp[nz] * tm[nz] / den[nz]
-    return out
+    return flat_symbol(params.mu_plus, k) / (params.hbar_plus * j_flat_symbol(params, k))
 
 
 def dn_mix_flat_symbol(params: DimensionlessParams, k) -> np.ndarray:
@@ -151,134 +136,77 @@ def dn_mix_flat_symbol(params: DimensionlessParams, k) -> np.ndarray:
 
     √μ|ξ|(ρ̄⁻tanh(√μ⁺|ξ|) + ρ̄⁺tanh(√μ⁻|ξ|)).
     """
-    k = np.abs(np.asarray(k, dtype=float))
-    tp = np.tanh(math.sqrt(params.mu_plus) * k)
-    tm = np.tanh(math.sqrt(params.mu_minus) * k)
-    return math.sqrt(params.mu) * k * (
-        params.rhobar_minus * tp + params.rhobar_plus * tm
-    )
+    p = params
+    return (p.rhobar_minus / p.hbar_plus) * flat_symbol(p.mu_plus, k) + (
+        p.rhobar_plus / p.hbar_minus
+    ) * flat_symbol(p.mu_minus, k)
 
 
 # -- composed operators -----------------------------------------------------------
 
 
-def apply_j(state: InterfaceState, u, tol=DEFAULT_TOL) -> np.ndarray:
+def apply_j(state: InterfaceState, u) -> np.ndarray:
     """Apply J = ρ̄⁺ − ρ̄⁻(H̄⁻/H̄⁺)(G⁻)⁻¹G⁺ (the lower-trace coupling map)."""
     p = state.params
     u = np.asarray(u, dtype=float)
-    if p.rhobar_minus == 0.0:
-        return p.rhobar_plus * u
-    f = dn_apply(state.diffeo(+1), u, tol=tol)
-    sol = solve_neumann(state.diffeo(-1), f, tol=tol)
-    tr = sol.interface_trace(state.diffeo(-1))
+    f = dn_apply(state.diffeo(+1), u)
+    tr = solve_neumann(state.diffeo(-1), f).interface_trace(state.diffeo(-1))
     return p.rhobar_plus * u - p.rhobar_minus * (p.hbar_minus / p.hbar_plus) * tr
 
 
-def _glued_solve(state: InterfaceState, b, tol, maxiter=None, workspace=None) -> np.ndarray:
-    """Solve K Φ = b on the two strips glued at the interface row (ρ̄⁻ > 0).
+def _solve_g_tilde(state: InterfaceState, f) -> np.ndarray:
+    """Gauged solution of 𝒢̃u = f (one right-hand side per row of f) for
+    the part of f in the range of 𝒢̃, with its residual checked.
 
-    K = (ρ̄⁻/H̄⁺)A⁺ ⊕ (ρ̄⁺/H̄⁻)A⁻ acts on 2n_z+1 rows: the lower strip on rows
-    0..n_z, the upper one on rows n_z..2n_z, sharing the interface row n_z.
-    Eliminating every other row leaves the discrete 𝒢̃ on the shared row.
-    K's kernel (constants and the z-independent Nyquist column) is projected
-    out of Φ; b must be orthogonal to it.  The preconditioner is the flat
-    glued column, exact at ζ = 0.
+    The Cholesky factor of 𝒢̃ + Π is computed once per state.
     """
-    p = state.params
-    m = state.n_z
-    lower = state.diffeo(+1).operator()
-    upper = state.diffeo(-1).operator()
-    w_lower = p.rhobar_minus / p.hbar_plus
-    w_upper = p.rhobar_plus / p.hbar_minus
-
-    def k_apply(phi):
-        out = np.zeros_like(phi)
-        out[: m + 1] = w_lower * lower.apply(phi[: m + 1])
-        out[m:] += w_upper * upper.apply(phi[m:])
-        return out
-
-    if "glued" not in state._diffeos:
-        state._diffeos["glued"] = _mode_tridiag(
-            state.grid, m, [(w_lower, p.mu_plus), (w_upper, p.mu_minus)], shift0=True
-        )
-    x0 = workspace.phi if workspace is not None else None
-    phi, _, _ = _pcg(
-        k_apply, b, state._diffeos["glued"].precondition, tol, maxiter, x0, _deflate
-    )
-    if workspace is not None:
-        workspace.phi = phi
-    return phi
+    mat = dense_g_tilde(state)
+    if state._g_tilde_factor is None:
+        state._g_tilde_factor = _gauge_factor(mat)
+    f = _deflate(_finite(f, "weighted DN sum data"))
+    u = _gauged_solve(state._g_tilde_factor, f)
+    _check_residual(u @ mat - f, f, "weighted DN sum solve")
+    return u
 
 
-def _couple(state: InterfaceState, psi, tol, maxiter=None, workspace=None) -> tuple:
+def _couple(state: InterfaceState, psi) -> tuple:
     """(ψ⁻, (1/H̄±)G±ψ±) of the transmission problem for ψ = ρ̄⁺ψ⁺ − ρ̄⁻ψ⁻.
 
-    𝒢̃ψ⁻ = −(1/H̄⁺)G⁺ψ is the Schur reduction of the glued data −(1/H̄⁺)A⁺ψ
-    (ψ on the interface row); the upper block of Φ then extends ψ⁻, and one
-    apply of A⁻ reads off the flux.  At ρ̄⁻ = 0 the layers decouple: the flux
-    of ψ/ρ̄⁺ by a Dirichlet solve, ψ⁻ = H̄⁻(G⁻)⁻¹ of it by a Neumann solve.
+    Flux continuity (1/H̄⁺)G⁺ψ⁺ = (1/H̄⁻)G⁻ψ⁻ with ρ̄⁺ψ⁺ = ψ + ρ̄⁻ψ⁻ reads
+    𝒢̃ψ⁻ = −S⁺ψ/H̄⁺, which holds at ρ̄⁻ = 0 too.
     """
     p = state.params
-    m = state.n_z
-    # the inverse layer operator amplifies low-mode solver noise by ~1/mu,
-    # so shallow configurations need proportionally tighter solves
-    tol = tol * min(1.0, p.mu / 0.1)
-    if p.rhobar_minus == 0.0:
-        flux = dn_apply(state.diffeo(+1), psi / p.rhobar_plus, tol=tol) / p.hbar_plus
-        d = state.diffeo(-1)
-        trace = solve_neumann(d, flux, tol=tol, maxiter=maxiter).interface_trace(d)
-        return p.hbar_minus * _deflate(trace), flux
-    trace = np.zeros((m + 1, state.grid.n))
-    trace[m] = psi
-    b = np.zeros((2 * m + 1, state.grid.n))
-    b[: m + 1] = state.diffeo(+1).operator().apply(trace) / -p.hbar_plus
-    phi = _glued_solve(state, b, tol, maxiter, workspace)
-    flux = -state.diffeo(-1).operator().apply(phi[m:])[0] / p.hbar_minus
-    return _deflate(phi[m]), _deflate(flux)
+    psi = np.asarray(psi, dtype=float)
+    psi_minus = _solve_g_tilde(state, _dn_matrix(state, +1) @ psi / -p.hbar_plus)
+    flux = _dn_matrix(state, -1) @ psi_minus / -p.hbar_minus
+    return psi_minus, _deflate(flux)
 
 
-def invert_j(
-    state: InterfaceState,
-    psi,
-    tol=1e-11,
-    maxiter=200,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
+def invert_j(state: InterfaceState, psi) -> np.ndarray:
     """Solve J ψ⁺ = ψ for the lower-layer trace ψ⁺ = (ψ + ρ̄⁻ψ⁻)/ρ̄⁺."""
     p = state.params
     psi = np.asarray(psi, dtype=float)
-    if p.rhobar_minus == 0.0:
-        return psi / p.rhobar_plus
-    psi_minus, _ = _couple(state, psi, tol, maxiter, workspace)
+    psi_minus, _ = _couple(state, psi)
     return (psi + p.rhobar_minus * psi_minus) / p.rhobar_plus
 
 
-def apply_g(state: InterfaceState, psi, tol=DEFAULT_TOL, workspace=None) -> np.ndarray:
+def apply_g(state: InterfaceState, psi) -> np.ndarray:
     """Coupled interface DN operator 𝒢 = (1/H̄⁺) G⁺ ∘ J⁻¹ (zero-mean output)."""
-    p = state.params
-    psi = np.asarray(psi, dtype=float)
-    if p.rhobar_minus == 0.0:
-        return dn_apply(state.diffeo(+1), psi / p.rhobar_plus, tol=tol) / p.hbar_plus
-    # the flux carries the glued residual at first order, and the symmetry
-    # of 𝒢 is only as good as that: solve a decade below the requested tol
-    return _couple(state, psi, 0.1 * tol, workspace=workspace)[1]
+    return _couple(state, psi)[1]
 
 
-def transmission_solve(
-    state: InterfaceState, tol=DEFAULT_TOL, workspace: Workspace | None = None
-) -> TraceBundle:
+def transmission_solve(state: InterfaceState) -> TraceBundle:
     """Recover both layer traces and interface velocities from (ζ, ψ).
 
-    ψ⁻ and the common flux (1/H̄±)G±ψ± come from one glued solve (a
-    Dirichlet and a Neumann solve at ρ̄⁻ = 0), and ψ⁺ = (ψ + ρ̄⁻ψ⁻)/ρ̄⁺, so
-    the trace identity holds to rounding.  Then
+    ψ⁻ and the common flux (1/H̄±)G±ψ± come from one gauged solve with 𝒢̃,
+    and ψ⁺ = (ψ + ρ̄⁻ψ⁻)/ρ̄⁺, so the trace identity holds to rounding.  Then
 
         w± = ((1/H̄±) G±ψ± + εμ ζₓ ∂xψ±) / (1 + ε²μ ζₓ²),
         V± = ∂xψ± − ε w± ζₓ.
     """
     p = state.params
     grid = state.grid
-    psi_minus, g_over_h = _couple(state, state.psi, tol, workspace=workspace)
+    psi_minus, g_over_h = _couple(state, state.psi)
     psi_plus = (state.psi + p.rhobar_minus * psi_minus) / p.rhobar_plus
     zx = deriv(grid, state.zeta)
     denom = 1.0 + p.eps**2 * p.mu * zx**2
@@ -299,29 +227,32 @@ def transmission_solve(
     )
 
 
-def apply_g_tilde(state: InterfaceState, u, tol=DEFAULT_TOL) -> np.ndarray:
-    """Weighted DN sum 𝒢̃ u = ρ̄⁻(1/H̄⁺)G⁺u − ρ̄⁺(1/H̄⁻)G⁻u (positive operator)."""
+def _dn_matrix(state: InterfaceState, sign: int) -> np.ndarray:
+    return state.diffeo(sign).operator().dn_matrix
+
+
+def dense_g_tilde(state: InterfaceState) -> np.ndarray:
+    """Dense symmetric matrix of 𝒢̃ = (ρ̄⁻/H̄⁺)S⁺ + (ρ̄⁺/H̄⁻)S⁻ on the grid.
+
+    Its null space is two-dimensional (constants and the Nyquist column
+    annihilated by the spectral derivative); :func:`pinv_g_tilde` inverts it
+    on its range.
+    """
     p = state.params
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    if p.rhobar_minus > 0.0:
-        out += p.rhobar_minus / p.hbar_plus * dn_apply(state.diffeo(+1), u, tol=tol)
-    out -= p.rhobar_plus / p.hbar_minus * dn_apply(state.diffeo(-1), u, tol=tol)
-    return out
+    return (p.rhobar_minus / p.hbar_plus) * _dn_matrix(state, +1) + (
+        p.rhobar_plus / p.hbar_minus
+    ) * _dn_matrix(state, -1)
 
 
-def invert_g_tilde(
-    state: InterfaceState,
-    f,
-    tol=1e-9,
-    maxiter=400,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
+def apply_g_tilde(state: InterfaceState, u) -> np.ndarray:
+    """Weighted DN sum 𝒢̃ u = ρ̄⁻(1/H̄⁺)G⁺u − ρ̄⁺(1/H̄⁻)G⁻u (positive operator)."""
+    return dense_g_tilde(state) @ np.asarray(u, dtype=float)
+
+
+def invert_g_tilde(state: InterfaceState, f) -> np.ndarray:
     """Solve 𝒢̃ u = f; the result has zero mean and zero Nyquist content.
 
-    f must lie in the range of 𝒢̃: zero mean and no Nyquist component.  The
-    glued solve with f on the shared row; at ρ̄⁻ = 0, 𝒢̃ = −(ρ̄⁺/H̄⁻)G⁻ and
-    the upper-layer Neumann solve inverts it.
+    f must lie in the range of 𝒢̃: zero mean and no Nyquist component.
     """
     f = np.asarray(f, dtype=float)
     off = float(np.max(np.abs(f - _deflate(f))))
@@ -330,56 +261,23 @@ def invert_g_tilde(
             "inverse of the weighted DN sum needs data with zero mean and no "
             f"Nyquist component; they reach {off:.3e}"
         )
-    p = state.params
-    if p.rhobar_minus == 0.0:
-        d = state.diffeo(-1)
-        g = -(p.hbar_minus / p.rhobar_plus) * _deflate(f)
-        return _deflate(solve_neumann(d, g, tol=tol, maxiter=maxiter).interface_trace(d))
-    m = state.n_z
-    b = np.zeros((2 * m + 1, state.grid.n))
-    b[m] = f
-    return _deflate(_glued_solve(state, b, tol, maxiter, workspace)[m])
+    return _solve_g_tilde(state, f)
 
 
-def dense_g_tilde(state: InterfaceState, tol=1e-10) -> np.ndarray:
-    """Dense symmetric matrix of 𝒢̃ on the grid (column-by-column assembly).
-
-    Cached on the state.  The matrix has a two-dimensional null space
-    (constants and the Nyquist column annihilated by the spectral
-    derivative); use :func:`pinv_g_tilde` to invert on its range.
-    """
-    key = "dense_mix"
-    if key not in state._diffeos:
-        n = state.grid.n
-        cols = np.empty((n, n))
-        eye = np.eye(n)
-        for j in range(n):
-            cols[:, j] = apply_g_tilde(state, eye[:, j], tol=tol)
-        state._diffeos[key] = 0.5 * (cols + cols.T)
-    return state._diffeos[key]
+def pinv_g_tilde(state: InterfaceState) -> np.ndarray:
+    """Pseudo-inverse of the dense 𝒢̃ matrix on its range, (𝒢̃ + Π)⁻¹ − Π."""
+    return _solve_g_tilde(state, np.eye(state.grid.n))
 
 
-def pinv_g_tilde(state: InterfaceState, tol=1e-10, cutoff=1e-11) -> np.ndarray:
-    """Pseudo-inverse of the dense 𝒢̃ matrix on its range (cached)."""
-    key = "dense_mix_pinv"
-    if key not in state._diffeos:
-        mat = dense_g_tilde(state, tol=tol)
-        vals, vecs = np.linalg.eigh(mat)
-        scale = float(np.max(np.abs(vals))) or 1.0
-        inv = np.where(np.abs(vals) > cutoff * scale, 1.0 / vals, 0.0)
-        state._diffeos[key] = (vecs * inv) @ vecs.T
-    return state._diffeos[key]
-
-
-def apply_e(state: InterfaceState, v, tol=1e-9, workspace=None) -> np.ndarray:
+def apply_e(state: InterfaceState, v) -> np.ndarray:
     """Shear operator ℰ v = −∂x 𝒢̃⁻¹ ∂x v; (ℰv, v) = (𝒢̃⁻¹∂xv, ∂xv) ≥ 0."""
     g = deriv(state.grid, np.asarray(v, dtype=float))
-    u = invert_g_tilde(state, g, tol=tol, workspace=workspace)
+    u = invert_g_tilde(state, g)
     return -deriv(state.grid, u)
 
 
-def e_quadratic_form(state: InterfaceState, v, tol=1e-9) -> float:
+def e_quadratic_form(state: InterfaceState, v) -> float:
     """Quadratic form (ℰ v, v) evaluated without the outer derivative."""
     g = deriv(state.grid, np.asarray(v, dtype=float))
-    u = invert_g_tilde(state, g, tol=tol)
+    u = invert_g_tilde(state, g)
     return inner(state.grid, u, g)

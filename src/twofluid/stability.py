@@ -26,9 +26,10 @@ how much a configuration clears the criteria.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,6 +39,7 @@ from .errors import InvalidConfigError, NumericalError
 from .operators import InterfaceState, TraceBundle, e_quadratic_form, invert_g_tilde
 from .params import DimensionlessParams, Verdict, practical_verdict
 from .spectral import PeriodicGrid, deriv, inner, norm_h1_sigma
+from .strip import flat_symbol
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,9 @@ class FlatConstant:
 
 
 def _flat_quotient(x, rbp, rbm, hbp, hbm):
-    return x / ((1.0 + x) * (rbm * np.tanh(hbp * x) + rbp * np.tanh(hbm * x)))
+    # x² over (1 + x) times the flat 𝒢̃ at √μ|ξ| = x, from the layer symbols
+    mix = (rbm / hbp) * flat_symbol(hbp**2, x) + (rbp / hbm) * flat_symbol(hbm**2, x)
+    return x**2 / ((1.0 + x) * mix)
 
 
 def c_flat(
@@ -270,27 +274,7 @@ class StabilityReport:
     e_converged: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "upsilon": self.upsilon,
-            "c_coeff": self.c_coeff,
-            "c_coeff_unsquared": self.c_coeff_unsquared,
-            "e_coeff": self.e_coeff,
-            "inf_a": self.inf_a,
-            "jump_sup": self.jump_sup,
-            "jump_sup_d1": self.jump_sup_d1,
-            "sc": self.sc,
-            "sc_alt": self.sc_alt,
-            "sc_strong": self.sc_strong,
-            "margin_d": self.margin_d,
-            "margin_d_alt": self.margin_d_alt,
-            "verdict": self.verdict,
-            "gamma": self.gamma,
-            "time_derivative_missing": self.time_derivative_missing,
-            "dim_lhs": self.dim_lhs,
-            "dim_rhs": self.dim_rhs,
-            "dim_verdict": self.dim_verdict,
-            "practical": self.practical,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), **kw)

@@ -12,16 +12,18 @@ which turns the scaled Laplace problem into the divergence-form equation
 
 σ = ε±(1±z)ζ.  Discretization: spectral differentiation in x, second-order
 centered differences on a uniform z grid, with fluxes assembled at z
-half-levels so that the discrete operator is exactly symmetric and positive
-semi-definite.  The Dirichlet-Neumann map is read off as the variational
-flux at the interface row, which makes symmetry, sign-definiteness and flux
-balance of the discrete operator exact to rounding.
+half-levels so that the discrete operator A is exactly symmetric and positive
+semi-definite.
 
-All solves, the two-strip glued solve of :mod:`twofluid.operators` included,
-run one preconditioned CG (:func:`_pcg`) with a true-residual exit.  Its
-preconditioner is the exact flat operator of the column of weighted layers
-(Fourier in x, tridiagonal in z), and :func:`_deflate` removes the kernel
-(constants, z-independent Nyquist column) of the pure-Neumann operators.
+Because x is spectral, A is block tridiagonal in z with dense N×N blocks,
+one block pair per cell.  A block Cholesky sweep from the wall to the
+interface row eliminates every other row and leaves the Schur complement S
+on the interface row.  S is the discrete Dirichlet-Neumann matrix itself
+(G± = ±S±): symmetric, positive semi-definite, and zero on constants and on
+the Nyquist column that the spectral derivative annihilates.  The field
+solves repeat the sweep and back-substitute; their true residual, computed
+with the matrix-free :meth:`StripOperator.apply`, is checked against
+:data:`RESIDUAL_TOL`.
 """
 
 from __future__ import annotations
@@ -30,22 +32,21 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import DegenerateGeometryError, IncompatibleDataError, NumericalError
-from .spectral import PeriodicGrid
+from .spectral import PeriodicGrid, apply_multiplier, deriv
 
-DEFAULT_TOL = 1e-10
+# Bound on the relative true residual of every direct solve of the package.
+RESIDUAL_TOL = 1e-9
 MIN_DEPTH = 1e-10
 
 
-def _dx_spectral(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
-    """Spectral x-derivative along the last axis, Nyquist zeroed."""
-    uh = np.fft.rfft(u, axis=-1)
-    k = np.fft.rfftfreq(grid.n, d=1.0 / (grid.n * grid.k_fundamental))
-    uh *= 1j * k
-    if grid.n % 2 == 0:
-        uh[..., -1] = 0.0
-    return np.fft.irfft(uh, n=grid.n, axis=-1)
+def flat_symbol(mu_layer: float, k) -> np.ndarray:
+    """√μ±|ξ| tanh(√μ±|ξ|), the flat DN symbol of one unit-depth layer (G± = ±it)."""
+    y = math.sqrt(mu_layer) * np.abs(np.asarray(k, dtype=float))
+    return y * np.tanh(y)
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,6 @@ class StripSolution:
 
     phi: np.ndarray
     residual_norm: float
-    iterations: int
 
     def interface_trace(self, d: DiffeoData) -> np.ndarray:
         return self.phi[d.operator().iface].copy()
@@ -129,7 +129,7 @@ def build_trivial_diffeo(
     else:
         z_half = (np.arange(n_z) + 0.5) * h
     fac = 1.0 + layer_sign * z_half
-    zx = _dx_spectral(grid, zeta)
+    zx = deriv(grid, zeta)
     sigma_x = eps_layer * fac[:, None] * zx[None, :]
     sigma_z = np.broadcast_to(layer_sign * eps_layer * zeta, (n_z, grid.n))
     p11 = np.broadcast_to(depth, (n_z, grid.n))
@@ -151,163 +151,78 @@ def build_trivial_diffeo(
 
 
 def _deflate(v: np.ndarray) -> np.ndarray:
-    """Project a field (or a trace) off constants and the z-independent
-    Nyquist column, which the spectral derivative zeroes."""
+    """Project a trace (or each row of a stack of traces) off constants and
+    the Nyquist mode, which the spectral derivative zeroes."""
     nyq = np.cos(np.pi * np.arange(v.shape[-1]))
-    v = v - np.mean(v)
-    return v - np.mean(v * nyq) * nyq
+    v = v - np.mean(v, axis=-1, keepdims=True)
+    return v - np.mean(v * nyq, axis=-1, keepdims=True) * nyq
 
 
-class _Tridiag:
-    """Prefactored symmetric tridiagonal solves, vectorized over Fourier modes.
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    low, info = dpotrf(a, lower=1)
+    if info != 0:
+        raise NumericalError(f"Cholesky factorization failed (LAPACK info {info})")
+    return low
 
-    Small systems precompute dense per-mode inverses so a solve is a single
-    batched matmul; large systems fall back to vectorized Thomas sweeps.
+
+def _gauge_factor(mat: np.ndarray) -> np.ndarray:
+    """Cholesky factor of mat + Π, Π the projector onto span{1, Nyquist}.
+
+    For a symmetric PSD matrix whose kernel is that span (a DN matrix or a
+    positive combination of them), mat + Π is SPD and its inverse is the
+    pseudo-inverse of mat plus Π.
     """
-
-    _DENSE_LIMIT = 200
-
-    def __init__(self, diag: np.ndarray, off: np.ndarray):
-        nm, m = diag.shape
-        self.m = m
-        self.off = off
-        self.dense_inv = None
-        if m <= self._DENSE_LIMIT:
-            mats = np.zeros((nm, m, m))
-            idx = np.arange(m)
-            mats[:, idx, idx] = diag
-            mats[:, idx[:-1], idx[1:]] = off
-            mats[:, idx[1:], idx[:-1]] = off
-            self.dense_inv = np.linalg.inv(mats)
-            return
-        self.cp = np.zeros((nm, max(m - 1, 0)))
-        self.inv_den = np.zeros((nm, m))
-        den = diag[:, 0].copy()
-        self.inv_den[:, 0] = 1.0 / den
-        for i in range(1, m):
-            self.cp[:, i - 1] = off[:, i - 1] * self.inv_den[:, i - 1]
-            den = diag[:, i] - off[:, i - 1] * self.cp[:, i - 1]
-            self.inv_den[:, i] = 1.0 / den
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.dense_inv is not None:
-            return np.einsum("kij,kj->ki", self.dense_inv, rhs)
-        m = self.m
-        d = np.empty_like(rhs)
-        d[:, 0] = rhs[:, 0] * self.inv_den[:, 0]
-        for i in range(1, m):
-            d[:, i] = (rhs[:, i] - self.off[:, i - 1] * d[:, i - 1]) * self.inv_den[:, i]
-        x = np.empty_like(rhs)
-        x[:, m - 1] = d[:, m - 1]
-        for i in range(m - 2, -1, -1):
-            x[:, i] = d[:, i] - self.cp[:, i] * x[:, i + 1]
-        return x
-
-    def precondition(self, r: np.ndarray) -> np.ndarray:
-        """Flat-operator solve of a (rows, n) field: Fourier in x, tridiagonal in z."""
-        rh = np.fft.rfft(r, axis=-1).T
-        xr = self.solve(rh.real)
-        xi = self.solve(rh.imag)
-        return np.fft.irfft((xr + 1j * xi).T, n=r.shape[-1], axis=-1)
+    n = mat.shape[0]
+    nyq = np.cos(np.pi * np.arange(n))
+    return _cholesky(mat + (1.0 + np.outer(nyq, nyq)) / n)
 
 
-def _mode_tridiag(grid: PeriodicGrid, n_z: int, layers, keep=None, shift0=False) -> _Tridiag:
-    """Flat operator of a column of stacked layers, one tridiagonal per mode.
-
-    ``layers`` lists (weight, μ) per layer from the bottom up, n_z cells each,
-    neighbours sharing a row; ``keep`` selects the unknown rows.  ``shift0``
-    keeps the singular k = 0 mode of a column without Dirichlet row SPD.
-    """
-    h = 1.0 / n_z
-    k = np.fft.rfftfreq(grid.n, d=1.0 / (grid.n * grid.k_fundamental))
-    mass = np.repeat([w * mu * h / 4.0 for w, mu in layers], n_z)
-    stiff = np.repeat([w / h for w, _ in layers], n_z)
-    a_loc = mass * k[:, None] ** 2 + stiff
-    off = mass * k[:, None] ** 2 - stiff
-    diag = np.zeros((k.size, mass.size + 1))
-    diag[:, :-1] += a_loc
-    diag[:, 1:] += a_loc
-    if keep is not None:
-        diag = diag[:, keep]
-        consecutive = np.nonzero(np.diff(keep) == 1)[0]
-        off = off[:, keep[consecutive]]
-    if shift0:
-        diag[0, :] += h * min(w for w, _ in layers)
-    return _Tridiag(diag, off)
+def _gauged_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (mat + Π)u = b with the factor of :func:`_gauge_factor`, for b
+    of shape (n,) or one right-hand side per row; u is gauged to zero mean
+    and zero Nyquist content."""
+    u, _ = dpotrs(low, np.atleast_2d(b).T, lower=1)
+    return _deflate(u.T.reshape(b.shape))
 
 
-def _pcg(aop, b, precondition, tol, maxiter=None, x0=None, project=lambda v: v):
-    """Preconditioned conjugate gradients for a symmetric PSD operator.
+def _check_residual(r: np.ndarray, b: np.ndarray, what: str) -> float:
+    """Relative residual ‖r‖/‖b‖; NumericalError above RESIDUAL_TOL or if not finite."""
+    nr, nb = float(np.linalg.norm(r)), float(np.linalg.norm(b))
+    res = nr / nb if nb else nr
+    if not res <= RESIDUAL_TOL:
+        raise NumericalError(
+            f"{what}: relative residual {res:.3e} above {RESIDUAL_TOL:.0e}"
+        )
+    return res
 
-    ``project`` maps onto the complement of the operator's kernel; it is
-    applied to the data, the iterates and every residual.  When the updated
-    residual meets tol·‖b‖ the true residual b − A x is computed; the
-    iteration restarts from it until it meets the same bound, and raises
-    NumericalError when it stops shrinking or after ``maxiter`` iterations.
-    Returns (x, iterations, relative true residual).
-    """
-    b = project(b)
-    nb = float(np.linalg.norm(b))
-    if nb == 0.0:
-        return np.zeros_like(b), 0, 0.0
-    if maxiter is None:
-        maxiter = 10 * b.size
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = project(np.array(x0, dtype=float))
-        r = project(b - aop(x))
-    it = 0
-    history = []
-    last = math.inf
-    while True:
-        z = project(precondition(r))
-        p = z.copy()
-        rz = float(np.vdot(r, z))
-        while float(np.linalg.norm(r)) > tol * nb:
-            if it >= maxiter:
-                raise NumericalError(
-                    f"CG failed to converge: residual {np.linalg.norm(r)/nb:.3e} "
-                    f"after {it} iterations",
-                    residual_history=history,
-                )
-            ap = aop(p)
-            alpha = rz / float(np.vdot(p, ap))
-            x += alpha * p
-            r = project(r - alpha * ap)
-            z = project(precondition(r))
-            rz_new = float(np.vdot(r, z))
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-            it += 1
-            history.append(float(np.linalg.norm(r)) / nb)
-        r = project(b - aop(x))
-        res = float(np.linalg.norm(r)) / nb
-        if res <= tol:
-            return x, it, res
-        if res > 0.5 * last or it >= maxiter:
-            raise NumericalError(
-                f"CG true residual {res:.3e} stalled above tolerance {tol:.1e} "
-                f"after {it} iterations",
-                residual_history=history,
-            )
-        last = res
+
+def _finite(a, what: str) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise NumericalError(f"{what} contains non-finite values")
+    return a
 
 
 class StripOperator:
-    """Matrix-free discrete operator for one straightened layer."""
+    """Discrete operator A of one straightened layer, its Schur complement S
+    on the interface row, and the Dirichlet and Neumann field solves."""
 
     def __init__(self, d: DiffeoData):
-        self.d = d
+        # no reference to d, which caches this operator: the cycle would
+        # keep both alive until the cyclic garbage collector runs
         self.grid = d.grid
+        self.pm = d.p_matrix
+        self.mu = d.mu_layer
+        self.sign = d.layer_sign
+        self.n_z = d.n_z
         self.h = 1.0 / d.n_z
         self.smu = math.sqrt(d.mu_layer)
         self.iface = d.n_z if d.layer_sign > 0 else 0
         rows = np.arange(d.n_z + 1)
         self.interior = rows[rows != self.iface]
-        self._dirichlet_fac = None
-        self._neumann_fac = None
+        # rows from the wall to the interface, the order of the sweep
+        self.sweep_rows = rows if d.layer_sign > 0 else rows[::-1]
+        self._s = None
         k = np.fft.rfftfreq(self.grid.n, d=1.0 / (self.grid.n * self.grid.k_fundamental))
         ik = 1j * k
         ik[-1] = 0.0  # the grid is even: Nyquist is zeroed
@@ -316,15 +231,14 @@ class StripOperator:
     # -- discrete bilinear form -------------------------------------------------
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """Symmetric PSD operator A with v·Aφ = Σ_cells h ∇^μ v·P ∇^μ φ."""
-        d, h = self.d, self.h
-        pm = d.p_matrix
+        h, pm = self.h, self.pm
         grid = self.grid
         ik = self._ik
         uh = np.fft.rfft(phi, axis=-1)
         phix = np.fft.irfft(ik * uh, n=grid.n, axis=-1)
         px_half = 0.5 * (phix[:-1] + phix[1:])
         pz_half = (phi[1:] - phi[:-1]) * (1.0 / h)
-        f1 = d.mu_layer * pm.p11 * px_half + self.smu * pm.p12 * pz_half
+        f1 = self.mu * pm.p11 * px_half + self.smu * pm.p12 * pz_half
         f2 = self.smu * pm.p12 * px_half + pm.p22 * pz_half
         t = np.fft.irfft((-0.5 * h) * ik * np.fft.rfft(f1, axis=-1), n=grid.n, axis=-1)
         out = np.empty_like(phi)
@@ -333,93 +247,125 @@ class StripOperator:
         out[1:-1] = t[:-1] + f2[:-1] + t[1:] - f2[1:]
         return out
 
+    def _cells(self):
+        """Blocks (first, off, second) of each cell of A, from the wall on.
+
+        The cell between sweep rows r and r + 1 adds [[first, off],
+        [offᵀ, second]] to A on those two rows.  With D the spectral
+        derivative matrix, its energy h·∇^μv·P∇^μφ uses ∂x = D(φ_r + φ_{r+1})/2
+        and ∂z = ±(φ_{r+1} − φ_r)/h.
+        """
+        h, pm, n = self.h, self.pm, self.grid.n
+        dmat_t = np.ascontiguousarray(deriv(self.grid, np.eye(n)))  # Dᵀ
+        # p11 = 1 + ∂zσ is z-independent for the trivial diffeomorphism
+        stiff = (0.25 * h * self.mu) * ((dmat_t * pm.p11[0]) @ dmat_t.T)
+        cells = range(self.n_z) if self.sign > 0 else range(self.n_z - 1, -1, -1)
+        for c in cells:
+            e = dmat_t * (0.5 * self.smu * pm.p12[c])
+            sym = e + e.T
+            mass = pm.p22[c] / h
+            k_aa = stiff - sym  # the cell's bottom row
+            k_aa.flat[:: n + 1] += mass
+            k_bb = stiff + sym  # its top row
+            k_bb.flat[:: n + 1] += mass
+            k_ab = stiff + e
+            k_ab -= e.T
+            k_ab.flat[:: n + 1] -= mass
+            yield (k_aa, k_ab, k_bb) if self.sign > 0 else (k_bb, k_ab.T, k_aa)
+
+    def _sweep(self, keep: bool) -> list:
+        """Block Cholesky elimination of every row but the interface one.
+
+        Caches S; returns the factors (L_r, L_r⁻¹A_{r,r+1}) of the eliminated
+        sweep rows if ``keep``.
+        """
+        factors = []
+        t = None
+        for first, off, second in self._cells():
+            low = _cholesky(first if t is None else t + first)
+            # xᵀ = offᵀL⁻ᵀ: OpenBLAS solves this right-sided form about twice as
+            # fast as x = L⁻¹off
+            x_t = dtrsm(1.0, low, off.T, side=1, lower=1, trans_a=1)
+            if keep:
+                factors.append((low, x_t.T))
+            t = second - x_t @ x_t.T
+        self._s = 0.5 * (t + t.T)
+        return factors
+
+    @property
+    def dn_matrix(self) -> np.ndarray:
+        """S, the Schur complement of A on the interface row (G± = ±S)."""
+        if self._s is None:
+            self._sweep(keep=False)
+        return self._s
+
+    def _extend(self, psi: np.ndarray, factors: list) -> np.ndarray:
+        """Back-substitute the field with interface trace ψ."""
+        phi = np.empty((self.n_z + 1, self.grid.n))
+        rows = self.sweep_rows
+        phi[rows[-1]] = psi
+        for r, nxt, (low, x) in zip(rows[-2::-1], rows[::-1], reversed(factors)):
+            y, _ = dtrtrs(low, (x @ phi[nxt])[:, None], lower=1, trans=1)
+            phi[r] = -y[:, 0]
+        return phi
+
     # -- solves -----------------------------------------------------------------
-    def solve_dirichlet(self, psi, tol=DEFAULT_TOL, maxiter=None, x0=None):
-        d = self.d
-        psi = np.asarray(psi, dtype=float)
-        if not np.all(np.isfinite(psi)):
-            raise NumericalError("Dirichlet data contains non-finite values")
-        if self._dirichlet_fac is None:
-            self._dirichlet_fac = _mode_tridiag(
-                self.grid, d.n_z, [(1.0, d.mu_layer)], keep=self.interior
-            )
-        phi = np.zeros((d.n_z + 1, self.grid.n))
-        phi[self.iface] = psi
-        b = -self.apply(phi)[self.interior]
-
-        def aop(v):
-            full = np.zeros((d.n_z + 1, self.grid.n))
-            full[self.interior] = v
-            return self.apply(full)[self.interior]
-
-        if x0 is not None:
-            x0 = np.asarray(x0, dtype=float)[self.interior]
-        x, it, res = _pcg(
-            aop, b, self._dirichlet_fac.precondition, tol, maxiter, x0
+    def solve_dirichlet(self, psi) -> StripSolution:
+        psi = _finite(psi, "Dirichlet data")
+        phi = self._extend(psi, self._sweep(keep=True))
+        lift = np.zeros_like(phi)
+        lift[self.iface] = psi
+        res = _check_residual(
+            self.apply(phi)[self.interior],
+            self.apply(lift)[self.interior],
+            "Dirichlet solve",
         )
-        phi[self.interior] = x
-        return StripSolution(phi=phi, residual_norm=res, iterations=it)
+        return StripSolution(phi=phi, residual_norm=res)
 
-    def solve_neumann(self, g_data, tol=DEFAULT_TOL, maxiter=None, x0=None):
-        d = self.d
-        g_data = np.asarray(g_data, dtype=float)
+    def solve_neumann(self, g_data) -> StripSolution:
+        g_data = _finite(g_data, "Neumann data")
         gmean = abs(float(np.mean(g_data)))
         gscale = float(np.max(np.abs(g_data))) if g_data.size else 0.0
         if gmean > 1e-8 * max(gscale, 1.0):
             raise IncompatibleDataError(
                 f"Neumann data must have zero mean on the periodic strip, got {gmean:.3e}"
             )
-        if self._neumann_fac is None:
-            self._neumann_fac = _mode_tridiag(
-                self.grid, d.n_z, [(1.0, d.mu_layer)], shift0=True
-            )
-        b = np.zeros((d.n_z + 1, self.grid.n))
-        b[self.iface] = g_data if d.layer_sign > 0 else -g_data
-        x, it, res = _pcg(
-            self.apply, b, self._neumann_fac.precondition, tol, maxiter, x0, _deflate
-        )
-        x -= np.mean(x[self.iface])
-        return StripSolution(phi=x, residual_norm=res, iterations=it)
-
-    def dn(self, psi, tol=DEFAULT_TOL, maxiter=None, x0=None):
-        sol = self.solve_dirichlet(psi, tol=tol, maxiter=maxiter, x0=x0)
-        flux = self.apply(sol.phi)[self.iface]
-        if self.d.layer_sign < 0:
-            flux = -flux
-        return flux, sol
+        # the Nyquist flux lies outside the range of A, like the mean
+        g = self.sign * _deflate(g_data)
+        factors = self._sweep(keep=True)
+        phi = self._extend(_gauged_solve(_gauge_factor(self._s), g), factors)
+        b = np.zeros_like(phi)
+        b[self.iface] = g
+        res = _check_residual(self.apply(phi) - b, b, "Neumann solve")
+        return StripSolution(phi=phi, residual_norm=res)
 
 
-def solve_dirichlet(d: DiffeoData, psi, tol=DEFAULT_TOL, maxiter=None, x0=None) -> StripSolution:
+def solve_dirichlet(d: DiffeoData, psi) -> StripSolution:
     """Solve ∇^μ·P∇^μ φ = 0 with φ = ψ at the interface, no-flux at the wall."""
-    return d.operator().solve_dirichlet(psi, tol=tol, maxiter=maxiter, x0=x0)
+    return d.operator().solve_dirichlet(psi)
 
 
-def solve_neumann(d: DiffeoData, g, tol=DEFAULT_TOL, maxiter=None, x0=None) -> StripSolution:
+def solve_neumann(d: DiffeoData, g) -> StripSolution:
     """Solve with prescribed upward conormal flux g at the interface.
 
-    g must have zero mean (flux compatibility on the periodic strip); the
-    solution is gauged so its interface trace has zero mean.
+    g must have zero mean (flux compatibility on the periodic strip); its
+    Nyquist component, outside the range of the discrete operator, is
+    dropped.  The interface trace of the solution has zero mean and zero
+    Nyquist content.
     """
-    return d.operator().solve_neumann(g, tol=tol, maxiter=maxiter, x0=x0)
+    return d.operator().solve_neumann(g)
 
 
-def dn_apply(d: DiffeoData, psi, tol=DEFAULT_TOL, maxiter=None, x0=None) -> np.ndarray:
+def dn_apply(d: DiffeoData, psi) -> np.ndarray:
     """Dirichlet-Neumann map of one layer: ψ ↦ upward conormal flux at z = 0.
 
-    Computed as the variational flux of the discrete solution, which keeps
-    (ψ₁, Gψ₂) symmetric, ±(ψ, G±ψ) ≥ 0 and mean(Gψ) = 0 exact to rounding.
+    The product ±Sψ with the Schur complement of the discrete operator, the
+    variational flux of the discrete solution, which keeps (ψ₁, Gψ₂)
+    symmetric, ±(ψ, G±ψ) ≥ 0 and mean(Gψ) = 0 exact to rounding.
     """
-    flux, _ = d.operator().dn(psi, tol=tol, maxiter=maxiter, x0=x0)
-    return flux
+    return d.layer_sign * (d.operator().dn_matrix @ np.asarray(psi, dtype=float))
 
 
 def dn_flat(grid: PeriodicGrid, mu_layer: float, layer_sign: int, psi) -> np.ndarray:
     """Flat-interface Dirichlet-Neumann map ±√μ±|D| tanh(√μ±|D|)ψ."""
-    from .spectral import apply_multiplier
-
-    smu = math.sqrt(mu_layer)
-
-    def m(k):
-        return layer_sign * smu * np.abs(k) * np.tanh(smu * np.abs(k))
-
-    return apply_multiplier(grid, m, psi)
+    return apply_multiplier(grid, lambda k: layer_sign * flat_symbol(mu_layer, k), psi)

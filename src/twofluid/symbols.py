@@ -272,7 +272,7 @@ def tail_error_report(
     return TailReport(rows=rows, s_order=s_order)
 
 
-def ratio_symbol_error(state, f, which: str, tol: float = 1e-10) -> dict:
+def ratio_symbol_error(state, f, which: str) -> dict:
     """Discrepancy between a composed exact operator and its single symbol.
 
     Choices for ``which``:
@@ -291,21 +291,21 @@ def ratio_symbol_error(state, f, which: str, tol: float = 1e-10) -> dict:
     f = np.asarray(f, dtype=float) - float(np.mean(f))
     ts = TailSymbolSet(grid, state.zeta, p)
     if which == "dn_ratio":
-        g = dn_apply(state.diffeo(+1), f, tol=tol)
-        exact = solve_neumann(state.diffeo(-1), g, tol=tol).interface_trace(
+        g = dn_apply(state.diffeo(+1), f)
+        exact = solve_neumann(state.diffeo(-1), g).interface_trace(
             state.diffeo(-1)
         )
         approx = apply_symbol(grid, ts.dn_ratio_symbol, f)
     elif which == "coupled_ratio":
         pp = invert_j(state, f)
-        g = dn_apply(state.diffeo(+1), pp, tol=tol)
-        exact = solve_neumann(state.diffeo(-1), g, tol=tol).interface_trace(
+        g = dn_apply(state.diffeo(+1), pp)
+        exact = solve_neumann(state.diffeo(-1), g).interface_trace(
             state.diffeo(-1)
         ) / p.hbar_plus
         approx = apply_symbol(grid, ts.coupled_ratio_symbol, f)
     elif which == "p2_mix":
         df = deriv(grid, f)
-        u = invert_g_tilde(state, df, tol=tol)
+        u = invert_g_tilde(state, df)
         smu = math.sqrt(p.mu)
         exact = apply_multiplier(
             grid, lambda k: k**2 / (1.0 + smu * np.abs(k)), u

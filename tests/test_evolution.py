@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from twofluid import (
-    BreakdownError,
     EvolutionConfig,
     InterfaceState,
     InvalidConfigError,
