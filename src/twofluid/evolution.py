@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, NumericalError, TwoFluidError
 from .operators import InterfaceState, TraceBundle, transmission_solve
-from .params import DimensionlessParams
+from .params import DimensionlessParams, check_schedule
 from .spectral import PeriodicGrid, dealias_mask, deriv, truncate
 from .stability import StabilityReport, evaluate_criteria, stability_inputs
 
@@ -55,6 +55,9 @@ class EvolutionConfig:
     dt: Optional[float] = None
     dealias: Optional[bool] = None
     snapshot_every: int = 10
+
+    def __post_init__(self):
+        check_schedule(self.t_end, self.dt, self.snapshot_every)
 
     def resolve(self, state: InterfaceState) -> tuple:
         cap = cfl_cap(state.params, state.grid.n, state.grid.length)

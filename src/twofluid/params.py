@@ -19,6 +19,7 @@ interfacial shear.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -116,6 +117,17 @@ class Verdict(Enum):
     STABLE = "stable"
     CRITICAL = "critical"
     UNSTABLE = "unstable"
+
+
+def check_schedule(t_end: float, dt, snapshot_every: int) -> None:
+    """Raise InvalidConfigError unless a run's time settings are usable:
+    finite t_end ≥ 0, dt None or finite and > 0, integer snapshot_every ≥ 1."""
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise InvalidConfigError(f"t_end must be finite and >= 0, got {t_end}")
+    if dt is not None and not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidConfigError(f"dt must be None or finite and > 0, got {dt}")
+    if not (isinstance(snapshot_every, numbers.Integral) and snapshot_every >= 1):
+        raise InvalidConfigError(f"snapshot_every must be an integer >= 1, got {snapshot_every}")
 
 
 def derive_params(cfg: PhysicalConfig) -> DimensionlessParams:

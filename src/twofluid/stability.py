@@ -12,11 +12,13 @@ surface tension controlling the high frequencies.  In dimensionless form
 where 𝔞 = 1 + ε⟦ρ̄±(∂t + εV±∂x)w±⟧ and ⟦V⟧ = V⁺ − V⁻.  The geometric
 constant uses the sharp operator bound 𝔢(ζ) of the shear quadratic form,
 
-    𝔠(ζ) = 𝔢(ζ)² (1 + ε²μ|∂xζ|∞²)^{3/2};
+    𝔠(ζ) = 𝔢(ζ)² (1 + ε²μ|∂xζ|∞²)^{3/2}.
 
-the unsquared variant 𝔢(ζ)(1+·)^{3/2} is also reported, but the linear
-Kelvin-threshold cross-validation selects the squared form.  At a flat
-interface 𝔢 reduces to the mode-wise supremum
+On the grid 𝔢(ζ) is the top eigenvalue of the dense symmetric N×N matrix
+of μ(1+√μ|D|)^{-1/2} ℰ (1+√μ|D|)^{-1/2}, found by LAPACK with no iteration
+and no tolerance.  The unsquared variant 𝔢(ζ)(1+·)^{3/2} is also
+reported, but the linear Kelvin-threshold cross-validation selects the
+squared form.  At a flat interface 𝔢 reduces to the mode-wise supremum
 
     𝔢(0) = sup_{x≥0} x / ((1+x)(ρ̄⁻tanh(H̄⁺x) + ρ̄⁺tanh(H̄⁻x))).
 
@@ -33,12 +35,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import LinAlgError, eigh
 from scipy.optimize import minimize_scalar
 
 from .errors import InvalidConfigError, NumericalError
 from .operators import InterfaceState, TraceBundle, e_quadratic_form, invert_g_tilde
 from .params import DimensionlessParams, Verdict, practical_verdict
-from .spectral import PeriodicGrid, deriv, inner, norm_h1_sigma
+from .spectral import PeriodicGrid, apply_multiplier, deriv, inner, norm_h1_sigma
 from .strip import flat_symbol
 
 
@@ -96,23 +99,18 @@ def c_flat(
 class ECoeffResult:
     value: float
     converged: bool
-    iterations: int
 
 
-def e_coeff(
-    state: InterfaceState,
-    tol: float = 1e-8,
-    maxiter: int = 500,
-    seed: int = 0,
-) -> ECoeffResult:
+def e_coeff(state: InterfaceState) -> ECoeffResult:
     """Sharp constant 𝔢(ζ) of the shear quadratic form on the grid.
 
     𝔢(ζ) = sup_V μ(𝒢̃⁻¹∂xV, ∂xV)/|(1+√μ|D|)^{1/2}V|².  A flat interface
     reduces to the maximum of the mode-wise quotient over the grid
-    wavenumbers; otherwise the generalized Rayleigh quotient is maximized
-    by Lanczos iteration (ARPACK's ``eigsh`` with relative tolerance ``tol``,
-    capped at ``maxiter`` restarts); ``iterations`` counts its operator
-    applications.
+    wavenumbers.  Otherwise, with M the matrix of the odd multiplier
+    iξ/√(1+√μ|ξ|) and 𝒢̃⁺ the pseudo-inverse of the dense 𝒢̃, 𝔢 is the top
+    eigenvalue of the symmetric N×N matrix μMᵀ𝒢̃⁺M, computed by dense LAPACK
+    with no tolerance; ``converged`` is always true, and a LAPACK failure
+    raises :class:`NumericalError`.
     """
     p = state.params
     grid = state.grid
@@ -121,50 +119,21 @@ def e_coeff(
         k = k[k > 0.0]
         x = math.sqrt(p.mu) * k
         vals = _flat_quotient(x, p.rhobar_plus, p.rhobar_minus, p.hbar_plus, p.hbar_minus)
-        return ECoeffResult(value=float(np.max(vals)), converged=True, iterations=0)
+        return ECoeffResult(value=float(np.max(vals)), converged=True)
 
-    smu = math.sqrt(p.mu)
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
+    # resolved at call time, so a wrapper on operators.pinv_g_tilde sees the call
     from .operators import pinv_g_tilde
 
-    mix_pinv = pinv_g_tilde(state)
-
-    def b_inv_half(v):
-        from .spectral import apply_multiplier
-
-        return apply_multiplier(
-            grid, lambda k: 1.0 / np.sqrt(1.0 + smu * np.abs(k)), v
-        )
-
-    matvecs = 0
-
-    def c_apply(v):
-        # symmetric operator B^{-1/2} (μ ℰ) B^{-1/2}
-        nonlocal matvecs
-        matvecs += 1
-        w = b_inv_half(v)
-        g = deriv(grid, w)
-        u = mix_pinv @ g
-        ev = -deriv(grid, u)
-        return p.mu * b_inv_half(ev)
-
-    # Krylov (Lanczos) maximization of the Rayleigh quotient.  Plain power
-    # iteration stalls here: the top of the spectrum is nearly degenerate
-    # (neighboring modes of the flat quotient differ by O(1/N)).
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(grid.n)
-    v0 -= np.mean(v0)
-    op = LinearOperator((grid.n, grid.n), matvec=c_apply)
+    smu = math.sqrt(p.mu)
+    n = grid.n
+    # the multiplier acts on each row of the identity, so this is Mᵀ, M = D B^{-1/2}
+    m_t = apply_multiplier(grid, lambda k: 1j * k / np.sqrt(1.0 + smu * np.abs(k)), np.eye(n))
+    c = p.mu * (m_t @ pinv_g_tilde(state) @ m_t.T)
     try:
-        vals = eigsh(
-            op, k=1, which="LA", v0=v0, tol=tol, maxiter=maxiter,
-            return_eigenvectors=False,
-        )
-        return ECoeffResult(value=float(vals[0]), converged=True, iterations=matvecs)
-    except ArpackNoConvergence as exc:
-        best = float(exc.eigenvalues[0]) if len(exc.eigenvalues) else float("nan")
-        return ECoeffResult(value=best, converged=False, iterations=matvecs)
+        top = eigh(0.5 * (c + c.T), eigvals_only=True, subset_by_index=[n - 1, n - 1])
+    except LinAlgError as exc:
+        raise NumericalError(f"top eigenvalue of the shear form failed: {exc}") from exc
+    return ECoeffResult(value=float(top[0]), converged=True)
 
 
 def a_field(

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError, NumericalError
-from .params import DimensionlessParams, config_from_dimensionless, derive_params
+from .params import DimensionlessParams, check_schedule, config_from_dimensionless, derive_params
 from .spectral import PeriodicGrid, antideriv, fourier_interpolate
 
 
@@ -147,6 +147,11 @@ class SWConfig:
     dt: Optional[float] = None
     cfl_number: float = 0.45
     snapshot_every: int = 20
+
+    def __post_init__(self):
+        check_schedule(self.t_end, self.dt, self.snapshot_every)
+        if not (math.isfinite(self.cfl_number) and self.cfl_number > 0.0):
+            raise InvalidConfigError(f"cfl_number must be finite and > 0, got {self.cfl_number}")
 
 
 @dataclass

@@ -46,3 +46,20 @@ def linear_mode_rates(params, grid, n_z, k):
     _, dpsi = rhs(InterfaceState(grid=grid, zeta=mode, psi=zero, params=params, n_z=n_z))
     norm = float(mode @ mode)
     return float(dzeta @ mode) / norm, -float(dpsi @ mode) / norm
+
+
+def shear_form_matrix(state):
+    """(μB^{-1/2}ℰB^{-1/2}, B^{-1/2}) on the grid, B = 1 + √μ|D|.
+
+    The first is assembled column by column from `apply_e`, which solves
+    with 𝒢̃ and does not use its pseudo-inverse; its top eigenvalue is 𝔢.
+    """
+    from twofluid import apply_e, apply_multiplier
+
+    smu = np.sqrt(state.params.mu)
+    b_inv_half = apply_multiplier(
+        state.grid, lambda k: 1.0 / np.sqrt(1.0 + smu * np.abs(k)), np.eye(state.grid.n)
+    )
+    cols = np.array([apply_e(state, col) for col in b_inv_half])
+    mat = state.params.mu * b_inv_half @ cols.T
+    return 0.5 * (mat + mat.T), b_inv_half

@@ -117,6 +117,22 @@ def test_cfl_guard(grid32):
         EvolutionConfig(t_end=1.0, dt=2.0 * cap).resolve(st)
 
 
+@pytest.mark.parametrize("settings", [
+    {"t_end": 1.0, "dt": -0.01},
+    {"t_end": 1.0, "dt": 0.0},
+    {"t_end": 1.0, "dt": math.nan},
+    {"t_end": 1.0, "snapshot_every": 0},
+    {"t_end": math.nan},
+    {"t_end": math.inf},
+    {"t_end": -1.0},
+])
+def test_config_rejects_invalid_settings(settings):
+    # rejected at construction: inside run a negative dt yields a one-snapshot
+    # series and snapshot_every = 0 divides by zero past the breakdown handler
+    with pytest.raises(InvalidConfigError):
+        EvolutionConfig(**settings)
+
+
 def test_run_mass_conservation_short():
     grid = PeriodicGrid(16)
     p = derive_params(config_from_dimensionless(0.1, 1.0, 0.4, 1.5, 1e4))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from twofluid import (
     DegenerateGeometryError,
@@ -18,6 +20,7 @@ from twofluid import (
     derive_params,
     dn_apply,
     dn_mix_flat_symbol,
+    e_coeff,
     e_quadratic_form,
     inner,
     invert_g_tilde,
@@ -27,7 +30,8 @@ from twofluid import (
     transmission_solve,
 )
 from twofluid.spectral import deriv
-from conftest import smooth_field
+from twofluid.strip import _deflate
+from conftest import shear_form_matrix, smooth_field
 
 
 def make_state(grid, zeta, psi, eps=0.3, mu=0.5, rbm=0.4, ratio=1.5, bond=100.0, n_z=32):
@@ -280,3 +284,50 @@ def test_workspace_warm_start_consistency(grid64, rng):
     cached = transmission_solve(st)
     assert np.max(np.abs(fresh.psi_plus - cached.psi_plus)) < 1e-9
     assert np.max(np.abs(fresh.w_minus - cached.w_minus)) < 1e-9
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    # ε > 0: the flat closed form of e_coeff takes the continuum layer symbol
+    # at every grid wavenumber, the Nyquist one included, where the discrete
+    # ℰ vanishes, so it is not the supremum of this discrete form
+    eps=hst.floats(0.0, 0.6, exclude_min=True),
+    mu=hst.floats(1e-2, 2.0),
+    rbm=hst.sampled_from((0.0, 1.17e-3, 0.4)),
+    n_z=hst.integers(2, 16),
+)
+def test_composed_identities_properties(seed, eps, mu, rbm, n_z):
+    # worst of 400 random states (N = 16, same ranges): J J⁻¹ 5.9e-15,
+    # asymmetry of 𝒢 1.1e-13, negative part of 𝒢 3.3e-16, (ℰv, v) never
+    # negative, the maximizer's quotient within 2.0e-15 of 𝔢
+    grid = PeriodicGrid(16)
+    n = grid.n
+    rng = np.random.default_rng(seed)
+    st = make_state(grid, smooth_field(rng, grid, k_max=3), np.zeros(n), eps=eps, mu=mu,
+                    rbm=rbm, n_z=n_z)
+    # J J⁻¹ = I on gauged data; apply_j goes through the Neumann solve
+    psi = _deflate(rng.standard_normal(n))
+    back = apply_j(st, invert_j(st, psi))
+    assert np.linalg.norm(back - psi) <= 1e-13 * np.linalg.norm(psi)
+    # 𝒢 is symmetric and positive semi-definite
+    g = np.array([apply_g(st, col) for col in np.eye(n)]).T
+    scale = np.linalg.norm(g, 2)
+    assert np.linalg.norm(g - g.T, 2) <= 1e-11 * scale
+    assert np.min(np.linalg.eigvalsh(0.5 * (g + g.T))) >= -1e-13 * scale
+    # 0 ≤ μ(ℰv, v) ≤ 𝔢|B^{1/2}v|², and the bound is attained
+    e_val = e_coeff(st).value
+    smu = math.sqrt(mu)
+    k = np.abs(grid.wavenumbers)
+
+    def b_norm2(v):
+        return grid.length / n**2 * float(np.sum((1.0 + smu * k) * np.abs(np.fft.fft(v)) ** 2))
+
+    for _ in range(4):
+        v = rng.standard_normal(n)
+        q = e_quadratic_form(st, v)
+        assert q >= 0.0
+        assert mu * q <= e_val * b_norm2(v) * (1.0 + 1e-9)
+    mat, b_inv_half = shear_form_matrix(st)
+    v_top = b_inv_half @ np.linalg.eigh(mat)[1][:, -1]
+    assert mu * e_quadratic_form(st, v_top) == pytest.approx(e_val * b_norm2(v_top), rel=1e-12)

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
+import pytest
 
 from twofluid import (
+    InvalidConfigError,
     PeriodicGrid,
+    SWConfig,
     SWState,
     compare_with_full,
     config_from_dimensionless,
@@ -37,6 +42,23 @@ def test_indicator_sign_matches_discriminant(grid64):
         seen.update(np.sign(ind[clear]).tolist())
     # the sample reaches both the hyperbolic and the elliptic side
     assert seen == {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("settings", [
+    {"t_end": 0.1, "dt": 0.0},
+    {"t_end": 0.1, "dt": -0.01},
+    {"t_end": 0.1, "cfl_number": 0.0},
+    {"t_end": 0.1, "cfl_number": -0.45},
+    {"t_end": 0.1, "cfl_number": math.nan},
+    {"t_end": 0.1, "snapshot_every": 0},
+    {"t_end": math.nan},
+    {"t_end": -0.1},
+])
+def test_config_rejects_invalid_settings(settings):
+    # rejected at construction: dt = 0 or cfl_number <= 0 would never advance
+    # run_swsw's clock
+    with pytest.raises(InvalidConfigError):
+        SWConfig(**settings)
 
 
 def test_fv_step_conserves_zeta(grid64):
