@@ -62,13 +62,10 @@ from .operators import (
 from .symbols import (
     TailReport,
     TailSymbolSet,
-    eval_s,
-    eval_t,
     ratio_symbol_error,
     tail_error_report,
 )
 from .stability import (
-    ECoeffResult,
     FlatConstant,
     MarginResult,
     StabilityInputs,
@@ -85,7 +82,6 @@ from .stability import (
 from .kelvin import (
     ShearConfig,
     critical_shear,
-    growth_table,
     kelvin_criterion_threshold,
     max_growth,
     mode_frequencies,

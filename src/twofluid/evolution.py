@@ -34,7 +34,7 @@ from .errors import InvalidConfigError, NumericalError, TwoFluidError
 from .operators import InterfaceState, TraceBundle, transmission_solve
 from .params import DimensionlessParams, check_schedule
 from .spectral import PeriodicGrid, dealias_mask, deriv, truncate
-from .stability import StabilityReport, evaluate_criteria, stability_inputs
+from .stability import evaluate_criteria, stability_inputs
 
 
 def cfl_cap(params: DimensionlessParams, n_points: int, length: float = 2 * math.pi) -> float:
@@ -230,47 +230,6 @@ def monitor_criterion(series: TimeSeries) -> list:
         )
         out.append((series.times[i], evaluate_criteria(inputs)))
     return out
-
-
-def save_snapshot(prefix, state: InterfaceState, time: float) -> None:
-    """Dump a state as flat little-endian float64 (ζ then ψ) plus a JSON header."""
-    import dataclasses
-    import json
-
-    arr = np.concatenate([state.zeta, state.psi]).astype("<f8")
-    with open(f"{prefix}.bin", "wb") as fh:
-        fh.write(arr.tobytes())
-    header = {
-        "n_points": state.grid.n,
-        "length": state.grid.length,
-        "time": time,
-        "n_z": state.n_z,
-        "params": dataclasses.asdict(state.params),
-    }
-    with open(f"{prefix}.json", "w") as fh:
-        json.dump(header, fh, indent=1, sort_keys=True)
-
-
-def load_snapshot(prefix) -> tuple:
-    """Read back a snapshot dump; returns (state, time)."""
-    import json
-
-    from .params import DimensionlessParams
-
-    with open(f"{prefix}.json") as fh:
-        header = json.load(fh)
-    n = header["n_points"]
-    raw = np.fromfile(f"{prefix}.bin", dtype="<f8")
-    if raw.size != 2 * n:
-        raise InvalidConfigError(
-            f"snapshot payload has {raw.size} values, expected {2 * n}"
-        )
-    grid = PeriodicGrid(n, header["length"])
-    params = DimensionlessParams(**header["params"])
-    state = InterfaceState(
-        grid=grid, zeta=raw[:n], psi=raw[n:], params=params, n_z=header["n_z"]
-    )
-    return state, header["time"]
 
 
 def linear_mode_energy(state: InterfaceState, k_index: int) -> float:

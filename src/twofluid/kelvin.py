@@ -20,7 +20,6 @@ module's dispersion bisection is the reference the candidates are judged by.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -91,25 +90,21 @@ def mode_frequencies(k: float, cfg: ShearConfig):
     return (k * (-b + root) / (2 * a), k * (-b - root) / (2 * a))
 
 
-def max_growth(cfg: ShearConfig, k_range=(1e-3, 1e5), n_scan: int = 600) -> tuple:
-    """Scan the wavenumber range for the largest growth rate."""
-    ks = np.geomspace(k_range[0], k_range[1], n_scan)
+def max_growth(cfg: ShearConfig) -> tuple:
+    """Scan k ∈ [1e-3, 1e5] for the largest growth rate."""
+    ks = np.geomspace(1e-3, 1e5, 600)
     rates = np.array([mode_growth(k, cfg) for k in ks])
     i = int(np.argmax(rates))
     return float(rates[i]), float(ks[i])
 
 
-def critical_shear(
-    cfg: ShearConfig,
-    k_range=(1e-3, 1e5),
-    n_scan: int = 600,
-    rel_tol: float = 1e-6,
-) -> tuple:
+def critical_shear(cfg: ShearConfig) -> tuple:
     """Threshold |⟦c⟧| above which some wavenumber grows, by bisection.
 
     Returns (threshold, critical wavenumber).  Bisects the onset of a
-    positive maximal growth rate over the scanned k range; the bracket is
-    expanded geometrically until it straddles the transition.
+    positive maximal growth rate over the k range of :func:`max_growth` to
+    a relative width of 1e-6; the bracket is expanded geometrically until
+    it straddles the transition.
 
     Raises
     ------
@@ -119,7 +114,7 @@ def critical_shear(
     """
 
     def unstable(jump):
-        rate, kc = max_growth(cfg.with_shear(jump), k_range, n_scan)
+        rate, kc = max_growth(cfg.with_shear(jump))
         return rate > 0.0, kc
 
     lo, hi = 0.0, 1.0
@@ -136,7 +131,7 @@ def critical_shear(
             f"no unstable shear found up to {hi:.3e} m/s; "
             "check sigma, densities and the wavenumber range"
         )
-    while hi - lo > rel_tol * hi:
+    while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
         bad, kc = unstable(mid)
         if bad:
@@ -160,29 +155,3 @@ def kelvin_criterion_threshold(cfg: ShearConfig, c0: float) -> float:
         * (cfg.rho_plus + cfg.rho_minus) ** 2
     )
     return (num / ((cfg.rho_plus * cfg.rho_minus) ** 2 * c0)) ** 0.25
-
-
-def growth_table(cfg: ShearConfig, ks) -> list:
-    """Rows (k, Re ω₁, Re ω₂, Im ω_max) for plotting."""
-    rows = []
-    for k in ks:
-        w1, w2 = mode_frequencies(float(k), cfg)
-        rows.append(
-            {
-                "k": float(k),
-                "re_omega_1": float(np.real(w1)),
-                "re_omega_2": float(np.real(w2)),
-                "im_omega_max": float(max(np.imag(w1), np.imag(w2))),
-            }
-        )
-    return rows
-
-
-def write_growth_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["k", "re_omega_1", "re_omega_2", "im_omega_max"]
-        )
-        writer.writeheader()
-        for r in rows:
-            writer.writerow(r)

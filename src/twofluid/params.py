@@ -231,18 +231,16 @@ def shear_scale(cfg: PhysicalConfig) -> float:
     return p.eps * p.wave_speed
 
 
-def practical_verdict(ups: float, lo: float = 0.1, hi: float = 10.0) -> Verdict:
+def practical_verdict(ups: float) -> Verdict:
     """Classify Υ into stable / critical / unstable bands.
 
-    The bands default to one decade on each side of Υ = 1: the practical
+    The bands reach one decade on each side of Υ = 1: the practical
     criterion only distinguishes Υ ≪ 1, Υ ∼ 1 and Υ ≫ 1, and anything in
     the middle band requires the exact criterion.
     """
-    if not 0.0 < lo < hi:
-        raise InvalidConfigError(f"need 0 < lo < hi, got {lo}, {hi}")
-    if ups < lo:
+    if ups < 0.1:
         return Verdict.STABLE
-    if ups > hi:
+    if ups > 10.0:
         return Verdict.UNSTABLE
     return Verdict.CRITICAL
 

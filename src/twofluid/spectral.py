@@ -9,12 +9,17 @@ is applied through the direct quantization
 an O(N²) sum that is exact (up to rounding) for x-independent symbols.  On an
 even grid the unpaired Nyquist mode is folded onto the even part of the
 symbol, which zeroes it for odd (derivative-like) multipliers.
+
+:func:`deriv` is the one x-derivative of the package: the real-FFT
+multiplier iξ cached on the grid (Nyquist zeroed), which the strip
+discretisation also applies, directly and as the dense matrix Dᵀ.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +36,8 @@ class PeriodicGrid:
     length: float = TWO_PI
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
+    # real-FFT multiplier iξ of the x-derivative, zero on the unpaired Nyquist bin
+    ik: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
@@ -42,6 +49,14 @@ class PeriodicGrid:
         object.__setattr__(
             self, "wavenumbers", np.fft.fftfreq(self.n, d=1.0 / (self.n * k0))
         )
+        ik = 1j * np.fft.rfftfreq(self.n, d=1.0 / (self.n * k0))
+        ik[-1] = 0.0
+        object.__setattr__(self, "ik", ik)
+
+    @cached_property
+    def deriv_matrix_t(self) -> np.ndarray:
+        """Dᵀ, the transpose of the dense matrix of :func:`deriv` (row j is D e_j)."""
+        return np.ascontiguousarray(deriv(self, np.eye(self.n)))
 
     @property
     def dx(self) -> float:
@@ -86,9 +101,9 @@ def apply_multiplier(grid: PeriodicGrid, m, u: np.ndarray) -> np.ndarray:
     return np.fft.ifft(mk * np.fft.fft(u)).real
 
 
-def deriv(grid: PeriodicGrid, u: np.ndarray, order: int = 1) -> np.ndarray:
-    """Spectral x-derivative of the given order (Nyquist zeroed for odd orders)."""
-    return apply_multiplier(grid, lambda k: (1j * k) ** order, u)
+def deriv(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
+    """Spectral x-derivative along the last axis (Nyquist zeroed)."""
+    return np.fft.irfft(grid.ik * np.fft.rfft(u, axis=-1), n=grid.n, axis=-1)
 
 
 def antideriv(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:

@@ -18,9 +18,15 @@ On the grid 𝔢(ζ) is the top eigenvalue of the dense symmetric N×N matrix
 of μ(1+√μ|D|)^{-1/2} ℰ (1+√μ|D|)^{-1/2}, found by LAPACK with no iteration
 and no tolerance.  The unsquared variant 𝔢(ζ)(1+·)^{3/2} is also
 reported, but the linear Kelvin-threshold cross-validation selects the
-squared form.  At a flat interface 𝔢 reduces to the mode-wise supremum
+squared form.  In the continuum a flat interface reduces 𝔢 to the
+mode-wise supremum (:func:`c_flat`)
 
     𝔢(0) = sup_{x≥0} x / ((1+x)(ρ̄⁻tanh(H̄⁺x) + ρ̄⁺tanh(H̄⁻x))).
+
+On the grid ζ = 0 takes the same matrix path as any other state: the
+discrete ℰ vanishes on the Nyquist mode, so the grid's 𝔢 maximises over
+0 < |ξ| < ξ_max only, and at coarse n_z its discrete 𝒢̃ can put it above
+:func:`c_flat`.
 
 The margins 𝔡 = inf 𝔞 − Υ𝔠·max⁴ and 𝔡' (with the plain sup) quantify by
 how much a configuration clears the criteria.
@@ -39,9 +45,11 @@ from scipy.linalg import LinAlgError, eigh
 from scipy.optimize import minimize_scalar
 
 from .errors import InvalidConfigError, NumericalError
-from .operators import InterfaceState, TraceBundle, e_quadratic_form, invert_g_tilde
-from .params import DimensionlessParams, Verdict, practical_verdict
-from .spectral import PeriodicGrid, apply_multiplier, deriv, inner, norm_h1_sigma
+from .operators import InterfaceState, TraceBundle, e_quadratic_form
+# imported for the benchmark tracer, which wraps it under this module's name
+from .operators import invert_g_tilde
+from .params import DimensionlessParams, practical_verdict
+from .spectral import PeriodicGrid, apply_multiplier, deriv, inner
 from .strip import flat_symbol
 
 
@@ -65,7 +73,6 @@ def c_flat(
     rhobar_minus: float,
     hbar_plus: float,
     hbar_minus: float,
-    n_scan: int = 400,
 ) -> FlatConstant:
     """Flat-interface constant sup_x x/((1+x)(ρ̄⁻tanh(H̄⁺x)+ρ̄⁺tanh(H̄⁻x))).
 
@@ -74,11 +81,11 @@ def c_flat(
     1/(ρ̄⁻H̄⁺ + ρ̄⁺H̄⁻); whichever endpoint or interior point attains the
     supremum is reported (x → ∞ via ``at_infinity``).
     """
-    xs = np.geomspace(1e-4, 1e4, n_scan)
+    xs = np.geomspace(1e-4, 1e4, 400)
     vals = _flat_quotient(xs, rhobar_plus, rhobar_minus, hbar_plus, hbar_minus)
     i = int(np.argmax(vals))
     lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, n_scan - 1)]
+    hi = xs[min(i + 1, len(xs) - 1)]
     res = minimize_scalar(
         lambda x: -_flat_quotient(x, rhobar_plus, rhobar_minus, hbar_plus, hbar_minus),
         bounds=(lo, hi),
@@ -95,32 +102,17 @@ def c_flat(
     return FlatConstant(value=1.0, x_argmax=math.inf, at_infinity=True)
 
 
-@dataclass
-class ECoeffResult:
-    value: float
-    converged: bool
-
-
-def e_coeff(state: InterfaceState) -> ECoeffResult:
+def e_coeff(state: InterfaceState) -> float:
     """Sharp constant 𝔢(ζ) of the shear quadratic form on the grid.
 
-    𝔢(ζ) = sup_V μ(𝒢̃⁻¹∂xV, ∂xV)/|(1+√μ|D|)^{1/2}V|².  A flat interface
-    reduces to the maximum of the mode-wise quotient over the grid
-    wavenumbers.  Otherwise, with M the matrix of the odd multiplier
-    iξ/√(1+√μ|ξ|) and 𝒢̃⁺ the pseudo-inverse of the dense 𝒢̃, 𝔢 is the top
-    eigenvalue of the symmetric N×N matrix μMᵀ𝒢̃⁺M, computed by dense LAPACK
-    with no tolerance; ``converged`` is always true, and a LAPACK failure
-    raises :class:`NumericalError`.
+    𝔢(ζ) = sup_V μ(𝒢̃⁻¹∂xV, ∂xV)/|(1+√μ|D|)^{1/2}V|².  With M the matrix
+    of the odd multiplier iξ/√(1+√μ|ξ|) and 𝒢̃⁺ the pseudo-inverse of the
+    dense 𝒢̃, 𝔢 is the top eigenvalue of the symmetric N×N matrix μMᵀ𝒢̃⁺M,
+    computed by dense LAPACK with no tolerance; a LAPACK failure raises
+    :class:`NumericalError`.
     """
     p = state.params
     grid = state.grid
-    if p.eps * float(np.max(np.abs(state.zeta))) == 0.0:
-        k = np.abs(grid.wavenumbers)
-        k = k[k > 0.0]
-        x = math.sqrt(p.mu) * k
-        vals = _flat_quotient(x, p.rhobar_plus, p.rhobar_minus, p.hbar_plus, p.hbar_minus)
-        return ECoeffResult(value=float(np.max(vals)), converged=True)
-
     # resolved at call time, so a wrapper on operators.pinv_g_tilde sees the call
     from .operators import pinv_g_tilde
 
@@ -133,7 +125,7 @@ def e_coeff(state: InterfaceState) -> ECoeffResult:
         top = eigh(0.5 * (c + c.T), eigvals_only=True, subset_by_index=[n - 1, n - 1])
     except LinAlgError as exc:
         raise NumericalError(f"top eigenvalue of the shear form failed: {exc}") from exc
-    return ECoeffResult(value=float(top[0]), converged=True)
+    return float(top[0])
 
 
 def a_field(
@@ -240,6 +232,7 @@ class StabilityReport:
     dim_rhs: float = float("nan")
     dim_verdict: bool = False
     practical: str = ""
+    # e_coeff either returns the converged top eigenvalue or raises
     e_converged: bool = True
 
     def to_dict(self) -> dict:
@@ -258,7 +251,6 @@ def criteria_from_scalars(
     jump_sup_d1: float,
     gamma: float = 0.0,
     time_derivative_missing: bool = False,
-    e_converged: bool = True,
 ) -> StabilityReport:
     """Evaluate all criteria from precomputed scalar ingredients.
 
@@ -334,7 +326,6 @@ def criteria_from_scalars(
         dim_rhs=dim_rhs,
         dim_verdict=dim_verdict,
         practical=practical,
-        e_converged=e_converged,
     )
 
 
@@ -348,19 +339,18 @@ def evaluate_criteria(inputs: StabilityInputs) -> StabilityReport:
     if not missing:
         sups.append(float(np.max(np.abs(inputs.djump_v_t))))
     jump_sup_d1 = max(sups)
-    e_res = e_coeff(state)
+    e_value = e_coeff(state)
     zx_sup = float(np.max(np.abs(deriv(grid, state.zeta))))
     inf_a = float(np.min(inputs.a_values))
     return criteria_from_scalars(
         state.params,
-        e_value=e_res.value,
+        e_value=e_value,
         grad_zeta_sup=zx_sup,
         inf_a=inf_a,
         jump_sup=jump_sup,
         jump_sup_d1=jump_sup_d1,
         gamma=inputs.gamma,
         time_derivative_missing=missing,
-        e_converged=e_res.converged,
     )
 
 
@@ -407,7 +397,6 @@ def modewise_margin(
     jump_sup: float,
     e_value: float,
     grad_zeta_sup: float = 0.0,
-    n_scan: int = 600,
 ) -> MarginResult:
     """Minimize the per-mode margin A(ξ)/(1 + ξ²/Bo) over frequencies.
 
@@ -434,7 +423,7 @@ def modewise_margin(
     # vertex of the unweighted quadratic, always included in the bracket
     xi_vertex = smu * a_coeff * curvature / (2.0 * inv_bo)
     xi_hi = max(1e4, 100.0 * xi_vertex)
-    xs = np.sort(np.concatenate(([0.0], np.geomspace(1e-4, xi_hi, n_scan), [xi_vertex])))
+    xs = np.sort(np.concatenate(([0.0], np.geomspace(1e-4, xi_hi, 600), [xi_vertex])))
     vals = np.array([margin(x) for x in xs])
     i = int(np.argmin(vals))
     lo = xs[max(i - 1, 0)]

@@ -57,26 +57,16 @@ class PMatrixField:
     p12: np.ndarray
     p22: np.ndarray
 
-    def min_eigenvalue(self) -> float:
-        tr = self.p11 + self.p22
-        det = self.p11 * self.p22 - self.p12**2
-        return float(np.min(0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4.0 * det, 0.0)))))
-
 
 @dataclass
 class DiffeoData:
     """Straightened geometry of one fluid layer (trivial graph diffeomorphism)."""
 
     grid: PeriodicGrid
-    zeta: np.ndarray
-    eps_layer: float
     mu_layer: float
     layer_sign: int
     n_z: int
-    sigma_x: np.ndarray = field(repr=False, default=None)
-    sigma_z: np.ndarray = field(repr=False, default=None)
-    p_matrix: PMatrixField = field(repr=False, default=None)
-    min_depth: float = 0.0
+    p_matrix: PMatrixField = field(repr=False)
     _op: "StripOperator" = field(repr=False, default=None, compare=False)
 
     def operator(self) -> "StripOperator":
@@ -131,22 +121,16 @@ def build_trivial_diffeo(
     fac = 1.0 + layer_sign * z_half
     zx = deriv(grid, zeta)
     sigma_x = eps_layer * fac[:, None] * zx[None, :]
-    sigma_z = np.broadcast_to(layer_sign * eps_layer * zeta, (n_z, grid.n))
     p11 = np.broadcast_to(depth, (n_z, grid.n))
     smu = math.sqrt(mu_layer)
     p12 = -smu * sigma_x
     p22 = (1.0 + mu_layer * sigma_x**2) / p11
     return DiffeoData(
         grid=grid,
-        zeta=zeta,
-        eps_layer=eps_layer,
         mu_layer=mu_layer,
         layer_sign=layer_sign,
         n_z=n_z,
-        sigma_x=sigma_x,
-        sigma_z=np.asarray(sigma_z),
         p_matrix=PMatrixField(p11=np.asarray(p11), p12=p12, p22=p22),
-        min_depth=min_depth,
     )
 
 
@@ -223,17 +207,13 @@ class StripOperator:
         # rows from the wall to the interface, the order of the sweep
         self.sweep_rows = rows if d.layer_sign > 0 else rows[::-1]
         self._s = None
-        k = np.fft.rfftfreq(self.grid.n, d=1.0 / (self.grid.n * self.grid.k_fundamental))
-        ik = 1j * k
-        ik[-1] = 0.0  # the grid is even: Nyquist is zeroed
-        self._ik = ik
 
     # -- discrete bilinear form -------------------------------------------------
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """Symmetric PSD operator A with v·Aφ = Σ_cells h ∇^μ v·P ∇^μ φ."""
         h, pm = self.h, self.pm
         grid = self.grid
-        ik = self._ik
+        ik = grid.ik
         uh = np.fft.rfft(phi, axis=-1)
         phix = np.fft.irfft(ik * uh, n=grid.n, axis=-1)
         px_half = 0.5 * (phix[:-1] + phix[1:])
@@ -256,7 +236,7 @@ class StripOperator:
         and ∂z = ±(φ_{r+1} − φ_r)/h.
         """
         h, pm, n = self.h, self.pm, self.grid.n
-        dmat_t = np.ascontiguousarray(deriv(self.grid, np.eye(n)))  # Dᵀ
+        dmat_t = self.grid.deriv_matrix_t
         # p11 = 1 + ∂zσ is z-independent for the trivial diffeomorphism
         stiff = (0.25 * h * self.mu) * ((dmat_t * pm.p11[0]) @ dmat_t.T)
         cells = range(self.n_z) if self.sign > 0 else range(self.n_z - 1, -1, -1)
@@ -326,7 +306,7 @@ class StripOperator:
         g_data = _finite(g_data, "Neumann data")
         gmean = abs(float(np.mean(g_data)))
         gscale = float(np.max(np.abs(g_data))) if g_data.size else 0.0
-        if gmean > 1e-8 * max(gscale, 1.0):
+        if gmean > 1e-8 * gscale:
             raise IncompatibleDataError(
                 f"Neumann data must have zero mean on the periodic strip, got {gmean:.3e}"
             )

@@ -223,12 +223,12 @@ class ComparisonTable:
         return float(np.polyfit(x, y, 1)[0])
 
 
-def _sw_endpoint(grid, zeta0, v0, params, t_end, refine, richardson):
+def _sw_endpoint(grid, zeta0, v0, params, t_end):
     """Shallow-model end state on the comparison grid.
 
-    Run the finite-volume scheme on a grid refined by ``refine`` (and, when
-    ``richardson`` is set, on half that refinement as well, extrapolating
-    the first-order error away) and restrict to the coarse nodes.
+    Run the finite-volume scheme on grids refined 16 and 8 times,
+    extrapolate its first-order error away (Richardson) and restrict to the
+    coarse nodes.
     """
 
     def one(r):
@@ -242,12 +242,10 @@ def _sw_endpoint(grid, zeta0, v0, params, t_end, refine, richardson):
         end = series.states[-1]
         return end.zeta[::r].copy(), end.v[::r].copy()
 
-    coarse = one(max(refine // 2, 1)) if richardson else None
-    fine = one(refine)
-    if fine is None or (richardson and coarse is None):
+    coarse = one(8)
+    fine = one(16)
+    if fine is None or coarse is None:
         return None
-    if not richardson:
-        return fine
     return 2.0 * fine[0] - coarse[0], 2.0 * fine[1] - coarse[1]
 
 
@@ -262,8 +260,6 @@ def compare_with_full(
     depth_ratio: float = 1.0,
     bond_times_mu: float = 1000.0,
     n_z: int = 24,
-    sw_refine: int = 16,
-    richardson: bool = True,
 ) -> ComparisonTable:
     """Sup-norm discrepancy between the full solver and the shallow model.
 
@@ -290,7 +286,7 @@ def compare_with_full(
         psi0 = antideriv(grid, v0)
         full0 = InterfaceState(grid=grid, zeta=zeta0, psi=psi0, params=p, n_z=n_z)
         full = run(EvolutionConfig(t_end=t_end, snapshot_every=10**9), full0)
-        sw_end = _sw_endpoint(grid, zeta0, v0, p, t_end, sw_refine, richardson)
+        sw_end = _sw_endpoint(grid, zeta0, v0, p, t_end)
         if full.broke_down or sw_end is None:
             rows.append(ComparisonRow(mu=mu, discrepancy=math.nan,
                                       full_broke_down=full.broke_down,

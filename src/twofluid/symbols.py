@@ -21,7 +21,6 @@ measure the corresponding error scalings against the exact elliptic solves.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -87,17 +86,17 @@ class TailSymbolSet:
         slope = p.eps * math.sqrt(p.mu) * zxv
         return (1.0 + sign * eps_l * zv) * _arctan_ratio(slope) * np.abs(xi)
 
-    def t_quadrature(self, x, xi, sign, n_nodes=96) -> np.ndarray:
+    def t_quadrature(self, x, xi, sign) -> np.ndarray:
         """Tail symbol by the vertical-average quadrature definition.
 
-        Independent of the closed form: Gauss-Legendre integration of
-        |ξ| / (1 + ε²μ(1+z)²(∂xζ)²) over z ∈ [−1, 0].
+        Independent of the closed form: 96-point Gauss-Legendre integration
+        of |ξ| / (1 + ε²μ(1+z)²(∂xζ)²) over z ∈ [−1, 0].
         """
         p = self.params
         eps_l, _ = self._layer(sign)
         zv = self._at(x, self.zeta)
         zxv = self._at(x, self.zeta_x)
-        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+        nodes, weights = np.polynomial.legendre.leggauss(96)
         z = 0.5 * (nodes - 1.0)  # map [-1,1] -> [-1,0]
         w = 0.5 * weights
         a2 = p.eps**2 * p.mu * zxv**2
@@ -167,51 +166,21 @@ class TailSymbolSet:
         return np.where(small, np.broadcast_to(1.0 / lim_coeff, ratio.shape), ratio)
 
 
-def eval_t(ts: TailSymbolSet, x, xi, layer_sign: int) -> np.ndarray:
-    """Tail symbol t± at (x, ξ) (closed d = 1 form)."""
-    return ts.t(x, xi, layer_sign)
-
-
-def eval_s(ts: TailSymbolSet, x, xi, layer_sign: int) -> np.ndarray:
-    """DN symbol with tail, S±(x, ξ)."""
-    return ts.s(x, xi, layer_sign)
-
-
 @dataclass
 class TailReport:
     """Sweep table of symbol-vs-elliptic DN errors and fitted exponents."""
 
     rows: list
-    s_order: float
 
-    def fit_eps_exponent(self, mu: float, column: str = "err_hs_half") -> float:
-        pts = [(r["eps"], r[column]) for r in self.rows
-               if r["mu"] == mu and r["eps"] > 0.0 and r[column] > 0.0]
+    def fit_eps_exponent(self, mu: float) -> float:
+        """Slope of log err_hs_half against log ε over the ε > 0 rows at μ."""
+        pts = [(r["eps"], r["err_hs_half"]) for r in self.rows
+               if r["mu"] == mu and r["eps"] > 0.0 and r["err_hs_half"] > 0.0]
         if len(pts) < 2:
             raise ValueError("need at least two eps > 0 rows at this mu")
         x = np.log([p[0] for p in pts])
         y = np.log([p[1] for p in pts])
         return float(np.polyfit(x, y, 1)[0])
-
-    def fit_mu_exponent(self, eps: float, column: str = "err_hs_half") -> float:
-        pts = [(r["mu"], r[column]) for r in self.rows
-               if r["eps"] == eps and r[column] > 0.0]
-        if len(pts) < 2:
-            raise ValueError("need at least two mu rows at this eps")
-        x = np.log([p[0] for p in pts])
-        y = np.log([p[1] for p in pts])
-        return float(np.polyfit(x, y, 1)[0])
-
-    def to_csv(self, path) -> None:
-        cols = [
-            "eps", "mu", "err_hs", "err_hs_half", "norm_psi", "ratio",
-            "err_tailless", "tailless_ratio", "failed",
-        ]
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=cols)
-            writer.writeheader()
-            for r in self.rows:
-                writer.writerow({c: r.get(c, "") for c in cols})
 
 
 def tail_error_report(
@@ -219,15 +188,14 @@ def tail_error_report(
     zeta_shape: np.ndarray,
     psi: np.ndarray,
     sweep,
-    s_order: float = 0.0,
-    rhobar_minus: float = 0.4,
-    depth_ratio: float = 1.0,
     n_z: int = 256,
 ) -> TailReport:
     """Measure ‖G⁺ψ − Op(S⁺)ψ‖ over an (ε, μ) sweep.
 
-    For each sweep entry the exact operator is the elliptic strip solve and
-    the approximation is the quantized tail symbol; the table also carries
+    The configuration has ρ̄⁻ = 0.4 and equal layer depths; errors are
+    measured in L² (``err_hs``) and H^{1/2} (``err_hs_half``).  For each
+    sweep entry the exact operator is the elliptic strip solve and the
+    approximation is the quantized tail symbol; the table also carries
     the tail-less comparison Op(√μ⁺|ξ|), whose error does not vanish
     relative to ‖G⁺ψ‖ as μ → 0.  An entry the package rejects (a
     :class:`TwoFluidError`, e.g. a layer that pinches off) flags its row and
@@ -240,8 +208,7 @@ def tail_error_report(
         row = {"eps": float(eps), "mu": float(mu), "failed": False}
         try:
             cfg = config_from_dimensionless(
-                eps=max(eps, 0.0), mu=mu, rhobar_minus=rhobar_minus,
-                depth_ratio=depth_ratio,
+                eps=max(eps, 0.0), mu=mu, rhobar_minus=0.4,
             )
             p = derive_params(cfg)
             d_plus = build_trivial_diffeo(
@@ -253,12 +220,12 @@ def tail_error_report(
             diff = exact - approx
             smu_p = math.sqrt(p.mu_plus)
             tailless = apply_multiplier(grid, lambda k: smu_p * np.abs(k), psi)
-            norm_exact = norm_sobolev(grid, exact, s_order)
+            norm_exact = norm_sobolev(grid, exact, 0.0)
             row.update(
-                err_hs=norm_sobolev(grid, diff, s_order),
-                err_hs_half=norm_sobolev(grid, diff, s_order + 0.5),
-                norm_psi=norm_hdot_mu(grid, psi, s_order, p.mu),
-                err_tailless=norm_sobolev(grid, exact - tailless, s_order),
+                err_hs=norm_sobolev(grid, diff, 0.0),
+                err_hs_half=norm_sobolev(grid, diff, 0.5),
+                norm_psi=norm_hdot_mu(grid, psi, 0.0, p.mu),
+                err_tailless=norm_sobolev(grid, exact - tailless, 0.0),
                 norm_exact=norm_exact,
             )
             row["ratio"] = row["err_hs"] / row["norm_psi"] if row["norm_psi"] else 0.0
@@ -269,7 +236,7 @@ def tail_error_report(
             row["failed"] = True
             row["error"] = str(exc)
         rows.append(row)
-    return TailReport(rows=rows, s_order=s_order)
+    return TailReport(rows=rows)
 
 
 def ratio_symbol_error(state, f, which: str) -> dict:

@@ -18,7 +18,6 @@ from twofluid import (
     rk4_step,
     run,
 )
-from twofluid.evolution import load_snapshot, save_snapshot
 
 
 def make_state(grid, zeta, psi, eps=0.1, mu=0.64, rbm=0.4, ratio=1.5, bond=50.0, n_z=16):
@@ -215,18 +214,3 @@ def test_monitor_needs_three_snapshots(grid32):
     series = run(EvolutionConfig(t_end=0.02, snapshot_every=1000), st)
     with pytest.raises(InvalidConfigError):
         monitor_criterion(series)
-
-
-def test_snapshot_round_trip(tmp_path, grid32, rng):
-    from conftest import smooth_field
-
-    st = make_state(grid32, 0.2 * np.cos(grid32.nodes), smooth_field(rng, grid32))
-    prefix = tmp_path / "snap"
-    save_snapshot(prefix, st, 1.25)
-    back, t = load_snapshot(prefix)
-    assert t == 1.25
-    assert np.array_equal(back.zeta, st.zeta)
-    assert np.array_equal(back.psi, st.psi)
-    assert back.params == st.params
-    raw = (tmp_path / "snap.bin").read_bytes()
-    assert len(raw) == 2 * 32 * 8

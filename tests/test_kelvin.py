@@ -7,13 +7,11 @@ from twofluid import (
     InvalidConfigError,
     ShearConfig,
     critical_shear,
-    growth_table,
     kelvin_criterion_threshold,
     max_growth,
     mode_frequencies,
     mode_growth,
 )
-from twofluid.kelvin import write_growth_csv
 
 AIR_WATER_DEEP = ShearConfig(
     rho_plus=1025.0, rho_minus=1.2, depth_plus=1e3, depth_minus=1e3,
@@ -108,17 +106,6 @@ def test_sigma_to_zero_threshold_to_zero():
         vals.append(u)
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 0.5 * vals[0]
-
-
-def test_growth_table_csv(tmp_path):
-    rows = growth_table(AIR_WATER_DEEP.with_shear(10.0), np.geomspace(1, 1e4, 16))
-    assert len(rows) == 16
-    assert any(r["im_omega_max"] > 0 for r in rows)
-    path = tmp_path / "growth.csv"
-    write_growth_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,re_omega_1,re_omega_2,im_omega_max"
-    assert len(lines) == 17
 
 
 def test_mode_growth_rejects_bad_wavenumber():

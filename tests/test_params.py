@@ -165,8 +165,6 @@ def test_practical_verdict_bands():
     assert practical_verdict(4e-4) is Verdict.STABLE
     assert practical_verdict(0.27) is Verdict.CRITICAL
     assert practical_verdict(100.0) is Verdict.UNSTABLE
-    with pytest.raises(InvalidConfigError):
-        practical_verdict(1.0, lo=10.0, hi=0.1)
 
 
 def test_config_from_dimensionless_round_trip(rng):

@@ -29,8 +29,6 @@ def test_trivial_diffeo_fields(grid64):
     x = grid64.nodes
     zeta = 0.5 * np.cos(x)
     d = build_trivial_diffeo(grid64, zeta, 0.4, 1.0, +1, n_z=16)
-    # dz sigma independent of z, equal to eps*zeta
-    assert np.allclose(d.sigma_z, 0.4 * zeta[None, :], atol=1e-14)
     assert np.allclose(d.p_matrix.p11, 1.0 + 0.2 * np.cos(x)[None, :], atol=1e-14)
     # at x = 0 the slope vanishes, so p12 = 0 and p22 = 1/p11 there
     assert d.p_matrix.p12[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -45,7 +43,6 @@ def test_trivial_diffeo_fields(grid64):
         assert d.p_matrix.p22[iz, j] == pytest.approx(
             (1.0 + sx**2) / (1.0 + 0.4 * zeta[j]), rel=1e-10
         )
-    assert d.p_matrix.min_eigenvalue() > 0.0
 
 
 def test_trivial_diffeo_flat_is_identity(grid64):
@@ -118,6 +115,12 @@ def test_neumann_rejects_nonzero_mean(grid64):
     d = build_trivial_diffeo(grid64, np.zeros(64), 0.0, 0.5, -1, n_z=16)
     with pytest.raises(IncompatibleDataError):
         solve_neumann(d, np.cos(grid64.nodes) + 0.7)
+    # the bound is relative: a mean ten times the oscillation of small data
+    # is not rounding, while unit data may carry a rounding-level mean
+    c2 = np.cos(2 * grid64.nodes)
+    with pytest.raises(IncompatibleDataError):
+        solve_neumann(d, 1e-10 * c2 + 1e-9)
+    solve_neumann(d, c2 + 1e-9)
 
 
 def test_neumann_dirichlet_round_trip(grid64, rng):

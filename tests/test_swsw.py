@@ -8,14 +8,16 @@ from twofluid import (
     PeriodicGrid,
     SWConfig,
     SWState,
+    ShearConfig,
     compare_with_full,
     config_from_dimensionless,
     derive_params,
     fv_step,
     hyperbolicity_indicator,
     jacobian_discriminant,
+    mode_growth,
 )
-from twofluid.swsw import max_wave_speed
+from twofluid.swsw import heights, max_wave_speed
 from conftest import smooth_field
 
 
@@ -42,6 +44,35 @@ def test_indicator_sign_matches_discriminant(grid64):
         seen.update(np.sign(ind[clear]).tolist())
     # the sample reaches both the hyperbolic and the elliptic side
     assert seen == {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("zeta0", [0.0, 0.5])
+@pytest.mark.parametrize("eps, mu, rbm, ratio", [
+    (0.3, 0.05, 0.4, 1.0), (0.5, 0.1, 0.1, 2.0), (0.2, 0.02, 0.45, 0.5),
+])
+def test_indicator_matches_long_wave_kelvin_helmholtz(eps, mu, rbm, ratio, zeta0):
+    # a uniform state (ζ₀, v) is hyperbolic exactly when two uniform streams
+    # of the local depths h±H are stable to long waves without surface tension
+    p = derive_params(config_from_dimensionless(
+        eps=eps, mu=mu, rhobar_minus=rbm, depth_ratio=ratio))
+    hp, hm = heights(p, zeta0)
+    den = p.rhobar_plus * hm + p.rhobar_minus * hp
+    v_crit = den * math.sqrt(den / (p.rhobar_plus * p.rhobar_minus)) / (p.eps * (hp + hm))
+    streams = ShearConfig(
+        rho_plus=p.rhobar_plus * p.rho_total, rho_minus=p.rhobar_minus * p.rho_total,
+        depth_plus=hp * p.h_eff, depth_minus=hm * p.h_eff, sigma=0.0,
+        gravity=p.g_reduced / (p.rhobar_plus - p.rhobar_minus),
+    )
+    k = 1e-3 / max(streams.depth_plus, streams.depth_minus)
+    grid = PeriodicGrid(8)
+    for factor in (0.95, 1.05):
+        v = factor * v_crit
+        st = SWState(grid=grid, zeta=np.full(8, zeta0), v=np.full(8, v), params=p)
+        hyperbolic = bool(np.all(hyperbolicity_indicator(st) > 0.0))
+        # ⟦V⟧ with zero net volume flux h⁺V⁺ + h⁻V⁻ = 0 and ρ̄⁺V⁺ − ρ̄⁻V⁻ = v
+        jump = (hp + hm) * v / den
+        stable = mode_growth(k, streams.with_shear(p.eps * p.wave_speed * jump)) == 0.0
+        assert hyperbolic == stable == (factor < 1.0)
 
 
 @pytest.mark.parametrize("settings", [

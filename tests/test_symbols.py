@@ -11,8 +11,6 @@ from twofluid import (
     config_from_dimensionless,
     derive_params,
     dn_flat,
-    eval_s,
-    eval_t,
     ratio_symbol_error,
     tail_error_report,
 )
@@ -27,14 +25,14 @@ def make_symbols(grid, zeta, eps=0.3, mu=0.5, rbm=0.4, ratio=1.5):
 def test_tail_flat_cases(grid64):
     ts, p = make_symbols(grid64, np.zeros(64))
     xi = np.array([0.5, 1.0, 3.0])
-    assert np.allclose(eval_t(ts, 0.0, xi, +1), np.abs(xi), atol=1e-14)
+    assert np.allclose(ts.t(0.0, xi, +1), np.abs(xi), atol=1e-14)
     # constant zeta: slope vanishes, depth factor (1 +- eps_l * c) survives
     ts_c, p_c = make_symbols(grid64, 0.5 * np.ones(64))
     assert np.allclose(
-        eval_t(ts_c, 1.0, xi, +1), (1 + p_c.eps_plus * 0.5) * np.abs(xi), rtol=1e-12
+        ts_c.t(1.0, xi, +1), (1 + p_c.eps_plus * 0.5) * np.abs(xi), rtol=1e-12
     )
     assert np.allclose(
-        eval_t(ts_c, 1.0, xi, -1), (1 - p_c.eps_minus * 0.5) * np.abs(xi), rtol=1e-12
+        ts_c.t(1.0, xi, -1), (1 - p_c.eps_minus * 0.5) * np.abs(xi), rtol=1e-12
     )
 
 
@@ -65,12 +63,12 @@ def test_s_basic_properties(grid64, rng):
     zeta = smooth_field(rng, grid64, 3, 1.0)
     ts, p = make_symbols(grid64, zeta, eps=0.3, mu=0.7)
     x = grid64.nodes[7]
-    assert eval_s(ts, x, 0.0, +1) == 0.0
+    assert ts.s(x, 0.0, +1) == 0.0
     # even in xi, strictly increasing in |xi|
     xis = np.linspace(0.25, 12.0, 40)
     for sign in (+1, -1):
-        sv = eval_s(ts, x, xis, sign)
-        assert np.allclose(sv, eval_s(ts, x, -xis, sign), rtol=1e-14)
+        sv = ts.s(x, xis, sign)
+        assert np.allclose(sv, ts.s(x, -xis, sign), rtol=1e-14)
         assert np.all(np.diff(sv) > 0.0)
         assert np.all(sv > 0.0)
 
@@ -79,7 +77,7 @@ def test_s_flat_value(grid64):
     p = derive_params(config_from_dimensionless(0.0, 1.0, 0.3, 1.0, 100.0))
     # equal depths: hbar = 1 so mu_layer = 1
     ts = TailSymbolSet(grid64, np.zeros(64), p)
-    assert eval_s(ts, 0.3, 1.0, +1) == pytest.approx(math.tanh(1.0), rel=1e-12)
+    assert ts.s(0.3, 1.0, +1) == pytest.approx(math.tanh(1.0), rel=1e-12)
 
 
 def test_flat_symbol_equals_dn_flat(grid64, rng):
@@ -131,18 +129,6 @@ def test_tail_report_flags_degenerate_rows_and_raises_on_bad_input():
     # a zeta of the wrong shape is a caller error, not a failed row
     with pytest.raises(ValueError):
         tail_error_report(grid, zeta[:-1], psi, [(0.1, 0.5)], n_z=32)
-
-
-def test_tail_report_csv(tmp_path):
-    grid = PeriodicGrid(32)
-    rep = tail_error_report(
-        grid, np.cos(grid.nodes), np.sin(grid.nodes), [(0.1, 0.5)], n_z=32
-    )
-    path = tmp_path / "tail.csv"
-    rep.to_csv(path)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("eps,mu,err_hs")
-    assert len(text) == 2
 
 
 def make_state(grid, zeta, eps, mu, rbm=0.4, ratio=1.5, n_z=96):
