@@ -35,14 +35,10 @@ from .spectral import (
     truncate,
 )
 from .strip import (
-    DiffeoData,
-    PMatrixField,
+    StripOperator,
     StripSolution,
-    build_trivial_diffeo,
     dn_apply,
     dn_flat,
-    solve_dirichlet,
-    solve_neumann,
 )
 from .operators import (
     InterfaceState,

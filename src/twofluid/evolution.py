@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError, NumericalError, TwoFluidError
-from .operators import InterfaceState, TraceBundle, transmission_solve
+from .operators import InterfaceState, transmission_solve
 from .params import DimensionlessParams, check_schedule
 from .spectral import PeriodicGrid, dealias_mask, deriv, truncate
 from .stability import evaluate_criteria, stability_inputs
@@ -85,16 +85,11 @@ class TimeSeries:
         return self.breakdown is not None
 
 
-def rhs(
-    state: InterfaceState,
-    mask: Optional[np.ndarray] = None,
-    traces: Optional[TraceBundle] = None,
-) -> tuple:
+def rhs(state: InterfaceState, mask: Optional[np.ndarray] = None) -> tuple:
     """Right-hand side (∂tζ, ∂tψ) of the evolution system."""
     p = state.params
     grid = state.grid
-    if traces is None:
-        traces = transmission_solve(state)
+    traces = transmission_solve(state)
     zx = deriv(grid, state.zeta)
     denom = 1.0 + p.eps**2 * p.mu * zx**2
     # (1/H̄⁺)G⁺ψ⁺ recovered from the trace identities (no extra solve)

@@ -15,7 +15,8 @@ The quartic threshold formula
 
 reproduces the classical deep-water value with 𝔠₀ = 1; at finite depth the
 geometric constant is supplied by :func:`twofluid.stability.c_flat` and this
-module's dispersion bisection is the reference the candidates are judged by.
+module's :func:`critical_shear`, the minimum of the instability threshold
+over a wavenumber scan, is the reference the candidates are judged by.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ class ShearConfig:
         from dataclasses import replace
 
         return replace(self, c_plus=0.5 * jump, c_minus=-0.5 * jump)
+
+
+# wavenumbers scanned by max_growth and critical_shear
+_K_SCAN = np.geomspace(1e-3, 1e5, 600)
 
 
 def _coth(y):
@@ -92,53 +97,31 @@ def mode_frequencies(k: float, cfg: ShearConfig):
 
 def max_growth(cfg: ShearConfig) -> tuple:
     """Scan k ∈ [1e-3, 1e5] for the largest growth rate."""
-    ks = np.geomspace(1e-3, 1e5, 600)
-    rates = np.array([mode_growth(k, cfg) for k in ks])
+    rates = np.array([mode_growth(k, cfg) for k in _K_SCAN])
     i = int(np.argmax(rates))
-    return float(rates[i]), float(ks[i])
+    return float(rates[i]), float(_K_SCAN[i])
 
 
 def critical_shear(cfg: ShearConfig) -> tuple:
-    """Threshold |⟦c⟧| above which some wavenumber grows, by bisection.
+    """Threshold |⟦c⟧| above which some wavenumber of the scan grows.
 
-    Returns (threshold, critical wavenumber).  Bisects the onset of a
-    positive maximal growth rate over the k range of :func:`max_growth` to
-    a relative width of 1e-6; the bracket is expanded geometrically until
-    it straddles the transition.
+    Returns (threshold, critical wavenumber): √min T(k) and its argmin over
+    the wavenumbers of :func:`max_growth`, where mode k is unstable exactly
+    when ⟦c⟧² > T(k) = (tanh(kH⁺)/ρ⁺ + tanh(kH⁻)/ρ⁻)(g(ρ⁺−ρ⁻) + σk²)/k.
 
     Raises
     ------
     NumericalError
-        If no unstable bracket is found up to an extreme shear (e.g. σ = 0
-        with ρ⁻ = 0, where every mode is neutral).
+        If ρ⁻ = 0, where every mode is neutral whatever the shear.
     """
-
-    def unstable(jump):
-        rate, kc = max_growth(cfg.with_shear(jump))
-        return rate > 0.0, kc
-
-    lo, hi = 0.0, 1.0
-    k_crit = math.nan
-    for _ in range(80):
-        bad, kc = unstable(hi)
-        if bad:
-            k_crit = kc
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise NumericalError(
-            f"no unstable shear found up to {hi:.3e} m/s; "
-            "check sigma, densities and the wavenumber range"
-        )
-    while hi - lo > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        bad, kc = unstable(mid)
-        if bad:
-            hi, k_crit = mid, kc
-        else:
-            lo = mid
-    return 0.5 * (lo + hi), k_crit
+    if cfg.rho_minus == 0.0:
+        raise NumericalError("no unstable shear: with rho_minus = 0 every mode is neutral")
+    k = _K_SCAN
+    t = (np.tanh(k * cfg.depth_plus) / cfg.rho_plus
+         + np.tanh(k * cfg.depth_minus) / cfg.rho_minus) * (
+        cfg.gravity * (cfg.rho_plus - cfg.rho_minus) + cfg.sigma * k**2) / k
+    i = int(np.argmin(t))
+    return math.sqrt(t[i]), float(k[i])
 
 
 def kelvin_criterion_threshold(cfg: ShearConfig, c0: float) -> float:

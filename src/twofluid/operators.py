@@ -12,9 +12,11 @@ exposes
   * the shear operator  ℰ = −∂x ∘ 𝒢̃⁻¹ ∘ ∂x  whose quadratic form measures
     the destabilizing inertia of a velocity jump.
 
-Everything is assembled from the layer DN matrices S± of
-:mod:`twofluid.strip` (G± = ±S±): the discrete 𝒢̃ is the N×N sum
-(ρ̄⁻/H̄⁺)S⁺ + (ρ̄⁺/H̄⁻)S⁻, and J⁻¹, 𝒢, 𝒢̃⁻¹ and the transmission solve
+An :class:`InterfaceState` holds one :class:`~twofluid.strip.StripOperator`
+per fluid layer, ``state.layer(+1)`` below the interface and
+``state.layer(-1)`` above it, each built on first use.  Everything is
+assembled from their DN matrices S± (G± = ±S±): the discrete 𝒢̃ is the N×N
+sum (ρ̄⁻/H̄⁺)S⁺ + (ρ̄⁺/H̄⁻)S⁻, and J⁻¹, 𝒢, 𝒢̃⁻¹ and the transmission solve
 share one Cholesky factor of 𝒢̃ + Π per state, Π the projector onto the
 common kernel (constants and the Nyquist mode).  Traces are gauged by zero
 mean and zero Nyquist content, and every solve checks its residual.  The
@@ -28,24 +30,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometryError,
-    IncompatibleDataError,
-    NumericalError,
-)
+from .errors import NumericalError
 from .params import DimensionlessParams
 from .spectral import PeriodicGrid, deriv, inner
 from .strip import (
-    DiffeoData,
+    StripOperator,
+    _check_range,
     _check_residual,
     _deflate,
     _finite,
     _gauge_factor,
     _gauged_solve,
-    build_trivial_diffeo,
     dn_apply,
     flat_symbol,
-    solve_neumann,
+    layer_depth,
 )
 
 
@@ -58,7 +56,7 @@ class InterfaceState:
     psi: np.ndarray
     params: DimensionlessParams
     n_z: int = 32
-    _diffeos: dict = field(default_factory=dict, repr=False, compare=False)
+    _layers: dict = field(default_factory=dict, repr=False, compare=False)
     _g_tilde_factor: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -69,24 +67,17 @@ class InterfaceState:
                 raise ValueError(f"{name} must have shape ({self.grid.n},)")
             if not np.all(np.isfinite(arr)):
                 raise NumericalError(f"{name} contains non-finite values")
-        p = self.params
-        for sign, eps_l in ((+1, p.eps_plus), (-1, p.eps_minus)):
-            depth = 1.0 + sign * eps_l * self.zeta
-            if np.min(depth) <= 0.0:
-                raise DegenerateGeometryError(
-                    f"layer {'+' if sign > 0 else '-'} depth vanishes: "
-                    f"min = {float(np.min(depth)):.3e}"
-                )
+        layer_depth(self.zeta, self.params.eps_plus, +1)
+        layer_depth(self.zeta, self.params.eps_minus, -1)
 
-    def diffeo(self, sign: int) -> DiffeoData:
-        if sign not in self._diffeos:
+    def layer(self, sign: int) -> StripOperator:
+        """The fluid layer below (+1) or above (−1) the interface, built on
+        first use and kept for the life of the state."""
+        if sign not in self._layers:
             p = self.params
-            eps_l = p.eps_plus if sign > 0 else p.eps_minus
-            mu_l = p.mu_plus if sign > 0 else p.mu_minus
-            self._diffeos[sign] = build_trivial_diffeo(
-                self.grid, self.zeta, eps_l, mu_l, sign, n_z=self.n_z
-            )
-        return self._diffeos[sign]
+            eps_l, mu_l = (p.eps_plus, p.mu_plus) if sign > 0 else (p.eps_minus, p.mu_minus)
+            self._layers[sign] = StripOperator(self.grid, self.zeta, eps_l, mu_l, sign, self.n_z)
+        return self._layers[sign]
 
     def replace_fields(self, zeta, psi) -> "InterfaceState":
         return InterfaceState(
@@ -146,10 +137,10 @@ def apply_j(state: InterfaceState, u) -> np.ndarray:
     """Apply J = ρ̄⁺ − ρ̄⁻(H̄⁻/H̄⁺)(G⁻)⁻¹G⁺ (the lower-trace coupling map)."""
     p = state.params
     u = np.asarray(u, dtype=float)
-    f = dn_apply(state.diffeo(+1), u)
-    # G⁺u has zero mean up to rounding, which is all of G⁺u for constant u
-    f -= np.mean(f)
-    tr = solve_neumann(state.diffeo(-1), f).interface_trace(state.diffeo(-1))
+    # the mean and Nyquist part of G⁺u are rounding, which is all of G⁺u
+    # for constant u
+    f = _deflate(dn_apply(state.layer(+1), u))
+    tr = state.layer(-1).solve_neumann(f).trace
     return p.rhobar_plus * u - p.rhobar_minus * (p.hbar_minus / p.hbar_plus) * tr
 
 
@@ -176,8 +167,8 @@ def _couple(state: InterfaceState, psi) -> tuple:
     """
     p = state.params
     psi = np.asarray(psi, dtype=float)
-    psi_minus = _solve_g_tilde(state, _dn_matrix(state, +1) @ psi / -p.hbar_plus)
-    flux = _dn_matrix(state, -1) @ psi_minus / -p.hbar_minus
+    psi_minus = _solve_g_tilde(state, state.layer(+1).dn_matrix @ psi / -p.hbar_plus)
+    flux = state.layer(-1).dn_matrix @ psi_minus / -p.hbar_minus
     return psi_minus, _deflate(flux)
 
 
@@ -226,10 +217,6 @@ def transmission_solve(state: InterfaceState) -> TraceBundle:
     )
 
 
-def _dn_matrix(state: InterfaceState, sign: int) -> np.ndarray:
-    return state.diffeo(sign).operator().dn_matrix
-
-
 def dense_g_tilde(state: InterfaceState) -> np.ndarray:
     """Dense symmetric matrix of 𝒢̃ = (ρ̄⁻/H̄⁺)S⁺ + (ρ̄⁺/H̄⁻)S⁻ on the grid.
 
@@ -238,9 +225,9 @@ def dense_g_tilde(state: InterfaceState) -> np.ndarray:
     on its range.
     """
     p = state.params
-    return (p.rhobar_minus / p.hbar_plus) * _dn_matrix(state, +1) + (
+    return (p.rhobar_minus / p.hbar_plus) * state.layer(+1).dn_matrix + (
         p.rhobar_plus / p.hbar_minus
-    ) * _dn_matrix(state, -1)
+    ) * state.layer(-1).dn_matrix
 
 
 def apply_g_tilde(state: InterfaceState, u) -> np.ndarray:
@@ -251,15 +238,11 @@ def apply_g_tilde(state: InterfaceState, u) -> np.ndarray:
 def invert_g_tilde(state: InterfaceState, f) -> np.ndarray:
     """Solve 𝒢̃ u = f; the result has zero mean and zero Nyquist content.
 
-    f must lie in the range of 𝒢̃: zero mean and no Nyquist component.
+    f must lie in the range of 𝒢̃: zero mean and no Nyquist component, each
+    up to rounding, 1e-8·‖f‖∞; other data raises IncompatibleDataError.
     """
     f = np.asarray(f, dtype=float)
-    off = float(np.max(np.abs(f - _deflate(f))))
-    if off > 1e-8 * float(np.max(np.abs(f))):
-        raise IncompatibleDataError(
-            "inverse of the weighted DN sum needs data with zero mean and no "
-            f"Nyquist component; they reach {off:.3e}"
-        )
+    _check_range(f, "inverse of the weighted DN sum")
     return _solve_g_tilde(state, f)
 
 

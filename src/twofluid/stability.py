@@ -398,40 +398,33 @@ def modewise_margin(
     e_value: float,
     grad_zeta_sup: float = 0.0,
 ) -> MarginResult:
-    """Minimize the per-mode margin A(ξ)/(1 + ξ²/Bo) over frequencies.
+    """Minimize the per-mode margin A(ξ)/(1 + ξ²/Bo) over frequencies ξ ≥ 0.
 
     A(ξ) = inf𝔞 − √μ·a·|ξ| + (1/Bo)ξ²/(1+ε²μ|∂xζ|∞²)^{3/2} with
-    a = ε²ρ̄⁺ρ̄⁻𝔢|⟦V⟧|∞².  Under (SC) the minimum stays above 𝔡/2 (for
-    inf𝔞 ≤ 1 + 𝔡/2); without surface tension the margin is unbounded
-    below whenever a > 0.
+    a = ε²ρ̄⁺ρ̄⁻𝔢|⟦V⟧|∞².  Written as (a₀ − bξ + cξ²)/(1 + dξ²), the margin
+    has a derivative of the sign of bdξ² + 2(c − a₀d)ξ − b.  For b > 0 that
+    quadratic has exactly one positive root, the minimiser; for b = 0 the
+    minimum is min(a₀, c/d), at ξ = 0 or in the limit ξ → ∞.  Under (SC)
+    the minimum stays above 𝔡/2 (for inf𝔞 ≤ 1 + 𝔡/2); without surface
+    tension the margin is unbounded below whenever a > 0.
     """
     p = params
     a_coeff = p.eps**2 * p.rhobar_plus * p.rhobar_minus * e_value * jump_sup**2
     curvature = (1.0 + p.eps**2 * p.mu * grad_zeta_sup**2) ** 1.5
-    inv_bo = 0.0 if math.isinf(p.bond) else 1.0 / p.bond
-    if inv_bo == 0.0 and a_coeff > 0.0:
-        return MarginResult(value=-math.inf, xi_argmin=math.inf, unbounded=True)
-
-    smu = math.sqrt(p.mu)
-
-    def margin(xi):
-        a_of_xi = inf_a - smu * a_coeff * xi + inv_bo * xi**2 / curvature
-        return a_of_xi / (1.0 + inv_bo * xi**2)
-
-    if a_coeff == 0.0:
-        return MarginResult(value=margin(0.0), xi_argmin=0.0, unbounded=False)
-    # vertex of the unweighted quadratic, always included in the bracket
-    xi_vertex = smu * a_coeff * curvature / (2.0 * inv_bo)
-    xi_hi = max(1e4, 100.0 * xi_vertex)
-    xs = np.sort(np.concatenate(([0.0], np.geomspace(1e-4, xi_hi, 600), [xi_vertex])))
-    vals = np.array([margin(x) for x in xs])
-    i = int(np.argmin(vals))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, len(xs) - 1)]
-    if hi <= lo:
-        lo, hi = 0.0, max(hi, 2.0 * xi_vertex)
-    res = minimize_scalar(margin, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    if res.fun < vals[i]:
-        return MarginResult(value=float(res.fun), xi_argmin=float(res.x), unbounded=False)
-    return MarginResult(value=float(vals[i]), xi_argmin=float(xs[i]), unbounded=False)
+    if math.isinf(p.bond):
+        if a_coeff > 0.0:
+            return MarginResult(value=-math.inf, xi_argmin=math.inf, unbounded=True)
+        return MarginResult(value=inf_a, xi_argmin=0.0, unbounded=False)
+    b = math.sqrt(p.mu) * a_coeff
+    d = 1.0 / p.bond
+    c = d / curvature
+    if b == 0.0:
+        if inf_a <= 1.0 / curvature:
+            return MarginResult(value=inf_a, xi_argmin=0.0, unbounded=False)
+        return MarginResult(value=1.0 / curvature, xi_argmin=math.inf, unbounded=False)
+    # the positive root, in the form without cancellation for either sign of q
+    q = c - inf_a * d
+    root = math.sqrt(q * q + b * b * d)
+    xi = b / (q + root) if q >= 0.0 else (root - q) / (b * d)
+    value = (inf_a - b * xi + c * xi**2) / (1.0 + d * xi**2)
+    return MarginResult(value=value, xi_argmin=xi, unbounded=False)

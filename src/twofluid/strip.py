@@ -1,7 +1,7 @@
-"""Single-layer Dirichlet-Neumann operators on the straightened strip.
+"""One fluid layer on the straightened strip and its Dirichlet-Neumann map.
 
 The layer occupying the physical domain between the interface z = ±ε±ζ(x)
-and its wall z = ∓1 is straightened by the graph change of variables
+and its wall z = ∓1 is straightened by the trivial graph diffeomorphism
 
     Σ±(x, z) = (x, ε±(1±z)ζ(x) + z),
 
@@ -15,21 +15,24 @@ centered differences on a uniform z grid, with fluxes assembled at z
 half-levels so that the discrete operator A is exactly symmetric and positive
 semi-definite.
 
-Because x is spectral, A is block tridiagonal in z with dense N×N blocks,
-one block pair per cell.  A block Cholesky sweep from the wall to the
-interface row eliminates every other row and leaves the Schur complement S
-on the interface row.  S is the discrete Dirichlet-Neumann matrix itself
-(G± = ±S±): symmetric, positive semi-definite, and zero on constants and on
-the Nyquist column that the spectral derivative annihilates.  The field
-solves repeat the sweep and back-substitute; their true residual, computed
-with the matrix-free :meth:`StripOperator.apply`, is checked against
-:data:`RESIDUAL_TOL`.
+:class:`StripOperator` is the one object per layer.  Its constructor checks
+the depth (:func:`layer_depth`) and samples the metric; nothing else is
+computed until it is asked for.  Because x is spectral, A is block
+tridiagonal in z with dense N×N blocks, one block pair per cell.  A block
+Cholesky sweep from the wall to the interface row eliminates every other row
+and leaves the Schur complement S on the interface row.  S is the discrete
+Dirichlet-Neumann matrix itself (G± = ±S±): symmetric, positive
+semi-definite, and zero on constants and on the Nyquist column that the
+spectral derivative annihilates.  :attr:`StripOperator.dn_matrix` sweeps
+once and caches S.  The field solves repeat the sweep and back-substitute;
+their true residual, computed with the matrix-free
+:meth:`StripOperator.apply`, is checked against :data:`RESIDUAL_TOL`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
@@ -49,89 +52,32 @@ def flat_symbol(mu_layer: float, k) -> np.ndarray:
     return y * np.tanh(y)
 
 
-@dataclass(frozen=True)
-class PMatrixField:
-    """Entries of the straightened-metric matrix on the z half-levels."""
-
-    p11: np.ndarray
-    p12: np.ndarray
-    p22: np.ndarray
-
-
-@dataclass
-class DiffeoData:
-    """Straightened geometry of one fluid layer (trivial graph diffeomorphism)."""
-
-    grid: PeriodicGrid
-    mu_layer: float
-    layer_sign: int
-    n_z: int
-    p_matrix: PMatrixField = field(repr=False)
-    _op: "StripOperator" = field(repr=False, default=None, compare=False)
-
-    def operator(self) -> "StripOperator":
-        if self._op is None:
-            self._op = StripOperator(self)
-        return self._op
-
-
-@dataclass
-class StripSolution:
-    """Solution of one strip solve: potential on the (n_z+1, n) grid."""
-
-    phi: np.ndarray
-    residual_norm: float
-
-    def interface_trace(self, d: DiffeoData) -> np.ndarray:
-        return self.phi[d.operator().iface].copy()
-
-
-def build_trivial_diffeo(
-    grid: PeriodicGrid,
-    zeta: np.ndarray,
-    eps_layer: float,
-    mu_layer: float,
-    layer_sign: int,
-    n_z: int = 32,
-) -> DiffeoData:
-    """Sample the trivial graph diffeomorphism and its metric for one layer.
+def layer_depth(zeta, eps_layer: float, layer_sign: int) -> np.ndarray:
+    """Depth 1 ± ε±ζ of the layer below (+1) or above (−1) the interface.
 
     Raises
     ------
     DegenerateGeometryError
-        If min(1 ± ε±ζ) falls below the positivity floor (layer pinches off).
+        If the depth falls below the positivity floor (the layer pinches off).
     """
-    if layer_sign not in (+1, -1):
-        raise ValueError("layer_sign must be +1 (lower) or -1 (upper)")
-    zeta = np.asarray(zeta, dtype=float)
-    if zeta.shape != (grid.n,):
-        raise ValueError(f"zeta must have shape ({grid.n},)")
-    depth = 1.0 + layer_sign * eps_layer * zeta
+    depth = 1.0 + layer_sign * eps_layer * np.asarray(zeta, dtype=float)
     min_depth = float(np.min(depth))
     if min_depth <= MIN_DEPTH:
         raise DegenerateGeometryError(
             f"layer depth vanishes: min(1 {'+' if layer_sign > 0 else '-'} eps*zeta) "
             f"= {min_depth:.3e}"
         )
-    h = 1.0 / n_z
-    if layer_sign > 0:
-        z_half = -1.0 + (np.arange(n_z) + 0.5) * h
-    else:
-        z_half = (np.arange(n_z) + 0.5) * h
-    fac = 1.0 + layer_sign * z_half
-    zx = deriv(grid, zeta)
-    sigma_x = eps_layer * fac[:, None] * zx[None, :]
-    p11 = np.broadcast_to(depth, (n_z, grid.n))
-    smu = math.sqrt(mu_layer)
-    p12 = -smu * sigma_x
-    p22 = (1.0 + mu_layer * sigma_x**2) / p11
-    return DiffeoData(
-        grid=grid,
-        mu_layer=mu_layer,
-        layer_sign=layer_sign,
-        n_z=n_z,
-        p_matrix=PMatrixField(p11=np.asarray(p11), p12=p12, p22=p22),
-    )
+    return depth
+
+
+@dataclass
+class StripSolution:
+    """Solution of one strip solve: potential on the (n_z+1, n) grid and its
+    interface trace."""
+
+    phi: np.ndarray
+    trace: np.ndarray
+    residual_norm: float
 
 
 def _deflate(v: np.ndarray) -> np.ndarray:
@@ -140,6 +86,17 @@ def _deflate(v: np.ndarray) -> np.ndarray:
     nyq = np.cos(np.pi * np.arange(v.shape[-1]))
     v = v - np.mean(v, axis=-1, keepdims=True)
     return v - np.mean(v * nyq, axis=-1, keepdims=True) * nyq
+
+
+def _check_range(f: np.ndarray, what: str) -> None:
+    """IncompatibleDataError unless f lies in the range of a DN matrix: its
+    mean and Nyquist component must be rounding, below 1e-8·‖f‖∞."""
+    off = float(np.max(np.abs(f - _deflate(f))))
+    if off > 1e-8 * float(np.max(np.abs(f))):
+        raise IncompatibleDataError(
+            f"{what} needs data with zero mean and no Nyquist component; "
+            f"they reach {off:.3e}"
+        )
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -188,38 +145,53 @@ def _finite(a, what: str) -> np.ndarray:
 
 
 class StripOperator:
-    """Discrete operator A of one straightened layer, its Schur complement S
-    on the interface row, and the Dirichlet and Neumann field solves."""
+    """One straightened fluid layer: the metric of the trivial graph
+    diffeomorphism, the discrete operator A, its Schur complement S on the
+    interface row, and the Dirichlet and Neumann field solves.
 
-    def __init__(self, d: DiffeoData):
-        # no reference to d, which caches this operator: the cycle would
-        # keep both alive until the cyclic garbage collector runs
-        self.grid = d.grid
-        self.pm = d.p_matrix
-        self.mu = d.mu_layer
-        self.sign = d.layer_sign
-        self.n_z = d.n_z
-        self.h = 1.0 / d.n_z
-        self.smu = math.sqrt(d.mu_layer)
-        self.iface = d.n_z if d.layer_sign > 0 else 0
-        rows = np.arange(d.n_z + 1)
+    The metric is sampled on the z half-levels: p11 = 1 ± ε±ζ, which does
+    not depend on z, as an (N,) array, and p12, p22 as (n_z, N) arrays.
+    """
+
+    def __init__(self, grid: PeriodicGrid, zeta, eps_layer: float, mu_layer: float,
+                 layer_sign: int, n_z: int = 32):
+        if layer_sign not in (+1, -1):
+            raise ValueError("layer_sign must be +1 (lower) or -1 (upper)")
+        zeta = np.asarray(zeta, dtype=float)
+        if zeta.shape != (grid.n,):
+            raise ValueError(f"zeta must have shape ({grid.n},)")
+        self.grid = grid
+        self.mu = mu_layer
+        self.sign = layer_sign
+        self.n_z = n_z
+        self.h = 1.0 / n_z
+        self.smu = math.sqrt(mu_layer)
+        self.p11 = layer_depth(zeta, eps_layer, layer_sign)
+        z_half = (np.arange(n_z) + 0.5) * self.h
+        if layer_sign > 0:
+            z_half = -1.0 + z_half
+        fac = 1.0 + layer_sign * z_half
+        sigma_x = eps_layer * fac[:, None] * deriv(grid, zeta)[None, :]
+        self.p12 = -self.smu * sigma_x
+        self.p22 = (1.0 + mu_layer * sigma_x**2) / self.p11
+        self.iface = n_z if layer_sign > 0 else 0
+        rows = np.arange(n_z + 1)
         self.interior = rows[rows != self.iface]
         # rows from the wall to the interface, the order of the sweep
-        self.sweep_rows = rows if d.layer_sign > 0 else rows[::-1]
+        self.sweep_rows = rows if layer_sign > 0 else rows[::-1]
         self._s = None
 
     # -- discrete bilinear form -------------------------------------------------
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """Symmetric PSD operator A with v·Aφ = Σ_cells h ∇^μ v·P ∇^μ φ."""
-        h, pm = self.h, self.pm
-        grid = self.grid
+        h, grid = self.h, self.grid
         ik = grid.ik
         uh = np.fft.rfft(phi, axis=-1)
         phix = np.fft.irfft(ik * uh, n=grid.n, axis=-1)
         px_half = 0.5 * (phix[:-1] + phix[1:])
         pz_half = (phi[1:] - phi[:-1]) * (1.0 / h)
-        f1 = self.mu * pm.p11 * px_half + self.smu * pm.p12 * pz_half
-        f2 = self.smu * pm.p12 * px_half + pm.p22 * pz_half
+        f1 = self.mu * self.p11 * px_half + self.smu * self.p12 * pz_half
+        f2 = self.smu * self.p12 * px_half + self.p22 * pz_half
         t = np.fft.irfft((-0.5 * h) * ik * np.fft.rfft(f1, axis=-1), n=grid.n, axis=-1)
         out = np.empty_like(phi)
         out[0] = t[0] - f2[0]
@@ -235,15 +207,14 @@ class StripOperator:
         derivative matrix, its energy h·∇^μv·P∇^μφ uses ∂x = D(φ_r + φ_{r+1})/2
         and ∂z = ±(φ_{r+1} − φ_r)/h.
         """
-        h, pm, n = self.h, self.pm, self.grid.n
+        h, n = self.h, self.grid.n
         dmat_t = self.grid.deriv_matrix_t
-        # p11 = 1 + ∂zσ is z-independent for the trivial diffeomorphism
-        stiff = (0.25 * h * self.mu) * ((dmat_t * pm.p11[0]) @ dmat_t.T)
+        stiff = (0.25 * h * self.mu) * ((dmat_t * self.p11) @ dmat_t.T)
         cells = range(self.n_z) if self.sign > 0 else range(self.n_z - 1, -1, -1)
         for c in cells:
-            e = dmat_t * (0.5 * self.smu * pm.p12[c])
+            e = dmat_t * (0.5 * self.smu * self.p12[c])
             sym = e + e.T
-            mass = pm.p22[c] / h
+            mass = self.p22[c] / h
             k_aa = stiff - sym  # the cell's bottom row
             k_aa.flat[:: n + 1] += mass
             k_bb = stiff + sym  # its top row
@@ -291,6 +262,7 @@ class StripOperator:
 
     # -- solves -----------------------------------------------------------------
     def solve_dirichlet(self, psi) -> StripSolution:
+        """Solve ∇^μ·P∇^μ φ = 0 with φ = ψ at the interface, no-flux at the wall."""
         psi = _finite(psi, "Dirichlet data")
         phi = self._extend(psi, self._sweep(keep=True))
         lift = np.zeros_like(phi)
@@ -300,50 +272,36 @@ class StripOperator:
             self.apply(lift)[self.interior],
             "Dirichlet solve",
         )
-        return StripSolution(phi=phi, residual_norm=res)
+        return StripSolution(phi=phi, trace=phi[self.iface].copy(), residual_norm=res)
 
-    def solve_neumann(self, g_data) -> StripSolution:
-        g_data = _finite(g_data, "Neumann data")
-        gmean = abs(float(np.mean(g_data)))
-        gscale = float(np.max(np.abs(g_data))) if g_data.size else 0.0
-        if gmean > 1e-8 * gscale:
-            raise IncompatibleDataError(
-                f"Neumann data must have zero mean on the periodic strip, got {gmean:.3e}"
-            )
-        # the Nyquist flux lies outside the range of A, like the mean
-        g = self.sign * _deflate(g_data)
+    def solve_neumann(self, g) -> StripSolution:
+        """Solve with prescribed upward conormal flux g at the interface.
+
+        g must lie in the range of the discrete operator: zero mean (flux
+        compatibility on the periodic strip) and no Nyquist component, each
+        up to rounding, 1e-8·‖g‖∞; other data raises IncompatibleDataError.
+        The interface trace of the solution has zero mean and zero Nyquist
+        content.
+        """
+        g = _finite(g, "Neumann data")
+        _check_range(g, "Neumann solve")
+        g = self.sign * _deflate(g)
         factors = self._sweep(keep=True)
         phi = self._extend(_gauged_solve(_gauge_factor(self._s), g), factors)
         b = np.zeros_like(phi)
         b[self.iface] = g
         res = _check_residual(self.apply(phi) - b, b, "Neumann solve")
-        return StripSolution(phi=phi, residual_norm=res)
+        return StripSolution(phi=phi, trace=phi[self.iface].copy(), residual_norm=res)
 
 
-def solve_dirichlet(d: DiffeoData, psi) -> StripSolution:
-    """Solve ∇^μ·P∇^μ φ = 0 with φ = ψ at the interface, no-flux at the wall."""
-    return d.operator().solve_dirichlet(psi)
-
-
-def solve_neumann(d: DiffeoData, g) -> StripSolution:
-    """Solve with prescribed upward conormal flux g at the interface.
-
-    g must have zero mean (flux compatibility on the periodic strip); its
-    Nyquist component, outside the range of the discrete operator, is
-    dropped.  The interface trace of the solution has zero mean and zero
-    Nyquist content.
-    """
-    return d.operator().solve_neumann(g)
-
-
-def dn_apply(d: DiffeoData, psi) -> np.ndarray:
+def dn_apply(d: StripOperator, psi) -> np.ndarray:
     """Dirichlet-Neumann map of one layer: ψ ↦ upward conormal flux at z = 0.
 
     The product ±Sψ with the Schur complement of the discrete operator, the
     variational flux of the discrete solution, which keeps (ψ₁, Gψ₂)
     symmetric, ±(ψ, G±ψ) ≥ 0 and mean(Gψ) = 0 exact to rounding.
     """
-    return d.layer_sign * (d.operator().dn_matrix @ np.asarray(psi, dtype=float))
+    return d.sign * (d.dn_matrix @ np.asarray(psi, dtype=float))
 
 
 def dn_flat(grid: PeriodicGrid, mu_layer: float, layer_sign: int, psi) -> np.ndarray:

@@ -35,7 +35,7 @@ from .spectral import (
     norm_hdot_mu,
     norm_sobolev,
 )
-from .strip import build_trivial_diffeo, dn_apply, solve_neumann
+from .strip import StripOperator, dn_apply
 
 _SMALL_XI = 1e-8
 _SMALL_SLOPE = 1e-6
@@ -211,10 +211,8 @@ def tail_error_report(
                 eps=max(eps, 0.0), mu=mu, rhobar_minus=0.4,
             )
             p = derive_params(cfg)
-            d_plus = build_trivial_diffeo(
-                grid, zeta_shape, p.eps_plus, p.mu_plus, +1, n_z=n_z
-            )
-            exact = dn_apply(d_plus, psi)
+            layer = StripOperator(grid, zeta_shape, p.eps_plus, p.mu_plus, +1, n_z=n_z)
+            exact = dn_apply(layer, psi)
             ts = TailSymbolSet(grid, zeta_shape, p)
             approx = apply_symbol(grid, lambda x, k: ts.s(x, k, +1), psi)
             diff = exact - approx
@@ -258,17 +256,12 @@ def ratio_symbol_error(state, f, which: str) -> dict:
     f = np.asarray(f, dtype=float) - float(np.mean(f))
     ts = TailSymbolSet(grid, state.zeta, p)
     if which == "dn_ratio":
-        g = dn_apply(state.diffeo(+1), f)
-        exact = solve_neumann(state.diffeo(-1), g).interface_trace(
-            state.diffeo(-1)
-        )
+        exact = state.layer(-1).solve_neumann(dn_apply(state.layer(+1), f)).trace
         approx = apply_symbol(grid, ts.dn_ratio_symbol, f)
     elif which == "coupled_ratio":
         pp = invert_j(state, f)
-        g = dn_apply(state.diffeo(+1), pp)
-        exact = solve_neumann(state.diffeo(-1), g).interface_trace(
-            state.diffeo(-1)
-        ) / p.hbar_plus
+        g = dn_apply(state.layer(+1), pp)
+        exact = state.layer(-1).solve_neumann(g).trace / p.hbar_plus
         approx = apply_symbol(grid, ts.coupled_ratio_symbol, f)
     elif which == "p2_mix":
         df = deriv(grid, f)

@@ -3,8 +3,9 @@
 ``bench/tracer.py`` wraps each of its ``TARGETS`` under the name its caller
 resolves, so every one must stay in its owner's namespace, and the workloads
 of ``bench/workloads.py`` read report fields such as
-``StabilityReport.e_converged``.  These tests read ``bench/`` and change
-nothing there.
+``StabilityReport.e_converged``.  The tracer's ``strip.operator`` span
+counts the ``StripOperator`` builds, one per fluid layer of each state a
+pass solves with.  These tests read ``bench/`` and change nothing there.
 """
 
 import sys
@@ -24,10 +25,17 @@ def test_every_tracer_target_resolves():
     assert missing == []
 
 
+# StripOperator builds in one traced SMALL pass: two per state
+OPERATOR_BUILDS = {"evolve_steep": 10, "criteria": 6, "shallow_sweep": 62}
+
+
 @pytest.mark.parametrize("name", sorted(workloads.SMALL))
 def test_small_workload_passes_its_checks_traced(name):
     wl = workloads.SMALL[name]
     ctx = wl.prepare(0)
     inp = wl.make_input(ctx, 0, 0)
-    out = tracer.Tracer().run(wl.execute, ctx, inp)
+    trace = tracer.Tracer()
+    out = trace.run(wl.execute, ctx, inp)
     assert wl.check(ctx, inp, out) == []
+    builds = sum(span[0] == "strip.operator" for span in trace.spans)
+    assert builds == OPERATOR_BUILDS[name]

@@ -5,6 +5,7 @@ import pytest
 
 from twofluid import (
     InvalidConfigError,
+    NumericalError,
     ShearConfig,
     critical_shear,
     kelvin_criterion_threshold,
@@ -64,6 +65,15 @@ def test_deep_water_critical_shear_value():
         / AIR_WATER_DEEP.sigma
     )
     assert k_crit == pytest.approx(k_star, rel=0.05)
+
+
+def test_critical_shear_degenerate_configurations():
+    # equal densities without surface tension: every shear is unstable
+    u, _ = critical_shear(ShearConfig(1000.0, 1000.0, 1.0, 1.0, sigma=0.0))
+    assert u == 0.0
+    # a single stream: every mode is neutral
+    with pytest.raises(NumericalError):
+        critical_shear(ShearConfig(1000.0, 0.0, 1.0, 1.0, sigma=0.07))
 
 
 def test_galilean_invariance(rng):

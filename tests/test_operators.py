@@ -10,6 +10,7 @@ from twofluid import (
     IncompatibleDataError,
     InterfaceState,
     PeriodicGrid,
+    StripOperator,
     apply_e,
     apply_g,
     apply_g_tilde,
@@ -42,6 +43,31 @@ def make_state(grid, zeta, psi, eps=0.3, mu=0.5, rbm=0.4, ratio=1.5, bond=100.0,
 def test_state_depth_guard(grid64):
     with pytest.raises(DegenerateGeometryError):
         make_state(grid64, -5.0 * np.ones(64), np.zeros(64), eps=0.5)
+
+
+def test_layers_are_built_lazily_once(grid64, monkeypatch):
+    builds, sweeps = [], []
+    init, sweep = StripOperator.__init__, StripOperator._sweep
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_sweep(self, keep):
+        sweeps.append(keep)
+        return sweep(self, keep)
+
+    monkeypatch.setattr(StripOperator, "__init__", counted_init)
+    monkeypatch.setattr(StripOperator, "_sweep", counted_sweep)
+    st = make_state(grid64, 0.3 * np.cos(grid64.nodes), np.zeros(64), n_z=8)
+    assert builds == []
+    assert st.layer(+1) is st.layer(+1)
+    assert len(builds) == 1
+    s = st.layer(+1).dn_matrix
+    assert st.layer(+1).dn_matrix is s
+    assert sweeps == [False]
+    st.layer(-1)
+    assert len(builds) == 2
 
 
 def test_apply_j_water_waves_identity(grid64, rng):
@@ -110,7 +136,7 @@ def test_apply_g_water_waves_single_layer(grid64, rng):
     st = make_state(grid64, zeta, np.zeros(64), rbm=0.0, ratio=1.0)
     psi = smooth_field(rng, grid64)
     out = apply_g(st, psi)
-    single = dn_apply(st.diffeo(+1), psi) / st.params.hbar_plus
+    single = dn_apply(st.layer(+1), psi) / st.params.hbar_plus
     assert np.allclose(out, single, atol=1e-12)
 
 
@@ -159,8 +185,8 @@ def test_transmission_reconstruction_and_flux(grid64, rng):
         recon = p.rhobar_plus * tr.psi_plus - p.rhobar_minus * tr.psi_minus
         assert np.max(np.abs(recon - st.psi)) < 1e-8
         # flux continuity re-verified through independent solves of both layers
-        gp = dn_apply(st.diffeo(+1), tr.psi_plus) / p.hbar_plus
-        gm = dn_apply(st.diffeo(-1), tr.psi_minus) / p.hbar_minus
+        gp = dn_apply(st.layer(+1), tr.psi_plus) / p.hbar_plus
+        gm = dn_apply(st.layer(-1), tr.psi_minus) / p.hbar_minus
         assert np.max(np.abs(gp - gm)) < 1e-8 * max(1.0, np.max(np.abs(gp)))
 
 
@@ -188,7 +214,7 @@ def test_transmission_water_waves_reduction(grid64, rng):
     assert np.allclose(tr.psi_plus, psi, atol=1e-12)
     p = st.params
     zx = deriv(grid64, zeta)
-    g = dn_apply(st.diffeo(+1), psi) / p.hbar_plus
+    g = dn_apply(st.layer(+1), psi) / p.hbar_plus
     w_expected = (g + p.eps * p.mu * zx * deriv(grid64, psi)) / (
         1.0 + p.eps**2 * p.mu * zx**2
     )

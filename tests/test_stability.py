@@ -318,6 +318,17 @@ def test_margin_zero_jump(grid64):
     assert not res.unbounded
 
 
+def test_margin_continuous_at_zero_jump():
+    # inf a above 1/curvature: the infimum over ξ is the ξ → ∞ limit
+    p = derive_params(config_from_dimensionless(0.3, 0.5, 0.4, 1.5, 100.0))
+    args = dict(inf_a=1.0, e_value=1.2, grad_zeta_sup=1.0)
+    at_zero = modewise_margin(p, jump_sup=0.0, **args)
+    near_zero = modewise_margin(p, jump_sup=1e-8, **args)
+    curvature = (1.0 + p.eps**2 * p.mu) ** 1.5
+    assert at_zero.value == pytest.approx(1.0 / curvature, rel=1e-12)
+    assert near_zero.value == pytest.approx(at_zero.value, rel=1e-9)
+
+
 def test_margin_borderline_threshold():
     p = derive_params(config_from_dimensionless(0.4, 0.5, 0.4, 1.5, 200.0))
     e_val = 1.2

@@ -11,14 +11,12 @@ from twofluid import (
     InterfaceState,
     NumericalError,
     PeriodicGrid,
-    build_trivial_diffeo,
+    StripOperator,
     config_from_dimensionless,
     derive_params,
     dn_apply,
     dn_flat,
     inner,
-    solve_dirichlet,
-    solve_neumann,
     transmission_solve,
 )
 from twofluid.spectral import deriv
@@ -28,48 +26,48 @@ from conftest import smooth_field
 def test_trivial_diffeo_fields(grid64):
     x = grid64.nodes
     zeta = 0.5 * np.cos(x)
-    d = build_trivial_diffeo(grid64, zeta, 0.4, 1.0, +1, n_z=16)
-    assert np.allclose(d.p_matrix.p11, 1.0 + 0.2 * np.cos(x)[None, :], atol=1e-14)
+    d = StripOperator(grid64, zeta, 0.4, 1.0, +1, n_z=16)
+    assert np.allclose(d.p11, 1.0 + 0.2 * np.cos(x)[None, :], atol=1e-14)
     # at x = 0 the slope vanishes, so p12 = 0 and p22 = 1/p11 there
-    assert d.p_matrix.p12[0, 0] == pytest.approx(0.0, abs=1e-12)
-    assert d.p_matrix.p22[0, 0] == pytest.approx(1.0 / 1.2, rel=1e-6)
+    assert d.p12[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert d.p22[0, 0] == pytest.approx(1.0 / 1.2, rel=1e-6)
     # hand check of p entries at a generic node against the closed forms
     j = 5
     zx = deriv(grid64, zeta)
     for iz in (0, 7, 15):
         z_half = -1.0 + (iz + 0.5) / 16
         sx = 0.4 * (1.0 + z_half) * zx[j]
-        assert d.p_matrix.p12[iz, j] == pytest.approx(-1.0 * sx, rel=1e-10)
-        assert d.p_matrix.p22[iz, j] == pytest.approx(
+        assert d.p12[iz, j] == pytest.approx(-1.0 * sx, rel=1e-10)
+        assert d.p22[iz, j] == pytest.approx(
             (1.0 + sx**2) / (1.0 + 0.4 * zeta[j]), rel=1e-10
         )
 
 
 def test_trivial_diffeo_flat_is_identity(grid64):
-    d = build_trivial_diffeo(grid64, np.zeros(64), 0.4, 0.7, -1, n_z=8)
-    assert np.allclose(d.p_matrix.p11, 1.0)
-    assert np.allclose(d.p_matrix.p12, 0.0)
-    assert np.allclose(d.p_matrix.p22, 1.0)
-    d0 = build_trivial_diffeo(grid64, 0.3 * np.cos(grid64.nodes), 0.0, 0.7, -1, n_z=8)
-    assert np.allclose(d0.p_matrix.p12, 0.0)
+    d = StripOperator(grid64, np.zeros(64), 0.4, 0.7, -1, n_z=8)
+    assert np.allclose(d.p11, 1.0)
+    assert np.allclose(d.p12, 0.0)
+    assert np.allclose(d.p22, 1.0)
+    d0 = StripOperator(grid64, 0.3 * np.cos(grid64.nodes), 0.0, 0.7, -1, n_z=8)
+    assert np.allclose(d0.p12, 0.0)
 
 
 def test_depth_violation_raises(grid64):
     with pytest.raises(DegenerateGeometryError):
-        build_trivial_diffeo(grid64, -1.05 * np.ones(64), 1.0, 1.0, +1, n_z=8)
+        StripOperator(grid64, -1.05 * np.ones(64), 1.0, 1.0, +1, n_z=8)
 
 
 def test_dirichlet_constant_is_exact(grid64):
-    d = build_trivial_diffeo(grid64, 0.3 * np.cos(grid64.nodes), 0.3, 0.5, +1, n_z=16)
-    sol = solve_dirichlet(d, 2.5 * np.ones(64))
+    d = StripOperator(grid64, 0.3 * np.cos(grid64.nodes), 0.3, 0.5, +1, n_z=16)
+    sol = d.solve_dirichlet(2.5 * np.ones(64))
     assert np.allclose(sol.phi, 2.5, atol=1e-9)
 
 
 def test_dirichlet_flat_separable_solution(grid64):
     mu = 0.49
     k = 2
-    d = build_trivial_diffeo(grid64, np.zeros(64), 0.0, mu, +1, n_z=64)
-    sol = solve_dirichlet(d, np.cos(k * grid64.nodes))
+    d = StripOperator(grid64, np.zeros(64), 0.0, mu, +1, n_z=64)
+    sol = d.solve_dirichlet(np.cos(k * grid64.nodes))
     smu = math.sqrt(mu)
     z = -1.0 + np.arange(65) / 64.0
     exact = np.cos(k * grid64.nodes)[None, :] * (
@@ -82,11 +80,11 @@ def test_dirichlet_residual_reduction_under_z_refinement(grid64):
     zeta = 0.1 * np.cos(grid64.nodes)
     psi = np.sin(grid64.nodes)
     ref = dn_apply(
-        build_trivial_diffeo(grid64, zeta, 0.3, 0.8, +1, n_z=512), psi
+        StripOperator(grid64, zeta, 0.3, 0.8, +1, n_z=512), psi
     )
     errs = []
     for nz in (32, 64, 128):
-        g = dn_apply(build_trivial_diffeo(grid64, zeta, 0.3, 0.8, +1, n_z=nz), psi)
+        g = dn_apply(StripOperator(grid64, zeta, 0.3, 0.8, +1, n_z=nz), psi)
         errs.append(np.linalg.norm(g - ref))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     for o in orders:
@@ -94,57 +92,68 @@ def test_dirichlet_residual_reduction_under_z_refinement(grid64):
 
 
 def test_neumann_zero_data(grid64):
-    d = build_trivial_diffeo(grid64, 0.2 * np.cos(grid64.nodes), 0.3, 0.5, -1, n_z=16)
-    sol = solve_neumann(d, np.zeros(64))
+    d = StripOperator(grid64, 0.2 * np.cos(grid64.nodes), 0.3, 0.5, -1, n_z=16)
+    sol = d.solve_neumann(np.zeros(64))
     assert np.allclose(sol.phi, 0.0, atol=1e-12)
 
 
 def test_neumann_flat_inverse_multiplier(grid64):
     mu = 0.81
     k = 3
-    d = build_trivial_diffeo(grid64, np.zeros(64), 0.0, mu, -1, n_z=256)
+    d = StripOperator(grid64, np.zeros(64), 0.0, mu, -1, n_z=256)
     g = np.cos(k * grid64.nodes)
-    sol = solve_neumann(d, g)
-    tr = sol.interface_trace(d)
+    sol = d.solve_neumann(g)
+    tr = sol.trace
     smu = math.sqrt(mu)
     expected = -np.cos(k * grid64.nodes) / (smu * k * math.tanh(smu * k))
     assert np.max(np.abs(tr - expected)) < 5e-5
 
 
 def test_neumann_rejects_nonzero_mean(grid64):
-    d = build_trivial_diffeo(grid64, np.zeros(64), 0.0, 0.5, -1, n_z=16)
+    d = StripOperator(grid64, np.zeros(64), 0.0, 0.5, -1, n_z=16)
     with pytest.raises(IncompatibleDataError):
-        solve_neumann(d, np.cos(grid64.nodes) + 0.7)
+        d.solve_neumann(np.cos(grid64.nodes) + 0.7)
     # the bound is relative: a mean ten times the oscillation of small data
     # is not rounding, while unit data may carry a rounding-level mean
     c2 = np.cos(2 * grid64.nodes)
     with pytest.raises(IncompatibleDataError):
-        solve_neumann(d, 1e-10 * c2 + 1e-9)
-    solve_neumann(d, c2 + 1e-9)
+        d.solve_neumann(1e-10 * c2 + 1e-9)
+    d.solve_neumann(c2 + 1e-9)
+
+
+def test_neumann_rejects_nyquist_data():
+    # the Nyquist flux lies outside the range of the discrete operator, like
+    # the mean: dropping it would answer a different problem
+    grid = PeriodicGrid(16)
+    d = StripOperator(grid, np.zeros(16), 0.0, 0.5, -1, n_z=16)
+    nyq = np.cos(np.pi * np.arange(16))
+    with pytest.raises(IncompatibleDataError):
+        d.solve_neumann(np.cos(grid.nodes) + 0.5 * nyq)
+    d.solve_neumann(np.cos(grid.nodes) + 1e-10 * nyq)
 
 
 def test_neumann_dirichlet_round_trip(grid64, rng):
-    d = build_trivial_diffeo(grid64, 0.25 * np.cos(grid64.nodes), 0.3, 0.6, -1, n_z=48)
+    d = StripOperator(grid64, 0.25 * np.cos(grid64.nodes), 0.3, 0.6, -1, n_z=48)
     g = smooth_field(rng, grid64)
     g -= np.mean(g)
-    tr = solve_neumann(d, g).interface_trace(d)
+    tr = d.solve_neumann(g).trace
     back = dn_apply(d, tr)
     assert np.max(np.abs(back - g)) < 1e-7 * max(1.0, np.max(np.abs(g)))
 
 
 def test_solves_exit_on_the_true_residual(grid64):
-    d = build_trivial_diffeo(grid64, 0.25 * np.cos(grid64.nodes), 0.3, 0.6, -1, n_z=16)
+    d = StripOperator(grid64, 0.25 * np.cos(grid64.nodes), 0.3, 0.6, -1, n_z=16)
     psi = np.sin(grid64.nodes)
-    for solve in (solve_dirichlet, solve_neumann):
-        sol = solve(d, psi)
+    for solve in (d.solve_dirichlet, d.solve_neumann):
+        sol = solve(psi)
         assert 0.0 < sol.residual_norm <= 1e-12
         # non-finite data never comes back as an answer
         with pytest.raises(NumericalError):
-            solve(d, np.where(np.arange(64) == 3, np.nan, psi))
+            solve(np.where(np.arange(64) == 3, np.nan, psi))
 
 
 def test_dn_constant_maps_to_zero(grid64):
-    d = build_trivial_diffeo(grid64, 0.3 * np.sin(grid64.nodes), 0.2, 0.4, +1, n_z=24)
+    d = StripOperator(grid64, 0.3 * np.sin(grid64.nodes), 0.2, 0.4, +1, n_z=24)
     out = dn_apply(d, np.ones(64))
     assert np.max(np.abs(out)) < 1e-10
     assert abs(np.mean(out)) < 1e-12
@@ -152,7 +161,7 @@ def test_dn_constant_maps_to_zero(grid64):
 
 def test_dn_flat_matches_multiplier(grid64):
     mu = 1.0
-    d = build_trivial_diffeo(grid64, np.zeros(64), 0.0, mu, +1, n_z=256)
+    d = StripOperator(grid64, np.zeros(64), 0.0, mu, +1, n_z=256)
     psi = np.cos(grid64.nodes)
     g = dn_apply(d, psi)
     exact = math.tanh(1.0) * np.cos(grid64.nodes)
@@ -172,7 +181,7 @@ def test_dn_flat_sign_and_small_mu(grid64):
 def test_dn_symmetry_sign_mean(grid64, rng):
     zeta = smooth_field(rng, grid64, k_max=3, amplitude=1.0)
     for sign, eps_l, mu_l in ((+1, 0.3, 0.5), (-1, 0.25, 0.9), (+1, 0.1, 0.05)):
-        d = build_trivial_diffeo(grid64, zeta, eps_l, mu_l, sign, n_z=32)
+        d = StripOperator(grid64, zeta, eps_l, mu_l, sign, n_z=32)
         for _ in range(7):
             p1 = smooth_field(rng, grid64)
             p2 = smooth_field(rng, grid64)
@@ -192,13 +201,13 @@ def test_dn_shape_derivative_oracle(grid64):
     mu_l = 0.64
     h = np.cos(grid64.nodes)
     psi = np.sin(grid64.nodes)
-    d0 = build_trivial_diffeo(grid64, np.zeros(64), 1.0, mu_l, +1, n_z=192)
+    d0 = StripOperator(grid64, np.zeros(64), 1.0, mu_l, +1, n_z=192)
     g0 = dn_apply(d0, psi)
     exact = -dn_apply(d0, h * g0) - mu_l * deriv(grid64, h * deriv(grid64, psi))
     errs = []
     eps_list = (0.04, 0.02, 0.01, 0.005)
     for ep in eps_list:
-        d1 = build_trivial_diffeo(grid64, ep * h, 1.0, mu_l, +1, n_z=192)
+        d1 = StripOperator(grid64, ep * h, 1.0, mu_l, +1, n_z=192)
         fd = (dn_apply(d1, psi) - g0) / ep
         errs.append(np.linalg.norm(fd - exact) / np.linalg.norm(exact))
     slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
@@ -218,23 +227,22 @@ def test_block_elimination_properties(seed, eps, mu, sign, n_z):
     n = grid.n
     rng = np.random.default_rng(seed)
     zeta = smooth_field(rng, grid, k_max=3)
-    d = build_trivial_diffeo(grid, zeta, eps, mu, sign, n_z=n_z)
-    op = d.operator()
+    d = StripOperator(grid, zeta, eps, mu, sign, n_z=n_z)
     # the cell blocks assemble to the matrix-free operator
     a = np.zeros((n_z + 1, n, n_z + 1, n))
-    rows = op.sweep_rows
-    for i, (first, off, second) in enumerate(op._cells()):
+    rows = d.sweep_rows
+    for i, (first, off, second) in enumerate(d._cells()):
         r, q = rows[i], rows[i + 1]
         a[r, :, r] += first
         a[r, :, q] += off
         a[q, :, r] += off.T
         a[q, :, q] += second
     phi = rng.standard_normal((n_z + 1, n))
-    ref = op.apply(phi).ravel()
+    ref = d.apply(phi).ravel()
     blocks = a.reshape(ref.size, ref.size) @ phi.ravel()
     assert np.linalg.norm(blocks - ref) <= 1e-12 * np.linalg.norm(ref)
     # S: symmetric, positive semi-definite, zero on constants and Nyquist
-    s = op.dn_matrix
+    s = d.dn_matrix
     scale = np.linalg.norm(s, 2)
     assert np.array_equal(s, s.T)
     for v in (np.ones(n), np.cos(np.pi * np.arange(n))):
@@ -243,9 +251,9 @@ def test_block_elimination_properties(seed, eps, mu, sign, n_z):
     assert np.allclose(dn_apply(d, np.ones(n)), 0.0, atol=1e-12 * scale * n_z)
     # non-finite data raises in both field solves and in the transmission solve
     bad = np.where(np.arange(n) == 5, np.inf, np.sin(grid.nodes))
-    for solve in (solve_dirichlet, solve_neumann):
+    for solve in (d.solve_dirichlet, d.solve_neumann):
         with pytest.raises(NumericalError):
-            solve(d, bad)
+            solve(bad)
     p = derive_params(config_from_dimensionless(max(eps, 0.01), mu, 0.4, 1.0, 100.0))
     state = InterfaceState(grid=grid, zeta=zeta, psi=np.sin(grid.nodes), params=p, n_z=n_z)
     state.psi = bad
