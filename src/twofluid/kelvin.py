@@ -15,8 +15,8 @@ The quartic threshold formula
 
 reproduces the classical deep-water value with 𝔠₀ = 1; at finite depth the
 geometric constant is supplied by :func:`twofluid.stability.c_flat` and this
-module's :func:`critical_shear`, the minimum of the instability threshold
-over a wavenumber scan, is the reference the candidates are judged by.
+module's :func:`critical_shear`, the infimum of the instability threshold
+over the wavenumbers, is the reference the candidates are judged by.
 """
 
 from __future__ import annotations
@@ -103,11 +103,16 @@ def max_growth(cfg: ShearConfig) -> tuple:
 
 
 def critical_shear(cfg: ShearConfig) -> tuple:
-    """Threshold |⟦c⟧| above which some wavenumber of the scan grows.
+    """Threshold |⟦c⟧|: the infimum over k > 0 of the shear above which mode
+    k grows.
 
-    Returns (threshold, critical wavenumber): √min T(k) and its argmin over
-    the wavenumbers of :func:`max_growth`, where mode k is unstable exactly
-    when ⟦c⟧² > T(k) = (tanh(kH⁺)/ρ⁺ + tanh(kH⁻)/ρ⁻)(g(ρ⁺−ρ⁻) + σk²)/k.
+    Mode k is unstable exactly when ⟦c⟧² > T(k) = (tanh(kH⁺)/ρ⁺ +
+    tanh(kH⁻)/ρ⁻)(g(ρ⁺−ρ⁻) + σk²)/k.  Returns (threshold, critical
+    wavenumber): √inf T(k) and the k where it is reached.  The infimum is 0
+    in two limits: without surface tension T(k) → 0 as k → ∞ (T ≡ 0 at equal
+    densities), giving (0, ∞), and at equal densities with σ > 0 T(k) → 0 as
+    k → 0, giving (0, 0).  Otherwise T(k) → ∞ at both ends and the result is
+    its minimum over the wavenumbers of :func:`max_growth`.
 
     Raises
     ------
@@ -116,6 +121,10 @@ def critical_shear(cfg: ShearConfig) -> tuple:
     """
     if cfg.rho_minus == 0.0:
         raise NumericalError("no unstable shear: with rho_minus = 0 every mode is neutral")
+    if cfg.sigma == 0.0:
+        return 0.0, math.inf
+    if cfg.rho_plus == cfg.rho_minus:
+        return 0.0, 0.0
     k = _K_SCAN
     t = (np.tanh(k * cfg.depth_plus) / cfg.rho_plus
          + np.tanh(k * cfg.depth_minus) / cfg.rho_minus) * (

@@ -18,15 +18,20 @@ semi-definite.
 :class:`StripOperator` is the one object per layer.  Its constructor checks
 the depth (:func:`layer_depth`) and samples the metric; nothing else is
 computed until it is asked for.  Because x is spectral, A is block
-tridiagonal in z with dense N×N blocks, one block pair per cell.  A block
-Cholesky sweep from the wall to the interface row eliminates every other row
-and leaves the Schur complement S on the interface row.  S is the discrete
-Dirichlet-Neumann matrix itself (G± = ±S±): symmetric, positive
+tridiagonal in z with dense N×N blocks.  The metric is affine in z: p11 does
+not depend on it and p12 = f·q, f = 1 ± z the distance from the wall and
+q = −√μ±ε±∂xζ.  So every block is one of three N×N matrices, K from p11 and
+Σ, A from q, combined with a scalar of f and a diagonal from p22
+(:meth:`StripOperator._blocks`), and no block is assembled cell by cell.  A
+block Cholesky sweep from the wall to the interface row eliminates every
+other row and leaves the Schur complement S on the interface row.  S is the
+discrete Dirichlet-Neumann matrix itself (G± = ±S±): symmetric, positive
 semi-definite, and zero on constants and on the Nyquist column that the
 spectral derivative annihilates.  :attr:`StripOperator.dn_matrix` sweeps
-once and caches S.  The field solves repeat the sweep and back-substitute;
-their true residual, computed with the matrix-free
-:meth:`StripOperator.apply`, is checked against :data:`RESIDUAL_TOL`.
+once and caches S.  Each field solve repeats the sweep, holding the factors
+of every eliminated row for its back-substitution; its true residual,
+computed with the matrix-free :meth:`StripOperator.apply`, is checked
+against :data:`RESIDUAL_TOL`.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dsyrk, dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import DegenerateGeometryError, IncompatibleDataError, NumericalError
@@ -100,7 +105,10 @@ def _check_range(f: np.ndarray, what: str) -> None:
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
-    low, info = dpotrf(a, lower=1)
+    """Lower Cholesky factor of the symmetric matrix given by the lower
+    triangle of a.  A Fortran-ordered a is factored in place; the strict
+    upper triangle is left as it was."""
+    low, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise NumericalError(f"Cholesky factorization failed (LAPACK info {info})")
     return low
@@ -150,7 +158,8 @@ class StripOperator:
     interface row, and the Dirichlet and Neumann field solves.
 
     The metric is sampled on the z half-levels: p11 = 1 ± ε±ζ, which does
-    not depend on z, as an (N,) array, and p12, p22 as (n_z, N) arrays.
+    not depend on z, and q as (N,) arrays, and p12 = f·q, p22 as (n_z, N)
+    arrays, f the distance of each half-level from the wall.
     """
 
     def __init__(self, grid: PeriodicGrid, zeta, eps_layer: float, mu_layer: float,
@@ -167,13 +176,12 @@ class StripOperator:
         self.h = 1.0 / n_z
         self.smu = math.sqrt(mu_layer)
         self.p11 = layer_depth(zeta, eps_layer, layer_sign)
-        z_half = (np.arange(n_z) + 0.5) * self.h
-        if layer_sign > 0:
-            z_half = -1.0 + z_half
-        fac = 1.0 + layer_sign * z_half
-        sigma_x = eps_layer * fac[:, None] * deriv(grid, zeta)[None, :]
-        self.p12 = -self.smu * sigma_x
-        self.p22 = (1.0 + mu_layer * sigma_x**2) / self.p11
+        # distance of each half-level from the wall, in sweep order
+        self.f = (np.arange(n_z) + 0.5) * self.h
+        self.q = -self.smu * eps_layer * deriv(grid, zeta)
+        f_rows = self.f if layer_sign > 0 else self.f[::-1]
+        self.p12 = f_rows[:, None] * self.q[None, :]
+        self.p22 = (1.0 + self.p12**2) / self.p11
         self.iface = n_z if layer_sign > 0 else 0
         rows = np.arange(n_z + 1)
         self.interior = rows[rows != self.iface]
@@ -199,48 +207,66 @@ class StripOperator:
         out[1:-1] = t[:-1] + f2[:-1] + t[1:] - f2[1:]
         return out
 
-    def _cells(self):
-        """Blocks (first, off, second) of each cell of A, from the wall on.
+    def _blocks(self):
+        """Blocks of A in sweep order: (row_j, off_j) for the sweep rows
+        j < n_z, off_j = A[r_j, r_{j+1}], then (row_{n_z}, None) for the
+        interface row.  Each row block is a new Fortran-ordered array.
 
-        The cell between sweep rows r and r + 1 adds [[first, off],
-        [offᵀ, second]] to A on those two rows.  With D the spectral
-        derivative matrix, its energy h·∇^μv·P∇^μφ uses ∂x = D(φ_r + φ_{r+1})/2
-        and ∂z = ±(φ_{r+1} − φ_r)/h.
+        The cell between sweep rows j and j + 1 has energy h·∇^μv·P∇^μφ with
+        ∂x = D(φ_j + φ_{j+1})/2 and ∂z = ±(φ_{j+1} − φ_j)/h, D the spectral
+        derivative matrix.  With K = (hμ/4)Dᵀdiag(p11)D, E = ±(√μ/2)Dᵀdiag(q),
+        Σ = E + Eᵀ, A = E − Eᵀ and M_j = diag(p22_j/h), p22_j of cell j:
+
+            row_0 = K − f_0Σ + M_0,
+            row_j = 2K − hΣ + M_{j−1} + M_j        (0 < j < n_z),
+            row_{n_z} = K + f_{n_z−1}Σ + M_{n_z−1},
+            off_j = K + f_jA − M_j.
         """
-        h, n = self.h, self.grid.n
+        h, n, f, n_z = self.h, self.grid.n, self.f, self.n_z
         dmat_t = self.grid.deriv_matrix_t
         stiff = (0.25 * h * self.mu) * ((dmat_t * self.p11) @ dmat_t.T)
-        cells = range(self.n_z) if self.sign > 0 else range(self.n_z - 1, -1, -1)
-        for c in cells:
-            e = dmat_t * (0.5 * self.smu * self.p12[c])
-            sym = e + e.T
-            mass = self.p22[c] / h
-            k_aa = stiff - sym  # the cell's bottom row
-            k_aa.flat[:: n + 1] += mass
-            k_bb = stiff + sym  # its top row
-            k_bb.flat[:: n + 1] += mass
-            k_ab = stiff + e
-            k_ab -= e.T
-            k_ab.flat[:: n + 1] -= mass
-            yield (k_aa, k_ab, k_bb) if self.sign > 0 else (k_bb, k_ab.T, k_aa)
+        e = dmat_t * ((0.5 * self.sign * self.smu) * self.q)
+        sym, skew = e + e.T, e - e.T
+        mass = (self.p22 if self.sign > 0 else self.p22[::-1]) * (1.0 / h)
+        diag = np.zeros((n_z + 1, n))
+        diag[:-1] += mass
+        diag[1:] += mass
+        first = stiff - f[0] * sym
+        inner = np.asfortranarray(2.0 * stiff - h * sym)
+        last = stiff + f[-1] * sym
+        for j in range(n_z + 1):
+            row = np.array(first if j == 0 else inner if j < n_z else last, order="F")
+            row.ravel("K")[:: n + 1] += diag[j]
+            off = None
+            if j < n_z:
+                off = f[j] * skew
+                off += stiff
+                off.ravel("K")[:: n + 1] -= mass[j]
+            yield row, off
 
     def _sweep(self, keep: bool) -> list:
         """Block Cholesky elimination of every row but the interface one.
 
-        Caches S; returns the factors (L_r, L_r⁻¹A_{r,r+1}) of the eliminated
-        sweep rows if ``keep``.
+        Caches S; returns the factors (L_j, x_j) of the eliminated sweep rows
+        if ``keep``, with L_j the Cholesky factor of row j after the updates
+        of the rows before it and x_j = (L_j⁻¹off_j)ᵀ.
         """
         factors = []
-        t = None
-        for first, off, second in self._cells():
-            low = _cholesky(first if t is None else t + first)
-            # xᵀ = offᵀL⁻ᵀ: OpenBLAS solves this right-sided form about twice as
-            # fast as x = L⁻¹off
-            x_t = dtrsm(1.0, low, off.T, side=1, lower=1, trans_a=1)
+        x_t = None
+        for row, off in self._blocks():
+            if x_t is not None:
+                # the Schur update row −= x xᵀ of the lower triangle
+                row = dsyrk(-1.0, x_t, beta=1.0, c=row, lower=1, overwrite_c=1)
+            if off is None:
+                break
+            low = _cholesky(row)
+            # xᵀ = offᵀL⁻ᵀ: off.T is a Fortran-ordered view, solved in place;
+            # OpenBLAS runs this right-sided form about twice as fast as L⁻¹off
+            x_t = dtrsm(1.0, low, off.T, side=1, lower=1, trans_a=1, overwrite_b=1)
             if keep:
-                factors.append((low, x_t.T))
-            t = second - x_t @ x_t.T
-        self._s = 0.5 * (t + t.T)
+                factors.append((low, x_t))
+        # only the lower triangle is updated; mirroring it keeps S == Sᵀ exact
+        self._s = np.where(np.tri(len(row), dtype=bool), row, row.T)
         return factors
 
     @property
@@ -255,8 +281,8 @@ class StripOperator:
         phi = np.empty((self.n_z + 1, self.grid.n))
         rows = self.sweep_rows
         phi[rows[-1]] = psi
-        for r, nxt, (low, x) in zip(rows[-2::-1], rows[::-1], reversed(factors)):
-            y, _ = dtrtrs(low, (x @ phi[nxt])[:, None], lower=1, trans=1)
+        for r, nxt, (low, x_t) in zip(rows[-2::-1], rows[::-1], reversed(factors)):
+            y, _ = dtrtrs(low, (phi[nxt] @ x_t)[:, None], lower=1, trans=1)
             phi[r] = -y[:, 0]
         return phi
 

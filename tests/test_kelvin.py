@@ -71,6 +71,16 @@ def test_critical_shear_degenerate_configurations():
     # equal densities without surface tension: every shear is unstable
     u, _ = critical_shear(ShearConfig(1000.0, 1000.0, 1.0, 1.0, sigma=0.0))
     assert u == 0.0
+    # a stable stratification without surface tension: the threshold T(k)
+    # decays like 1/k, so the infimum is 0, reached only as k -> infinity
+    cfg = ShearConfig(1025.0, 1000.0, 10.0, 3.0, sigma=0.0)
+    assert critical_shear(cfg) == (0.0, math.inf)
+    assert mode_growth(1e6, cfg.with_shear(1e-3)) > 0.0
+    # equal densities with surface tension: T(k) = (tanh kH⁺ + tanh kH⁻)σk/ρ
+    # decays like k², so the infimum is 0, reached only as k -> 0
+    cfg = ShearConfig(1000.0, 1000.0, 1.0, 1.0, sigma=0.07)
+    assert critical_shear(cfg) == (0.0, 0.0)
+    assert mode_growth(1e-6, cfg.with_shear(1e-3)) > 0.0
     # a single stream: every mode is neutral
     with pytest.raises(NumericalError):
         critical_shear(ShearConfig(1000.0, 0.0, 1.0, 1.0, sigma=0.07))
