@@ -54,6 +54,7 @@ from .operators import (
     invert_j,
     j_flat_symbol,
     transmission_solve,
+    transmission_tangent,
 )
 from .symbols import (
     TailReport,
@@ -92,6 +93,7 @@ from .evolution import (
     rhs,
     rk4_step,
     run,
+    tendency,
 )
 from .swsw import (
     ComparisonTable,

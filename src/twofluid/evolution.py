@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError, NumericalError, TwoFluidError
-from .operators import InterfaceState, transmission_solve
+from .operators import InterfaceState, TraceBundle, transmission_solve
 from .params import DimensionlessParams, check_schedule
 from .spectral import PeriodicGrid, dealias_mask, deriv, truncate
 from .stability import evaluate_criteria, stability_inputs
@@ -85,21 +85,20 @@ class TimeSeries:
         return self.breakdown is not None
 
 
-def rhs(state: InterfaceState, mask: Optional[np.ndarray] = None) -> tuple:
-    """Right-hand side (∂tζ, ∂tψ) of the evolution system."""
+def tendency(state: InterfaceState, traces: TraceBundle) -> tuple:
+    """Tendency (∂tζ, ∂tψ) of the evolution system at a state with its own
+    trace bundle, with no dealiasing."""
     p = state.params
     grid = state.grid
-    traces = transmission_solve(state)
     zx = deriv(grid, state.zeta)
     denom = 1.0 + p.eps**2 * p.mu * zx**2
+    dxp, dxm = deriv(grid, np.array([traces.psi_plus, traces.psi_minus]))
     # (1/H̄⁺)G⁺ψ⁺ recovered from the trace identities (no extra solve)
-    g_over_h = traces.w_plus * denom - p.eps * p.mu * zx * deriv(grid, traces.psi_plus)
+    g_over_h = traces.w_plus * denom - p.eps * p.mu * zx * dxp
     dzeta = g_over_h / p.mu
     # the continuous flux balance makes this mean exactly zero; remove the
     # rounding-level mean so the discrete mass invariant holds to rounding
     dzeta -= np.mean(dzeta)
-    dxp = deriv(grid, traces.psi_plus)
-    dxm = deriv(grid, traces.psi_minus)
     jump_grad_sq = p.rhobar_plus * dxp**2 - p.rhobar_minus * dxm**2
     jump_w_sq = p.rhobar_plus * traces.w_plus**2 - p.rhobar_minus * traces.w_minus**2
     dpsi = -state.zeta - 0.5 * p.eps * jump_grad_sq + (
@@ -107,9 +106,15 @@ def rhs(state: InterfaceState, mask: Optional[np.ndarray] = None) -> tuple:
     ) * denom * jump_w_sq
     if not math.isinf(p.bond):
         dpsi += deriv(grid, zx / np.sqrt(denom)) / p.bond
+    return dzeta, dpsi
+
+
+def rhs(state: InterfaceState, mask: Optional[np.ndarray] = None) -> tuple:
+    """Right-hand side (∂tζ, ∂tψ) of the evolution system, projected by mask."""
+    dzeta, dpsi = tendency(state, transmission_solve(state))
     if mask is not None:
-        dzeta = truncate(grid, dzeta, mask)
-        dpsi = truncate(grid, dpsi, mask)
+        dzeta = truncate(state.grid, dzeta, mask)
+        dpsi = truncate(state.grid, dpsi, mask)
     if not (np.all(np.isfinite(dzeta)) and np.all(np.isfinite(dpsi))):
         raise NumericalError("non-finite right-hand side")
     return dzeta, dpsi
@@ -197,34 +202,17 @@ def run(config: EvolutionConfig, initial: InterfaceState) -> TimeSeries:
 
 
 def monitor_criterion(series: TimeSeries) -> list:
-    """Evaluate the stability criteria along a recorded trajectory.
+    """Evaluate the stability criteria at every recorded snapshot.
 
-    Needs at least three snapshots; time derivatives use centered
-    differences over neighboring snapshots and one-sided stencils at the
-    ends.  Returns (time, report) pairs aligned with the snapshot times.
+    Each snapshot is evaluated by itself, from its state and its recorded
+    trace bundle (:func:`~twofluid.stability.stability_inputs`), so neither
+    the number of snapshots nor their cadence enters.  Returns (time,
+    report) pairs aligned with the snapshot times.
     """
-    n = len(series.times)
-    if n < 3:
-        raise InvalidConfigError("criterion monitoring needs at least 3 snapshots")
-    out = []
-    for i in range(n):
-        prev_i = i - 1 if i > 0 else None
-        next_i = i + 1 if i < n - 1 else None
-        if prev_i is not None and next_i is not None:
-            dt_eff = 0.5 * (series.times[next_i] - series.times[prev_i])
-        elif next_i is not None:
-            dt_eff = series.times[next_i] - series.times[i]
-        else:
-            dt_eff = series.times[i] - series.times[prev_i]
-        inputs = stability_inputs(
-            series.states[i],
-            series.traces[i],
-            traces_prev=series.traces[prev_i] if prev_i is not None else None,
-            traces_next=series.traces[next_i] if next_i is not None else None,
-            dt=dt_eff,
-        )
-        out.append((series.times[i], evaluate_criteria(inputs)))
-    return out
+    return [
+        (t, evaluate_criteria(stability_inputs(state, traces)))
+        for t, state, traces in zip(series.times, series.states, series.traces)
+    ]
 
 
 def linear_mode_energy(state: InterfaceState, k_index: int) -> float:

@@ -6,7 +6,8 @@ exposes
   * the coupling map  J u = ρ̄⁺u − ρ̄⁻(H̄⁻/H̄⁺)(G⁻)⁻¹G⁺u  and its inverse,
   * the coupled interface operator  𝒢 = (1/H̄⁺) G⁺ ∘ J⁻¹,
   * the transmission solve producing both layer traces ψ± and the interface
-    velocities (V±, w±) from the single unknown ψ = ρ̄⁺ψ⁺ − ρ̄⁻ψ⁻,
+    velocities (V±, w±) from the single unknown ψ = ρ̄⁺ψ⁺ − ρ̄⁻ψ⁻, and its
+    tangent along a tendency (ζ̇, ψ̇),
   * the density-weighted DN sum  𝒢̃ = ρ̄⁻(1/H̄⁺)G⁺ − ρ̄⁺(1/H̄⁻)G⁻  (positive
     on zero-mean data) and its gauged inverse,
   * the shear operator  ℰ = −∂x ∘ 𝒢̃⁻¹ ∘ ∂x  whose quadratic form measures
@@ -199,22 +200,48 @@ def transmission_solve(state: InterfaceState) -> TraceBundle:
     psi_minus, g_over_h = _couple(state, state.psi)
     psi_plus = (state.psi + p.rhobar_minus * psi_minus) / p.rhobar_plus
     zx = deriv(grid, state.zeta)
-    denom = 1.0 + p.eps**2 * p.mu * zx**2
-    out = {}
-    for tag, psi_l in (("plus", psi_plus), ("minus", psi_minus)):
-        dpsi = deriv(grid, psi_l)
-        w = (g_over_h + p.eps * p.mu * zx * dpsi) / denom
-        v = dpsi - p.eps * w * zx
-        out[f"w_{tag}"] = w
-        out[f"v_{tag}"] = v
-    return TraceBundle(
-        psi_plus=psi_plus,
-        psi_minus=psi_minus,
-        v_plus=out["v_plus"],
-        v_minus=out["v_minus"],
-        w_plus=out["w_plus"],
-        w_minus=out["w_minus"],
-    )
+    dpsi = deriv(grid, np.array([psi_plus, psi_minus]))
+    w = (g_over_h + p.eps * p.mu * zx * dpsi) / (1.0 + p.eps**2 * p.mu * zx**2)
+    v = dpsi - p.eps * w * zx
+    return TraceBundle(psi_plus=psi_plus, psi_minus=psi_minus, v_plus=v[0], v_minus=v[1],
+                       w_plus=w[0], w_minus=w[1])
+
+
+def transmission_tangent(state: InterfaceState, traces: TraceBundle, dzeta, dpsi) -> TraceBundle:
+    """Derivative of :func:`transmission_solve` along (ζ̇, ψ̇) at the state
+    whose own bundle is ``traces``.
+
+    With 𝒢⁺ = S⁺/H̄⁺, 𝒢⁻ = −S⁻/H̄⁻ and the shape derivative of the DN maps
+    (Lannes, *The Water Waves Problem*, AMS 2013, ch. 3)
+
+        d𝒢±[ζ̇]ψ± = −ε𝒢±(ζ̇w±) − εμ∂x(ζ̇V±),
+
+    flux continuity gives 𝒢̃ψ̇⁻ = ρ̄⁺(d𝒢⁻ψ⁻ − d𝒢⁺ψ⁺) − 𝒢⁺ψ̇, then
+    ψ̇⁺ = (ψ̇ + ρ̄⁻ψ̇⁻)/ρ̄⁺, the flux rate ġ = 𝒢⁺ψ̇⁺ + d𝒢⁺ψ⁺ and the rates of
+    w± and V±.  One solve with the cached factor of 𝒢̃ + Π and no sweep; on
+    the discrete S the continuum formula is consistent to O(n_z⁻²).
+    """
+    p, grid = state.params, state.grid
+    eps, mu = p.eps, p.mu
+    s_plus, s_minus = state.layer(+1).dn_matrix, state.layer(-1).dn_matrix
+    w = np.array([traces.w_plus, traces.w_minus])
+    v = np.array([traces.v_plus, traces.v_minus])
+    d = deriv(grid, np.array([state.zeta, dzeta, dzeta * v[0], dzeta * v[1]]))
+    zx, dzx = d[0], d[1]
+    # S is symmetric, so row stacks multiply from the left
+    gp_hw, gp_dpsi = np.array([dzeta * w[0], dpsi]) @ s_plus / p.hbar_plus
+    gm_hw = (dzeta * w[1]) @ s_minus / -p.hbar_minus
+    shape = -eps * np.array([gp_hw, gm_hw]) - eps * mu * d[2:]
+    dpsi_minus = _solve_g_tilde(state, p.rhobar_plus * (shape[1] - shape[0]) - gp_dpsi)
+    dpsi_plus = (dpsi + p.rhobar_minus * dpsi_minus) / p.rhobar_plus
+    dg = dpsi_plus @ s_plus / p.hbar_plus + shape[0]
+    dpsi_x = deriv(grid, np.array([dpsi_plus, dpsi_minus]))
+    # ∂xψ± = V± + εw±ζₓ
+    num = dg + eps * mu * (dzx * (v + eps * w * zx) + zx * dpsi_x - 2.0 * eps * zx * dzx * w)
+    dw = num / (1.0 + eps**2 * mu * zx**2)
+    dv = dpsi_x - eps * (dw * zx + w * dzx)
+    return TraceBundle(psi_plus=dpsi_plus, psi_minus=dpsi_minus, v_plus=dv[0], v_minus=dv[1],
+                       w_plus=dw[0], w_minus=dw[1])
 
 
 def dense_g_tilde(state: InterfaceState) -> np.ndarray:

@@ -9,8 +9,14 @@ surface tension controlling the high frequencies.  In dimensionless form
     (SC')  Υ 𝔠(ζ) |⟦V⟧|∞⁴          < inf 𝔞,
     (SCs)  ε^{-2γ} Υ 𝔠(ζ) max_{|α|≤1} |∂^α⟦V⟧|∞⁴ < inf 𝔞   (0 ≤ γ ≤ 1),
 
-where 𝔞 = 1 + ε⟦ρ̄±(∂t + εV±∂x)w±⟧ and ⟦V⟧ = V⁺ − V⁻.  The geometric
-constant uses the sharp operator bound 𝔢(ζ) of the shear quadratic form,
+where 𝔞 = 1 + ε⟦ρ̄±(∂t + εV±∂x)w±⟧ and ⟦V⟧ = V⁺ − V⁻.  The time
+derivatives of w± and ⟦V⟧ are functions of the state (ζ, ψ): the tangent of
+the transmission map along the state's own tendency, from the shape
+derivative of the DN maps (:func:`stability_inputs`).  So each snapshot is
+evaluated by itself, independent of the output cadence.  On the discrete DN
+matrices that continuum formula is consistent to O(n_z⁻²), the order of the
+vertical differences.  The geometric constant uses the sharp operator bound
+𝔢(ζ) of the shear quadratic form,
 
     𝔠(ζ) = 𝔢(ζ)² (1 + ε²μ|∂xζ|∞²)^{3/2}.
 
@@ -38,14 +44,13 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
 from scipy.optimize import minimize_scalar
 
 from .errors import InvalidConfigError, NumericalError
-from .operators import InterfaceState, TraceBundle, e_quadratic_form
+from .operators import InterfaceState, TraceBundle, e_quadratic_form, transmission_tangent
 # imported for the benchmark tracer, which wraps it under this module's name
 from .operators import invert_g_tilde
 from .params import DimensionlessParams, practical_verdict
@@ -131,34 +136,18 @@ def e_coeff(state: InterfaceState) -> float:
 def a_field(
     grid: PeriodicGrid,
     params: DimensionlessParams,
-    traces_now: TraceBundle,
-    traces_prev: Optional[TraceBundle],
-    traces_next: Optional[TraceBundle],
-    dt: float,
+    traces: TraceBundle,
+    rates: TraceBundle,
 ) -> np.ndarray:
     """Pressure-jump coefficient 𝔞 = 1 + ε⟦ρ̄±(∂t + εV±∂x)w±⟧.
 
-    Time derivatives of w± use centered differences over three consecutive
-    trace bundles; at series ends pass only one neighbor for a one-sided
-    difference.
+    ``rates`` holds the time derivative of each field of ``traces``, as
+    :func:`~twofluid.operators.transmission_tangent` returns it.
     """
-    if dt <= 0.0:
-        raise InvalidConfigError("dt must be positive")
-    if traces_prev is None and traces_next is None:
-        raise InvalidConfigError("need at least one neighboring trace bundle")
     p = params
-
-    def dt_w(sign):
-        attr = "w_plus" if sign > 0 else "w_minus"
-        now = getattr(traces_now, attr)
-        if traces_prev is not None and traces_next is not None:
-            return (getattr(traces_next, attr) - getattr(traces_prev, attr)) / (2 * dt)
-        if traces_next is not None:
-            return (getattr(traces_next, attr) - now) / dt
-        return (now - getattr(traces_prev, attr)) / dt
-
-    material_p = dt_w(+1) + p.eps * traces_now.v_plus * deriv(grid, traces_now.w_plus)
-    material_m = dt_w(-1) + p.eps * traces_now.v_minus * deriv(grid, traces_now.w_minus)
+    wx = deriv(grid, np.array([traces.w_plus, traces.w_minus]))
+    material_p = rates.w_plus + p.eps * traces.v_plus * wx[0]
+    material_m = rates.w_minus + p.eps * traces.v_minus * wx[1]
     return 1.0 + p.eps * (p.rhobar_plus * material_p - p.rhobar_minus * material_m)
 
 
@@ -170,42 +159,32 @@ class StabilityInputs:
     traces: TraceBundle
     jump_v: np.ndarray
     djump_v_x: np.ndarray
-    djump_v_t: Optional[np.ndarray]
+    djump_v_t: np.ndarray
     a_values: np.ndarray
     gamma: float = 0.0
 
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise InvalidConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
-
 
 def stability_inputs(
-    state: InterfaceState,
-    traces: TraceBundle,
-    traces_prev: Optional[TraceBundle] = None,
-    traces_next: Optional[TraceBundle] = None,
-    dt: Optional[float] = None,
-    gamma: float = 0.0,
+    state: InterfaceState, traces: TraceBundle, gamma: float = 0.0
 ) -> StabilityInputs:
-    """Assemble criterion inputs from a trace bundle and optional history."""
+    """Criterion inputs of one snapshot, from its state and its own traces.
+
+    ∂t is the derivative along the state's tendency with no dealiasing
+    (:func:`~twofluid.evolution.tendency`): the criterion is a property of
+    the state, not of the projection a run applies.  The rates of w± and V±
+    are the tangent of the transmission map, which reuses the state's DN
+    matrices and 𝒢̃ factor (:func:`~twofluid.operators.transmission_tangent`).
+    """
+    # evolution imports this module
+    from .evolution import tendency
+
     grid = state.grid
+    rates = transmission_tangent(state, traces, *tendency(state, traces))
     jump = traces.jump_v()
-    djx = deriv(grid, jump)
-    djt = None
-    a_vals = np.ones(grid.n)
-    if dt is not None and (traces_prev is not None or traces_next is not None):
-        a_vals = a_field(grid, state.params, traces, traces_prev, traces_next, dt)
-        jp = traces_prev.jump_v() if traces_prev is not None else None
-        jn = traces_next.jump_v() if traces_next is not None else None
-        if jp is not None and jn is not None:
-            djt = (jn - jp) / (2 * dt)
-        elif jn is not None:
-            djt = (jn - jump) / dt
-        else:
-            djt = (jump - jp) / dt
     return StabilityInputs(
-        state=state, traces=traces, jump_v=jump, djump_v_x=djx, djump_v_t=djt,
-        a_values=a_vals, gamma=gamma,
+        state=state, traces=traces, jump_v=jump, djump_v_x=deriv(grid, jump),
+        djump_v_t=rates.jump_v(), a_values=a_field(grid, state.params, traces, rates),
+        gamma=gamma,
     )
 
 
@@ -227,7 +206,6 @@ class StabilityReport:
     margin_d_alt: float
     verdict: str
     gamma: float = 0.0
-    time_derivative_missing: bool = False
     dim_lhs: float = float("nan")
     dim_rhs: float = float("nan")
     dim_verdict: bool = False
@@ -250,15 +228,18 @@ def criteria_from_scalars(
     jump_sup: float,
     jump_sup_d1: float,
     gamma: float = 0.0,
-    time_derivative_missing: bool = False,
 ) -> StabilityReport:
     """Evaluate all criteria from precomputed scalar ingredients.
 
     The dimensional restatement compares the pressure-derivative jump
     (ρ⁺+ρ⁻)g'·inf𝔞 against (1/4)(ρ⁺ρ⁻)²/(σ(ρ⁺+ρ⁻)²)·𝔠·|ω|⁴ with the
     physical velocity jump ω = ε√(g'H)·⟦V⟧; the two verdicts agree by
-    construction and exercising both paths guards the scalings.
+    construction and exercising both paths guards the scalings.  The
+    strong variant (SCs) takes γ ∈ [0, 1]; another γ raises
+    :class:`InvalidConfigError`.
     """
+    if not 0.0 <= gamma <= 1.0:
+        raise InvalidConfigError(f"gamma must lie in [0, 1], got {gamma}")
     p = params
     curvature = (1.0 + p.eps**2 * p.mu * grad_zeta_sup**2) ** 1.5
     c_sq = e_value**2 * curvature
@@ -300,8 +281,7 @@ def criteria_from_scalars(
         dim_lhs = p.rho_total * p.g_reduced * inf_a if not math.isnan(p.rho_total) else float("nan")
         dim_rhs = 0.0 if p.rhobar_minus == 0.0 else float("nan")
         dim_verdict = dim_lhs > dim_rhs if not math.isnan(dim_lhs + dim_rhs) else sc_alt
-    effective_sc = sc_alt if time_derivative_missing else sc
-    verdict = "stable" if effective_sc else "unstable"
+    verdict = "stable" if sc else "unstable"
     practical = (
         practical_verdict(ups).value if (0.0 < ups < math.inf) else
         ("stable" if p.rhobar_minus == 0.0 else "unstable")
@@ -321,7 +301,6 @@ def criteria_from_scalars(
         margin_d_alt=inf_a - rhs_alt,
         verdict=verdict,
         gamma=gamma,
-        time_derivative_missing=time_derivative_missing,
         dim_lhs=dim_lhs,
         dim_rhs=dim_rhs,
         dim_verdict=dim_verdict,
@@ -334,11 +313,8 @@ def evaluate_criteria(inputs: StabilityInputs) -> StabilityReport:
     state = inputs.state
     grid = state.grid
     jump_sup = float(np.max(np.abs(inputs.jump_v)))
-    sups = [jump_sup, float(np.max(np.abs(inputs.djump_v_x)))]
-    missing = inputs.djump_v_t is None
-    if not missing:
-        sups.append(float(np.max(np.abs(inputs.djump_v_t))))
-    jump_sup_d1 = max(sups)
+    jump_sup_d1 = max(jump_sup, float(np.max(np.abs(inputs.djump_v_x))),
+                      float(np.max(np.abs(inputs.djump_v_t))))
     e_value = e_coeff(state)
     zx_sup = float(np.max(np.abs(deriv(grid, state.zeta))))
     inf_a = float(np.min(inputs.a_values))
@@ -350,11 +326,10 @@ def evaluate_criteria(inputs: StabilityInputs) -> StabilityReport:
         jump_sup=jump_sup,
         jump_sup_d1=jump_sup_d1,
         gamma=inputs.gamma,
-        time_derivative_missing=missing,
     )
 
 
-def ins_form(state: InterfaceState, u, inputs: StabilityInputs) -> float:
+def ins_form(u, inputs: StabilityInputs) -> float:
     """Quadratic form of the instability operator,
 
     (Ins u, u) = (𝔞u, u) − ε²μρ̄⁺ρ̄⁻(ℰ(u⟦V⟧), u⟦V⟧) + (1/Bo)(𝒦 ∂xu, ∂xu),
@@ -362,6 +337,7 @@ def ins_form(state: InterfaceState, u, inputs: StabilityInputs) -> float:
     with the d = 1 curvature weight 𝒦 = (1 + ε²μ ζₓ²)^{−3/2}.  Positive
     definiteness of this form is what the criteria certify.
     """
+    state = inputs.state
     p = state.params
     grid = state.grid
     u = np.asarray(u, dtype=float)

@@ -269,13 +269,18 @@ def compare_with_full(
     fitted exponent, expected near 1.  The shallow side is integrated on a
     refined grid (with Richardson extrapolation of the first-order scheme
     error) so the reported discrepancy measures the model, not the scheme.
+    The full side starts from ψ with ∂xψ = v0, so v0 must have zero mean and
+    no Nyquist component, each up to 1e-8·‖v0‖∞ (a periodic ψ carries no
+    mean current); other data raises IncompatibleDataError.
     """
     from .evolution import EvolutionConfig, run
     from .operators import InterfaceState
     from .spectral import deriv
+    from .strip import _check_range
 
     zeta0 = np.asarray(zeta0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
+    _check_range(v0, "compare_with_full velocity")
     rows = []
     for mu in mu_list:
         cfg = config_from_dimensionless(

@@ -196,19 +196,26 @@ def test_dn_symmetry_sign_mean(grid64, rng):
             assert abs(np.mean(g1)) < 1e-10 * max(1.0, np.max(np.abs(g1)))
 
 
-def test_dn_shape_derivative_oracle(grid64):
-    # finite-difference quotient around the flat interface against the exact
-    # first-variation formula, first order in the amplitude
+@pytest.mark.parametrize("sign", [+1, -1], ids=["lower", "upper"])
+@pytest.mark.parametrize("base", [0.0, 0.3], ids=["flat", "wavy"])
+def test_dn_shape_derivative_oracle(grid64, sign, base):
+    # finite-difference quotient around the interface ζ₀ = base·sin 2x against
+    # the exact first variation G(ζ₀)[h]ψ = −G(hw) − μ∂x(hV), with the layer's
+    # w = (Gψ + μζ₀ₓψₓ)/(1 + μζ₀ₓ²) and V = ψₓ − wζ₀ₓ, first order in the amplitude
     mu_l = 0.64
     h = np.cos(grid64.nodes)
     psi = np.sin(grid64.nodes)
-    d0 = StripOperator(grid64, np.zeros(64), 1.0, mu_l, +1, n_z=192)
+    zeta0 = base * np.sin(2 * grid64.nodes)
+    zx, psix = deriv(grid64, zeta0), deriv(grid64, psi)
+    d0 = StripOperator(grid64, zeta0, 1.0, mu_l, sign, n_z=192)
     g0 = dn_apply(d0, psi)
-    exact = -dn_apply(d0, h * g0) - mu_l * deriv(grid64, h * deriv(grid64, psi))
+    w = (g0 + mu_l * zx * psix) / (1.0 + mu_l * zx**2)
+    v = psix - w * zx
+    exact = -dn_apply(d0, h * w) - mu_l * deriv(grid64, h * v)
     errs = []
     eps_list = (0.04, 0.02, 0.01, 0.005)
     for ep in eps_list:
-        d1 = StripOperator(grid64, ep * h, 1.0, mu_l, +1, n_z=192)
+        d1 = StripOperator(grid64, zeta0 + ep * h, 1.0, mu_l, sign, n_z=192)
         fd = (dn_apply(d1, psi) - g0) / ep
         errs.append(np.linalg.norm(fd - exact) / np.linalg.norm(exact))
     slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]

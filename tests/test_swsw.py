@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twofluid import (
+    IncompatibleDataError,
     InvalidConfigError,
     PeriodicGrid,
     SWConfig,
@@ -112,3 +113,16 @@ def test_compare_with_full_is_first_order_in_mu():
                               t_end=0.25, n_z=12)
     assert not any(r.full_broke_down or r.sw_halted for r in table.rows)
     assert 0.75 <= table.fitted_exponent() <= 1.25
+
+
+def test_compare_with_full_rejects_mean_current():
+    # ψ = ∫v0 drops a mean of v0 that the shallow-water side keeps: without
+    # the check, a mean of 0.05 turned the discrepancies of the test above
+    # from 3.8e-3, 7.5e-3, 1.4e-2 (exponent 0.93) into 5.4e-2, 5.8e-2, 6.4e-2
+    # (exponent 0.12)
+    grid = PeriodicGrid(16)
+    zeta0 = np.cos(grid.nodes) + 0.3 * np.sin(2 * grid.nodes)
+    v0 = 0.5 * np.cos(grid.nodes + 0.4) + 0.05
+    with pytest.raises(IncompatibleDataError):
+        compare_with_full(grid, zeta0, v0, eps=0.1, mu_list=[0.05, 0.1, 0.2],
+                          t_end=0.25, n_z=12)
