@@ -89,10 +89,11 @@ def tendency(state: InterfaceState, traces: TraceBundle) -> tuple:
     """Tendency (∂tζ, ∂tψ) of the evolution system at a state with its own
     trace bundle, with no dealiasing."""
     p = state.params
-    grid = state.grid
-    zx = deriv(grid, state.zeta)
+    zx = state.zeta_x
     denom = 1.0 + p.eps**2 * p.mu * zx**2
-    dxp, dxm = deriv(grid, np.array([traces.psi_plus, traces.psi_minus]))
+    # ∂xψ± = V± + εw±ζₓ, the identity that defines V± in the bundle
+    dxp = traces.v_plus + p.eps * traces.w_plus * zx
+    dxm = traces.v_minus + p.eps * traces.w_minus * zx
     # (1/H̄⁺)G⁺ψ⁺ recovered from the trace identities (no extra solve)
     g_over_h = traces.w_plus * denom - p.eps * p.mu * zx * dxp
     dzeta = g_over_h / p.mu
@@ -105,19 +106,18 @@ def tendency(state: InterfaceState, traces: TraceBundle) -> tuple:
         0.5 * p.eps / p.mu
     ) * denom * jump_w_sq
     if not math.isinf(p.bond):
-        dpsi += deriv(grid, zx / np.sqrt(denom)) / p.bond
+        dpsi += deriv(state.grid, zx / np.sqrt(denom)) / p.bond
     return dzeta, dpsi
 
 
 def rhs(state: InterfaceState, mask: Optional[np.ndarray] = None) -> tuple:
     """Right-hand side (∂tζ, ∂tψ) of the evolution system, projected by mask."""
-    dzeta, dpsi = tendency(state, transmission_solve(state))
+    out = np.array(tendency(state, transmission_solve(state)))
     if mask is not None:
-        dzeta = truncate(state.grid, dzeta, mask)
-        dpsi = truncate(state.grid, dpsi, mask)
-    if not (np.all(np.isfinite(dzeta)) and np.all(np.isfinite(dpsi))):
+        out = truncate(state.grid, out, mask)
+    if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite right-hand side")
-    return dzeta, dpsi
+    return out[0], out[1]
 
 
 def rk4_step(
@@ -174,9 +174,7 @@ def run(config: EvolutionConfig, initial: InterfaceState) -> TimeSeries:
     mask = dealias_mask(grid) if dealias else None
     state = initial
     if mask is not None:
-        state = state.replace_fields(
-            truncate(grid, state.zeta, mask), truncate(grid, state.psi, mask)
-        )
+        state = state.replace_fields(*truncate(grid, np.array([state.zeta, state.psi]), mask))
     series = TimeSeries()
     n_steps = int(math.ceil(config.t_end / dt - 1e-12))
     t = 0.0

@@ -50,13 +50,15 @@ from .strip import (
 
 @dataclass
 class InterfaceState:
-    """Interface elevation and reduced potential with their parameters."""
+    """Interface elevation and reduced potential with their parameters, and
+    the slope ``zeta_x`` = ζₓ, computed once for every operator that reads it."""
 
     grid: PeriodicGrid
     zeta: np.ndarray
     psi: np.ndarray
     params: DimensionlessParams
     n_z: int = 32
+    zeta_x: np.ndarray = field(init=False, repr=False, compare=False)
     _layers: dict = field(default_factory=dict, repr=False, compare=False)
     _g_tilde_factor: np.ndarray = field(default=None, repr=False, compare=False)
 
@@ -70,6 +72,7 @@ class InterfaceState:
                 raise NumericalError(f"{name} contains non-finite values")
         layer_depth(self.zeta, self.params.eps_plus, +1)
         layer_depth(self.zeta, self.params.eps_minus, -1)
+        self.zeta_x = deriv(self.grid, self.zeta)
 
     def layer(self, sign: int) -> StripOperator:
         """The fluid layer below (+1) or above (−1) the interface, built on
@@ -196,11 +199,10 @@ def transmission_solve(state: InterfaceState) -> TraceBundle:
         V± = ∂xψ± − ε w± ζₓ.
     """
     p = state.params
-    grid = state.grid
     psi_minus, g_over_h = _couple(state, state.psi)
     psi_plus = (state.psi + p.rhobar_minus * psi_minus) / p.rhobar_plus
-    zx = deriv(grid, state.zeta)
-    dpsi = deriv(grid, np.array([psi_plus, psi_minus]))
+    zx = state.zeta_x
+    dpsi = deriv(state.grid, np.array([psi_plus, psi_minus]))
     w = (g_over_h + p.eps * p.mu * zx * dpsi) / (1.0 + p.eps**2 * p.mu * zx**2)
     v = dpsi - p.eps * w * zx
     return TraceBundle(psi_plus=psi_plus, psi_minus=psi_minus, v_plus=v[0], v_minus=v[1],
@@ -226,12 +228,13 @@ def transmission_tangent(state: InterfaceState, traces: TraceBundle, dzeta, dpsi
     s_plus, s_minus = state.layer(+1).dn_matrix, state.layer(-1).dn_matrix
     w = np.array([traces.w_plus, traces.w_minus])
     v = np.array([traces.v_plus, traces.v_minus])
-    d = deriv(grid, np.array([state.zeta, dzeta, dzeta * v[0], dzeta * v[1]]))
-    zx, dzx = d[0], d[1]
+    zx = state.zeta_x
+    d = deriv(grid, np.array([dzeta, dzeta * v[0], dzeta * v[1]]))
+    dzx = d[0]
     # S is symmetric, so row stacks multiply from the left
     gp_hw, gp_dpsi = np.array([dzeta * w[0], dpsi]) @ s_plus / p.hbar_plus
     gm_hw = (dzeta * w[1]) @ s_minus / -p.hbar_minus
-    shape = -eps * np.array([gp_hw, gm_hw]) - eps * mu * d[2:]
+    shape = -eps * np.array([gp_hw, gm_hw]) - eps * mu * d[1:]
     dpsi_minus = _solve_g_tilde(state, p.rhobar_plus * (shape[1] - shape[0]) - gp_dpsi)
     dpsi_plus = (dpsi + p.rhobar_minus * dpsi_minus) / p.rhobar_plus
     dg = dpsi_plus @ s_plus / p.hbar_plus + shape[0]

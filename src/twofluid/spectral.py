@@ -208,7 +208,8 @@ def dealias_mask(grid: PeriodicGrid) -> np.ndarray:
 
 
 def truncate(grid: PeriodicGrid, u: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Zero the masked-out Fourier modes of a real field."""
+    """Zero the masked-out Fourier modes of a real field, or of each row of
+    a stack of fields."""
     uh = np.fft.fft(np.asarray(u, dtype=float))
-    uh[~mask] = 0.0
+    uh[..., ~mask] = 0.0
     return np.fft.ifft(uh).real

@@ -311,12 +311,11 @@ def criteria_from_scalars(
 def evaluate_criteria(inputs: StabilityInputs) -> StabilityReport:
     """Evaluate (SC), (SC'), the strong variant and the dimensional check."""
     state = inputs.state
-    grid = state.grid
     jump_sup = float(np.max(np.abs(inputs.jump_v)))
     jump_sup_d1 = max(jump_sup, float(np.max(np.abs(inputs.djump_v_x))),
                       float(np.max(np.abs(inputs.djump_v_t))))
     e_value = e_coeff(state)
-    zx_sup = float(np.max(np.abs(deriv(grid, state.zeta))))
+    zx_sup = float(np.max(np.abs(state.zeta_x)))
     inf_a = float(np.min(inputs.a_values))
     return criteria_from_scalars(
         state.params,
@@ -353,8 +352,7 @@ def ins_form(u, inputs: StabilityInputs) -> float:
         )
     cap = 0.0
     if not math.isinf(p.bond):
-        zx = deriv(grid, state.zeta)
-        kweight = (1.0 + p.eps**2 * p.mu * zx**2) ** (-1.5)
+        kweight = (1.0 + p.eps**2 * p.mu * state.zeta_x**2) ** (-1.5)
         du = deriv(grid, u)
         cap = inner(grid, kweight * du, du) / p.bond
     return a_term - shear + cap

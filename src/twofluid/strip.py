@@ -21,21 +21,23 @@ computed until it is asked for.  Because x is spectral, A is block
 tridiagonal in z with dense N×N blocks.  The metric is affine in z: p11 does
 not depend on it and p12 = f·q, f = 1 ± z the distance from the wall and
 q = −√μ±ε±∂xζ.  So every block is one of three N×N matrices, K from p11 and
-Σ, A from q, combined with a scalar of f and a diagonal from p22
-(:meth:`StripOperator._blocks`), and no block is assembled cell by cell.  A
-block Cholesky sweep from the wall to the interface row eliminates every
-other row and leaves the Schur complement S on the interface row.  S is the
-discrete Dirichlet-Neumann matrix itself (G± = ±S±): symmetric, positive
-semi-definite, and zero on constants and on the Nyquist column that the
-spectral derivative annihilates.  :attr:`StripOperator.dn_matrix` sweeps
-once and caches S.  Each field solve repeats the sweep, holding the factors
-of every eliminated row for its back-substitution; its true residual,
-computed with the matrix-free :meth:`StripOperator.apply`, is checked
-against :data:`RESIDUAL_TOL`.
+Σ, A from q, combined with a scalar of f and a diagonal from p22, and a
+layer's blocks are assembled in one pass, as stacks of row and off-diagonal
+blocks (:meth:`StripOperator._blocks`).  A block Cholesky sweep from the
+wall to the interface row eliminates every other row in place on them, its
+loop making only LAPACK and BLAS calls, and leaves the Schur complement S
+on the interface row.  S is the discrete Dirichlet-Neumann matrix itself
+(G± = ±S±): symmetric, positive semi-definite, and zero on constants and on
+the Nyquist column that the spectral derivative annihilates.
+:attr:`StripOperator.dn_matrix` sweeps once and caches S.  Each field solve
+repeats the sweep, holding the factors of every eliminated row for its
+back-substitution; its true residual, computed with the matrix-free
+:meth:`StripOperator.apply`, is checked against :data:`RESIDUAL_TOL`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,11 +87,21 @@ class StripSolution:
     residual_norm: float
 
 
+@functools.cache
+def _gauge_constants(n: int) -> tuple:
+    """The Nyquist mode cos(πj) on n nodes and Π = (1 + nyq·nyqᵀ)/n, the
+    projector onto span{1, Nyquist}: built once per n, read-only."""
+    nyq = np.cos(np.pi * np.arange(n))
+    proj = (1.0 + np.outer(nyq, nyq)) / n
+    nyq.flags.writeable = proj.flags.writeable = False
+    return nyq, proj
+
+
 def _deflate(v: np.ndarray) -> np.ndarray:
     """Project a trace (or each row of a stack of traces) off constants and
     the Nyquist mode, which the spectral derivative zeroes."""
     n = v.shape[-1]
-    nyq = np.cos(np.pi * np.arange(n))
+    nyq = _gauge_constants(n)[0]
     # np.add.reduce(·)/n is np.mean to the bit, without its call overhead
     v = v - np.add.reduce(v, axis=-1, keepdims=True) / n
     return v - np.add.reduce(v * nyq, axis=-1, keepdims=True) / n * nyq
@@ -123,9 +135,7 @@ def _gauge_factor(mat: np.ndarray) -> np.ndarray:
     positive combination of them), mat + Π is SPD and its inverse is the
     pseudo-inverse of mat plus Π.
     """
-    n = mat.shape[0]
-    nyq = np.cos(np.pi * np.arange(n))
-    return _cholesky(mat + (1.0 + np.outer(nyq, nyq)) / n)
+    return _cholesky(mat + _gauge_constants(mat.shape[0])[1])
 
 
 def _gauged_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -212,7 +222,8 @@ class StripOperator:
     def _blocks(self):
         """Blocks of A in sweep order: (row_j, off_j) for the sweep rows
         j < n_z, off_j = A[r_j, r_{j+1}], then (row_{n_z}, None) for the
-        interface row.  Each row block is a new Fortran-ordered array.
+        interface row: Fortran-ordered row blocks and C-ordered off blocks,
+        views of one stack assembled in a single pass.
 
         The cell between sweep rows j and j + 1 has energy h·∇^μv·P∇^μφ with
         ∂x = D(φ_j + φ_{j+1})/2 and ∂z = ±(φ_{j+1} − φ_j)/h, D the spectral
@@ -223,35 +234,41 @@ class StripOperator:
             row_j = 2K − hΣ + M_{j−1} + M_j        (0 < j < n_z),
             row_{n_z} = K + f_{n_z−1}Σ + M_{n_z−1},
             off_j = K + f_jA − M_j.
+
+        So each kind is one product of its coefficients with (K, Σ) or
+        (K, A), plus strided adds on the diagonals.
         """
         h, n, f, n_z = self.h, self.grid.n, self.f, self.n_z
         dmat_t = self.grid.deriv_matrix_t
         stiff = (0.25 * h * self.mu) * ((dmat_t * self.p11) @ dmat_t.T)
         e = dmat_t * ((0.5 * self.sign * self.smu) * self.q)
-        sym, skew = e + e.T, e - e.T
         mass = (self.p22 if self.sign > 0 else self.p22[::-1]) * (1.0 / h)
-        diag = np.zeros((n_z + 1, n))
-        diag[:-1] += mass
-        diag[1:] += mass
-        first = stiff - f[0] * sym
-        inner = np.asfortranarray(2.0 * stiff - h * sym)
-        last = stiff + f[-1] * sym
+        # the coefficients of (K, Σ) in each row block
+        row_coef = np.empty((n_z + 1, 2))
+        row_coef[:] = 2.0, -h
+        row_coef[0], row_coef[-1] = (1.0, -f[0]), (1.0, f[-1])
+        # one allocation: two of this size would each be fresh pages from the
+        # OS on every sweep, whose first touch costs more than the assembly
+        stack = np.empty((2 * n_z + 1, n * n))
+        rows, offs = stack[: n_z + 1], stack[n_z + 1 :]
+        # transposed flattening, so that each row block reads Fortran-ordered
+        np.matmul(row_coef, np.array([stiff.T, (e + e.T).T]).reshape(2, n * n), out=rows)
+        rows[:-1, :: n + 1] += mass
+        rows[1:, :: n + 1] += mass
+        np.matmul(np.column_stack([np.ones(n_z), f]),
+                  np.array([stiff, e - e.T]).reshape(2, n * n), out=offs)
+        offs[:, :: n + 1] -= mass
+        rows, offs = rows.reshape(n_z + 1, n, n), offs.reshape(n_z, n, n)
         for j in range(n_z + 1):
-            row = np.array(first if j == 0 else inner if j < n_z else last, order="F")
-            row.ravel("K")[:: n + 1] += diag[j]
-            off = None
-            if j < n_z:
-                off = f[j] * skew
-                off += stiff
-                off.ravel("K")[:: n + 1] -= mass[j]
-            yield row, off
+            yield rows[j].T, offs[j] if j < n_z else None
 
     def _sweep(self, keep: bool) -> list:
         """Block Cholesky elimination of every row but the interface one.
 
-        Caches S; returns the factors (L_j, x_j) of the eliminated sweep rows
-        if ``keep``, with L_j the Cholesky factor of row j after the updates
-        of the rows before it and x_j = (L_j⁻¹off_j)ᵀ.
+        The loop makes only LAPACK and BLAS calls, in place on the blocks of
+        :meth:`_blocks`.  Caches S; returns the factors (L_j, x_j) of the
+        eliminated sweep rows if ``keep``, with L_j the Cholesky factor of
+        row j after the updates of the rows before it and x_j = (L_j⁻¹off_j)ᵀ.
         """
         factors = []
         x_t = None

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -50,6 +51,13 @@ class SWState:
             raise NumericalError(
                 f"dry state: min heights ({float(np.min(hp)):.3e}, {float(np.min(hm)):.3e})"
             )
+
+    @cached_property
+    def _local_speed(self) -> np.ndarray:
+        """Largest flux-Jacobian |eigenvalue| in each cell, computed once per
+        state for :func:`max_wave_speed` and :func:`fv_step`."""
+        lam1, lam2 = jacobian_eigs(self)
+        return np.maximum(np.abs(lam1), np.abs(lam2))
 
 
 def heights(p: DimensionlessParams, zeta: np.ndarray) -> tuple:
@@ -118,16 +126,14 @@ def hyperbolicity_indicator(state: SWState) -> np.ndarray:
 
 
 def max_wave_speed(state: SWState) -> float:
-    lam1, lam2 = jacobian_eigs(state)
-    return float(np.max(np.maximum(np.abs(lam1), np.abs(lam2))))
+    return float(np.max(state._local_speed))
 
 
 def fv_step(state: SWState, dt: float) -> SWState:
     """One Rusanov step; conservative in ζ to rounding."""
     grid = state.grid
     dx = grid.dx
-    lam1, lam2 = jacobian_eigs(state)
-    local_speed = np.maximum(np.abs(lam1), np.abs(lam2))
+    local_speed = state._local_speed
     if dt > 0.5 * dx / max(float(np.max(local_speed)), 1e-300) * (1.0 + 1e-9):
         raise InvalidConfigError("dt violates the CFL restriction")
     f1, f2 = flux(state)

@@ -10,11 +10,13 @@ from twofluid import (
     antideriv,
     apply_multiplier,
     apply_symbol,
+    dealias_mask,
     deriv,
     l2_norm,
     norm_h1_sigma,
     norm_hdot_mu,
     norm_sobolev,
+    truncate,
 )
 from conftest import smooth_field
 
@@ -129,3 +131,12 @@ def test_h1_sigma_norm(grid64):
         l2_norm(grid64, u), rel=1e-12
     )
     assert norm_h1_sigma(grid64, np.zeros(64), bond) == 0.0
+
+
+def test_truncate_acts_on_each_row_of_a_stack(grid64, rng):
+    mask = dealias_mask(grid64)
+    rows = np.array([smooth_field(rng, grid64, k_max=30), rng.standard_normal(64)])
+    stacked = truncate(grid64, rows, mask)
+    assert stacked.shape == rows.shape
+    for row, out in zip(rows, stacked):
+        assert np.array_equal(out, truncate(grid64, row, mask))

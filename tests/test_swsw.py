@@ -17,7 +17,9 @@ from twofluid import (
     hyperbolicity_indicator,
     jacobian_discriminant,
     mode_growth,
+    run_swsw,
 )
+from twofluid import swsw
 from twofluid.swsw import heights, max_wave_speed
 from conftest import smooth_field
 
@@ -103,6 +105,24 @@ def test_fv_step_conserves_zeta(grid64):
     for _ in range(50):
         st = fv_step(st, 0.45 * grid64.dx / max_wave_speed(st))
     assert abs(float(np.sum(st.zeta)) - mass0) < 1e-12 * grid64.n
+
+
+def test_run_swsw_computes_the_jacobian_once_per_step(grid64, monkeypatch):
+    # the step size and the Rusanov speeds of fv_step share one evaluation
+    calls = []
+    entries = swsw._jacobian_entries
+
+    def counted(*args):
+        calls.append(1)
+        return entries(*args)
+
+    monkeypatch.setattr(swsw, "_jacobian_entries", counted)
+    p = derive_params(config_from_dimensionless(eps=0.5, mu=0.1, rhobar_minus=0.4))
+    st = SWState(grid=grid64, zeta=0.3 * np.cos(grid64.nodes),
+                 v=0.2 * np.sin(grid64.nodes), params=p)
+    series = run_swsw(SWConfig(t_end=0.2, snapshot_every=1), st)
+    assert series.halted is None
+    assert len(calls) == len(series.times) - 1 > 1
 
 
 def test_compare_with_full_is_first_order_in_mu():
