@@ -17,10 +17,11 @@ An :class:`InterfaceState` holds one :class:`~twofluid.strip.StripOperator`
 per fluid layer, ``state.layer(+1)`` below the interface and
 ``state.layer(-1)`` above it, each built on first use.  Everything is
 assembled from their DN matrices S± (G± = ±S±): the discrete 𝒢̃ is the N×N
-sum (ρ̄⁻/H̄⁺)S⁺ + (ρ̄⁺/H̄⁻)S⁻, and J⁻¹, 𝒢, 𝒢̃⁻¹ and the transmission solve
-share one Cholesky factor of 𝒢̃ + Π per state, Π the projector onto the
-common kernel (constants and the Nyquist mode).  Traces are gauged by zero
-mean and zero Nyquist content, and every solve checks its residual.  The
+sum (ρ̄⁻/H̄⁺)S⁺ + (ρ̄⁺/H̄⁻)S⁻.  𝒢̃ and the factor of 𝒢̃ + Π, Π the projector
+onto the common kernel (constants and the Nyquist mode), are built once
+per state for J⁻¹, 𝒢, 𝒢̃⁻¹ and the transmission solve; J solves with S⁻.
+Both are the gauged solve of :mod:`twofluid.strip`: traces have zero mean
+and zero Nyquist content, and every residual is checked.  The
 same formulas hold at ρ̄⁻ = 0.  Sign conventions are pinned by the
 positivity of the associated quadratic forms, which the tests check.
 """
@@ -37,11 +38,8 @@ from .spectral import PeriodicGrid, deriv, inner
 from .strip import (
     StripOperator,
     _check_range,
-    _check_residual,
     _deflate,
-    _finite,
-    _gauge_factor,
-    _gauged_solve,
+    _RangeSolver,
     dn_apply,
     flat_symbol,
     layer_depth,
@@ -60,7 +58,7 @@ class InterfaceState:
     n_z: int = 32
     zeta_x: np.ndarray = field(init=False, repr=False, compare=False)
     _layers: dict = field(default_factory=dict, repr=False, compare=False)
-    _g_tilde_factor: np.ndarray = field(default=None, repr=False, compare=False)
+    _g_tilde: _RangeSolver = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.zeta = np.asarray(self.zeta, dtype=float)
@@ -138,13 +136,14 @@ def dn_mix_flat_symbol(params: DimensionlessParams, k) -> np.ndarray:
 
 
 def apply_j(state: InterfaceState, u) -> np.ndarray:
-    """Apply J = ρ̄⁺ − ρ̄⁻(H̄⁻/H̄⁺)(G⁻)⁻¹G⁺ (the lower-trace coupling map)."""
+    """Apply J = ρ̄⁺ − ρ̄⁻(H̄⁻/H̄⁺)(G⁻)⁻¹G⁺, the lower-trace coupling map;
+    (G⁻)⁻¹ is the upper layer's Neumann interface solve."""
     p = state.params
     u = np.asarray(u, dtype=float)
     # the mean and Nyquist part of G⁺u are rounding, which is all of G⁺u
     # for constant u
     f = _deflate(dn_apply(state.layer(+1), u))
-    tr = state.layer(-1).solve_neumann(f).trace
+    tr = state.layer(-1).solve_neumann(f)
     return p.rhobar_plus * u - p.rhobar_minus * (p.hbar_minus / p.hbar_plus) * tr
 
 
@@ -152,15 +151,11 @@ def _solve_g_tilde(state: InterfaceState, f) -> np.ndarray:
     """Gauged solution of 𝒢̃u = f (one right-hand side per row of f) for
     the part of f in the range of 𝒢̃, with its residual checked.
 
-    The Cholesky factor of 𝒢̃ + Π is computed once per state.
+    𝒢̃ and the Cholesky factor of 𝒢̃ + Π are built once per state.
     """
-    mat = dense_g_tilde(state)
-    if state._g_tilde_factor is None:
-        state._g_tilde_factor = _gauge_factor(mat)
-    f = _deflate(_finite(f, "weighted DN sum data"))
-    u = _gauged_solve(state._g_tilde_factor, f)
-    _check_residual(u @ mat - f, f, "weighted DN sum solve")
-    return u
+    if state._g_tilde is None:
+        state._g_tilde = _RangeSolver(dense_g_tilde(state), "weighted DN sum")
+    return state._g_tilde(f)
 
 
 def _couple(state: InterfaceState, psi) -> tuple:
@@ -271,9 +266,7 @@ def invert_g_tilde(state: InterfaceState, f) -> np.ndarray:
     f must lie in the range of 𝒢̃: zero mean and no Nyquist component, each
     up to rounding, 1e-8·‖f‖∞; other data raises IncompatibleDataError.
     """
-    f = np.asarray(f, dtype=float)
-    _check_range(f, "inverse of the weighted DN sum")
-    return _solve_g_tilde(state, f)
+    return _solve_g_tilde(state, _check_range(f, "inverse of the weighted DN sum"))
 
 
 def pinv_g_tilde(state: InterfaceState) -> np.ndarray:

@@ -49,13 +49,13 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh
 from scipy.optimize import minimize_scalar
 
-from .errors import InvalidConfigError, NumericalError
+from .errors import IncompatibleDataError, InvalidConfigError, NumericalError
 from .operators import InterfaceState, TraceBundle, e_quadratic_form, transmission_tangent
 # imported for the benchmark tracer, which wraps it under this module's name
 from .operators import invert_g_tilde
 from .params import DimensionlessParams, practical_verdict
 from .spectral import PeriodicGrid, apply_multiplier, deriv, inner
-from .strip import flat_symbol
+from .strip import _finite, _gauge_constants, flat_symbol
 
 
 @dataclass(frozen=True)
@@ -335,11 +335,17 @@ def ins_form(u, inputs: StabilityInputs) -> float:
 
     with the d = 1 curvature weight 𝒦 = (1 + ε²μ ζₓ²)^{−3/2}.  Positive
     definiteness of this form is what the criteria certify.
+
+    u must be finite (NumericalError) and have no Nyquist part above
+    1e-8·‖u‖∞ (IncompatibleDataError): ∂x zeroes that mode, so the capillary
+    term cannot bound what the shear term sees.
     """
     state = inputs.state
     p = state.params
     grid = state.grid
-    u = np.asarray(u, dtype=float)
+    u = _finite(u, "ins_form argument")
+    if abs(u @ _gauge_constants(grid.n)[0]) > 1e-8 * grid.n * np.max(np.abs(u)):
+        raise IncompatibleDataError("ins_form needs u without a Nyquist component")
     a_term = inner(grid, inputs.a_values * u, u)
     shear = 0.0
     if p.rhobar_minus > 0.0 and np.any(inputs.jump_v != 0.0):

@@ -29,10 +29,11 @@ loop making only LAPACK and BLAS calls, and leaves the Schur complement S
 on the interface row.  S is the discrete Dirichlet-Neumann matrix itself
 (G± = ±S±): symmetric, positive semi-definite, and zero on constants and on
 the Nyquist column that the spectral derivative annihilates.
-:attr:`StripOperator.dn_matrix` sweeps once and caches S.  Each field solve
-repeats the sweep, holding the factors of every eliminated row for its
-back-substitution; its true residual, computed with the matrix-free
-:meth:`StripOperator.apply`, is checked against :data:`RESIDUAL_TOL`.
+:attr:`StripOperator.dn_matrix` sweeps once and caches S.  The Neumann
+solve is an interface solve with S alone.  The Dirichlet solve is the one
+field solve: it repeats the sweep, holding the factors of every eliminated
+row for its back-substitution; its true residual, computed with the
+matrix-free :meth:`StripOperator.apply`, is checked against :data:`RESIDUAL_TOL`.
 """
 
 from __future__ import annotations
@@ -107,15 +108,17 @@ def _deflate(v: np.ndarray) -> np.ndarray:
     return v - np.add.reduce(v * nyq, axis=-1, keepdims=True) / n * nyq
 
 
-def _check_range(f: np.ndarray, what: str) -> None:
-    """IncompatibleDataError unless f lies in the range of a DN matrix: its
-    mean and Nyquist component must be rounding, below 1e-8·‖f‖∞."""
+def _check_range(f, what: str) -> np.ndarray:
+    """f as a float array; NumericalError unless finite, IncompatibleDataError
+    unless in the range of a DN matrix: mean and Nyquist part below 1e-8·‖f‖∞."""
+    f = _finite(f, what)
     off = float(np.max(np.abs(f - _deflate(f))))
     if off > 1e-8 * float(np.max(np.abs(f))):
         raise IncompatibleDataError(
             f"{what} needs data with zero mean and no Nyquist component; "
             f"they reach {off:.3e}"
         )
+    return f
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -126,24 +129,6 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     if info != 0:
         raise NumericalError(f"Cholesky factorization failed (LAPACK info {info})")
     return low
-
-
-def _gauge_factor(mat: np.ndarray) -> np.ndarray:
-    """Cholesky factor of mat + Π, Π the projector onto span{1, Nyquist}.
-
-    For a symmetric PSD matrix whose kernel is that span (a DN matrix or a
-    positive combination of them), mat + Π is SPD and its inverse is the
-    pseudo-inverse of mat plus Π.
-    """
-    return _cholesky(mat + _gauge_constants(mat.shape[0])[1])
-
-
-def _gauged_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (mat + Π)u = b with the factor of :func:`_gauge_factor`, for b
-    of shape (n,) or one right-hand side per row; u is gauged to zero mean
-    and zero Nyquist content."""
-    u, _ = dpotrs(low, np.atleast_2d(b).T, lower=1)
-    return _deflate(u.T.reshape(b.shape))
 
 
 def _check_residual(r: np.ndarray, b: np.ndarray, what: str) -> float:
@@ -164,10 +149,31 @@ def _finite(a, what: str) -> np.ndarray:
     return a
 
 
+class _RangeSolver:
+    """The one gauged solve of mat·u = f, f in the range of a symmetric PSD
+    mat with kernel span{1, Nyquist}: a DN matrix or a positive sum of them.
+    The factor of the SPD mat + Π is computed once; a call checks that f is
+    finite, deflates, back-substitutes, deflates and checks the true residual
+    against mat.  f is one right-hand side or one per row."""
+
+    def __init__(self, mat: np.ndarray, what: str):
+        self.mat = mat
+        self.what = what
+        self._low = _cholesky(mat + _gauge_constants(mat.shape[0])[1])
+
+    def __call__(self, f) -> np.ndarray:
+        f = _deflate(_finite(f, f"{self.what} data"))
+        u, _ = dpotrs(self._low, np.atleast_2d(f).T, lower=1)
+        u = _deflate(u.T.reshape(f.shape))
+        # mat is symmetric, so a stack of rows multiplies from the left
+        _check_residual(u @ self.mat - f, f, f"{self.what} solve")
+        return u
+
+
 class StripOperator:
     """One straightened fluid layer: the metric of the trivial graph
     diffeomorphism, the discrete operator A, its Schur complement S on the
-    interface row, and the Dirichlet and Neumann field solves.
+    interface row, the Dirichlet field solve and the Neumann interface solve.
 
     The metric is sampled on the z half-levels: p11 = 1 ± ε±ζ, which does
     not depend on z, and q as (N,) arrays, and p12 = f·q, p22 as (n_z, N)
@@ -200,6 +206,7 @@ class StripOperator:
         # rows from the wall to the interface, the order of the sweep
         self.sweep_rows = rows if layer_sign > 0 else rows[::-1]
         self._s = None
+        self._neumann = None
 
     # -- discrete bilinear form -------------------------------------------------
     def apply(self, phi: np.ndarray) -> np.ndarray:
@@ -319,24 +326,18 @@ class StripOperator:
         )
         return StripSolution(phi=phi, trace=phi[self.iface].copy(), residual_norm=res)
 
-    def solve_neumann(self, g) -> StripSolution:
-        """Solve with prescribed upward conormal flux g at the interface.
+    def solve_neumann(self, g) -> np.ndarray:
+        """Gauged interface trace ψ with upward conormal flux Gψ = ±Sψ = g.
 
-        g must lie in the range of the discrete operator: zero mean (flux
-        compatibility on the periodic strip) and no Nyquist component, each
-        up to rounding, 1e-8·‖g‖∞; other data raises IncompatibleDataError.
-        The interface trace of the solution has zero mean and zero Nyquist
-        content.
+        g must lie in the range of S: zero mean (flux compatibility on the
+        periodic strip) and no Nyquist component, each up to rounding,
+        1e-8·‖g‖∞; other data raises IncompatibleDataError.  No sweep once S
+        exists: the factor of S + Π is kept on the layer.
         """
-        g = _finite(g, "Neumann data")
-        _check_range(g, "Neumann solve")
-        g = self.sign * _deflate(g)
-        factors = self._sweep(keep=True)
-        phi = self._extend(_gauged_solve(_gauge_factor(self._s), g), factors)
-        b = np.zeros_like(phi)
-        b[self.iface] = g
-        res = _check_residual(self.apply(phi) - b, b, "Neumann solve")
-        return StripSolution(phi=phi, trace=phi[self.iface].copy(), residual_norm=res)
+        g = _check_range(g, "Neumann solve")
+        if self._neumann is None:
+            self._neumann = _RangeSolver(self.dn_matrix, "Neumann")
+        return self._neumann(self.sign * g)
 
 
 def dn_apply(d: StripOperator, psi) -> np.ndarray:

@@ -256,12 +256,12 @@ def ratio_symbol_error(state, f, which: str) -> dict:
     f = np.asarray(f, dtype=float) - float(np.mean(f))
     ts = TailSymbolSet(grid, state.zeta, p)
     if which == "dn_ratio":
-        exact = state.layer(-1).solve_neumann(dn_apply(state.layer(+1), f)).trace
+        exact = state.layer(-1).solve_neumann(dn_apply(state.layer(+1), f))
         approx = apply_symbol(grid, ts.dn_ratio_symbol, f)
     elif which == "coupled_ratio":
         pp = invert_j(state, f)
         g = dn_apply(state.layer(+1), pp)
-        exact = state.layer(-1).solve_neumann(g).trace / p.hbar_plus
+        exact = state.layer(-1).solve_neumann(g) / p.hbar_plus
         approx = apply_symbol(grid, ts.coupled_ratio_symbol, f)
     elif which == "p2_mix":
         df = deriv(grid, f)

@@ -11,7 +11,10 @@ pass solves with.  These tests read ``bench/`` and change nothing there.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from twofluid import InterfaceState, PeriodicGrid, apply_j, config_from_dimensionless, derive_params
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -39,3 +42,16 @@ def test_small_workload_passes_its_checks_traced(name):
     assert wl.check(ctx, inp, out) == []
     builds = sum(span[0] == "strip.operator" for span in trace.spans)
     assert builds == OPERATOR_BUILDS[name]
+
+
+def test_traced_apply_j_records_a_neumann_span():
+    # the tracer reads solver statistics off a returned StripSolution; the
+    # Neumann solve returns its trace, so a traced J completes
+    grid = PeriodicGrid(16)
+    p = derive_params(config_from_dimensionless(0.3, 0.5, 0.4, 1.5, 100.0))
+    state = InterfaceState(grid=grid, zeta=0.3 * np.cos(grid.nodes), psi=np.zeros(16),
+                           params=p, n_z=8)
+    trace = tracer.Tracer()
+    out = trace.run(apply_j, state, np.sin(grid.nodes))
+    assert np.all(np.isfinite(out))
+    assert "strip.neumann" in {span[0] for span in trace.spans}

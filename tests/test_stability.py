@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from twofluid import (
+    IncompatibleDataError,
     InterfaceState,
     InvalidConfigError,
+    NumericalError,
     TraceBundle,
     a_field,
     apply_g_tilde,
@@ -353,6 +355,24 @@ def test_ins_form_bounded_by_h1_sigma(grid64, rng):
         u = smooth_field(rng, grid64)
         ratios.append(abs(ins_form(u, inputs)) / norm_h1_sigma(grid64, u, 60.0) ** 2)
     assert max(ratios) < 50.0
+
+
+def test_ins_form_rejects_a_nyquist_component(grid64, rng):
+    # ∂x zeroes the Nyquist mode, so the capillary term cannot bound it while
+    # the shear term aliases u⟦V⟧ onto the highest resolved modes
+    st = make_state(grid64, 0.3 * np.cos(grid64.nodes), np.zeros(64), bond=20.0)
+    inputs = stability_inputs(st, zero_traces(64))
+    inputs.jump_v = smooth_field(rng, grid64, 2, 0.5)
+    u = smooth_field(rng, grid64)
+    nyq = np.cos(np.pi * np.arange(64))
+    with pytest.raises(IncompatibleDataError):
+        ins_form(u + 1e-6 * nyq, inputs)
+    with pytest.raises(IncompatibleDataError):
+        ins_form(nyq, inputs)
+    assert ins_form(u + 1e-10 * nyq, inputs) == pytest.approx(ins_form(u, inputs), rel=1e-8)
+    assert np.isfinite(ins_form(np.full(64, 2.0), inputs))
+    with pytest.raises(NumericalError):
+        ins_form(np.where(np.arange(64) == 3, np.nan, u), inputs)
 
 
 # -- mode-wise margin ---------------------------------------------------------------
