@@ -150,7 +150,9 @@ def _record(series: TimeSeries, t, state, traces, grid):
     mass = float(np.mean(state.zeta)) * grid.length
     jump = traces.jump_v()
     series.times.append(t)
-    series.states.append(state)
+    # without the stepping state's solver caches (layers, 𝒢̃ and its factor):
+    # they are four N×N matrices per snapshot, and a fresh state rebuilds them
+    series.states.append(state.replace_fields(state.zeta, state.psi))
     series.traces.append(traces)
     series.diagnostics.append(
         {

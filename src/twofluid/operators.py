@@ -103,33 +103,58 @@ class TraceBundle:
 
 
 # -- flat multipliers ------------------------------------------------------------
+#
+# The composed symbols come from the two positive layer symbols s± (G± ≈ ±Op(s±)):
+# the flat ones √μ±|ξ|tanh(√μ±|ξ|) here, the tail ones in :mod:`twofluid.symbols`.
+# At ξ = 0 they take the values of the gauged discrete operators on constants.
+
+
+def _gauged_ratio(num, den) -> np.ndarray:
+    """num/den for a positive symbol den, 0 where den = 0: with den = s⁻ the
+    symbol of −(G⁻)⁻¹G⁺, which the gauge sets to 0 on constants."""
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
+    return np.divide(num, den, out=out, where=den > 0.0)
+
+
+def _j_of(p: DimensionlessParams, sp, sm) -> np.ndarray:
+    """Symbol ρ̄⁺ + ρ̄⁻(H̄⁻/H̄⁺)s⁺/s⁻ of J, ρ̄⁺ at ξ = 0 (J·1 = ρ̄⁺)."""
+    return p.rhobar_plus + p.rhobar_minus * (p.hbar_minus / p.hbar_plus) * _gauged_ratio(sp, sm)
+
+
+def _g_tilde_of(p: DimensionlessParams, sp, sm) -> np.ndarray:
+    """(ρ̄⁻/H̄⁺)s⁺ + (ρ̄⁺/H̄⁻)s⁻: the symbol of 𝒢̃ from the layer symbols, or
+    its matrix from the DN matrices S±."""
+    return (p.rhobar_minus / p.hbar_plus) * sp + (p.rhobar_plus / p.hbar_minus) * sm
 
 
 def j_flat_symbol(params: DimensionlessParams, k) -> np.ndarray:
-    """Multiplier of the flat coupling map J (value ρ̄⁺ at ξ = 0 by the gauge)."""
+    """Multiplier of the flat coupling map J,
+
+    ρ̄⁺ + ρ̄⁻tanh(√μ⁺|ξ|)/tanh(√μ⁻|ξ|), and ρ̄⁺ at ξ = 0.
+    """
     p = params
-    gp, gm = flat_symbol(p.mu_plus, k), flat_symbol(p.mu_minus, k)
-    ratio = np.divide(gp, gm, out=np.zeros_like(gp), where=gm > 0.0)
-    return p.rhobar_plus + p.rhobar_minus * (p.hbar_minus / p.hbar_plus) * ratio
+    return _j_of(p, flat_symbol(p.mu_plus, k), flat_symbol(p.mu_minus, k))
 
 
 def coupled_dn_flat_symbol(params: DimensionlessParams, k) -> np.ndarray:
-    """Multiplier of the flat coupled operator 𝒢:
+    """Multiplier of the flat coupled operator 𝒢, s⁺/(H̄⁺·J) with s⁺ the flat
+    symbol of the lower layer:
 
-    √μ|ξ| tanh(√μ⁺|ξ|) tanh(√μ⁻|ξ|) / (ρ̄⁺tanh(√μ⁻|ξ|) + ρ̄⁻tanh(√μ⁺|ξ|)).
+    √μ|ξ| tanh(√μ⁺|ξ|) tanh(√μ⁻|ξ|) / (ρ̄⁺tanh(√μ⁻|ξ|) + ρ̄⁻tanh(√μ⁺|ξ|)),
+
+    0 at ξ = 0.
     """
     return flat_symbol(params.mu_plus, k) / (params.hbar_plus * j_flat_symbol(params, k))
 
 
 def dn_mix_flat_symbol(params: DimensionlessParams, k) -> np.ndarray:
-    """Multiplier of the flat weighted DN sum 𝒢̃:
+    """Multiplier of the flat weighted DN sum 𝒢̃, (ρ̄⁻/H̄⁺)s⁺ + (ρ̄⁺/H̄⁻)s⁻:
 
-    √μ|ξ|(ρ̄⁻tanh(√μ⁺|ξ|) + ρ̄⁺tanh(√μ⁻|ξ|)).
+    √μ|ξ|(ρ̄⁻tanh(√μ⁺|ξ|) + ρ̄⁺tanh(√μ⁻|ξ|)), 0 at ξ = 0.
     """
     p = params
-    return (p.rhobar_minus / p.hbar_plus) * flat_symbol(p.mu_plus, k) + (
-        p.rhobar_plus / p.hbar_minus
-    ) * flat_symbol(p.mu_minus, k)
+    return _g_tilde_of(p, flat_symbol(p.mu_plus, k), flat_symbol(p.mu_minus, k))
 
 
 # -- composed operators -----------------------------------------------------------
@@ -249,10 +274,7 @@ def dense_g_tilde(state: InterfaceState) -> np.ndarray:
     annihilated by the spectral derivative); :func:`pinv_g_tilde` inverts it
     on its range.
     """
-    p = state.params
-    return (p.rhobar_minus / p.hbar_plus) * state.layer(+1).dn_matrix + (
-        p.rhobar_plus / p.hbar_minus
-    ) * state.layer(-1).dn_matrix
+    return _g_tilde_of(state.params, state.layer(+1).dn_matrix, state.layer(-1).dn_matrix)
 
 
 def apply_g_tilde(state: InterfaceState, u) -> np.ndarray:

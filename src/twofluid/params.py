@@ -109,8 +109,8 @@ class DimensionlessParams:
     wave_speed: float
     upsilon: float
     # carried along for dimensional restatements of the criteria
-    rho_total: float = float("nan")
-    sigma: float = float("nan")
+    rho_total: float
+    sigma: float
 
 
 class Verdict(Enum):
@@ -146,7 +146,9 @@ def derive_params(cfg: PhysicalConfig) -> DimensionlessParams:
     mu = (h_eff / cfg.wavelength) ** 2
     if cfg.surface_tension > 0.0:
         bond = rho_tot * g_red * cfg.wavelength**2 / cfg.surface_tension
-        ups = _upsilon_value(cfg, rbp, rbm, g_red, h_eff)
+        ups = (rbp * rbm) ** 2 * cfg.amplitude**4 / h_eff**2 * rho_tot * g_red / (
+            4.0 * cfg.surface_tension
+        )
     else:
         bond = math.inf
         ups = math.inf if rbm > 0.0 and cfg.amplitude > 0.0 else 0.0
@@ -171,17 +173,6 @@ def derive_params(cfg: PhysicalConfig) -> DimensionlessParams:
     )
 
 
-def _upsilon_value(cfg, rbp, rbm, g_red, h_eff):
-    return (
-        (rbp * rbm) ** 2
-        * cfg.amplitude**4
-        / h_eff**2
-        * (cfg.rho_plus + cfg.rho_minus)
-        * g_red
-        / (4.0 * cfg.surface_tension)
-    )
-
-
 def upsilon(cfg: PhysicalConfig) -> float:
     """Practical stability parameter Υ = (ρ̄⁺ρ̄⁻)²(a⁴/H²)(ρ⁺+ρ⁻)g'/(4σ).
 
@@ -197,8 +188,7 @@ def upsilon(cfg: PhysicalConfig) -> float:
             "upsilon is undefined at sigma = 0; treat the zero-surface-tension "
             "limit (single-fluid reduction) explicitly"
         )
-    p = derive_params(cfg)
-    return _upsilon_value(cfg, p.rhobar_plus, p.rhobar_minus, p.g_reduced, p.h_eff)
+    return derive_params(cfg).upsilon
 
 
 def sigma_for_upsilon(cfg: PhysicalConfig, target_upsilon: float) -> float:
@@ -219,10 +209,7 @@ def bond_number(cfg: PhysicalConfig) -> float:
 
     Returns +inf when σ = 0.
     """
-    if cfg.surface_tension == 0.0:
-        return math.inf
-    p = derive_params(cfg)
-    return p.bond
+    return derive_params(cfg).bond
 
 
 def shear_scale(cfg: PhysicalConfig) -> float:

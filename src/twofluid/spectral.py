@@ -70,22 +70,17 @@ class PeriodicGrid:
     def k_max(self) -> float:
         return self.k_fundamental * (self.n // 2)
 
-    def quad_weight(self) -> float:
-        """Trapezoidal weight of the periodic quadrature (= dx)."""
-        return self.dx
 
-
-def _multiplier_values(grid: PeriodicGrid, m) -> np.ndarray:
-    """Evaluate a multiplier on the signed wavenumbers, folding the Nyquist
-    bin onto the even part of m."""
-    k = grid.wavenumbers
-    mk = np.asarray(m(k), dtype=complex)
-    if not np.all(np.isfinite(mk)):
-        raise NumericalError("multiplier is not finite on a grid wavenumber")
+def _multiplier_values(grid: PeriodicGrid, m, lead: tuple = ()) -> np.ndarray:
+    """Evaluate m on the signed wavenumbers, its last axis, broadcast to
+    lead + (N,), and fold the Nyquist bin onto the even part of m."""
     inyq = grid.n // 2
     k_nyq = grid.k_fundamental * inyq
-    vals = np.asarray(m(np.array([k_nyq, -k_nyq])), dtype=complex)
-    mk[inyq] = 0.5 * (vals[0] + vals[1])
+    mk = np.broadcast_to(np.asarray(m(grid.wavenumbers), dtype=complex), lead + (grid.n,)).copy()
+    pair = np.broadcast_to(np.asarray(m(np.array([k_nyq, -k_nyq])), dtype=complex), lead + (2,))
+    mk[..., inyq] = 0.5 * (pair[..., 0] + pair[..., 1])
+    if not np.all(np.isfinite(mk)):
+        raise NumericalError("multiplier is not finite on a grid wavenumber")
     return mk
 
 
@@ -124,32 +119,21 @@ def apply_symbol(grid: PeriodicGrid, s, u: np.ndarray) -> np.ndarray:
     :func:`apply_multiplier` to rounding.
     """
     u = np.asarray(u, dtype=float)
-    n = grid.n
     x = grid.nodes[:, None]
-    k = grid.wavenumbers[None, :]
-    smat = np.asarray(s(x, k), dtype=complex)
-    smat = np.broadcast_to(smat, (n, n)).copy()
-    if not np.all(np.isfinite(smat)):
-        raise NumericalError("symbol is not finite on the grid lattice")
-    inyq = n // 2
-    k_nyq = grid.k_fundamental * inyq
-    s_plus = np.asarray(s(grid.nodes, np.full(n, k_nyq)), dtype=complex)
-    s_minus = np.asarray(s(grid.nodes, np.full(n, -k_nyq)), dtype=complex)
-    smat[:, inyq] = 0.5 * (np.broadcast_to(s_plus, (n,)) + np.broadcast_to(s_minus, (n,)))
-    uh = np.fft.fft(u)
+    smat = _multiplier_values(grid, lambda k: s(x, k), lead=(grid.n,))
     phases = np.exp(1j * np.outer(grid.nodes, grid.wavenumbers))
-    return ((smat * phases) @ uh).real / n
+    return ((smat * phases) @ np.fft.fft(u)).real / grid.n
 
 
 def l2_norm(grid: PeriodicGrid, u: np.ndarray) -> float:
     """Discrete L² norm with trapezoidal (uniform) quadrature weight."""
     u = np.asarray(u, dtype=float)
-    return math.sqrt(grid.quad_weight() * float(np.dot(u, u)))
+    return math.sqrt(grid.dx * float(np.dot(u, u)))
 
 
 def inner(grid: PeriodicGrid, u: np.ndarray, v: np.ndarray) -> float:
     """Discrete L² inner product."""
-    return grid.quad_weight() * float(np.dot(np.asarray(u), np.asarray(v)))
+    return grid.dx * float(np.dot(np.asarray(u), np.asarray(v)))
 
 
 def _spectral_weighted_norm(grid: PeriodicGrid, u: np.ndarray, weight: np.ndarray) -> float:

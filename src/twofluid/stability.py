@@ -47,7 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
-from scipy.optimize import minimize_scalar
 
 from .errors import IncompatibleDataError, InvalidConfigError, NumericalError
 from .operators import InterfaceState, TraceBundle, e_quadratic_form, transmission_tangent
@@ -86,6 +85,9 @@ def c_flat(
     1/(ρ̄⁻H̄⁺ + ρ̄⁺H̄⁻); whichever endpoint or interior point attains the
     supremum is reported (x → ∞ via ``at_infinity``).
     """
+    # imported by its only user: at module level it would slow every package import
+    from scipy.optimize import minimize_scalar
+
     xs = np.geomspace(1e-4, 1e4, 400)
     vals = _flat_quotient(xs, rhobar_plus, rhobar_minus, hbar_plus, hbar_minus)
     i = int(np.argmax(vals))
@@ -161,13 +163,11 @@ class StabilityInputs:
     djump_v_x: np.ndarray
     djump_v_t: np.ndarray
     a_values: np.ndarray
-    gamma: float = 0.0
 
 
-def stability_inputs(
-    state: InterfaceState, traces: TraceBundle, gamma: float = 0.0
-) -> StabilityInputs:
-    """Criterion inputs of one snapshot, from its state and its own traces.
+def stability_inputs(state: InterfaceState, traces: TraceBundle) -> StabilityInputs:
+    """Criterion inputs of one snapshot, from its state and its own traces:
+    ⟦V⟧, its x- and t-derivatives and the pressure-jump coefficient 𝔞.
 
     ∂t is the derivative along the state's tendency with no dealiasing
     (:func:`~twofluid.evolution.tendency`): the criterion is a property of
@@ -184,7 +184,6 @@ def stability_inputs(
     return StabilityInputs(
         state=state, traces=traces, jump_v=jump, djump_v_x=deriv(grid, jump),
         djump_v_t=rates.jump_v(), a_values=a_field(grid, state.params, traces, rates),
-        gamma=gamma,
     )
 
 
@@ -260,15 +259,11 @@ def criteria_from_scalars(
     sc_alt = rhs_alt < inf_a
     sc_strong = rhs_strong < inf_a
     # dimensional restatement (per the identity RHS/LHS = Υ𝔠⟦V⟧⁴/inf𝔞)
-    if (
-        p.rhobar_minus > 0.0
-        and not math.isnan(p.rho_total)
-        and p.sigma > 0.0
-    ):
+    dim_lhs = p.rho_total * p.g_reduced * inf_a
+    if p.rhobar_minus > 0.0 and p.sigma > 0.0:
         rho_p = p.rhobar_plus * p.rho_total
         rho_m = p.rhobar_minus * p.rho_total
         omega_sup = p.eps * p.wave_speed * jump_sup
-        dim_lhs = p.rho_total * p.g_reduced * inf_a
         dim_rhs = (
             0.25
             * (rho_p * rho_m) ** 2
@@ -278,7 +273,6 @@ def criteria_from_scalars(
         )
         dim_verdict = dim_lhs > dim_rhs
     else:
-        dim_lhs = p.rho_total * p.g_reduced * inf_a if not math.isnan(p.rho_total) else float("nan")
         dim_rhs = 0.0 if p.rhobar_minus == 0.0 else float("nan")
         dim_verdict = dim_lhs > dim_rhs if not math.isnan(dim_lhs + dim_rhs) else sc_alt
     verdict = "stable" if sc else "unstable"
@@ -309,7 +303,8 @@ def criteria_from_scalars(
 
 
 def evaluate_criteria(inputs: StabilityInputs) -> StabilityReport:
-    """Evaluate (SC), (SC'), the strong variant and the dimensional check."""
+    """Evaluate (SC), (SC'), the strong variant at γ = 0 and the dimensional
+    check; :func:`criteria_from_scalars` takes another γ."""
     state = inputs.state
     jump_sup = float(np.max(np.abs(inputs.jump_v)))
     jump_sup_d1 = max(jump_sup, float(np.max(np.abs(inputs.djump_v_x))),
@@ -324,7 +319,6 @@ def evaluate_criteria(inputs: StabilityInputs) -> StabilityReport:
         inf_a=inf_a,
         jump_sup=jump_sup,
         jump_sup_d1=jump_sup_d1,
-        gamma=inputs.gamma,
     )
 
 

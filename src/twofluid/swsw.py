@@ -170,17 +170,16 @@ class SWSeries:
 def run_swsw(config: SWConfig, initial: SWState) -> SWSeries:
     """Advance until t_end; halt with a report if hyperbolicity is lost."""
     series = SWSeries()
-    state = initial
-    t = 0.0
-    step = 0
-    series.times.append(t)
-    series.states.append(state)
-    ind0 = float(np.min(hyperbolicity_indicator(state)))
-    series.indicator_min.append(ind0)
-    if ind0 < 0.0:
-        series.halted = {"time": t, "indicator_min": ind0, "reason": "hyperbolicity loss"}
-        return series
-    while t < config.t_end - 1e-12:
+    state, t, step = initial, 0.0, 0
+
+    def record(ind):
+        series.times.append(t)
+        series.states.append(state)
+        series.indicator_min.append(ind)
+
+    ind = float(np.min(hyperbolicity_indicator(state)))
+    record(ind)
+    while ind >= 0.0 and t < config.t_end - 1e-12:
         speed = max_wave_speed(state)
         dt = min(CFL_NUMBER * state.grid.dx / speed, config.t_end - t)
         try:
@@ -191,17 +190,10 @@ def run_swsw(config: SWConfig, initial: SWState) -> SWSeries:
         t += dt
         step += 1
         ind = float(np.min(hyperbolicity_indicator(state)))
-        if step % config.snapshot_every == 0 or t >= config.t_end - 1e-12:
-            series.times.append(t)
-            series.states.append(state)
-            series.indicator_min.append(ind)
-        if ind < 0.0:
-            if series.times[-1] != t:
-                series.times.append(t)
-                series.states.append(state)
-                series.indicator_min.append(ind)
-            series.halted = {"time": t, "indicator_min": ind, "reason": "hyperbolicity loss"}
-            return series
+        if ind < 0.0 or step % config.snapshot_every == 0 or t >= config.t_end - 1e-12:
+            record(ind)
+    if ind < 0.0:
+        series.halted = {"time": t, "indicator_min": ind, "reason": "hyperbolicity loss"}
     return series
 
 

@@ -17,6 +17,14 @@ tail leaves an O(1) relative error as μ → 0.  Ratios of these symbols give
 zeroth-order descriptions of the composed operators (G⁻)⁻¹G⁺, (G⁻)⁻¹𝒢 and
 𝒢̃⁻¹; this module provides the evaluators and the numerical harnesses that
 measure the corresponding error scalings against the exact elliptic solves.
+The composed symbols are formed from S± by the same private helpers of
+:mod:`twofluid.operators` as the flat multipliers, so at ζ = 0 they are
+those multipliers.
+
+At ξ = 0 both S± vanish, and each composed symbol takes the value the gauged
+discrete operator takes on constants, not its ξ → 0 limit: J·1 = ρ̄⁺, so the
+J symbol is ρ̄⁺; (G⁻)⁻¹G⁺·1 = 0, so the ratio symbols are 0; 𝒢̃⁻¹ is gauged
+to 0, so 𝔓²/S̃ is 0.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TwoFluidError
+from .operators import _g_tilde_of, _gauged_ratio, _j_of
 from .params import DimensionlessParams, config_from_dimensionless, derive_params
 from .spectral import (
     PeriodicGrid,
@@ -37,7 +46,6 @@ from .spectral import (
 )
 from .strip import StripOperator, dn_apply
 
-_SMALL_XI = 1e-8
 _SMALL_SLOPE = 1e-6
 
 
@@ -111,59 +119,30 @@ class TailSymbolSet:
         smu = math.sqrt(mu_l)
         return smu * np.abs(xi) * np.tanh(smu * self.t(x, xi, sign))
 
-    def _s_small_xi_coeff(self, x, sign):
-        # S± ~ μ±(1 ± ε±ζ) f(x) ξ² as ξ → 0, f the arctan ratio
-        p = self.params
-        eps_l, mu_l = self._layer(sign)
-        zv = self._at(x, self.zeta)
-        zxv = self._at(x, self.zeta_x)
-        f = _arctan_ratio(p.eps * math.sqrt(p.mu) * zxv)
-        return mu_l * (1.0 + sign * eps_l * zv) * f
+    def _s_pair(self, x, xi) -> tuple:
+        return self.s(x, xi, +1), self.s(x, xi, -1)
 
     def dn_ratio_symbol(self, x, xi) -> np.ndarray:
         """Symbol of (G⁻)⁻¹G⁺, i.e. −S⁺/S⁻ with the sign of G⁻ restored."""
-        xi = np.asarray(xi, dtype=float)
-        small = np.abs(xi) < _SMALL_XI
-        sp = self.s(x, np.where(small, 1.0, xi), +1)
-        sm = self.s(x, np.where(small, 1.0, xi), -1)
-        ratio = -sp / sm
-        limit = -self._s_small_xi_coeff(x, +1) / self._s_small_xi_coeff(x, -1)
-        return np.where(small, np.broadcast_to(limit, ratio.shape), ratio)
+        return -_gauged_ratio(*self._s_pair(x, xi))
 
     def j_symbol(self, x, xi) -> np.ndarray:
         """Zeroth-order symbol of the coupling map J."""
-        p = self.params
-        return p.rhobar_plus - p.rhobar_minus * (
-            p.hbar_minus / p.hbar_plus
-        ) * self.dn_ratio_symbol(x, xi)
+        return _j_of(self.params, *self._s_pair(x, xi))
 
     def mix_symbol(self, x, xi) -> np.ndarray:
         """Symbol of the weighted DN sum 𝒢̃ (positive off ξ = 0)."""
-        p = self.params
-        return (
-            p.rhobar_minus / p.hbar_plus * self.s(x, xi, +1)
-            + p.rhobar_plus / p.hbar_minus * self.s(x, xi, -1)
-        )
+        return _g_tilde_of(self.params, *self._s_pair(x, xi))
 
     def coupled_ratio_symbol(self, x, xi) -> np.ndarray:
         """Symbol of (G⁻)⁻¹𝒢, i.e. (1/H̄⁺)·(−S⁺/S⁻)/S_J."""
-        return self.dn_ratio_symbol(x, xi) / (
-            self.params.hbar_plus * self.j_symbol(x, xi)
-        )
+        sp, sm = self._s_pair(x, xi)
+        return -_gauged_ratio(sp, sm) / (self.params.hbar_plus * _j_of(self.params, sp, sm))
 
     def p2_over_mix_symbol(self, x, xi) -> np.ndarray:
-        """Symbol 𝔓²/S̃ describing 𝔓² ∘ 𝒢̃⁻¹ (finite limit at ξ = 0)."""
-        p = self.params
-        xi = np.asarray(xi, dtype=float)
-        small = np.abs(xi) < _SMALL_XI
-        xi_safe = np.where(small, 1.0, xi)
-        p2 = xi_safe**2 / (1.0 + math.sqrt(p.mu) * np.abs(xi_safe))
-        ratio = p2 / self.mix_symbol(x, xi_safe)
-        lim_coeff = (
-            p.rhobar_minus / p.hbar_plus * self._s_small_xi_coeff(x, +1)
-            + p.rhobar_plus / p.hbar_minus * self._s_small_xi_coeff(x, -1)
-        )
-        return np.where(small, np.broadcast_to(1.0 / lim_coeff, ratio.shape), ratio)
+        """Symbol 𝔓²/S̃ describing 𝔓² ∘ 𝒢̃⁻¹."""
+        p2 = np.asarray(xi, dtype=float) ** 2 / (1.0 + math.sqrt(self.params.mu) * np.abs(xi))
+        return _gauged_ratio(p2, self.mix_symbol(x, xi))
 
 
 @dataclass

@@ -22,6 +22,7 @@ from twofluid import (
     rk4_step,
     run,
     stability_inputs,
+    transmission_solve,
 )
 
 
@@ -227,6 +228,24 @@ def test_monitor_evaluates_one_snapshot(grid32):
     ((t, rep),) = monitor_criterion(alone)
     assert t == rows[i][0]
     assert rep.to_dict() == rows[i][1].to_dict()
+
+
+def test_snapshots_hold_no_solver_caches(grid32):
+    # a recorded state keeps its fields but not the stepping state's layers,
+    # 𝒢̃ or 𝒢̃ factor; warm copies of the snapshots get the same reports
+    st = make_state(grid32, 0.5 * np.cos(grid32.nodes), 0.2 * np.sin(grid32.nodes), eps=0.2)
+    series = run(EvolutionConfig(t_end=0.1, snapshot_every=2), st)
+    assert len(series.states) >= 3
+    assert all(not s._layers and s._g_tilde is None for s in series.states)
+    warm = [s.replace_fields(s.zeta, s.psi) for s in series.states]
+    for s in warm:
+        transmission_solve(s)
+    assert all(len(s._layers) == 2 and s._g_tilde is not None for s in warm)
+    rows = monitor_criterion(series)
+    warm_rows = monitor_criterion(TimeSeries(times=series.times, states=warm,
+                                             traces=series.traces,
+                                             diagnostics=series.diagnostics))
+    assert [(t, r.to_dict()) for t, r in rows] == [(t, r.to_dict()) for t, r in warm_rows]
 
 
 def test_snapshot_differences_converge_to_one_state_rates():

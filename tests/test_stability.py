@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -436,3 +439,14 @@ def test_margin_at_least_half_d_under_sc(rng):
         assert d_val > 0.0
         res = modewise_margin(p, inf_a=inf_a, jump_sup=jump, e_value=e_val)
         assert res.value >= 0.5 * d_val - 1e-8
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # c_flat, the only user of scipy.optimize, imports it when called
+    import twofluid
+
+    src = os.path.dirname(os.path.dirname(twofluid.__file__))
+    code = "import sys, twofluid; assert 'scipy.optimize' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
