@@ -74,6 +74,7 @@ from .stability import (
     evaluate_criteria,
     ins_form,
     modewise_margin,
+    monitor_criterion,
     stability_inputs,
 )
 from .kelvin import (
@@ -89,7 +90,6 @@ from .evolution import (
     TimeSeries,
     cfl_cap,
     linear_mode_energy,
-    monitor_criterion,
     rhs,
     rk4_step,
     run,

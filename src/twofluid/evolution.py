@@ -20,6 +20,9 @@ it scales the quadratic invariant by |R(iωΔt)|² = 1 − (ωΔt)⁶/72 +
 Breakdown (vanishing layer depth, a failed residual check or NaN) is a
 first-class outcome: shear-unstable runs are expected to end this way and
 the series reports the breakdown time together with a spectral-tail diagnostic.
+The stability criteria along a run are evaluated on its snapshots by
+:func:`twofluid.stability.monitor_criterion`; this module does not import
+:mod:`twofluid.stability`, which imports :func:`tendency` from it.
 """
 
 from __future__ import annotations
@@ -31,10 +34,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError, NumericalError, TwoFluidError
-from .operators import InterfaceState, TraceBundle, transmission_solve
+from .operators import InterfaceState, TraceBundle, coupled_dn_flat_symbol, transmission_solve
 from .params import DimensionlessParams, check_schedule
 from .spectral import PeriodicGrid, dealias_mask, deriv, truncate
-from .stability import evaluate_criteria, stability_inputs
 
 
 def cfl_cap(params: DimensionlessParams, n_points: int, length: float = 2 * math.pi) -> float:
@@ -133,17 +135,16 @@ def rk4_step(
     k4 = rhs(s4, mask)
     zeta = state.zeta + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
     psi = state.psi + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    if not (np.all(np.isfinite(zeta)) and np.all(np.isfinite(psi))):
-        raise NumericalError("non-finite state after RK4 step")
+    # a non-finite field raises NumericalError in the state's constructor
     return state.replace_fields(zeta, psi)
 
 
 def _tail_fraction(grid: PeriodicGrid, u: np.ndarray) -> float:
+    """Share of the energy of u off the mean that lies in the modes the 2/3
+    rule removes."""
     uh = np.abs(np.fft.fft(u)) ** 2
-    cutoff = (2.0 / 3.0) * grid.k_max
-    tail = uh[np.abs(grid.wavenumbers) > cutoff]
     total = float(np.sum(uh[1:])) or 1.0
-    return float(np.sum(tail)) / total
+    return float(np.sum(uh[~dealias_mask(grid)])) / total
 
 
 def _record(series: TimeSeries, t, state, traces, grid):
@@ -201,20 +202,6 @@ def run(config: EvolutionConfig, initial: InterfaceState) -> TimeSeries:
     return series
 
 
-def monitor_criterion(series: TimeSeries) -> list:
-    """Evaluate the stability criteria at every recorded snapshot.
-
-    Each snapshot is evaluated by itself, from its state and its recorded
-    trace bundle (:func:`~twofluid.stability.stability_inputs`), so neither
-    the number of snapshots nor their cadence enters.  Returns (time,
-    report) pairs aligned with the snapshot times.
-    """
-    return [
-        (t, evaluate_criteria(stability_inputs(state, traces)))
-        for t, state, traces in zip(series.times, series.states, series.traces)
-    ]
-
-
 def linear_mode_energy(state: InterfaceState, k_index: int) -> float:
     """Quadratic invariant (1+k²/Bo)|ζ̂ₖ|² + (1/μ)𝒢₀(k)|ψ̂ₖ|² of the continuum linearization.
 
@@ -223,8 +210,6 @@ def linear_mode_energy(state: InterfaceState, k_index: int) -> float:
     invariant carries 𝒢_h(k) in place of 𝒢₀(k)) and RK4's per-step damping
     1 − (ωΔt)⁶/72.
     """
-    from .operators import coupled_dn_flat_symbol
-
     p = state.params
     grid = state.grid
     zh = np.fft.fft(state.zeta) / grid.n

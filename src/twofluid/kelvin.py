@@ -3,9 +3,14 @@
 For two layers of densities ρ± and depths H± moving with constant horizontal
 velocities c±, a normal mode e^{ik(x−ct)} satisfies the quadratic
 
-    ρ⁺coth(kH⁺)(c − c⁺)² + ρ⁻coth(kH⁻)(c − c⁻)² = (g(ρ⁺−ρ⁻) + σk²)/k,
+    t⁺(c − c⁺)² + t⁻(c − c⁻)² = R,   t± = ρ±coth(kH±),  R = (g(ρ⁺−ρ⁻) + σk²)/k,
 
-so mode k is unstable exactly when
+with roots c = (t⁺c⁺ + t⁻c⁻ ± √Δ)/(t⁺ + t⁻) and discriminant
+
+    Δ = (t⁺ + t⁻)R − t⁺t⁻⟦c⟧².
+
+Every function of this module reads Δ from one helper.  Mode k is unstable
+exactly when Δ < 0, that is when
 
     ⟦c⟧² > (tanh(kH⁺)/ρ⁺ + tanh(kH⁻)/ρ⁻) (g(ρ⁺−ρ⁻) + σk²)/k.
 
@@ -22,7 +27,7 @@ over the wavenumbers, is the reference the candidates are judged by.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,14 +48,12 @@ class ShearConfig:
     gravity: float = 9.81
 
     def __post_init__(self):
-        if not (self.rho_plus >= self.rho_minus >= 0.0):
-            raise InvalidConfigError("need rho_plus >= rho_minus >= 0")
+        if not (self.rho_plus > 0.0 and self.rho_plus >= self.rho_minus >= 0.0):
+            raise InvalidConfigError("need rho_plus > 0 and rho_plus >= rho_minus >= 0")
         if self.depth_plus <= 0.0 or self.depth_minus <= 0.0:
             raise InvalidConfigError("depths must be positive")
 
     def with_shear(self, jump: float) -> "ShearConfig":
-        from dataclasses import replace
-
         return replace(self, c_plus=0.5 * jump, c_minus=-0.5 * jump)
 
 
@@ -58,46 +61,42 @@ class ShearConfig:
 _K_SCAN = np.geomspace(1e-3, 1e5, 600)
 
 
-def _coth(y):
-    return 1.0 / np.tanh(y)
-
-
-def mode_growth(k: float, cfg: ShearConfig) -> float:
-    """Temporal growth rate Im(ω) of the most unstable root at wavenumber k.
-
-    Zero when the dispersion quadratic has real roots.  Depends on the
-    background velocities only through the jump ⟦c⟧ = c⁺ − c⁻.
-    """
-    if k <= 0.0:
+def _dispersion(k, cfg: ShearConfig) -> tuple:
+    """(t⁺, t⁻, Δ) of the dispersion quadratic at the wavenumbers k:
+    t± = ρ±coth(kH±) and Δ = (t⁺ + t⁻)R − t⁺t⁻⟦c⟧², with R the restoring
+    term (g(ρ⁺−ρ⁻) + σk²)/k.  Raises InvalidConfigError unless every k > 0."""
+    if np.any(np.asarray(k) <= 0.0):
         raise InvalidConfigError("wavenumber must be positive")
-    tp = cfg.rho_plus * _coth(k * cfg.depth_plus)
-    tm = cfg.rho_minus * _coth(k * cfg.depth_minus) if cfg.rho_minus > 0.0 else 0.0
+    tp = cfg.rho_plus / np.tanh(k * cfg.depth_plus)
+    tm = cfg.rho_minus / np.tanh(k * cfg.depth_minus)
     restoring = (cfg.gravity * (cfg.rho_plus - cfg.rho_minus) + cfg.sigma * k**2) / k
-    if tm == 0.0:
-        return 0.0  # single stream: neutral modes only
-    jump = cfg.c_plus - cfg.c_minus
-    disc = (tp + tm) * restoring - tp * tm * jump**2
-    if disc >= 0.0:
-        return 0.0
-    return k * math.sqrt(-disc) / (tp + tm)
+    return tp, tm, (tp + tm) * restoring - tp * tm * (cfg.c_plus - cfg.c_minus) ** 2
+
+
+def mode_growth(k, cfg: ShearConfig):
+    """Temporal growth rate Im(ω) = k√(−Δ)/(t⁺ + t⁻) of the most unstable
+    root at the wavenumber k, or at each of an array of them.
+
+    Zero when Δ ≥ 0, where the dispersion quadratic has real roots; a single
+    stream (ρ⁻ = 0, so t⁻ = 0) has Δ = t⁺R ≥ 0.  Depends on the background
+    velocities only through the jump ⟦c⟧ = c⁺ − c⁻.
+    """
+    tp, tm, disc = _dispersion(k, cfg)
+    return k * np.sqrt(np.maximum(-disc, 0.0)) / (tp + tm)
 
 
 def mode_frequencies(k: float, cfg: ShearConfig):
-    """Both roots ω of the dispersion quadratic (possibly complex)."""
-    tp = cfg.rho_plus * _coth(k * cfg.depth_plus)
-    tm = cfg.rho_minus * _coth(k * cfg.depth_minus) if cfg.rho_minus > 0.0 else 0.0
-    restoring = (cfg.gravity * (cfg.rho_plus - cfg.rho_minus) + cfg.sigma * k**2) / k
-    a = tp + tm
-    b = -2.0 * (tp * cfg.c_plus + tm * cfg.c_minus)
-    c = tp * cfg.c_plus**2 + tm * cfg.c_minus**2 - restoring
-    disc = complex(b * b - 4.0 * a * c)
-    root = np.sqrt(disc)
-    return (k * (-b + root) / (2 * a), k * (-b - root) / (2 * a))
+    """Both roots ω = k(t⁺c⁺ + t⁻c⁻ ± √Δ)/(t⁺ + t⁻) of the dispersion
+    quadratic (complex when Δ < 0)."""
+    tp, tm, disc = _dispersion(k, cfg)
+    mean = tp * cfg.c_plus + tm * cfg.c_minus
+    root = np.sqrt(disc + 0j)
+    return (k * (mean + root) / (tp + tm), k * (mean - root) / (tp + tm))
 
 
 def max_growth(cfg: ShearConfig) -> tuple:
     """Scan k ∈ [1e-3, 1e5] for the largest growth rate."""
-    rates = np.array([mode_growth(k, cfg) for k in _K_SCAN])
+    rates = mode_growth(_K_SCAN, cfg)
     i = int(np.argmax(rates))
     return float(rates[i]), float(_K_SCAN[i])
 
@@ -106,13 +105,14 @@ def critical_shear(cfg: ShearConfig) -> tuple:
     """Threshold |⟦c⟧|: the infimum over k > 0 of the shear above which mode
     k grows.
 
-    Mode k is unstable exactly when ⟦c⟧² > T(k) = (tanh(kH⁺)/ρ⁺ +
-    tanh(kH⁻)/ρ⁻)(g(ρ⁺−ρ⁻) + σk²)/k.  Returns (threshold, critical
-    wavenumber): √inf T(k) and the k where it is reached.  The infimum is 0
-    in two limits: without surface tension T(k) → 0 as k → ∞ (T ≡ 0 at equal
-    densities), giving (0, ∞), and at equal densities with σ > 0 T(k) → 0 as
-    k → 0, giving (0, 0).  Otherwise T(k) → ∞ at both ends and the result is
-    its minimum over the wavenumbers of :func:`max_growth`.
+    Mode k is unstable exactly when Δ < 0, that is when ⟦c⟧² > T(k) =
+    Δ(⟦c⟧ = 0)/(t⁺t⁻) = (tanh(kH⁺)/ρ⁺ + tanh(kH⁻)/ρ⁻)(g(ρ⁺−ρ⁻) + σk²)/k.
+    Returns (threshold, critical wavenumber): √inf T(k) and the k where it
+    is reached.  The infimum is 0 in two limits: without surface tension
+    T(k) → 0 as k → ∞ (T ≡ 0 at equal densities), giving (0, ∞), and at
+    equal densities with σ > 0 T(k) → 0 as k → 0, giving (0, 0).  Otherwise
+    T(k) → ∞ at both ends and the result is its minimum over the wavenumbers
+    of :func:`max_growth`.
 
     Raises
     ------
@@ -125,12 +125,10 @@ def critical_shear(cfg: ShearConfig) -> tuple:
         return 0.0, math.inf
     if cfg.rho_plus == cfg.rho_minus:
         return 0.0, 0.0
-    k = _K_SCAN
-    t = (np.tanh(k * cfg.depth_plus) / cfg.rho_plus
-         + np.tanh(k * cfg.depth_minus) / cfg.rho_minus) * (
-        cfg.gravity * (cfg.rho_plus - cfg.rho_minus) + cfg.sigma * k**2) / k
+    tp, tm, disc = _dispersion(_K_SCAN, cfg.with_shear(0.0))
+    t = disc / (tp * tm)
     i = int(np.argmin(t))
-    return math.sqrt(t[i]), float(k[i])
+    return math.sqrt(t[i]), float(_K_SCAN[i])
 
 
 def kelvin_criterion_threshold(cfg: ShearConfig, c0: float) -> float:

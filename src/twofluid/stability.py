@@ -13,7 +13,8 @@ where 𝔞 = 1 + ε⟦ρ̄±(∂t + εV±∂x)w±⟧ and ⟦V⟧ = V⁺ − V⁻
 derivatives of w± and ⟦V⟧ are functions of the state (ζ, ψ): the tangent of
 the transmission map along the state's own tendency, from the shape
 derivative of the DN maps (:func:`stability_inputs`).  So each snapshot is
-evaluated by itself, independent of the output cadence.  On the discrete DN
+evaluated by itself, independent of the output cadence:
+:func:`monitor_criterion` evaluates the snapshots of a run.  On the discrete DN
 matrices that continuum formula is consistent to O(n_z⁻²), the order of the
 vertical differences.  The geometric constant uses the sharp operator bound
 𝔢(ζ) of the shear quadratic form,
@@ -49,6 +50,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh
 
 from .errors import IncompatibleDataError, InvalidConfigError, NumericalError
+from .evolution import TimeSeries, tendency
 from .operators import InterfaceState, TraceBundle, e_quadratic_form, transmission_tangent
 # imported for the benchmark tracer, which wraps it under this module's name
 from .operators import invert_g_tilde
@@ -175,9 +177,6 @@ def stability_inputs(state: InterfaceState, traces: TraceBundle) -> StabilityInp
     are the tangent of the transmission map, which reuses the state's DN
     matrices and 𝒢̃ factor (:func:`~twofluid.operators.transmission_tangent`).
     """
-    # evolution imports this module
-    from .evolution import tendency
-
     grid = state.grid
     rates = transmission_tangent(state, traces, *tendency(state, traces))
     jump = traces.jump_v()
@@ -276,10 +275,6 @@ def criteria_from_scalars(
         dim_rhs = 0.0 if p.rhobar_minus == 0.0 else float("nan")
         dim_verdict = dim_lhs > dim_rhs if not math.isnan(dim_lhs + dim_rhs) else sc_alt
     verdict = "stable" if sc else "unstable"
-    practical = (
-        practical_verdict(ups).value if (0.0 < ups < math.inf) else
-        ("stable" if p.rhobar_minus == 0.0 else "unstable")
-    )
     return StabilityReport(
         upsilon=ups,
         c_coeff=c_sq,
@@ -298,7 +293,7 @@ def criteria_from_scalars(
         dim_lhs=dim_lhs,
         dim_rhs=dim_rhs,
         dim_verdict=dim_verdict,
-        practical=practical,
+        practical=practical_verdict(ups).value,
     )
 
 
@@ -320,6 +315,21 @@ def evaluate_criteria(inputs: StabilityInputs) -> StabilityReport:
         jump_sup=jump_sup,
         jump_sup_d1=jump_sup_d1,
     )
+
+
+def monitor_criterion(series: TimeSeries) -> list:
+    """Evaluate the stability criteria at every recorded snapshot of a run
+    (:func:`~twofluid.evolution.run`).
+
+    Each snapshot is evaluated by itself, from its state and its recorded
+    trace bundle (:func:`stability_inputs`), so neither the number of
+    snapshots nor their cadence enters.  Returns (time, report) pairs
+    aligned with the snapshot times.
+    """
+    return [
+        (t, evaluate_criteria(stability_inputs(state, traces)))
+        for t, state, traces in zip(series.times, series.states, series.traces)
+    ]
 
 
 def ins_form(u, inputs: StabilityInputs) -> float:

@@ -10,25 +10,29 @@ which turns the scaled Laplace problem into the divergence-form equation
 
     p11 = 1 + ∂zσ,   p12 = -√μ± ∂xσ,   p22 = (1 + μ±(∂xσ)²)/(1 + ∂zσ),
 
-σ = ε±(1±z)ζ.  Discretization: spectral differentiation in x, second-order
-centered differences on a uniform z grid, with fluxes assembled at z
-half-levels so that the discrete operator A is exactly symmetric and positive
-semi-definite.
+σ = ε±(1±z)ζ.  Both layers are written in the distance f = 1 ± z from
+their wall, which runs against z in the upper layer: there ∂z = −∂f, and the
+layer sign enters only the cross term, p12 = ±f·q with q = −√μ±ε±∂xζ, and
+the sign of the DN map, G± = ±S±.  Discretization: spectral differentiation
+in x, second-order centered differences on a uniform grid in f, with fluxes
+assembled at half-levels so that the discrete operator A is exactly symmetric
+and positive semi-definite.  Rows are numbered from the wall (row 0) to the
+interface (row n_z) in both layers.
 
 :class:`StripOperator` is the one object per layer.  Its constructor checks
 the depth (:func:`layer_depth`) and samples the metric; nothing else is
 computed until it is asked for.  Because x is spectral, A is block
-tridiagonal in z with dense N×N blocks.  The metric is affine in z: p11 does
-not depend on it and p12 = f·q, f = 1 ± z the distance from the wall and
-q = −√μ±ε±∂xζ.  So every block is one of three N×N matrices, K from p11 and
-Σ, A from q, combined with a scalar of f and a diagonal from p22, and a
-layer's blocks are assembled in one pass, as stacks of row and off-diagonal
-blocks (:meth:`StripOperator._blocks`).  A block Cholesky sweep from the
-wall to the interface row eliminates every other row in place on them, its
-loop making only LAPACK and BLAS calls, and leaves the Schur complement S
-on the interface row.  S is the discrete Dirichlet-Neumann matrix itself
-(G± = ±S±): symmetric, positive semi-definite, and zero on constants and on
-the Nyquist column that the spectral derivative annihilates.
+tridiagonal with dense N×N blocks.  The metric is affine in f: p11 does not
+depend on it and p12 = ±f·q.  So every block is one of three N×N matrices,
+K from p11 and Σ, A from q, combined with a scalar of f and a diagonal from
+p22, and a layer's blocks are assembled in one pass, as stacks of row and
+off-diagonal blocks (:meth:`StripOperator._blocks`).  A block Cholesky
+sweep in row order, from the wall to the interface row, eliminates every
+other row in place on them, its loop making only LAPACK and BLAS calls, and
+leaves the Schur complement S on the interface row.  S is the discrete
+Dirichlet-Neumann matrix itself (G± = ±S±): symmetric, positive
+semi-definite, and zero on constants and on the Nyquist column that the
+spectral derivative annihilates.
 :attr:`StripOperator.dn_matrix` sweeps once and caches S.  The Neumann
 solve is an interface solve with S alone.  The Dirichlet solve is the one
 field solve: it repeats the sweep, holding the factors of every eliminated
@@ -80,8 +84,8 @@ def layer_depth(zeta, eps_layer: float, layer_sign: int) -> np.ndarray:
 
 @dataclass
 class StripSolution:
-    """Solution of one strip solve: potential on the (n_z+1, n) grid and its
-    interface trace."""
+    """Solution of one strip solve: potential on the (n_z+1, n) grid, rows
+    from the wall (row 0) to the interface (row n_z), and its interface trace."""
 
     phi: np.ndarray
     trace: np.ndarray
@@ -175,9 +179,11 @@ class StripOperator:
     diffeomorphism, the discrete operator A, its Schur complement S on the
     interface row, the Dirichlet field solve and the Neumann interface solve.
 
-    The metric is sampled on the z half-levels: p11 = 1 ± ε±ζ, which does
-    not depend on z, and q as (N,) arrays, and p12 = f·q, p22 as (n_z, N)
-    arrays, f the distance of each half-level from the wall.
+    A field is an (n_z + 1, N) array whose rows run from the wall (row 0)
+    to the interface (row n_z) in both layers.  The metric is sampled on the
+    half-levels: p11 = 1 ± ε±ζ, which does not depend on the level, and q as
+    (N,) arrays, and p12 = ±f·q, p22 as (n_z, N) arrays, f the distance of
+    each half-level from the wall and ± the layer sign.
     """
 
     def __init__(self, grid: PeriodicGrid, zeta, eps_layer: float, mu_layer: float,
@@ -194,23 +200,19 @@ class StripOperator:
         self.h = 1.0 / n_z
         self.smu = math.sqrt(mu_layer)
         self.p11 = layer_depth(zeta, eps_layer, layer_sign)
-        # distance of each half-level from the wall, in sweep order
+        # distance of each half-level from the wall
         self.f = (np.arange(n_z) + 0.5) * self.h
         self.q = -self.smu * eps_layer * deriv(grid, zeta)
-        f_rows = self.f if layer_sign > 0 else self.f[::-1]
-        self.p12 = f_rows[:, None] * self.q[None, :]
+        # the wall distance runs against z in the upper layer, flipping ∂z
+        self.p12 = self.f[:, None] * (layer_sign * self.q)[None, :]
         self.p22 = (1.0 + self.p12**2) / self.p11
-        self.iface = n_z if layer_sign > 0 else 0
-        rows = np.arange(n_z + 1)
-        self.interior = rows[rows != self.iface]
-        # rows from the wall to the interface, the order of the sweep
-        self.sweep_rows = rows if layer_sign > 0 else rows[::-1]
         self._s = None
         self._neumann = None
 
     # -- discrete bilinear form -------------------------------------------------
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        """Symmetric PSD operator A with v·Aφ = Σ_cells h ∇^μ v·P ∇^μ φ."""
+        """Symmetric PSD operator A with v·Aφ = Σ_cells h ∇^μ v·P ∇^μ φ, on a
+        field with rows from the wall to the interface."""
         h, grid = self.h, self.grid
         ik = grid.ik
         uh = np.fft.rfft(phi, axis=-1)
@@ -227,13 +229,13 @@ class StripOperator:
         return out
 
     def _blocks(self):
-        """Blocks of A in sweep order: (row_j, off_j) for the sweep rows
-        j < n_z, off_j = A[r_j, r_{j+1}], then (row_{n_z}, None) for the
-        interface row: Fortran-ordered row blocks and C-ordered off blocks,
-        views of one stack assembled in a single pass.
+        """Blocks of A in row order, from the wall to the interface: (row_j,
+        off_j) for the rows j < n_z, off_j = A[j, j+1], then (row_{n_z}, None)
+        for the interface row: Fortran-ordered row blocks and C-ordered off
+        blocks, views of one stack assembled in a single pass.
 
-        The cell between sweep rows j and j + 1 has energy h·∇^μv·P∇^μφ with
-        ∂x = D(φ_j + φ_{j+1})/2 and ∂z = ±(φ_{j+1} − φ_j)/h, D the spectral
+        The cell between rows j and j + 1 has energy h·∇^μv·P∇^μφ with
+        ∂x = D(φ_j + φ_{j+1})/2 and ∂f = (φ_{j+1} − φ_j)/h, D the spectral
         derivative matrix.  With K = (hμ/4)Dᵀdiag(p11)D, E = ±(√μ/2)Dᵀdiag(q),
         Σ = E + Eᵀ, A = E − Eᵀ and M_j = diag(p22_j/h), p22_j of cell j:
 
@@ -249,7 +251,7 @@ class StripOperator:
         dmat_t = self.grid.deriv_matrix_t
         stiff = (0.25 * h * self.mu) * ((dmat_t * self.p11) @ dmat_t.T)
         e = dmat_t * ((0.5 * self.sign * self.smu) * self.q)
-        mass = (self.p22 if self.sign > 0 else self.p22[::-1]) * (1.0 / h)
+        mass = self.p22 * (1.0 / h)
         # the coefficients of (K, Σ) in each row block
         row_coef = np.empty((n_z + 1, 2))
         row_coef[:] = 2.0, -h
@@ -269,13 +271,14 @@ class StripOperator:
         for j in range(n_z + 1):
             yield rows[j].T, offs[j] if j < n_z else None
 
-    def _sweep(self, keep: bool) -> list:
+    def _sweep(self) -> list:
         """Block Cholesky elimination of every row but the interface one.
 
         The loop makes only LAPACK and BLAS calls, in place on the blocks of
-        :meth:`_blocks`.  Caches S; returns the factors (L_j, x_j) of the
-        eliminated sweep rows if ``keep``, with L_j the Cholesky factor of
-        row j after the updates of the rows before it and x_j = (L_j⁻¹off_j)ᵀ.
+        :meth:`_blocks`.  Caches S and returns the factors (L_j, x_j) of the
+        eliminated rows j < n_z, with L_j the Cholesky factor of row j after
+        the updates of the rows before it and x_j = (L_j⁻¹off_j)ᵀ: views of
+        the block stack, which the sweep holds anyway.
         """
         factors = []
         x_t = None
@@ -289,8 +292,7 @@ class StripOperator:
             # xᵀ = offᵀL⁻ᵀ: off.T is a Fortran-ordered view, solved in place;
             # OpenBLAS runs this right-sided form about twice as fast as L⁻¹off
             x_t = dtrsm(1.0, low, off.T, side=1, lower=1, trans_a=1, overwrite_b=1)
-            if keep:
-                factors.append((low, x_t))
+            factors.append((low, x_t))
         # only the lower triangle is updated; mirroring it keeps S == Sᵀ exact
         self._s = np.where(np.tri(len(row), dtype=bool), row, row.T)
         return factors
@@ -299,32 +301,31 @@ class StripOperator:
     def dn_matrix(self) -> np.ndarray:
         """S, the Schur complement of A on the interface row (G± = ±S)."""
         if self._s is None:
-            self._sweep(keep=False)
+            self._sweep()
         return self._s
 
     def _extend(self, psi: np.ndarray, factors: list) -> np.ndarray:
-        """Back-substitute the field with interface trace ψ."""
+        """Back-substitute the field with interface trace ψ, rows from the
+        wall (row 0) to the interface (row n_z)."""
         phi = np.empty((self.n_z + 1, self.grid.n))
-        rows = self.sweep_rows
-        phi[rows[-1]] = psi
-        for r, nxt, (low, x_t) in zip(rows[-2::-1], rows[::-1], reversed(factors)):
-            y, _ = dtrtrs(low, (phi[nxt] @ x_t)[:, None], lower=1, trans=1)
-            phi[r] = -y[:, 0]
+        phi[-1] = psi
+        for j in reversed(range(self.n_z)):
+            low, x_t = factors[j]
+            y, _ = dtrtrs(low, (phi[j + 1] @ x_t)[:, None], lower=1, trans=1)
+            phi[j] = -y[:, 0]
         return phi
 
     # -- solves -----------------------------------------------------------------
     def solve_dirichlet(self, psi) -> StripSolution:
         """Solve ∇^μ·P∇^μ φ = 0 with φ = ψ at the interface, no-flux at the wall."""
         psi = _finite(psi, "Dirichlet data")
-        phi = self._extend(psi, self._sweep(keep=True))
+        phi = self._extend(psi, self._sweep())
         lift = np.zeros_like(phi)
-        lift[self.iface] = psi
+        lift[-1] = psi
         res = _check_residual(
-            self.apply(phi)[self.interior],
-            self.apply(lift)[self.interior],
-            "Dirichlet solve",
+            self.apply(phi)[:-1], self.apply(lift)[:-1], "Dirichlet solve"
         )
-        return StripSolution(phi=phi, trace=phi[self.iface].copy(), residual_norm=res)
+        return StripSolution(phi=phi, trace=phi[-1].copy(), residual_norm=res)
 
     def solve_neumann(self, g) -> np.ndarray:
         """Gauged interface trace ψ with upward conormal flux Gψ = ±Sψ = g.

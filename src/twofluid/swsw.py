@@ -30,8 +30,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError, NumericalError
+from .evolution import EvolutionConfig, run
+from .operators import InterfaceState
 from .params import DimensionlessParams, check_schedule, config_from_dimensionless, derive_params
-from .spectral import PeriodicGrid, antideriv, fourier_interpolate
+from .spectral import PeriodicGrid, antideriv, deriv, fourier_interpolate
+from .strip import _check_range
 
 # run_swsw's time step in units of dx/max|λ|; fv_step rejects steps above 0.5
 CFL_NUMBER = 0.45
@@ -269,11 +272,6 @@ def compare_with_full(
     no Nyquist component, each up to 1e-8·‖v0‖∞ (a periodic ψ carries no
     mean current); other data raises IncompatibleDataError.
     """
-    from .evolution import EvolutionConfig, run
-    from .operators import InterfaceState
-    from .spectral import deriv
-    from .strip import _check_range
-
     zeta0 = np.asarray(zeta0, dtype=float)
     v0 = _check_range(v0, "compare_with_full velocity")
     rows = []

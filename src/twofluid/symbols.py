@@ -35,12 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TwoFluidError
-from .operators import _g_tilde_of, _gauged_ratio, _j_of
+from .operators import _g_tilde_of, _gauged_ratio, _j_of, invert_g_tilde, invert_j
 from .params import DimensionlessParams, config_from_dimensionless, derive_params
 from .spectral import (
     PeriodicGrid,
     apply_multiplier,
     apply_symbol,
+    deriv,
     norm_hdot_mu,
     norm_sobolev,
 )
@@ -72,8 +73,6 @@ class TailSymbolSet:
     zeta_x: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        from .spectral import deriv
-
         self.zeta = np.asarray(self.zeta, dtype=float)
         self.zeta_x = deriv(self.grid, self.zeta)
 
@@ -227,9 +226,6 @@ def ratio_symbol_error(state, f, which: str) -> dict:
     Returns the measured discrepancy in the shallowness-adapted 1/2 norm
     together with the predicted small factors ε·μ^{−k/4}·|f|, k = 0, 1.
     """
-    from .operators import invert_g_tilde, invert_j
-    from .spectral import deriv
-
     p = state.params
     grid = state.grid
     f = np.asarray(f, dtype=float) - float(np.mean(f))

@@ -122,6 +122,14 @@ def test_cfl_guard(grid32):
         EvolutionConfig(t_end=1.0, dt=2.0 * cap).resolve(st)
 
 
+def test_cfl_cap_without_surface_tension():
+    # Bo = ∞: only the gravity speed limits the step, 0.5√μ/k_max
+    p = derive_params(config_from_dimensionless(0.3, 0.5, 0.4, 1.0))
+    assert math.isinf(p.bond)
+    assert cfl_cap(p, 32) == pytest.approx(0.5 * math.sqrt(0.5) / 16, rel=1e-15)
+    assert cfl_cap(p, 32) == pytest.approx(0.0220971, abs=1e-7)
+
+
 @pytest.mark.parametrize("settings", [
     {"t_end": 1.0, "dt": -0.01},
     {"t_end": 1.0, "dt": 0.0},

@@ -133,6 +133,13 @@ def test_mode_growth_rejects_bad_wavenumber():
         mode_growth(0.0, AIR_WATER_DEEP)
 
 
+def test_mode_frequencies_reject_bad_wavenumber():
+    # the restoring term divides by k: k = 0 raises instead of dividing by zero
+    for k in (0.0, -1.0):
+        with pytest.raises(InvalidConfigError):
+            mode_frequencies(k, AIR_WATER_DEEP)
+
+
 def test_max_growth_positive_above_threshold():
     rate, k = max_growth(AIR_WATER_DEEP.with_shear(10.0))
     assert rate > 0.0

@@ -53,9 +53,9 @@ def test_layers_are_built_lazily_once(grid64, monkeypatch):
         builds.append(args)
         init(self, *args, **kwargs)
 
-    def counted_sweep(self, keep):
-        sweeps.append(keep)
-        return sweep(self, keep)
+    def counted_sweep(self):
+        sweeps.append(self.sign)
+        return sweep(self)
 
     monkeypatch.setattr(StripOperator, "__init__", counted_init)
     monkeypatch.setattr(StripOperator, "_sweep", counted_sweep)
@@ -65,7 +65,7 @@ def test_layers_are_built_lazily_once(grid64, monkeypatch):
     assert len(builds) == 1
     s = st.layer(+1).dn_matrix
     assert st.layer(+1).dn_matrix is s
-    assert sweeps == [False]
+    assert sweeps == [+1]
     st.layer(-1)
     assert len(builds) == 2
 

@@ -83,6 +83,22 @@ def test_c_flat_zero_limit_can_dominate():
     assert res.x_argmax == 0.0
 
 
+def test_c_flat_interior_supremum():
+    # a deep light layer over a thin heavy one: the supremum is interior,
+    # above both endpoint limits, and the refinement matches a fine scan
+    args = (0.99, 0.01, 10.0, 0.01)
+    res = c_flat(*args)
+    assert not res.at_infinity and 0.0 < res.x_argmax < math.inf
+    assert res.value > max(1.0, 1.0 / (0.01 * 10.0 + 0.99 * 0.01))
+    xs = np.linspace(0.5, 1.5, 200001)
+    vals = _flat_quotient(xs, *args)
+    i = int(np.argmax(vals))
+    assert vals[i] <= res.value <= vals[i] * (1.0 + 1e-9)
+    assert abs(res.x_argmax - xs[i]) <= 2.0 * (xs[1] - xs[0])
+    assert res.value == pytest.approx(25.12621, rel=1e-6)
+    assert res.x_argmax == pytest.approx(1.00512, abs=1e-5)
+
+
 # -- e coefficient ----------------------------------------------------------------
 
 
@@ -285,6 +301,26 @@ def test_criteria_reject_gamma_outside_unit_interval(gamma):
     with pytest.raises(InvalidConfigError):
         criteria_from_scalars(p, e_value=1.0, grad_zeta_sup=0.0, inf_a=1.0,
                               jump_sup=0.5, jump_sup_d1=0.5, gamma=gamma)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_practical_verdict_follows_upsilon(eps):
+    # Υ ∝ ε⁴: a flat interface (Υ = 0) and a tiny amplitude are both in the
+    # stable band of the practical criterion, like any Υ < 0.1
+    p = derive_params(config_from_dimensionless(eps, 0.5, 0.4, 1.0, 100.0))
+    rep = criteria_from_scalars(p, e_value=1.0, grad_zeta_sup=0.0, inf_a=1.0,
+                                jump_sup=0.0, jump_sup_d1=0.0)
+    assert rep.upsilon < 0.1
+    assert rep.practical == "stable"
+
+
+def test_criteria_reject_zero_surface_tension():
+    # σ = 0 with a second fluid and a wave: Υ = ∞, no stable regime to report
+    p = derive_params(config_from_dimensionless(0.3, 0.5, 0.4, 1.0))
+    assert p.sigma == 0.0 and math.isinf(p.upsilon)
+    with pytest.raises(InvalidConfigError):
+        criteria_from_scalars(p, e_value=1.0, grad_zeta_sup=0.0, inf_a=1.0,
+                              jump_sup=0.5, jump_sup_d1=0.5)
 
 
 def test_rhs_vanishes_linearly_in_rhobar_minus(rng):

@@ -67,14 +67,30 @@ def test_dirichlet_constant_is_exact(grid64):
 def test_dirichlet_flat_separable_solution(grid64):
     mu = 0.49
     k = 2
-    d = StripOperator(grid64, np.zeros(64), 0.0, mu, +1, n_z=64)
-    sol = d.solve_dirichlet(np.cos(k * grid64.nodes))
     smu = math.sqrt(mu)
-    z = -1.0 + np.arange(65) / 64.0
+    # rows run from the wall to the interface: f is the distance from the wall
+    f = np.arange(65) / 64.0
     exact = np.cos(k * grid64.nodes)[None, :] * (
-        np.cosh(smu * k * (z + 1.0)) / math.cosh(smu * k)
+        np.cosh(smu * k * f) / math.cosh(smu * k)
     )[:, None]
-    assert np.max(np.abs(sol.phi - exact)) < 2e-4
+    for sign in (+1, -1):
+        d = StripOperator(grid64, np.zeros(64), 0.0, mu, sign, n_z=64)
+        sol = d.solve_dirichlet(np.cos(k * grid64.nodes))
+        assert np.max(np.abs(sol.phi - exact)) < 2e-4
+
+
+@pytest.mark.parametrize("eps, mu", [(0.0, 0.5), (0.4, 0.05), (0.6, 2.0)])
+def test_upper_layer_over_minus_zeta_is_lower_layer_over_zeta(grid64, eps, mu):
+    # the two layers pose one problem seen from opposite walls: with rows
+    # numbered from the wall, the upper layer over −ζ is the lower layer over ζ
+    zeta = 0.5 * np.cos(grid64.nodes) + 0.2 * np.sin(3 * grid64.nodes)
+    lower = StripOperator(grid64, zeta, eps, mu, +1, n_z=16)
+    upper = StripOperator(grid64, -zeta, eps, mu, -1, n_z=16)
+    assert np.array_equal(upper.dn_matrix, lower.dn_matrix)
+    assert np.array_equal(dn_apply(upper, zeta), -dn_apply(lower, zeta))
+    # the same field, row j at the same distance from the wall
+    psi = np.sin(2 * grid64.nodes) + 0.3
+    assert np.array_equal(upper.solve_dirichlet(psi).phi, lower.solve_dirichlet(psi).phi)
 
 
 def test_dirichlet_residual_reduction_under_z_refinement(grid64):
@@ -243,14 +259,11 @@ def test_block_elimination_properties(seed, eps, mu, sign, n_z):
     d = StripOperator(grid, zeta, eps, mu, sign, n_z=n_z)
     # the row and off-diagonal blocks assemble to the matrix-free operator
     a = np.zeros((n_z + 1, n, n_z + 1, n))
-    rows = d.sweep_rows
     for i, (row, off) in enumerate(d._blocks()):
-        r = rows[i]
-        a[r, :, r] = row
+        a[i, :, i] = row
         if off is not None:
-            q = rows[i + 1]
-            a[r, :, q] = off
-            a[q, :, r] = off.T
+            a[i, :, i + 1] = off
+            a[i + 1, :, i] = off.T
     phi = rng.standard_normal((n_z + 1, n))
     ref = d.apply(phi).ravel()
     blocks = a.reshape(ref.size, ref.size) @ phi.ravel()
@@ -272,7 +285,7 @@ def test_block_elimination_properties(seed, eps, mu, sign, n_z):
     # it), so the bound is relative to ‖A_II‖
     size = (n_z + 1) * n
     dense = np.column_stack([d.apply(e.reshape(n_z + 1, n)).ravel() for e in np.eye(size)])
-    iface = np.arange(d.iface * n, (d.iface + 1) * n)
+    iface = np.arange(n_z * n, (n_z + 1) * n)
     rest = np.setdiff1d(np.arange(size), iface)
     a_ii = dense[np.ix_(iface, iface)]
     schur = a_ii - dense[np.ix_(iface, rest)] @ np.linalg.solve(
@@ -316,9 +329,9 @@ def test_neumann_solve_reuses_s_without_a_sweep(grid64, monkeypatch):
         factored.append(a.shape)
         return cholesky(a)
 
-    def counted_sweep(self, keep):
-        swept.append(keep)
-        return sweep(self, keep)
+    def counted_sweep(self):
+        swept.append(self.sign)
+        return sweep(self)
 
     monkeypatch.setattr(strip, "_cholesky", counted_cholesky)
     monkeypatch.setattr(StripOperator, "_sweep", counted_sweep)

@@ -6,6 +6,7 @@ import pytest
 from twofluid import (
     IncompatibleDataError,
     InvalidConfigError,
+    NumericalError,
     PeriodicGrid,
     SWConfig,
     SWState,
@@ -117,6 +118,31 @@ def test_run_swsw_computes_the_jacobian_once_per_step(grid64, monkeypatch):
     series = run_swsw(SWConfig(t_end=0.2, snapshot_every=1), st)
     assert series.halted is None
     assert len(calls) == len(series.times) - 1 > 1
+
+
+def test_run_swsw_halts_on_hyperbolicity_loss():
+    # a strong shear over a flat interface makes the long-wave model elliptic
+    # (its Kelvin-Helmholtz shadow): the run halts before its first step
+    grid = PeriodicGrid(16)
+    p = derive_params(config_from_dimensionless(eps=0.5, mu=0.1, rhobar_minus=0.4))
+    st = SWState(grid=grid, zeta=np.zeros(16), v=3.0 * np.sin(grid.nodes), params=p)
+    series = run_swsw(SWConfig(t_end=1.0), st)
+    assert series.halted["reason"] == "hyperbolicity loss"
+    assert series.halted["time"] == 0.0
+    assert series.halted["indicator_min"] == pytest.approx(-1.16, rel=1e-12)
+    assert series.times == [0.0]
+    assert series.indicator_min == [series.halted["indicator_min"]]
+
+
+def test_fitted_exponent_needs_two_valid_rows():
+    rows = [swsw.ComparisonRow(mu=0.1, discrepancy=0.01, full_broke_down=False,
+                               sw_halted=False),
+            swsw.ComparisonRow(mu=0.05, discrepancy=math.nan, full_broke_down=True,
+                               sw_halted=False),
+            swsw.ComparisonRow(mu=0.2, discrepancy=math.nan, full_broke_down=False,
+                               sw_halted=True)]
+    with pytest.raises(NumericalError):
+        swsw.ComparisonTable(rows=rows).fitted_exponent()
 
 
 def test_compare_with_full_is_first_order_in_mu():
