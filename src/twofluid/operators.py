@@ -15,13 +15,14 @@ exposes
 
 An :class:`InterfaceState` holds one :class:`~twofluid.strip.StripOperator`
 per fluid layer, ``state.layer(+1)`` below the interface and
-``state.layer(-1)`` above it, each built on first use.  Everything is
-assembled from their DN matrices S± (G± = ±S±): the discrete 𝒢̃ is the N×N
-sum (ρ̄⁻/H̄⁺)S⁺ + (ρ̄⁺/H̄⁻)S⁻.  𝒢̃ and the factor of 𝒢̃ + Π, Π the projector
-onto the common kernel (constants and the Nyquist mode), are built once
-per state for J⁻¹, 𝒢, 𝒢̃⁻¹ and the transmission solve; J solves with S⁻.
-Both are the gauged solve of :mod:`twofluid.strip`: traces have zero mean
-and zero Nyquist content, and every residual is checked.  The
+``state.layer(-1)`` above it, each built on first use from the x-matrices
+of :mod:`twofluid.strip`, which the state builds once for both.  Everything
+is assembled from their DN matrices S± (G± = ±S±): the discrete 𝒢̃ is the
+N×N sum (ρ̄⁻/H̄⁺)S⁺ + (ρ̄⁺/H̄⁻)S⁻.  𝒢̃ and the factor of 𝒢̃ + Π, Π the
+projector onto the common kernel (constants and the Nyquist mode), are
+built once per state for J⁻¹, 𝒢, 𝒢̃⁻¹ and the transmission solve; J solves
+with S⁻.  Both are the gauged solve of :mod:`twofluid.strip`: traces have
+zero mean and zero Nyquist content, and every residual is checked.  The
 same formulas hold at ρ̄⁻ = 0.  Sign conventions are pinned by the
 positivity of the associated quadratic forms, which the tests check.
 """
@@ -40,6 +41,7 @@ from .strip import (
     _check_range,
     _deflate,
     _RangeSolver,
+    _XMatrices,
     dn_apply,
     flat_symbol,
     layer_depth,
@@ -59,6 +61,7 @@ class InterfaceState:
     zeta_x: np.ndarray = field(init=False, repr=False, compare=False)
     _layers: dict = field(default_factory=dict, repr=False, compare=False)
     _g_tilde: _RangeSolver = field(default=None, repr=False, compare=False)
+    _x: _XMatrices = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.zeta = np.asarray(self.zeta, dtype=float)
@@ -78,7 +81,10 @@ class InterfaceState:
         if sign not in self._layers:
             p = self.params
             eps_l, mu_l = (p.eps_plus, p.mu_plus) if sign > 0 else (p.eps_minus, p.mu_minus)
-            self._layers[sign] = StripOperator(self.grid, self.zeta, eps_l, mu_l, sign, self.n_z)
+            if self._x is None:
+                self._x = _XMatrices(self.grid, self.zeta, self.zeta_x)
+            self._layers[sign] = StripOperator(self.grid, self.zeta, eps_l, mu_l, sign,
+                                               self.n_z, _x=self._x)
         return self._layers[sign]
 
     def replace_fields(self, zeta, psi) -> "InterfaceState":

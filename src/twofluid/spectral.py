@@ -58,6 +58,11 @@ class PeriodicGrid:
         """Dᵀ, the transpose of the dense matrix of :func:`deriv` (row j is D e_j)."""
         return np.ascontiguousarray(deriv(self, np.eye(self.n)))
 
+    @cached_property
+    def deriv_gram(self) -> np.ndarray:
+        """DᵀD, the Gram matrix of the derivative matrix."""
+        return self.deriv_matrix_t @ self.deriv_matrix_t.T
+
     @property
     def dx(self) -> float:
         return self.length / self.n

@@ -22,11 +22,13 @@ interface (row n_z) in both layers.
 :class:`StripOperator` is the one object per layer.  Its constructor checks
 the depth (:func:`layer_depth`) and samples the metric; nothing else is
 computed until it is asked for.  Because x is spectral, A is block
-tridiagonal with dense N×N blocks.  The metric is affine in f: p11 does not
-depend on it and p12 = ±f·q.  So every block is one of three N×N matrices,
-K from p11 and Σ, A from q, combined with a scalar of f and a diagonal from
-p22, and a layer's blocks are assembled in one pass, as stacks of row and
-off-diagonal blocks (:meth:`StripOperator._blocks`).  A block Cholesky
+tridiagonal with dense N×N blocks.  With p11 = 1 ± εζ and p12 = ±f·q,
+q = −√μεζₓ, every block is a scalar combination of four N×N x-matrices,
+DᵀD, Dᵀdiag(ζ)D and Q ± Qᵀ with Q = Dᵀdiag(ζₓ), plus a diagonal from p22.
+The x-matrices do not depend on the layer, so both layers of an
+:class:`~twofluid.operators.InterfaceState` share one set, and the scalars
+form a table cached per (μ±, ε±, ±, n_z): a layer's blocks are one product
+of the two (:meth:`StripOperator._blocks`).  A block Cholesky
 sweep in row order, from the wall to the interface row, eliminates every
 other row in place on them, its loop making only LAPACK and BLAS calls, and
 leaves the Schur complement S on the interface row.  S is the discrete
@@ -94,29 +96,26 @@ class StripSolution:
 
 @functools.cache
 def _gauge_constants(n: int) -> tuple:
-    """The Nyquist mode cos(πj) on n nodes and Π = (1 + nyq·nyqᵀ)/n, the
-    projector onto span{1, Nyquist}: built once per n, read-only."""
+    """The Nyquist mode cos(πj) on n nodes, Π = (1 + nyq·nyqᵀ)/n, the
+    projector onto span{1, Nyquist}, and the mask of the lower triangle of an
+    n×n matrix: built once per n, read-only."""
     nyq = np.cos(np.pi * np.arange(n))
-    proj = (1.0 + np.outer(nyq, nyq)) / n
-    nyq.flags.writeable = proj.flags.writeable = False
-    return nyq, proj
+    proj, lower = (1.0 + np.outer(nyq, nyq)) / n, np.tri(n, dtype=bool)
+    nyq.flags.writeable = proj.flags.writeable = lower.flags.writeable = False
+    return nyq, proj, lower
 
 
 def _deflate(v: np.ndarray) -> np.ndarray:
     """Project a trace (or each row of a stack of traces) off constants and
     the Nyquist mode, which the spectral derivative zeroes."""
-    n = v.shape[-1]
-    nyq = _gauge_constants(n)[0]
-    # np.add.reduce(·)/n is np.mean to the bit, without its call overhead
-    v = v - np.add.reduce(v, axis=-1, keepdims=True) / n
-    return v - np.add.reduce(v * nyq, axis=-1, keepdims=True) / n * nyq
+    return v - v @ _gauge_constants(v.shape[-1])[1]
 
 
 def _check_range(f, what: str) -> np.ndarray:
     """f as a float array; NumericalError unless finite, IncompatibleDataError
     unless in the range of a DN matrix: mean and Nyquist part below 1e-8·‖f‖∞."""
     f = _finite(f, what)
-    off = float(np.max(np.abs(f - _deflate(f))))
+    off = float(np.max(np.abs(f @ _gauge_constants(f.shape[-1])[1])))
     if off > 1e-8 * float(np.max(np.abs(f))):
         raise IncompatibleDataError(
             f"{what} needs data with zero mean and no Nyquist component; "
@@ -129,7 +128,9 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of the symmetric matrix given by the lower
     triangle of a.  A Fortran-ordered a is factored in place; the strict
     upper triangle is left as it was."""
-    low, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    # (lower, clean, overwrite_a) positional, as in the sweep: f2py parses
+    # keywords anew on every call
+    low, info = dpotrf(a, 1, 0, 1)
     if info != 0:
         raise NumericalError(f"Cholesky factorization failed (LAPACK info {info})")
     return low
@@ -174,6 +175,38 @@ class _RangeSolver:
         return u
 
 
+class _XMatrices:
+    """The slope ζₓ and the x-matrices of the blocks of both layers over ζ as
+    one (4, N²) stack: DᵀD (cached on the grid), Dᵀdiag(ζ)D, Q + Qᵀ and
+    Q − Qᵀ, with Q = Dᵀdiag(ζₓ) and D the spectral derivative matrix."""
+
+    def __init__(self, grid: PeriodicGrid, zeta: np.ndarray, zeta_x: np.ndarray):
+        dmat_t = grid.deriv_matrix_t
+        q = dmat_t * zeta_x
+        self.zeta_x = zeta_x
+        self.stack = np.array(
+            [grid.deriv_gram, (dmat_t * zeta) @ dmat_t.T, q + q.T, q - q.T]
+        ).reshape(4, -1)
+
+
+@functools.lru_cache(maxsize=64)
+def _block_coefficients(mu_layer: float, eps_layer: float, layer_sign: int,
+                        n_z: int) -> np.ndarray:
+    """Read-only table of the x-matrices' coefficients in the row blocks
+    0..n_z of a layer, then in its n_z off blocks (:meth:`StripOperator._blocks`)."""
+    h = 1.0 / n_z
+    f = (np.arange(n_z) + 0.5) * h
+    # the multiples of K, Σ and A in each block
+    kind = np.zeros((2 * n_z + 1, 3))
+    kind[: n_z + 1, :2] = 2.0, -h
+    kind[0, :2], kind[n_z, :2] = (1.0, -f[0]), (1.0, f[-1])
+    kind[n_z + 1 :, 0], kind[n_z + 1 :, 2] = 1.0, f
+    a, b = 0.25 * h * mu_layer, -0.5 * layer_sign * mu_layer * eps_layer
+    table = kind[:, [0, 0, 1, 2]] * [a, a * layer_sign * eps_layer, b, b]
+    table.flags.writeable = False
+    return table
+
+
 class StripOperator:
     """One straightened fluid layer: the metric of the trivial graph
     diffeomorphism, the discrete operator A, its Schur complement S on the
@@ -182,12 +215,13 @@ class StripOperator:
     A field is an (n_z + 1, N) array whose rows run from the wall (row 0)
     to the interface (row n_z) in both layers.  The metric is sampled on the
     half-levels: p11 = 1 ± ε±ζ, which does not depend on the level, and q as
-    (N,) arrays, and p12 = ±f·q, p22 as (n_z, N) arrays, f the distance of
-    each half-level from the wall and ± the layer sign.
+    (N,) arrays; p12 = ±f·q and p22, (n_z, N) arrays with f the distance of
+    each half-level from the wall and ± the layer sign, are computed when
+    read.
     """
 
     def __init__(self, grid: PeriodicGrid, zeta, eps_layer: float, mu_layer: float,
-                 layer_sign: int, n_z: int = 32):
+                 layer_sign: int, n_z: int = 32, *, _x: _XMatrices = None):
         if layer_sign not in (+1, -1):
             raise ValueError("layer_sign must be +1 (lower) or -1 (upper)")
         zeta = np.asarray(zeta, dtype=float)
@@ -200,14 +234,24 @@ class StripOperator:
         self.h = 1.0 / n_z
         self.smu = math.sqrt(mu_layer)
         self.p11 = layer_depth(zeta, eps_layer, layer_sign)
-        # distance of each half-level from the wall
-        self.f = (np.arange(n_z) + 0.5) * self.h
-        self.q = -self.smu * eps_layer * deriv(grid, zeta)
-        # the wall distance runs against z in the upper layer, flipping ∂z
-        self.p12 = self.f[:, None] * (layer_sign * self.q)[None, :]
-        self.p22 = (1.0 + self.p12**2) / self.p11
+        # an InterfaceState passes the x-matrices its two layers share
+        self._x = _XMatrices(grid, zeta, deriv(grid, zeta)) if _x is None else _x
+        self._coef = _block_coefficients(float(mu_layer), float(eps_layer), layer_sign, n_z)
+        self.q = -self.smu * eps_layer * self._x.zeta_x
         self._s = None
         self._neumann = None
+
+    @property
+    def p12(self) -> np.ndarray:
+        """±f·q, f the distance of each half-level from the wall, which runs
+        against z in the upper layer."""
+        f = (np.arange(self.n_z) + 0.5) * self.h
+        return f[:, None] * (self.sign * self.q)[None, :]
+
+    @property
+    def p22(self) -> np.ndarray:
+        """(1 + p12²)/p11 on the half-levels."""
+        return (1.0 + self.p12**2) / self.p11
 
     # -- discrete bilinear form -------------------------------------------------
     def apply(self, phi: np.ndarray) -> np.ndarray:
@@ -219,8 +263,9 @@ class StripOperator:
         phix = np.fft.irfft(ik * uh, n=grid.n, axis=-1)
         px_half = 0.5 * (phix[:-1] + phix[1:])
         pz_half = (phi[1:] - phi[:-1]) * (1.0 / h)
-        f1 = self.mu * self.p11 * px_half + self.smu * self.p12 * pz_half
-        f2 = self.smu * self.p12 * px_half + self.p22 * pz_half
+        p12, p22 = self.p12, self.p22
+        f1 = self.mu * self.p11 * px_half + self.smu * p12 * pz_half
+        f2 = self.smu * p12 * px_half + p22 * pz_half
         t = np.fft.irfft((-0.5 * h) * ik * np.fft.rfft(f1, axis=-1), n=grid.n, axis=-1)
         out = np.empty_like(phi)
         out[0] = t[0] - f2[0]
@@ -236,36 +281,26 @@ class StripOperator:
 
         The cell between rows j and j + 1 has energy h·∇^μv·P∇^μφ with
         ∂x = D(φ_j + φ_{j+1})/2 and ∂f = (φ_{j+1} − φ_j)/h, D the spectral
-        derivative matrix.  With K = (hμ/4)Dᵀdiag(p11)D, E = ±(√μ/2)Dᵀdiag(q),
-        Σ = E + Eᵀ, A = E − Eᵀ and M_j = diag(p22_j/h), p22_j of cell j:
+        derivative matrix.  With Q = Dᵀdiag(ζₓ), p11 = 1 ± εζ, q = −√μεζₓ,
+        K = (hμ/4)Dᵀdiag(p11)D = (hμ/4)(DᵀD ± εDᵀdiag(ζ)D), Σ = ∓(με/2)(Q + Qᵀ),
+        A = ∓(με/2)(Q − Qᵀ) and M_j = diag(p22_j/h), p22_j of cell j:
 
             row_0 = K − f_0Σ + M_0,
             row_j = 2K − hΣ + M_{j−1} + M_j        (0 < j < n_z),
             row_{n_z} = K + f_{n_z−1}Σ + M_{n_z−1},
             off_j = K + f_jA − M_j.
 
-        So each kind is one product of its coefficients with (K, Σ) or
-        (K, A), plus strided adds on the diagonals.
+        So all blocks are one product of the coefficient table
+        (:func:`_block_coefficients`) with the x-matrices (:class:`_XMatrices`),
+        plus strided adds on the diagonals.  A row block is symmetric, so read
+        transposed it is Fortran-ordered and equal to itself up to rounding.
         """
-        h, n, f, n_z = self.h, self.grid.n, self.f, self.n_z
-        dmat_t = self.grid.deriv_matrix_t
-        stiff = (0.25 * h * self.mu) * ((dmat_t * self.p11) @ dmat_t.T)
-        e = dmat_t * ((0.5 * self.sign * self.smu) * self.q)
-        mass = self.p22 * (1.0 / h)
-        # the coefficients of (K, Σ) in each row block
-        row_coef = np.empty((n_z + 1, 2))
-        row_coef[:] = 2.0, -h
-        row_coef[0], row_coef[-1] = (1.0, -f[0]), (1.0, f[-1])
-        # one allocation: two of this size would each be fresh pages from the
-        # OS on every sweep, whose first touch costs more than the assembly
-        stack = np.empty((2 * n_z + 1, n * n))
+        n, n_z = self.grid.n, self.n_z
+        mass = self.p22 * (1.0 / self.h)
+        stack = self._coef @ self._x.stack
         rows, offs = stack[: n_z + 1], stack[n_z + 1 :]
-        # transposed flattening, so that each row block reads Fortran-ordered
-        np.matmul(row_coef, np.array([stiff.T, (e + e.T).T]).reshape(2, n * n), out=rows)
         rows[:-1, :: n + 1] += mass
         rows[1:, :: n + 1] += mass
-        np.matmul(np.column_stack([np.ones(n_z), f]),
-                  np.array([stiff, e - e.T]).reshape(2, n * n), out=offs)
         offs[:, :: n + 1] -= mass
         rows, offs = rows.reshape(n_z + 1, n, n), offs.reshape(n_z, n, n)
         for j in range(n_z + 1):
@@ -284,17 +319,18 @@ class StripOperator:
         x_t = None
         for row, off in self._blocks():
             if x_t is not None:
-                # the Schur update row −= x xᵀ of the lower triangle
-                row = dsyrk(-1.0, x_t, beta=1.0, c=row, lower=1, overwrite_c=1)
+                # row −= x xᵀ on the lower triangle: (beta, c, trans, lower, overwrite)
+                row = dsyrk(-1.0, x_t, 1.0, row, 0, 1, 1)
             if off is None:
                 break
             low = _cholesky(row)
             # xᵀ = offᵀL⁻ᵀ: off.T is a Fortran-ordered view, solved in place;
-            # OpenBLAS runs this right-sided form about twice as fast as L⁻¹off
-            x_t = dtrsm(1.0, low, off.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+            # OpenBLAS runs this right-sided form (side, lower, trans_a, diag,
+            # overwrite_b) about twice as fast as L⁻¹off
+            x_t = dtrsm(1.0, low, off.T, 1, 1, 1, 0, 1)
             factors.append((low, x_t))
         # only the lower triangle is updated; mirroring it keeps S == Sᵀ exact
-        self._s = np.where(np.tri(len(row), dtype=bool), row, row.T)
+        self._s = np.where(_gauge_constants(len(row))[2], row, row.T)
         return factors
 
     @property

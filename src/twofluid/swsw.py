@@ -34,7 +34,7 @@ from .evolution import EvolutionConfig, run
 from .operators import InterfaceState
 from .params import DimensionlessParams, check_schedule, config_from_dimensionless, derive_params
 from .spectral import PeriodicGrid, antideriv, deriv, fourier_interpolate
-from .strip import _check_range
+from .strip import _check_range, _finite
 
 # run_swsw's time step in units of dx/max|λ|; fv_step rejects steps above 0.5
 CFL_NUMBER = 0.45
@@ -42,7 +42,8 @@ CFL_NUMBER = 0.45
 
 @dataclass
 class SWState:
-    """Cell-centered shallow-water state (ζ, v) with its parameters."""
+    """Cell-centered shallow-water state (ζ, v) with its parameters;
+    NumericalError on a non-finite field or a dry layer."""
 
     grid: PeriodicGrid
     zeta: np.ndarray
@@ -50,13 +51,21 @@ class SWState:
     params: DimensionlessParams
 
     def __post_init__(self):
-        self.zeta = np.asarray(self.zeta, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        hp, hm = heights(self.params, self.zeta)
+        self.zeta = _finite(self.zeta, "zeta")
+        self.v = _finite(self.v, "v")
+        hp, hm, _ = self._heights
         if np.min(hp) <= 0.0 or np.min(hm) <= 0.0:
             raise NumericalError(
                 f"dry state: min heights ({float(np.min(hp)):.3e}, {float(np.min(hm)):.3e})"
             )
+
+    @cached_property
+    def _heights(self) -> tuple:
+        """(h⁺, h⁻) of :func:`heights` and ρ̄⁺h⁻ + ρ̄⁻h⁺, computed once per
+        state for the fluxes, the Jacobian and the indicator."""
+        p = self.params
+        hp, hm = heights(p, self.zeta)
+        return hp, hm, p.rhobar_plus * hm + p.rhobar_minus * hp
 
     @cached_property
     def _local_speed(self) -> np.ndarray:
@@ -75,41 +84,28 @@ def heights(p: DimensionlessParams, zeta: np.ndarray) -> tuple:
 
 def flux(state: SWState) -> tuple:
     """Componentwise fluxes (mass, momentum) of the conservative form."""
-    p = state.params
-    hp, hm = heights(p, state.zeta)
-    den = p.rhobar_plus * hm + p.rhobar_minus * hp
-    f1 = hp * hm / den * state.v
-    f2 = state.zeta + 0.5 * p.eps * (
-        p.rhobar_plus * hm**2 - p.rhobar_minus * hp**2
-    ) / den**2 * state.v**2
-    return f1, f2
+    p, v = state.params, state.v
+    hp, hm, den = state._heights
+    b_num = p.rhobar_plus * hm**2 - p.rhobar_minus * hp**2
+    return hp * hm / den * v, state.zeta + 0.5 * p.eps * b_num / den**2 * v**2
 
 
-def _jacobian_entries(p: DimensionlessParams, zeta, v):
-    hp, hm = heights(p, zeta)
-    den = p.rhobar_plus * hm + p.rhobar_minus * hp
-    dden = p.eps * (p.rhobar_minus - p.rhobar_plus)
-    a = hp * hm / den
-    da = ((p.eps * hm - p.eps * hp) * den - hp * hm * dden) / den**2
-    b = (p.rhobar_plus * hm**2 - p.rhobar_minus * hp**2) / den**2
-    db = (
-        -2.0
-        * p.eps
-        * (den**2 + (p.rhobar_minus - p.rhobar_plus)
-           * (p.rhobar_plus * hm**2 - p.rhobar_minus * hp**2))
-        / den**3
-    )
-    j11 = da * v
-    j12 = a
-    j21 = 1.0 + 0.5 * p.eps * db * v**2
-    j22 = p.eps * b * v
-    return j11, j12, j21, j22
+def _jacobian_entries(state: SWState):
+    """(j11, j12, j21, j22) of the flux Jacobian; the momentum flux is
+    ζ + (ε/2)b·v² with b = (ρ̄⁺h⁻² − ρ̄⁻h⁺²)/(ρ̄⁺h⁻ + ρ̄⁻h⁺)²."""
+    p, v = state.params, state.v
+    hp, hm, den = state._heights
+    drho = p.rhobar_minus - p.rhobar_plus
+    b_num = p.rhobar_plus * hm**2 - p.rhobar_minus * hp**2
+    da = ((p.eps * hm - p.eps * hp) * den - hp * hm * (p.eps * drho)) / den**2
+    db = -2.0 * p.eps * (den**2 + drho * b_num) / den**3
+    return da * v, hp * hm / den, 1.0 + 0.5 * p.eps * db * v**2, p.eps * (b_num / den**2) * v
 
 
 def jacobian_eigs(state: SWState) -> tuple:
     """Eigenvalues of the flux Jacobian at every cell (complex when
     hyperbolicity is lost)."""
-    j11, j12, j21, j22 = _jacobian_entries(state.params, state.zeta, state.v)
+    j11, j12, j21, j22 = _jacobian_entries(state)
     tr = j11 + j22
     disc = (j11 - j22) ** 2 + 4.0 * j12 * j21
     root = np.sqrt(disc.astype(complex))
@@ -117,15 +113,14 @@ def jacobian_eigs(state: SWState) -> tuple:
 
 
 def jacobian_discriminant(state: SWState) -> np.ndarray:
-    j11, j12, j21, j22 = _jacobian_entries(state.params, state.zeta, state.v)
+    j11, j12, j21, j22 = _jacobian_entries(state)
     return (j11 - j22) ** 2 + 4.0 * j12 * j21
 
 
 def hyperbolicity_indicator(state: SWState) -> np.ndarray:
     """Pointwise indicator whose sign matches the Jacobian discriminant."""
     p = state.params
-    hp, hm = heights(p, state.zeta)
-    den = p.rhobar_plus * hm + p.rhobar_minus * hp
+    den = state._heights[2]
     return 1.0 - p.eps**2 * p.rhobar_plus * p.rhobar_minus * (
         p.hbar_plus + p.hbar_minus
     ) ** 2 / den**3 * state.v**2
@@ -142,14 +137,15 @@ def fv_step(state: SWState, dt: float) -> SWState:
     local_speed = state._local_speed
     if dt > 0.5 * dx / max(float(np.max(local_speed)), 1e-300) * (1.0 + 1e-9):
         raise InvalidConfigError("dt violates the CFL restriction")
-    f1, f2 = flux(state)
-    u = np.stack([state.zeta, state.v])
-    f = np.stack([f1, f2])
-    u_r = np.roll(u, -1, axis=1)
-    f_r = np.roll(f, -1, axis=1)
-    s = np.maximum(local_speed, np.roll(local_speed, -1))
-    fhat = 0.5 * (f + f_r) - 0.5 * s * (u_r - u)
-    unew = u - (dt / dx) * (fhat - np.roll(fhat, 1, axis=1))
+    # (ζ, v, mass flux, momentum flux, speed) with periodic ghost cells at
+    # both ends, so that the n + 1 cell faces are slices
+    g = np.empty((5, grid.n + 2))
+    g[:, 1:-1] = (state.zeta, state.v, *flux(state), local_speed)
+    g[:, 0], g[:, -1] = g[:, -2], g[:, 1]
+    u, f, s = g[:2], g[2:4], g[4]
+    s_face = np.maximum(s[:-1], s[1:])
+    fhat = 0.5 * (f[:, :-1] + f[:, 1:]) - 0.5 * s_face * (u[:, 1:] - u[:, :-1])
+    unew = u[:, 1:-1] - (dt / dx) * (fhat[:, 1:] - fhat[:, :-1])
     return SWState(grid=grid, zeta=unew[0], v=unew[1], params=state.params)
 
 
@@ -171,7 +167,8 @@ class SWSeries:
 
 
 def run_swsw(config: SWConfig, initial: SWState) -> SWSeries:
-    """Advance until t_end; halt with a report if hyperbolicity is lost."""
+    """Advance until t_end; halt with a report if hyperbolicity is lost, the
+    indicator is not finite or a step fails."""
     series = SWSeries()
     state, t, step = initial, 0.0, 0
 
@@ -193,10 +190,11 @@ def run_swsw(config: SWConfig, initial: SWState) -> SWSeries:
         t += dt
         step += 1
         ind = float(np.min(hyperbolicity_indicator(state)))
-        if ind < 0.0 or step % config.snapshot_every == 0 or t >= config.t_end - 1e-12:
+        if not ind >= 0.0 or step % config.snapshot_every == 0 or t >= config.t_end - 1e-12:
             record(ind)
-    if ind < 0.0:
-        series.halted = {"time": t, "indicator_min": ind, "reason": "hyperbolicity loss"}
+    if not ind >= 0.0:
+        reason = "hyperbolicity loss" if ind < 0.0 else "non-finite hyperbolicity indicator"
+        series.halted = {"time": t, "indicator_min": ind, "reason": reason}
     return series
 
 

@@ -30,6 +30,7 @@ from twofluid import (
     norm_hdot_mu,
     transmission_solve,
 )
+from twofluid import strip
 from twofluid.spectral import deriv
 from twofluid.strip import _deflate
 from conftest import shear_form_matrix, smooth_field
@@ -68,6 +69,32 @@ def test_layers_are_built_lazily_once(grid64, monkeypatch):
     assert sweeps == [+1]
     st.layer(-1)
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("sign", [+1, -1], ids=["lower", "upper"])
+def test_state_layers_share_one_set_of_x_matrices(grid32, sign, monkeypatch):
+    # ε± and μ± differ (depth ratio 1.5, ρ̄⁻ = 0.4), so a layer built with the
+    # other layer's parameters or sign would not match the standalone one
+    built = []
+    init = strip._XMatrices.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(strip._XMatrices, "__init__", counted)
+    zeta = 0.6 * np.cos(grid32.nodes) + 0.2 * np.sin(3 * grid32.nodes)
+    st = make_state(grid32, zeta, np.zeros(32), eps=0.4, rbm=0.4, ratio=1.5, n_z=12)
+    p = st.params
+    assert p.eps_plus != p.eps_minus and p.mu_plus != p.mu_minus
+    s_state = st.layer(sign).dn_matrix
+    st.layer(-sign).dn_matrix
+    # the ζ-dependent product Dᵀdiag(ζ)D is formed once for both layers
+    assert len(built) == 1
+    eps_l, mu_l = (p.eps_plus, p.mu_plus) if sign > 0 else (p.eps_minus, p.mu_minus)
+    alone = StripOperator(grid32, zeta, eps_l, mu_l, sign, n_z=12).dn_matrix
+    assert len(built) == 2
+    assert np.linalg.norm(s_state - alone) <= 1e-13 * np.linalg.norm(alone)
 
 
 def test_apply_j_water_waves_identity(grid64, rng):

@@ -134,6 +134,24 @@ def test_run_swsw_halts_on_hyperbolicity_loss():
     assert series.indicator_min == [series.halted["indicator_min"]]
 
 
+def test_non_finite_state_never_finishes_a_run():
+    # a NaN used to end the loop at once with halted = None and times == [0.0],
+    # which _sw_endpoint took for the state at t_end
+    grid = PeriodicGrid(16)
+    p = derive_params(config_from_dimensionless(eps=0.5, mu=0.1, rhobar_minus=0.4))
+    v = 0.2 * np.sin(grid.nodes)
+    bad = np.where(np.arange(16) == 3, np.nan, v)
+    for zeta, vel in ((np.zeros(16), bad), (bad, v)):
+        with pytest.raises(NumericalError):
+            SWState(grid=grid, zeta=zeta, v=vel, params=p)
+    # a field that turns non-finite after construction halts the run
+    st = SWState(grid=grid, zeta=np.zeros(16), v=v, params=p)
+    st.v = bad
+    series = run_swsw(SWConfig(t_end=0.5), st)
+    assert series.halted["reason"] == "non-finite hyperbolicity indicator"
+    assert series.halted["time"] == 0.0
+
+
 def test_fitted_exponent_needs_two_valid_rows():
     rows = [swsw.ComparisonRow(mu=0.1, discrepancy=0.01, full_broke_down=False,
                                sw_halted=False),
