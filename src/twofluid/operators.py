@@ -20,10 +20,10 @@ of :mod:`twofluid.strip`, which the state builds once for both.  Everything
 is assembled from their DN matrices S± (G± = ±S±): the discrete 𝒢̃ is the
 N×N sum (ρ̄⁻/H̄⁺)S⁺ + (ρ̄⁺/H̄⁻)S⁻.  𝒢̃ and the factor of 𝒢̃ + Π, Π the
 projector onto the common kernel (constants and the Nyquist mode), are
-built once per state for J⁻¹, 𝒢, 𝒢̃⁻¹ and the transmission solve; J solves
-with S⁻.  Both are the gauged solve of :mod:`twofluid.strip`: traces have
-zero mean and zero Nyquist content, and every residual is checked.  The
-same formulas hold at ρ̄⁻ = 0.  Sign conventions are pinned by the
+built once per state for J⁻¹, 𝒢, 𝒢̃⁻¹, the transmission solve and 𝔢;
+J solves with S⁻.  Both are the gauged solve of :mod:`twofluid.strip`:
+traces have zero mean and zero Nyquist content, and every residual is
+checked.  The same formulas hold at ρ̄⁻ = 0.  Sign conventions are pinned by the
 positivity of the associated quadratic forms, which the tests check.
 """
 
@@ -62,6 +62,7 @@ class InterfaceState:
     _layers: dict = field(default_factory=dict, repr=False, compare=False)
     _g_tilde: _RangeSolver = field(default=None, repr=False, compare=False)
     _x: _XMatrices = field(default=None, repr=False, compare=False)
+    _depth: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.zeta = np.asarray(self.zeta, dtype=float)
@@ -71,8 +72,8 @@ class InterfaceState:
                 raise ValueError(f"{name} must have shape ({self.grid.n},)")
             if not np.all(np.isfinite(arr)):
                 raise NumericalError(f"{name} contains non-finite values")
-        layer_depth(self.zeta, self.params.eps_plus, +1)
-        layer_depth(self.zeta, self.params.eps_minus, -1)
+        self._depth = {+1: layer_depth(self.zeta, self.params.eps_plus, +1),
+                       -1: layer_depth(self.zeta, self.params.eps_minus, -1)}
         self.zeta_x = deriv(self.grid, self.zeta)
 
     def layer(self, sign: int) -> StripOperator:
@@ -84,7 +85,9 @@ class InterfaceState:
             if self._x is None:
                 self._x = _XMatrices(self.grid, self.zeta, self.zeta_x)
             self._layers[sign] = StripOperator(self.grid, self.zeta, eps_l, mu_l, sign,
-                                               self.n_z, _x=self._x)
+                                               self.n_z, _x=self._x, _depth=self._depth[sign])
+            if len(self._layers) == 2:
+                self._x = None
         return self._layers[sign]
 
     def replace_fields(self, zeta, psi) -> "InterfaceState":
@@ -298,7 +301,9 @@ def invert_g_tilde(state: InterfaceState, f) -> np.ndarray:
 
 
 def pinv_g_tilde(state: InterfaceState) -> np.ndarray:
-    """Pseudo-inverse of the dense 𝒢̃ matrix on its range, (𝒢̃ + Π)⁻¹ − Π."""
+    """Pseudo-inverse of the dense 𝒢̃ matrix on its range, (𝒢̃ + Π)⁻¹ − Π:
+    no longer called by the package (𝔢 reads the factor of 𝒢̃ + Π), kept as
+    the tests' dense oracle and because the benchmark tracer names it."""
     return _solve_g_tilde(state, np.eye(state.grid.n))
 
 

@@ -10,16 +10,17 @@ an O(N²) sum that is exact (up to rounding) for x-independent symbols.  On an
 even grid the unpaired Nyquist mode is folded onto the even part of the
 symbol, which zeroes it for odd (derivative-like) multipliers.
 
-:func:`deriv` is the one x-derivative of the package: the real-FFT
-multiplier iξ cached on the grid (Nyquist zeroed), which the strip
-discretisation also applies, directly and as the dense matrix Dᵀ.
+:func:`deriv` is the one x-derivative of the package: the product with the
+dense matrix Dᵀ of the real-FFT multiplier iξ (Nyquist zeroed) that the grid
+caches for the strip discretisation too, then with Π = :func:`_gauge_constants`,
+the package's one projector onto constants and the Nyquist mode, which D zeroes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -55,8 +56,8 @@ class PeriodicGrid:
 
     @cached_property
     def deriv_matrix_t(self) -> np.ndarray:
-        """Dᵀ, the transpose of the dense matrix of :func:`deriv` (row j is D e_j)."""
-        return np.ascontiguousarray(deriv(self, np.eye(self.n)))
+        """Dᵀ, the transpose of the dense spectral derivative matrix (row j is D e_j)."""
+        return np.fft.irfft(self.ik * np.fft.rfft(np.eye(self.n)), n=self.n)
 
     @cached_property
     def deriv_gram(self) -> np.ndarray:
@@ -101,9 +102,22 @@ def apply_multiplier(grid: PeriodicGrid, m, u: np.ndarray) -> np.ndarray:
     return np.fft.ifft(mk * np.fft.fft(u)).real
 
 
+@cache
+def _gauge_constants(n: int) -> tuple:
+    """The Nyquist mode cos(πj) on n nodes, Π = (1 + nyq·nyqᵀ)/n, the
+    projector onto span{1, Nyquist}, and the mask of the lower triangle of an
+    n×n matrix: built once per n, read-only."""
+    nyq = np.cos(np.pi * np.arange(n))
+    proj, lower = (1.0 + np.outer(nyq, nyq)) / n, np.tri(n, dtype=bool)
+    nyq.flags.writeable = proj.flags.writeable = lower.flags.writeable = False
+    return nyq, proj, lower
+
+
 def deriv(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
-    """Spectral x-derivative along the last axis (Nyquist zeroed)."""
-    return np.fft.irfft(grid.ik * np.fft.rfft(u, axis=-1), n=grid.n, axis=-1)
+    """Spectral x-derivative along the last axis (Nyquist zeroed), projected
+    off constants and the Nyquist mode, so that rounding leaves none there."""
+    d = np.asarray(u, dtype=float) @ grid.deriv_matrix_t
+    return d - d @ _gauge_constants(grid.n)[1]
 
 
 def antideriv(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
@@ -198,7 +212,11 @@ def dealias_mask(grid: PeriodicGrid) -> np.ndarray:
 
 def truncate(grid: PeriodicGrid, u: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Zero the masked-out Fourier modes of a real field, or of each row of
-    a stack of fields."""
-    uh = np.fft.fft(np.asarray(u, dtype=float))
-    uh[..., ~mask] = 0.0
-    return np.fft.ifft(uh).real
+    a stack of fields.  mask, over the signed wavenumbers, must be even in ξ
+    (as :func:`dealias_mask` is): the real FFT reads its non-negative half."""
+    half = grid.n // 2
+    if not np.array_equal(mask[1:half], mask[:half:-1]):
+        raise InvalidConfigError("truncation mask must be even in the wavenumber")
+    uh = np.fft.rfft(np.asarray(u, dtype=float), axis=-1)
+    uh[..., ~mask[: half + 1]] = 0.0
+    return np.fft.irfft(uh, n=grid.n, axis=-1)

@@ -23,10 +23,11 @@ vertical differences.  The geometric constant uses the sharp operator bound
 
 On the grid 𝔢(ζ) is the top eigenvalue of the dense symmetric N×N matrix
 of μ(1+√μ|D|)^{-1/2} ℰ (1+√μ|D|)^{-1/2}, found by LAPACK with no iteration
-and no tolerance.  The unsquared variant 𝔢(ζ)(1+·)^{3/2} is also
-reported, but the linear Kelvin-threshold cross-validation selects the
-squared form.  In the continuum a flat interface reduces 𝔢 to the
-mode-wise supremum (:func:`c_flat`)
+and no tolerance, from the Cholesky factor of 𝒢̃ + Π that the state holds
+for its transmission solve (:func:`e_coeff`).  The unsquared variant
+𝔢(ζ)(1+·)^{3/2} is also reported, but the linear Kelvin-threshold
+cross-validation selects the squared form.  In the continuum a flat
+interface reduces 𝔢 to the mode-wise supremum (:func:`c_flat`)
 
     𝔢(0) = sup_{x≥0} x / ((1+x)(ρ̄⁻tanh(H̄⁺x) + ρ̄⁺tanh(H̄⁻x))).
 
@@ -42,21 +43,24 @@ how much a configuration clears the criteria.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dsyevr
 
 from .errors import IncompatibleDataError, InvalidConfigError, NumericalError
 from .evolution import TimeSeries, tendency
-from .operators import InterfaceState, TraceBundle, e_quadratic_form, transmission_tangent
+from .operators import InterfaceState, TraceBundle, _solve_g_tilde, e_quadratic_form
+from .operators import transmission_tangent
 # imported for the benchmark tracer, which wraps it under this module's name
 from .operators import invert_g_tilde
 from .params import DimensionlessParams, practical_verdict
-from .spectral import PeriodicGrid, apply_multiplier, deriv, inner
-from .strip import _finite, _gauge_constants, flat_symbol
+from .spectral import PeriodicGrid, _gauge_constants, apply_multiplier, deriv, inner
+from .strip import _finite, flat_symbol
 
 
 @dataclass(frozen=True)
@@ -111,29 +115,34 @@ def c_flat(
     return FlatConstant(value=1.0, x_argmax=math.inf, at_infinity=True)
 
 
+@functools.lru_cache(maxsize=16)
+def _shear_multiplier_t(grid: PeriodicGrid, mu: float) -> np.ndarray:
+    """Read-only Mᵀ, M = D B^{-1/2} the matrix of the odd multiplier
+    iξ/√(1+√μ|ξ|): the multiplier acts on each row of the identity."""
+    m_t = apply_multiplier(grid, lambda k: 1j * k / np.sqrt(1.0 + math.sqrt(mu) * np.abs(k)),
+                           np.eye(grid.n))
+    m_t.flags.writeable = False
+    return m_t
+
+
 def e_coeff(state: InterfaceState) -> float:
     """Sharp constant 𝔢(ζ) of the shear quadratic form on the grid.
 
     𝔢(ζ) = sup_V μ(𝒢̃⁻¹∂xV, ∂xV)/|(1+√μ|D|)^{1/2}V|².  With M the matrix
     of the odd multiplier iξ/√(1+√μ|ξ|) and 𝒢̃⁺ the pseudo-inverse of the
-    dense 𝒢̃, 𝔢 is the top eigenvalue of the symmetric N×N matrix μMᵀ𝒢̃⁺M,
-    computed by dense LAPACK with no tolerance; a LAPACK failure raises
-    :class:`NumericalError`.
+    dense 𝒢̃, 𝔢 is the top eigenvalue of the symmetric N×N matrix μMᵀ𝒢̃⁺M.
+    M's columns lie in the range of 𝒢̃, so it is μXXᵀ, X = MᵀL⁻ᵀ with L the
+    state's Cholesky factor of 𝒢̃ + Π.  LAPACK's dsyevr finds the top
+    eigenvalue with no tolerance; a failure raises :class:`NumericalError`.
     """
-    p = state.params
-    grid = state.grid
-    # resolved at call time, so a wrapper on operators.pinv_g_tilde sees the call
-    from .operators import pinv_g_tilde
-
-    smu = math.sqrt(p.mu)
-    n = grid.n
-    # the multiplier acts on each row of the identity, so this is Mᵀ, M = D B^{-1/2}
-    m_t = apply_multiplier(grid, lambda k: 1j * k / np.sqrt(1.0 + smu * np.abs(k)), np.eye(n))
-    c = p.mu * (m_t @ pinv_g_tilde(state) @ m_t.T)
-    try:
-        top = eigh(0.5 * (c + c.T), eigvals_only=True, subset_by_index=[n - 1, n - 1])
-    except LinAlgError as exc:
-        raise NumericalError(f"top eigenvalue of the shear form failed: {exc}") from exc
+    m_t = _shear_multiplier_t(state.grid, state.params.mu)
+    # builds the factor and checks its true residual on one row of Mᵀ
+    _solve_g_tilde(state, m_t[0])
+    c = dsyrk(state.params.mu, state._g_tilde.whiten(m_t), lower=1)
+    # (compute_v, range, lower, vl, vu, il, iu) positional; il, iu count from 1
+    top, _, _, _, info = dsyevr(c, 0, "I", 1, 0.0, 0.0, len(c), len(c))
+    if info != 0:
+        raise NumericalError(f"top eigenvalue of the shear form failed (LAPACK info {info})")
     return float(top[0])
 
 

@@ -28,7 +28,10 @@ DᵀD, Dᵀdiag(ζ)D and Q ± Qᵀ with Q = Dᵀdiag(ζₓ), plus a diagonal fro
 The x-matrices do not depend on the layer, so both layers of an
 :class:`~twofluid.operators.InterfaceState` share one set, and the scalars
 form a table cached per (μ±, ε±, ±, n_z): a layer's blocks are one product
-of the two (:meth:`StripOperator._blocks`).  A block Cholesky
+of the two, the cell masses one of a second table with (1, q²)/p11
+(:meth:`StripOperator._blocks`).  The x-matrices are freed once both layers
+have swept; a standalone layer, or a second sweep (the Dirichlet solve),
+builds them from ζ.  A block Cholesky
 sweep in row order, from the wall to the interface row, eliminates every
 other row in place on them, its loop making only LAPACK and BLAS calls, and
 leaves the Schur complement S on the interface row.  S is the discrete
@@ -53,7 +56,7 @@ from scipy.linalg.blas import dsyrk, dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import DegenerateGeometryError, IncompatibleDataError, NumericalError
-from .spectral import PeriodicGrid, apply_multiplier, deriv
+from .spectral import PeriodicGrid, _gauge_constants, apply_multiplier, deriv
 
 # Bound on the relative true residual of every direct solve of the package.
 RESIDUAL_TOL = 1e-9
@@ -75,7 +78,7 @@ def layer_depth(zeta, eps_layer: float, layer_sign: int) -> np.ndarray:
         If the depth falls below the positivity floor (the layer pinches off).
     """
     depth = 1.0 + layer_sign * eps_layer * np.asarray(zeta, dtype=float)
-    min_depth = float(np.min(depth))
+    min_depth = float(depth.min())
     if min_depth <= MIN_DEPTH:
         raise DegenerateGeometryError(
             f"layer depth vanishes: min(1 {'+' if layer_sign > 0 else '-'} eps*zeta) "
@@ -92,17 +95,6 @@ class StripSolution:
     phi: np.ndarray
     trace: np.ndarray
     residual_norm: float
-
-
-@functools.cache
-def _gauge_constants(n: int) -> tuple:
-    """The Nyquist mode cos(πj) on n nodes, Π = (1 + nyq·nyqᵀ)/n, the
-    projector onto span{1, Nyquist}, and the mask of the lower triangle of an
-    n×n matrix: built once per n, read-only."""
-    nyq = np.cos(np.pi * np.arange(n))
-    proj, lower = (1.0 + np.outer(nyq, nyq)) / n, np.tri(n, dtype=bool)
-    nyq.flags.writeable = proj.flags.writeable = lower.flags.writeable = False
-    return nyq, proj, lower
 
 
 def _deflate(v: np.ndarray) -> np.ndarray:
@@ -138,7 +130,7 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
 
 def _check_residual(r: np.ndarray, b: np.ndarray, what: str) -> float:
     """Relative residual ‖r‖/‖b‖; NumericalError above RESIDUAL_TOL or if not finite."""
-    nr, nb = float(np.linalg.norm(r)), float(np.linalg.norm(b))
+    nr, nb = math.sqrt(np.vdot(r, r)), math.sqrt(np.vdot(b, b))
     res = nr / nb if nb else nr
     if not res <= RESIDUAL_TOL:
         raise NumericalError(
@@ -168,11 +160,16 @@ class _RangeSolver:
 
     def __call__(self, f) -> np.ndarray:
         f = _deflate(_finite(f, f"{self.what} data"))
-        u, _ = dpotrs(self._low, np.atleast_2d(f).T, lower=1)
+        u, _ = dpotrs(self._low, np.atleast_2d(f).T, 1)  # lower, positional
         u = _deflate(u.T.reshape(f.shape))
         # mat is symmetric, so a stack of rows multiplies from the left
         _check_residual(u @ self.mat - f, f, f"{self.what} solve")
         return u
+
+    def whiten(self, rows: np.ndarray) -> np.ndarray:
+        """X = rows·L⁻ᵀ, L the factor of mat + Π: XXᵀ = rows·mat⁺·rowsᵀ for
+        rows in the range of mat.  Unchecked; a checked call vouches for L."""
+        return dtrsm(1.0, self._low, rows, 1, 1, 1)  # side, lower, trans_a
 
 
 class _XMatrices:
@@ -183,17 +180,19 @@ class _XMatrices:
     def __init__(self, grid: PeriodicGrid, zeta: np.ndarray, zeta_x: np.ndarray):
         dmat_t = grid.deriv_matrix_t
         q = dmat_t * zeta_x
+        stack = np.empty((4, grid.n, grid.n))
+        np.matmul(dmat_t * zeta, dmat_t.T, out=stack[1])
+        stack[0], stack[2], stack[3] = grid.deriv_gram, q + q.T, q - q.T
         self.zeta_x = zeta_x
-        self.stack = np.array(
-            [grid.deriv_gram, (dmat_t * zeta) @ dmat_t.T, q + q.T, q - q.T]
-        ).reshape(4, -1)
+        self.stack = stack.reshape(4, -1)
 
 
 @functools.lru_cache(maxsize=64)
 def _block_coefficients(mu_layer: float, eps_layer: float, layer_sign: int,
-                        n_z: int) -> np.ndarray:
-    """Read-only table of the x-matrices' coefficients in the row blocks
-    0..n_z of a layer, then in its n_z off blocks (:meth:`StripOperator._blocks`)."""
+                        n_z: int) -> tuple:
+    """Read-only tables of the coefficients of a layer's x-matrices in its row
+    blocks 0..n_z, then its n_z off blocks (:meth:`StripOperator._blocks`), and
+    of (1, q²)/p11 in the mass p22_j/h = (1 + f_j²q²)/(h·p11) of each cell j."""
     h = 1.0 / n_z
     f = (np.arange(n_z) + 0.5) * h
     # the multiples of K, Σ and A in each block
@@ -203,8 +202,9 @@ def _block_coefficients(mu_layer: float, eps_layer: float, layer_sign: int,
     kind[n_z + 1 :, 0], kind[n_z + 1 :, 2] = 1.0, f
     a, b = 0.25 * h * mu_layer, -0.5 * layer_sign * mu_layer * eps_layer
     table = kind[:, [0, 0, 1, 2]] * [a, a * layer_sign * eps_layer, b, b]
-    table.flags.writeable = False
-    return table
+    mass = np.array([np.ones(n_z), f * f]).T / h
+    table.flags.writeable = mass.flags.writeable = False
+    return table, mass
 
 
 class StripOperator:
@@ -221,7 +221,7 @@ class StripOperator:
     """
 
     def __init__(self, grid: PeriodicGrid, zeta, eps_layer: float, mu_layer: float,
-                 layer_sign: int, n_z: int = 32, *, _x: _XMatrices = None):
+                 layer_sign: int, n_z: int = 32, *, _x: _XMatrices = None, _depth=None):
         if layer_sign not in (+1, -1):
             raise ValueError("layer_sign must be +1 (lower) or -1 (upper)")
         zeta = np.asarray(zeta, dtype=float)
@@ -233,11 +233,11 @@ class StripOperator:
         self.n_z = n_z
         self.h = 1.0 / n_z
         self.smu = math.sqrt(mu_layer)
-        self.p11 = layer_depth(zeta, eps_layer, layer_sign)
-        # an InterfaceState passes the x-matrices its two layers share
-        self._x = _XMatrices(grid, zeta, deriv(grid, zeta)) if _x is None else _x
+        # an InterfaceState passes its checked depth and the x-matrices its layers share
+        self.p11 = layer_depth(zeta, eps_layer, layer_sign) if _depth is None else _depth
+        self._zeta, self._x = zeta, _x
         self._coef = _block_coefficients(float(mu_layer), float(eps_layer), layer_sign, n_z)
-        self.q = -self.smu * eps_layer * self._x.zeta_x
+        self.q = -self.smu * eps_layer * (deriv(grid, zeta) if _x is None else _x.zeta_x)
         self._s = None
         self._neumann = None
 
@@ -292,13 +292,18 @@ class StripOperator:
 
         So all blocks are one product of the coefficient table
         (:func:`_block_coefficients`) with the x-matrices (:class:`_XMatrices`),
-        plus strided adds on the diagonals.  A row block is symmetric, so read
-        transposed it is Fortran-ordered and equal to itself up to rounding.
+        which the layer then drops, plus strided adds of the cell masses.  A row
+        block is symmetric to rounding, so read transposed it is Fortran-ordered.
         """
         n, n_z = self.grid.n, self.n_z
-        mass = self.p22 * (1.0 / self.h)
-        stack = self._coef @ self._x.stack
+        table, mass_table = self._coef
+        if self._x is None:  # a standalone layer, or a second sweep
+            self._x = _XMatrices(self.grid, self._zeta, deriv(self.grid, self._zeta))
+        stack, self._x = table @ self._x.stack, None
+        mass = mass_table @ np.array([np.ones(n), self.q * self.q]) / self.p11
         rows, offs = stack[: n_z + 1], stack[n_z + 1 :]
+        # M_{j−1} and M_j enter a row one after the other: adding their sum
+        # instead rounds differently and moves the traces by up to 1e-12
         rows[:-1, :: n + 1] += mass
         rows[1:, :: n + 1] += mass
         offs[:, :: n + 1] -= mass

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from twofluid import (
     norm_hdot_mu,
     transmission_solve,
 )
-from twofluid import strip
+from twofluid import operators, strip
 from twofluid.spectral import deriv
 from twofluid.strip import _deflate
 from conftest import shear_form_matrix, smooth_field
@@ -69,6 +70,35 @@ def test_layers_are_built_lazily_once(grid64, monkeypatch):
     assert sweeps == [+1]
     st.layer(-1)
     assert len(builds) == 2
+
+
+def test_state_checks_each_depth_once(grid32, monkeypatch):
+    calls = []
+    check = strip.layer_depth
+
+    def counted(*args):
+        calls.append(args[2])
+        return check(*args)
+
+    # the state calls it under the operators name, a standalone layer under strip's
+    monkeypatch.setattr(strip, "layer_depth", counted)
+    monkeypatch.setattr(operators, "layer_depth", counted)
+    st = make_state(grid32, 0.5 * np.cos(grid32.nodes), np.zeros(32), n_z=8)
+    st.layer(+1), st.layer(-1)
+    assert sorted(calls) == [-1, +1]
+
+
+def test_x_matrices_are_freed_after_the_sweeps(grid32):
+    st = make_state(grid32, 0.5 * np.cos(grid32.nodes), np.sin(grid32.nodes), n_z=8)
+    st.layer(+1)
+    x = weakref.ref(st._x)
+    transmission_solve(st)
+    assert x() is None
+    # a second sweep of a layer rebuilds them from ζ
+    p, psi = st.params, np.cos(3 * grid32.nodes)
+    alone = StripOperator(grid32, st.zeta, p.eps_minus, p.mu_minus, -1, n_z=8)
+    phi = alone.solve_dirichlet(psi).phi
+    assert np.allclose(st.layer(-1).solve_dirichlet(psi).phi, phi, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("sign", [+1, -1], ids=["lower", "upper"])

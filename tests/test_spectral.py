@@ -18,6 +18,8 @@ from twofluid import (
     norm_sobolev,
     truncate,
 )
+from twofluid.spectral import _gauge_constants
+from twofluid.strip import _check_range
 from conftest import smooth_field
 
 
@@ -131,6 +133,32 @@ def test_h1_sigma_norm(grid64):
         l2_norm(grid64, u), rel=1e-12
     )
     assert norm_h1_sigma(grid64, np.zeros(64), bond) == 0.0
+
+
+def test_truncate_rejects_a_mask_that_is_not_even(grid64, rng):
+    mask = dealias_mask(grid64)
+    mask[3] = False
+    with pytest.raises(InvalidConfigError):
+        truncate(grid64, rng.standard_normal(64), mask)
+
+
+def test_deriv_is_in_the_range_of_a_dn_matrix(rng):
+    # the product with Dᵀ leaves rounding on constants and the Nyquist mode,
+    # which the projection takes down to rounding of the derivative itself
+    for n in (16, 64, 256):
+        g = PeriodicGrid(n)
+        proj = _gauge_constants(n)[1]
+        stack = np.array([np.full(n, 3.0), np.cos(np.pi * np.arange(n)),
+                          *rng.standard_normal((3, n))])
+        out = deriv(g, stack)
+        for row, d in zip(stack, out):
+            assert np.max(np.abs(d @ proj)) <= 1e-14 * np.max(np.abs(d))
+            _check_range(d, "derivative")
+            # a row by itself agrees with its row of the stack, to rounding of
+            # the terms each entry sums: a matrix-vector product sums them in
+            # another order than a matrix product
+            terms = np.max(np.abs(stack)) * np.max(np.sum(np.abs(g.deriv_matrix_t), axis=0))
+            assert np.max(np.abs(deriv(g, row) - d)) <= 1e-15 * terms
 
 
 def test_truncate_acts_on_each_row_of_a_stack(grid64, rng):

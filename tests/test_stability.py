@@ -13,9 +13,11 @@ from twofluid import (
     InterfaceState,
     InvalidConfigError,
     NumericalError,
+    PeriodicGrid,
     TraceBundle,
     a_field,
     apply_g_tilde,
+    apply_multiplier,
     c_flat,
     config_from_dimensionless,
     criteria_from_scalars,
@@ -30,6 +32,8 @@ from twofluid import (
     stability_inputs,
     transmission_solve,
 )
+from twofluid import strip
+from twofluid.operators import pinv_g_tilde
 from twofluid.stability import _flat_quotient
 from conftest import shear_form_matrix, smooth_field
 
@@ -134,6 +138,28 @@ def test_e_coeff_flat_two_code_paths(grid64):
         gk = inner(grid64, apply_g_tilde(st, u), u) / inner(grid64, u, u)
         best = max(best, p.mu * k**2 / (gk * (1.0 + smu * k)))
     assert dense == pytest.approx(best, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("rbm", [0.0, 0.4])
+@pytest.mark.parametrize("ratio", [1.0, 1.5])
+def test_e_coeff_matches_the_pseudo_inverse_oracle(n, rbm, ratio):
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng([n, int(10 * rbm), int(10 * ratio)])
+    st = make_state(grid, smooth_field(rng, grid, 4, 1.0), np.zeros(n), rbm=rbm, ratio=ratio,
+                    n_z=12)
+    smu = math.sqrt(st.params.mu)
+    m_t = apply_multiplier(grid, lambda k: 1j * k / np.sqrt(1.0 + smu * np.abs(k)), np.eye(n))
+    oracle = st.params.mu * m_t @ pinv_g_tilde(st) @ m_t.T
+    top = float(np.linalg.eigvalsh(0.5 * (oracle + oracle.T))[-1])
+    assert e_coeff(st) == pytest.approx(top, rel=1e-12)
+
+
+def test_e_coeff_checks_the_residual_of_its_factor(grid32, monkeypatch):
+    st = make_state(grid32, 0.5 * np.cos(grid32.nodes), np.zeros(32), n_z=8)
+    monkeypatch.setattr(strip, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(NumericalError):
+        e_coeff(st)
 
 
 def test_e_coeff_continuity_in_amplitude(grid64):

@@ -54,8 +54,10 @@ def test_trivial_diffeo_flat_is_identity(grid64):
 
 
 def test_depth_violation_raises(grid64):
-    with pytest.raises(DegenerateGeometryError):
-        StripOperator(grid64, -1.05 * np.ones(64), 1.0, 1.0, +1, n_z=8)
+    # a standalone layer checks its own depth; only a state passes one in
+    for sign in (+1, -1):
+        with pytest.raises(DegenerateGeometryError):
+            StripOperator(grid64, -1.05 * sign * np.ones(64), 1.0, 1.0, sign, n_z=8)
 
 
 def test_dirichlet_constant_is_exact(grid64):
