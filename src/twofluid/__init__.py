@@ -97,7 +97,6 @@ from .evolution import (
 )
 from .swsw import (
     ComparisonTable,
-    SWConfig,
     SWSeries,
     SWState,
     compare_with_full,

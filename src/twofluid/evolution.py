@@ -9,10 +9,10 @@ State (ζ, ψ) on a periodic grid evolves by
 with the layer traces ψ±, w± supplied by the transmission solve at each
 evaluation: one block elimination per layer and one gauged Cholesky solve
 with 𝒢̃ (:mod:`twofluid.operators`).  These solves are direct, so a run has
-no solver tolerance to set.  Classical RK4 in time with a conservative CFL
-cap; optional 2/3-rule dealiasing acts as a fixed spectral projection of
-the right-hand side, which keeps the integrated system a well-defined ODE
-(fourth-order convergence and exact mass conservation are preserved).  RK4
+no solver tolerance to set.  A run takes classical RK4 steps of the
+conservative CFL cap and applies the 2/3-rule projection to every
+right-hand side, a fixed projection that keeps the integrated system a
+well-defined ODE (fourth-order convergence, exact mass conservation).  RK4
 is fourth order but not energy-conserving: on a linear mode of frequency ω
 it scales the quadratic invariant by |R(iωΔt)|² = 1 − (ωΔt)⁶/72 +
 (ωΔt)⁸/576 per step.
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, NumericalError, TwoFluidError
 from .operators import InterfaceState, TraceBundle, coupled_dn_flat_symbol, transmission_solve
-from .params import DimensionlessParams, check_schedule
+from .params import DimensionlessParams, _check_count
 from .spectral import PeriodicGrid, dealias_mask, deriv, truncate
 
 
@@ -51,25 +51,17 @@ def cfl_cap(params: DimensionlessParams, n_points: int, length: float = 2 * math
 
 @dataclass
 class EvolutionConfig:
-    """Numerical settings of one run."""
+    """Schedule of a run: end time t_end (finite, ≥ 0) and a snapshot every
+    snapshot_every-th step (an integer ≥ 1).  :func:`run` steps at
+    :func:`cfl_cap` with the 2/3-rule projection, ``run_swsw`` at its own CFL."""
 
     t_end: float
-    dt: Optional[float] = None
-    dealias: Optional[bool] = None
     snapshot_every: int = 10
 
     def __post_init__(self):
-        check_schedule(self.t_end, self.dt, self.snapshot_every)
-
-    def resolve(self, state: InterfaceState) -> tuple:
-        cap = cfl_cap(state.params, state.grid.n, state.grid.length)
-        dt = self.dt if self.dt is not None else cap
-        if dt > cap * (1.0 + 1e-12):
-            raise InvalidConfigError(f"dt = {dt:.3e} exceeds the CFL cap {cap:.3e}")
-        dealias = self.dealias
-        if dealias is None:
-            dealias = state.params.eps >= 0.1
-        return dt, dealias
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise InvalidConfigError(f"t_end must be finite and >= 0, got {self.t_end}")
+        _check_count("snapshot_every", self.snapshot_every)
 
 
 @dataclass
@@ -167,17 +159,13 @@ def _record(series: TimeSeries, t, state, traces, grid):
 
 
 def run(config: EvolutionConfig, initial: InterfaceState) -> TimeSeries:
-    """Integrate until t_end or breakdown, recording snapshots at the cadence.
-
-    A dealiased run projects the initial data onto the retained modes so the
-    integrated ODE system is self-consistent.
-    """
-    dt, dealias = config.resolve(initial)
+    """Integrate until t_end or breakdown in steps of :func:`cfl_cap` (the
+    last one shorter), recording snapshots at the cadence.  The 2/3-rule
+    projection applies to the initial data and to every right-hand side."""
     grid = initial.grid
-    mask = dealias_mask(grid) if dealias else None
-    state = initial
-    if mask is not None:
-        state = state.replace_fields(*truncate(grid, np.array([state.zeta, state.psi]), mask))
+    dt = cfl_cap(initial.params, grid.n, grid.length)
+    mask = dealias_mask(grid)
+    state = initial.replace_fields(*truncate(grid, np.array([initial.zeta, initial.psi]), mask))
     series = TimeSeries()
     n_steps = int(math.ceil(config.t_end / dt - 1e-12))
     t = 0.0

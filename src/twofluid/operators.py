@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .params import DimensionlessParams
+from .params import DimensionlessParams, _check_count
 from .spectral import PeriodicGrid, deriv, inner
 from .strip import (
     StripOperator,
@@ -65,6 +65,7 @@ class InterfaceState:
     _depth: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_count("n_z", self.n_z)
         self.zeta = np.asarray(self.zeta, dtype=float)
         self.psi = np.asarray(self.psi, dtype=float)
         for name, arr in (("zeta", self.zeta), ("psi", self.psi)):
@@ -72,16 +73,14 @@ class InterfaceState:
                 raise ValueError(f"{name} must have shape ({self.grid.n},)")
             if not np.all(np.isfinite(arr)):
                 raise NumericalError(f"{name} contains non-finite values")
-        self._depth = {+1: layer_depth(self.zeta, self.params.eps_plus, +1),
-                       -1: layer_depth(self.zeta, self.params.eps_minus, -1)}
+        self._depth = {s: layer_depth(self.zeta, self.params.layer(s)[0], s) for s in (+1, -1)}
         self.zeta_x = deriv(self.grid, self.zeta)
 
     def layer(self, sign: int) -> StripOperator:
         """The fluid layer below (+1) or above (−1) the interface, built on
         first use and kept for the life of the state."""
         if sign not in self._layers:
-            p = self.params
-            eps_l, mu_l = (p.eps_plus, p.mu_plus) if sign > 0 else (p.eps_minus, p.mu_minus)
+            eps_l, mu_l = self.params.layer(sign)
             if self._x is None:
                 self._x = _XMatrices(self.grid, self.zeta, self.zeta_x)
             self._layers[sign] = StripOperator(self.grid, self.zeta, eps_l, mu_l, sign,

@@ -112,6 +112,10 @@ class DimensionlessParams:
     rho_total: float
     sigma: float
 
+    def layer(self, sign: int) -> tuple:
+        """(ε±, μ±) of the layer below (+1) or above (−1) the interface."""
+        return (self.eps_plus, self.mu_plus) if sign > 0 else (self.eps_minus, self.mu_minus)
+
 
 class Verdict(Enum):
     STABLE = "stable"
@@ -119,15 +123,10 @@ class Verdict(Enum):
     UNSTABLE = "unstable"
 
 
-def check_schedule(t_end: float, dt, snapshot_every: int) -> None:
-    """Raise InvalidConfigError unless a run's time settings are usable:
-    finite t_end ≥ 0, dt None or finite and > 0, integer snapshot_every ≥ 1."""
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise InvalidConfigError(f"t_end must be finite and >= 0, got {t_end}")
-    if dt is not None and not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidConfigError(f"dt must be None or finite and > 0, got {dt}")
-    if not (isinstance(snapshot_every, numbers.Integral) and snapshot_every >= 1):
-        raise InvalidConfigError(f"snapshot_every must be an integer >= 1, got {snapshot_every}")
+def _check_count(name: str, value) -> None:
+    """Raise InvalidConfigError unless value is an integer >= 1 (not a bool)."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1):
+        raise InvalidConfigError(f"{name} must be an integer >= 1, got {value}")
 
 
 def derive_params(cfg: PhysicalConfig) -> DimensionlessParams:

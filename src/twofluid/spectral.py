@@ -167,6 +167,13 @@ def norm_sobolev(grid: PeriodicGrid, u: np.ndarray, s: float) -> float:
     return _spectral_weighted_norm(grid, u, (1.0 + k**2) ** s)
 
 
+def _p2(xi, mu: float) -> np.ndarray:
+    """𝔓²(ξ) = ξ²/(1+√μ|ξ|), the square of the order-1/2 multiplier of the
+    operator bounds."""
+    xi = np.asarray(xi, dtype=float)
+    return xi**2 / (1.0 + math.sqrt(mu) * np.abs(xi))
+
+
 def norm_hdot_mu(grid: PeriodicGrid, u: np.ndarray, s: float, mu: float) -> float:
     """Shallowness-adapted seminorm: H^s norm of |D|/(1+√μ|D|)^{1/2} u.
 
@@ -176,8 +183,7 @@ def norm_hdot_mu(grid: PeriodicGrid, u: np.ndarray, s: float, mu: float) -> floa
     if mu < 0.0:
         raise InvalidConfigError(f"mu must be >= 0, got {mu}")
     k = grid.wavenumbers
-    p2 = k**2 / (1.0 + math.sqrt(mu) * np.abs(k))
-    return _spectral_weighted_norm(grid, u, p2 * (1.0 + k**2) ** s)
+    return _spectral_weighted_norm(grid, u, _p2(k, mu) * (1.0 + k**2) ** s)
 
 
 def norm_h1_sigma(grid: PeriodicGrid, u: np.ndarray, bond: float) -> float:

@@ -24,9 +24,7 @@ vertical differences.  The geometric constant uses the sharp operator bound
 On the grid 𝔢(ζ) is the top eigenvalue of the dense symmetric N×N matrix
 of μ(1+√μ|D|)^{-1/2} ℰ (1+√μ|D|)^{-1/2}, found by LAPACK with no iteration
 and no tolerance, from the Cholesky factor of 𝒢̃ + Π that the state holds
-for its transmission solve (:func:`e_coeff`).  The unsquared variant
-𝔢(ζ)(1+·)^{3/2} is also reported, but the linear Kelvin-threshold
-cross-validation selects the squared form.  In the continuum a flat
+for its transmission solve (:func:`e_coeff`).  In the continuum a flat
 interface reduces 𝔢 to the mode-wise supremum (:func:`c_flat`)
 
     𝔢(0) = sup_{x≥0} x / ((1+x)(ρ̄⁻tanh(H̄⁺x) + ρ̄⁺tanh(H̄⁻x))).
@@ -201,7 +199,6 @@ class StabilityReport:
 
     upsilon: float
     c_coeff: float
-    c_coeff_unsquared: float
     e_coeff: float
     inf_a: float
     jump_sup: float
@@ -250,7 +247,6 @@ def criteria_from_scalars(
     p = params
     curvature = (1.0 + p.eps**2 * p.mu * grad_zeta_sup**2) ** 1.5
     c_sq = e_value**2 * curvature
-    c_unsq = e_value * curvature
     ups = p.upsilon
     if p.rhobar_minus == 0.0:
         rhs_sc = rhs_alt = rhs_strong = 0.0
@@ -287,7 +283,6 @@ def criteria_from_scalars(
     return StabilityReport(
         upsilon=ups,
         c_coeff=c_sq,
-        c_coeff_unsquared=c_unsq,
         e_coeff=e_value,
         inf_a=inf_a,
         jump_sup=jump_sup,

@@ -56,6 +56,7 @@ from scipy.linalg.blas import dsyrk, dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import DegenerateGeometryError, IncompatibleDataError, NumericalError
+from .params import _check_count
 from .spectral import PeriodicGrid, _gauge_constants, apply_multiplier, deriv
 
 # Bound on the relative true residual of every direct solve of the package.
@@ -224,6 +225,7 @@ class StripOperator:
                  layer_sign: int, n_z: int = 32, *, _x: _XMatrices = None, _depth=None):
         if layer_sign not in (+1, -1):
             raise ValueError("layer_sign must be +1 (lower) or -1 (upper)")
+        _check_count("n_z", n_z)
         zeta = np.asarray(zeta, dtype=float)
         if zeta.shape != (grid.n,):
             raise ValueError(f"zeta must have shape ({grid.n},)")

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InvalidConfigError, NumericalError
 from .evolution import EvolutionConfig, run
 from .operators import InterfaceState
-from .params import DimensionlessParams, check_schedule, config_from_dimensionless, derive_params
+from .params import DimensionlessParams, config_from_dimensionless, derive_params
 from .spectral import PeriodicGrid, antideriv, deriv, fourier_interpolate
 from .strip import _check_range, _finite
 
@@ -150,15 +150,6 @@ def fv_step(state: SWState, dt: float) -> SWState:
 
 
 @dataclass
-class SWConfig:
-    t_end: float
-    snapshot_every: int = 20
-
-    def __post_init__(self):
-        check_schedule(self.t_end, None, self.snapshot_every)
-
-
-@dataclass
 class SWSeries:
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
@@ -166,9 +157,10 @@ class SWSeries:
     halted: Optional[dict] = None
 
 
-def run_swsw(config: SWConfig, initial: SWState) -> SWSeries:
-    """Advance until t_end; halt with a report if hyperbolicity is lost, the
-    indicator is not finite or a step fails."""
+def run_swsw(config: EvolutionConfig, initial: SWState) -> SWSeries:
+    """Advance until t_end in steps of CFL_NUMBER·dx/max|λ|; halt with a
+    report if hyperbolicity is lost, the indicator is not finite or a step
+    fails."""
     series = SWSeries()
     state, t, step = initial, 0.0, 0
 
@@ -232,7 +224,7 @@ def _sw_endpoint(grid, zeta0, v0, params, t_end):
         fine = PeriodicGrid(grid.n * r, grid.length)
         z = fourier_interpolate(grid, zeta0, fine.n)
         v = fourier_interpolate(grid, v0, fine.n)
-        series = run_swsw(SWConfig(t_end=t_end, snapshot_every=10**9),
+        series = run_swsw(EvolutionConfig(t_end=t_end, snapshot_every=10**9),
                           SWState(grid=fine, zeta=z, v=v, params=params))
         if series.halted is not None:
             return None

@@ -39,6 +39,7 @@ from .operators import _g_tilde_of, _gauged_ratio, _j_of, invert_g_tilde, invert
 from .params import DimensionlessParams, config_from_dimensionless, derive_params
 from .spectral import (
     PeriodicGrid,
+    _p2,
     apply_multiplier,
     apply_symbol,
     deriv,
@@ -80,14 +81,10 @@ class TailSymbolSet:
         return np.interp(np.asarray(x, dtype=float), self.grid.nodes, values,
                          period=self.grid.length)
 
-    def _layer(self, sign):
-        p = self.params
-        return (p.eps_plus, p.mu_plus) if sign > 0 else (p.eps_minus, p.mu_minus)
-
     def t(self, x, xi, sign) -> np.ndarray:
         """Tail symbol t±(x, ξ) in its d = 1 closed form."""
         p = self.params
-        eps_l, _ = self._layer(sign)
+        eps_l, _ = p.layer(sign)
         zv = self._at(x, self.zeta)
         zxv = self._at(x, self.zeta_x)
         slope = p.eps * math.sqrt(p.mu) * zxv
@@ -100,7 +97,7 @@ class TailSymbolSet:
         of |ξ| / (1 + ε²μ(1+z)²(∂xζ)²) over z ∈ [−1, 0].
         """
         p = self.params
-        eps_l, _ = self._layer(sign)
+        eps_l, _ = p.layer(sign)
         zv = self._at(x, self.zeta)
         zxv = self._at(x, self.zeta_x)
         nodes, weights = np.polynomial.legendre.leggauss(96)
@@ -114,7 +111,7 @@ class TailSymbolSet:
 
     def s(self, x, xi, sign) -> np.ndarray:
         """Positive DN symbol S±(x, ξ) = √μ± |ξ| tanh(√μ± t±(x, ξ))."""
-        _, mu_l = self._layer(sign)
+        _, mu_l = self.params.layer(sign)
         smu = math.sqrt(mu_l)
         return smu * np.abs(xi) * np.tanh(smu * self.t(x, xi, sign))
 
@@ -140,8 +137,7 @@ class TailSymbolSet:
 
     def p2_over_mix_symbol(self, x, xi) -> np.ndarray:
         """Symbol 𝔓²/S̃ describing 𝔓² ∘ 𝒢̃⁻¹."""
-        p2 = np.asarray(xi, dtype=float) ** 2 / (1.0 + math.sqrt(self.params.mu) * np.abs(xi))
-        return _gauged_ratio(p2, self.mix_symbol(x, xi))
+        return _gauged_ratio(_p2(xi, self.params.mu), self.mix_symbol(x, xi))
 
 
 @dataclass
@@ -241,10 +237,7 @@ def ratio_symbol_error(state, f, which: str) -> dict:
     elif which == "p2_mix":
         df = deriv(grid, f)
         u = invert_g_tilde(state, df)
-        smu = math.sqrt(p.mu)
-        exact = apply_multiplier(
-            grid, lambda k: k**2 / (1.0 + smu * np.abs(k)), u
-        )
+        exact = apply_multiplier(grid, lambda k: _p2(k, p.mu), u)
         approx = apply_symbol(grid, ts.p2_over_mix_symbol, df)
     else:
         raise ValueError(f"unknown comparison {which!r}")

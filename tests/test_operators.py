@@ -10,6 +10,7 @@ from twofluid import (
     DegenerateGeometryError,
     IncompatibleDataError,
     InterfaceState,
+    InvalidConfigError,
     PeriodicGrid,
     StripOperator,
     apply_e,
@@ -45,6 +46,18 @@ def make_state(grid, zeta, psi, eps=0.3, mu=0.5, rbm=0.4, ratio=1.5, bond=100.0,
 def test_state_depth_guard(grid64):
     with pytest.raises(DegenerateGeometryError):
         make_state(grid64, -5.0 * np.ones(64), np.zeros(64), eps=0.5)
+
+
+@pytest.mark.parametrize("n_z", [0, -3, 2.0, True])
+def test_constructors_reject_a_bad_n_z(grid32, n_z):
+    # rejected at construction: n_z = 0 used to construct and divide by zero
+    # in the first solve, -3, 2.0 and True to fail inside numpy
+    zeta = 0.1 * np.cos(grid32.nodes)
+    with pytest.raises(InvalidConfigError):
+        make_state(grid32, zeta, np.zeros(32), n_z=n_z)
+    p = derive_params(config_from_dimensionless(0.3, 0.5, 0.4, 1.5, 100.0))
+    with pytest.raises(InvalidConfigError):
+        StripOperator(grid32, zeta, p.eps_plus, p.mu_plus, +1, n_z=n_z)
 
 
 def test_layers_are_built_lazily_once(grid64, monkeypatch):

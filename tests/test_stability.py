@@ -271,7 +271,7 @@ def test_criteria_report_fields_and_json(grid64):
     rep = evaluate_criteria(stability_inputs(st, tr))
     payload = json.loads(rep.to_json())
     for key in (
-        "upsilon", "c_coeff", "c_coeff_unsquared", "e_coeff", "inf_a",
+        "upsilon", "c_coeff", "e_coeff", "inf_a",
         "jump_sup", "jump_sup_d1", "sc", "sc_alt", "sc_strong",
         "margin_d", "margin_d_alt", "verdict", "e_converged",
     ):
