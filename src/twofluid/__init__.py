@@ -104,7 +104,6 @@ from .swsw import (
     fv_step,
     heights,
     hyperbolicity_indicator,
-    jacobian_discriminant,
     jacobian_eigs,
     run_swsw,
 )

@@ -104,31 +104,28 @@ def tendency(state: InterfaceState, traces: TraceBundle) -> tuple:
     return dzeta, dpsi
 
 
-def rhs(state: InterfaceState, mask: Optional[np.ndarray] = None) -> tuple:
-    """Right-hand side (∂tζ, ∂tψ) of the evolution system, projected by mask."""
+def rhs(state: InterfaceState, mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """Right-hand side ∂t(ζ, ψ) of the evolution system as one (2, N) array,
+    projected by mask."""
     out = np.array(tendency(state, transmission_solve(state)))
     if mask is not None:
         out = truncate(state.grid, out, mask)
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite right-hand side")
-    return out[0], out[1]
+    return out
 
 
 def rk4_step(
     state: InterfaceState, dt: float, mask: Optional[np.ndarray] = None
 ) -> InterfaceState:
-    """One classical four-stage step."""
+    """One classical four-stage step on y = (ζ, ψ)."""
+    y = np.array([state.zeta, state.psi])
     k1 = rhs(state, mask)
-    s2 = state.replace_fields(state.zeta + 0.5 * dt * k1[0], state.psi + 0.5 * dt * k1[1])
-    k2 = rhs(s2, mask)
-    s3 = state.replace_fields(state.zeta + 0.5 * dt * k2[0], state.psi + 0.5 * dt * k2[1])
-    k3 = rhs(s3, mask)
-    s4 = state.replace_fields(state.zeta + dt * k3[0], state.psi + dt * k3[1])
-    k4 = rhs(s4, mask)
-    zeta = state.zeta + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    psi = state.psi + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    k2 = rhs(state.replace_fields(*(y + 0.5 * dt * k1)), mask)
+    k3 = rhs(state.replace_fields(*(y + 0.5 * dt * k2)), mask)
+    k4 = rhs(state.replace_fields(*(y + dt * k3)), mask)
     # a non-finite field raises NumericalError in the state's constructor
-    return state.replace_fields(zeta, psi)
+    return state.replace_fields(*(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)))
 
 
 def _tail_fraction(grid: PeriodicGrid, u: np.ndarray) -> float:

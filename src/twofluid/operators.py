@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
 from .params import DimensionlessParams, _check_count
 from .spectral import PeriodicGrid, deriv, inner
 from .strip import (
     StripOperator,
     _check_range,
     _deflate,
+    _grid_field,
     _RangeSolver,
     _XMatrices,
     dn_apply,
@@ -66,13 +66,8 @@ class InterfaceState:
 
     def __post_init__(self):
         _check_count("n_z", self.n_z)
-        self.zeta = np.asarray(self.zeta, dtype=float)
-        self.psi = np.asarray(self.psi, dtype=float)
-        for name, arr in (("zeta", self.zeta), ("psi", self.psi)):
-            if arr.shape != (self.grid.n,):
-                raise ValueError(f"{name} must have shape ({self.grid.n},)")
-            if not np.all(np.isfinite(arr)):
-                raise NumericalError(f"{name} contains non-finite values")
+        self.zeta = _grid_field(self.grid, self.zeta, "zeta")
+        self.psi = _grid_field(self.grid, self.psi, "psi")
         self._depth = {s: layer_depth(self.zeta, self.params.layer(s)[0], s) for s in (+1, -1)}
         self.zeta_x = deriv(self.grid, self.zeta)
 

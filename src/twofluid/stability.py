@@ -87,8 +87,13 @@ def c_flat(
     Log-spaced scan over x ∈ [1e-4, 1e4] with golden-section refinement.
     The x → ∞ limit equals 1 and the x → 0 limit equals
     1/(ρ̄⁻H̄⁺ + ρ̄⁺H̄⁻); whichever endpoint or interior point attains the
-    supremum is reported (x → ∞ via ``at_infinity``).
+    supremum is reported (x → ∞ via ``at_infinity``).  InvalidConfigError
+    unless H̄± > 0, ρ̄⁺ > 0 and ρ̄⁻ ≥ 0.
     """
+    if not (hbar_plus > 0.0 and hbar_minus > 0.0 and rhobar_plus > 0.0 and rhobar_minus >= 0.0):
+        raise InvalidConfigError(
+            "c_flat needs hbar_plus, hbar_minus, rhobar_plus > 0 and rhobar_minus >= 0, got "
+            f"{(rhobar_plus, rhobar_minus, hbar_plus, hbar_minus)}")
     # imported by its only user: at module level it would slow every package import
     from scipy.optimize import minimize_scalar
 

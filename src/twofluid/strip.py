@@ -147,6 +147,15 @@ def _finite(a, what: str) -> np.ndarray:
     return a
 
 
+def _grid_field(grid: PeriodicGrid, a, what: str) -> np.ndarray:
+    """a as a float field on the grid: ValueError unless its shape is (N,),
+    NumericalError unless it is finite."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (grid.n,):
+        raise ValueError(f"{what} must have shape ({grid.n},)")
+    return _finite(a, what)
+
+
 class _RangeSolver:
     """The one gauged solve of mat·u = f, f in the range of a symmetric PSD
     mat with kernel span{1, Nyquist}: a DN matrix or a positive sum of them.
@@ -226,9 +235,7 @@ class StripOperator:
         if layer_sign not in (+1, -1):
             raise ValueError("layer_sign must be +1 (lower) or -1 (upper)")
         _check_count("n_z", n_z)
-        zeta = np.asarray(zeta, dtype=float)
-        if zeta.shape != (grid.n,):
-            raise ValueError(f"zeta must have shape ({grid.n},)")
+        zeta = _grid_field(grid, zeta, "zeta")
         self.grid = grid
         self.mu = mu_layer
         self.sign = layer_sign

@@ -3,18 +3,18 @@
 In the strongly nonlinear shallow regime (ε ∼ 1, μ ≪ 1) the interface
 elevation ζ and the reduced horizontal velocity v = ∂xψ are described by
 
-    ∂tζ + ∂x[ h⁻h⁺/(ρ̄⁺h⁻ + ρ̄⁻h⁺) · v ] = 0,
-    ∂tv + ∂x[ ζ + (ε/2)(ρ̄⁺h⁻² − ρ̄⁻h⁺²)/(ρ̄⁺h⁻ + ρ̄⁻h⁺)² · v² ] = 0,
+    ∂tζ + ∂x[a·v] = 0,   ∂tv + ∂x[ζ + u·v/2] = 0,
 
-with layer heights h± = H̄±(1 ± ε±ζ).  The system is hyperbolic exactly
-where the indicator
+with layer heights h± = H̄±(1 ± ε±ζ), d = ρ̄⁺h⁻ + ρ̄⁻h⁺, a = h⁺h⁻/d and
+u = ε(ρ̄⁺h⁻² − ρ̄⁻h⁺²)v/d².  Since ∂ζh± = ±ε (as ε±H̄± = ε), v·∂ζa = u: the
+flux Jacobian has trace 2u, and its eigenvalues, the characteristic speeds, are
 
-    1 − ε² ρ̄⁺ρ̄⁻ (H̄⁺+H̄⁻)² / (ρ̄⁺h⁻ + ρ̄⁻h⁺)³ · v²
+    u ± √(a·ind),   ind = 1 − ε² ρ̄⁺ρ̄⁻ (H̄⁺+H̄⁻)² / d³ · v².
 
-is positive: the flux-Jacobian discriminant equals the indicator times the
-positive factor 4h⁺h⁻/(ρ̄⁺h⁻+ρ̄⁻h⁺), so the two signs agree cell by cell.
-Loss of hyperbolicity is the model-level shadow of shear instability and is
-reported as a first-class outcome, not an error.
+So the system is hyperbolic exactly where the indicator ind is positive:
+the Jacobian discriminant is 4a·ind with a > 0, and the two signs agree cell
+by cell.  Loss of hyperbolicity is the model-level shadow of shear
+instability and is reported as a first-class outcome, not an error.
 
 The solver is a first-order Rusanov (local Lax-Friedrichs) finite-volume
 scheme, conservative in ζ to rounding.
@@ -34,7 +34,7 @@ from .evolution import EvolutionConfig, run
 from .operators import InterfaceState
 from .params import DimensionlessParams, config_from_dimensionless, derive_params
 from .spectral import PeriodicGrid, antideriv, deriv, fourier_interpolate
-from .strip import _check_range, _finite
+from .strip import _check_range, _grid_field
 
 # run_swsw's time step in units of dx/max|λ|; fv_step rejects steps above 0.5
 CFL_NUMBER = 0.45
@@ -43,7 +43,8 @@ CFL_NUMBER = 0.45
 @dataclass
 class SWState:
     """Cell-centered shallow-water state (ζ, v) with its parameters;
-    NumericalError on a non-finite field or a dry layer."""
+    ValueError on a field off the grid, NumericalError on a non-finite field
+    or a dry layer."""
 
     grid: PeriodicGrid
     zeta: np.ndarray
@@ -51,28 +52,32 @@ class SWState:
     params: DimensionlessParams
 
     def __post_init__(self):
-        self.zeta = _finite(self.zeta, "zeta")
-        self.v = _finite(self.v, "v")
-        hp, hm, _ = self._heights
+        self.zeta = _grid_field(self.grid, self.zeta, "zeta")
+        self.v = _grid_field(self.grid, self.v, "v")
+        hp, hm = heights(self.params, self.zeta)
         if np.min(hp) <= 0.0 or np.min(hm) <= 0.0:
             raise NumericalError(
                 f"dry state: min heights ({float(np.min(hp)):.3e}, {float(np.min(hm)):.3e})"
             )
 
     @cached_property
-    def _heights(self) -> tuple:
-        """(h⁺, h⁻) of :func:`heights` and ρ̄⁺h⁻ + ρ̄⁻h⁺, computed once per
-        state for the fluxes, the Jacobian and the indicator."""
-        p = self.params
+    def _characteristic(self) -> tuple:
+        """(a, u, ind) of the module docstring, computed once per state for the
+        fluxes, the characteristic speeds and the indicator."""
+        p, v = self.params, self.v
         hp, hm = heights(p, self.zeta)
-        return hp, hm, p.rhobar_plus * hm + p.rhobar_minus * hp
+        d = p.rhobar_plus * hm + p.rhobar_minus * hp
+        u = p.eps * (p.rhobar_plus * hm**2 - p.rhobar_minus * hp**2) / d**2 * v
+        ind = 1.0 - p.eps**2 * p.rhobar_plus * p.rhobar_minus * (
+            p.hbar_plus + p.hbar_minus
+        ) ** 2 / d**3 * v**2
+        return hp * hm / d, u, ind
 
     @cached_property
     def _local_speed(self) -> np.ndarray:
-        """Largest flux-Jacobian |eigenvalue| in each cell, computed once per
+        """Largest characteristic |speed| in each cell, computed once per
         state for :func:`max_wave_speed` and :func:`fv_step`."""
-        lam1, lam2 = jacobian_eigs(self)
-        return np.maximum(np.abs(lam1), np.abs(lam2))
+        return np.max(np.abs(jacobian_eigs(self)), axis=0)
 
 
 def heights(p: DimensionlessParams, zeta: np.ndarray) -> tuple:
@@ -83,47 +88,22 @@ def heights(p: DimensionlessParams, zeta: np.ndarray) -> tuple:
 
 
 def flux(state: SWState) -> tuple:
-    """Componentwise fluxes (mass, momentum) of the conservative form."""
-    p, v = state.params, state.v
-    hp, hm, den = state._heights
-    b_num = p.rhobar_plus * hm**2 - p.rhobar_minus * hp**2
-    return hp * hm / den * v, state.zeta + 0.5 * p.eps * b_num / den**2 * v**2
-
-
-def _jacobian_entries(state: SWState):
-    """(j11, j12, j21, j22) of the flux Jacobian; the momentum flux is
-    ζ + (ε/2)b·v² with b = (ρ̄⁺h⁻² − ρ̄⁻h⁺²)/(ρ̄⁺h⁻ + ρ̄⁻h⁺)²."""
-    p, v = state.params, state.v
-    hp, hm, den = state._heights
-    drho = p.rhobar_minus - p.rhobar_plus
-    b_num = p.rhobar_plus * hm**2 - p.rhobar_minus * hp**2
-    da = ((p.eps * hm - p.eps * hp) * den - hp * hm * (p.eps * drho)) / den**2
-    db = -2.0 * p.eps * (den**2 + drho * b_num) / den**3
-    return da * v, hp * hm / den, 1.0 + 0.5 * p.eps * db * v**2, p.eps * (b_num / den**2) * v
+    """Componentwise fluxes (a·v, ζ + u·v/2) of the conservative form."""
+    a, u, _ = state._characteristic
+    return a * state.v, state.zeta + 0.5 * u * state.v
 
 
 def jacobian_eigs(state: SWState) -> tuple:
-    """Eigenvalues of the flux Jacobian at every cell (complex when
-    hyperbolicity is lost)."""
-    j11, j12, j21, j22 = _jacobian_entries(state)
-    tr = j11 + j22
-    disc = (j11 - j22) ** 2 + 4.0 * j12 * j21
-    root = np.sqrt(disc.astype(complex))
-    return 0.5 * (tr + root), 0.5 * (tr - root)
-
-
-def jacobian_discriminant(state: SWState) -> np.ndarray:
-    j11, j12, j21, j22 = _jacobian_entries(state)
-    return (j11 - j22) ** 2 + 4.0 * j12 * j21
+    """Eigenvalues u ± √(a·ind) of the flux Jacobian at every cell (complex
+    when hyperbolicity is lost)."""
+    a, u, ind = state._characteristic
+    root = np.sqrt((a * ind).astype(complex))
+    return u + root, u - root
 
 
 def hyperbolicity_indicator(state: SWState) -> np.ndarray:
-    """Pointwise indicator whose sign matches the Jacobian discriminant."""
-    p = state.params
-    den = state._heights[2]
-    return 1.0 - p.eps**2 * p.rhobar_plus * p.rhobar_minus * (
-        p.hbar_plus + p.hbar_minus
-    ) ** 2 / den**3 * state.v**2
+    """Pointwise indicator ind, whose sign is that of the Jacobian discriminant."""
+    return state._characteristic[2].copy()
 
 
 def max_wave_speed(state: SWState) -> float:

@@ -46,7 +46,7 @@ from .spectral import (
     norm_hdot_mu,
     norm_sobolev,
 )
-from .strip import StripOperator, dn_apply
+from .strip import StripOperator, _grid_field, dn_apply
 
 _SMALL_SLOPE = 1e-6
 
@@ -74,7 +74,7 @@ class TailSymbolSet:
     zeta_x: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.zeta = np.asarray(self.zeta, dtype=float)
+        self.zeta = _grid_field(self.grid, self.zeta, "zeta")
         self.zeta_x = deriv(self.grid, self.zeta)
 
     def _at(self, x, values):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twofluid import PeriodicGrid
+from twofluid import InterfaceState, PeriodicGrid, config_from_dimensionless, derive_params
 
 
 @pytest.fixture
@@ -17,6 +17,12 @@ def grid32():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def make_state(grid, zeta, psi, eps=0.3, mu=0.5, rbm=0.4, ratio=1.5, bond=100.0, n_z=32):
+    """An InterfaceState on the grid with the parameters of config_from_dimensionless."""
+    p = derive_params(config_from_dimensionless(eps, mu, rbm, ratio, bond))
+    return InterfaceState(grid=grid, zeta=zeta, psi=psi, params=p, n_z=n_z)
 
 
 def smooth_field(rng, grid, k_max=6, amplitude=1.0):
@@ -38,7 +44,7 @@ def linear_mode_rates(params, grid, n_z, k):
     Both rates are read from `rhs` on (ζ, ψ) = (0, δ cos kx) and
     (δ cos kx, 0); the nonlinear terms enter at O((εδ)²) of them.
     """
-    from twofluid import InterfaceState, rhs
+    from twofluid import rhs
 
     mode = 1e-3 * np.cos(k * grid.k_fundamental * grid.nodes)
     zero = np.zeros(grid.n)

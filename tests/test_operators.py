@@ -9,10 +9,12 @@ from hypothesis import strategies as hst
 from twofluid import (
     DegenerateGeometryError,
     IncompatibleDataError,
-    InterfaceState,
     InvalidConfigError,
+    NumericalError,
     PeriodicGrid,
     StripOperator,
+    SWState,
+    TailSymbolSet,
     apply_e,
     apply_g,
     apply_g_tilde,
@@ -35,12 +37,7 @@ from twofluid import (
 from twofluid import operators, strip
 from twofluid.spectral import deriv
 from twofluid.strip import _deflate
-from conftest import shear_form_matrix, smooth_field
-
-
-def make_state(grid, zeta, psi, eps=0.3, mu=0.5, rbm=0.4, ratio=1.5, bond=100.0, n_z=32):
-    p = derive_params(config_from_dimensionless(eps, mu, rbm, ratio, bond))
-    return InterfaceState(grid=grid, zeta=zeta, psi=psi, params=p, n_z=n_z)
+from conftest import make_state, shear_form_matrix, smooth_field
 
 
 def test_state_depth_guard(grid64):
@@ -58,6 +55,26 @@ def test_constructors_reject_a_bad_n_z(grid32, n_z):
     p = derive_params(config_from_dimensionless(0.3, 0.5, 0.4, 1.5, 100.0))
     with pytest.raises(InvalidConfigError):
         StripOperator(grid32, zeta, p.eps_plus, p.mu_plus, +1, n_z=n_z)
+
+
+@pytest.mark.parametrize("build", [
+    lambda g, f, p: make_state(g, f, np.zeros(g.n)),
+    lambda g, f, p: make_state(g, np.zeros(g.n), f),
+    lambda g, f, p: StripOperator(g, f, p.eps_plus, p.mu_plus, +1, n_z=4),
+    lambda g, f, p: SWState(grid=g, zeta=f, v=np.zeros(g.n), params=p),
+    lambda g, f, p: SWState(grid=g, zeta=np.zeros(g.n), v=f, params=p),
+    lambda g, f, p: TailSymbolSet(g, f, p),
+], ids=["state-zeta", "state-psi", "strip", "sw-zeta", "sw-v", "tail"])
+def test_constructors_check_their_grid_fields(build):
+    # a field of another length used to construct an SWState whose fv_step
+    # died on a numpy broadcast; a NaN ζ gave a StripOperator and a
+    # TailSymbolSet whose symbols were NaN
+    grid = PeriodicGrid(16)
+    p = derive_params(config_from_dimensionless(0.3, 0.5, 0.4, 1.5, 100.0))
+    with pytest.raises(ValueError):
+        build(grid, np.zeros(10), p)
+    with pytest.raises(NumericalError):
+        build(grid, np.where(np.arange(16) == 3, np.nan, 0.0), p)
 
 
 def test_layers_are_built_lazily_once(grid64, monkeypatch):
@@ -368,7 +385,6 @@ def test_apply_e_positivity_and_bound(grid64, rng):
         v = smooth_field(rng, grid64)
         q = e_quadratic_form(st, v)
         assert q >= -1e-12
-        weight = norm_hdot_mu(grid64, v, 0.0, 0.0)  # placeholder, replaced below
         uh = np.abs(np.fft.fft(v)) ** 2
         k = np.abs(grid64.wavenumbers)
         bnorm2 = grid64.length / grid64.n**2 * float(np.sum((1.0 + smu * k) * uh))

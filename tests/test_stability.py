@@ -10,7 +10,6 @@ import pytest
 
 from twofluid import (
     IncompatibleDataError,
-    InterfaceState,
     InvalidConfigError,
     NumericalError,
     PeriodicGrid,
@@ -35,12 +34,7 @@ from twofluid import (
 from twofluid import strip
 from twofluid.operators import pinv_g_tilde
 from twofluid.stability import _flat_quotient
-from conftest import shear_form_matrix, smooth_field
-
-
-def make_state(grid, zeta, psi, eps=0.3, mu=0.5, rbm=0.4, ratio=1.5, bond=100.0, n_z=32):
-    p = derive_params(config_from_dimensionless(eps, mu, rbm, ratio, bond))
-    return InterfaceState(grid=grid, zeta=zeta, psi=psi, params=p, n_z=n_z)
+from conftest import make_state, shear_form_matrix, smooth_field
 
 
 def zero_traces(n):
@@ -55,6 +49,16 @@ def test_c_flat_deep_limit():
     res = c_flat(0.6, 0.4, 1e3, 1e3)
     assert abs(res.value - 1.0) <= 1e-3
     assert res.at_infinity
+
+
+@pytest.mark.parametrize("args", [
+    (0.6, 0.4, -1.0, 1.0), (0.6, 0.4, 1.0, 0.0), (0.0, 0.4, 1.0, 1.0),
+    (0.6, -0.1, 1.0, 1.0), (0.6, 0.4, math.nan, 1.0),
+])
+def test_c_flat_rejects_non_physical_input(args):
+    # (0.6, 0.4, -1.0, 1.0) used to return value=5.0
+    with pytest.raises(InvalidConfigError):
+        c_flat(*args)
 
 
 def test_c_flat_symmetric_unit_depths():

@@ -15,7 +15,7 @@ from twofluid import (
     derive_params,
     fv_step,
     hyperbolicity_indicator,
-    jacobian_discriminant,
+    jacobian_eigs,
     mode_growth,
     run_swsw,
 )
@@ -35,18 +35,53 @@ def random_state(rng, grid):
     return SWState(grid=grid, zeta=zeta, v=v, params=p)
 
 
+def jacobian_entries(state):
+    """(j11, j12, j21, j22) of the flux Jacobian, differentiated by hand from
+    the fluxes A(ζ)·v and ζ + (ε/2)b(ζ)·v², A = h⁺h⁻/d and
+    b = (ρ̄⁺h⁻² − ρ̄⁻h⁺²)/d², d = ρ̄⁺h⁻ + ρ̄⁻h⁺, with ∂ζh± = ±ε."""
+    p, v = state.params, state.v
+    hp, hm = heights(p, state.zeta)
+    den = p.rhobar_plus * hm + p.rhobar_minus * hp
+    drho = p.rhobar_minus - p.rhobar_plus
+    b_num = p.rhobar_plus * hm**2 - p.rhobar_minus * hp**2
+    da = ((p.eps * hm - p.eps * hp) * den - hp * hm * (p.eps * drho)) / den**2
+    db = -2.0 * p.eps * (den**2 + drho * b_num) / den**3
+    return da * v, hp * hm / den, 1.0 + 0.5 * p.eps * db * v**2, p.eps * (b_num / den**2) * v
+
+
 def test_indicator_sign_matches_discriminant(grid64):
     rng = np.random.default_rng(7)
     seen = set()
     for _ in range(40):
         st = random_state(rng, grid64)
+        j11, j12, j21, j22 = jacobian_entries(st)
+        disc = (j11 - j22) ** 2 + 4.0 * j12 * j21
         ind = hyperbolicity_indicator(st)
-        disc = jacobian_discriminant(st)
         clear = np.abs(ind) > 1e-9
         assert np.array_equal(np.sign(ind[clear]), np.sign(disc[clear]))
         seen.update(np.sign(ind[clear]).tolist())
+        root = np.sqrt(disc.astype(complex))
+        for lam, ref in zip(jacobian_eigs(st), (0.5 * (j11 + j22 + root),
+                                                0.5 * (j11 + j22 - root))):
+            assert np.max(np.abs(lam - ref) / (1.0 + np.abs(ref))) <= 1e-13
     # the sample reaches both the hyperbolic and the elliptic side
     assert seen == {-1.0, 1.0}
+
+
+def flat_streams(p, zeta0):
+    """The uniform state ζ₀ as two uniform streams of the local depths h±H
+    without surface tension, the critical v of the long-wave closed form, and
+    the map from v to the physical velocity jump ⟦V⟧ of those streams: zero
+    net volume flux h⁺V⁺ + h⁻V⁻ = 0 and ρ̄⁺V⁺ − ρ̄⁻V⁻ = v."""
+    hp, hm = heights(p, zeta0)
+    den = p.rhobar_plus * hm + p.rhobar_minus * hp
+    v_crit = den * math.sqrt(den / (p.rhobar_plus * p.rhobar_minus)) / (p.eps * (hp + hm))
+    streams = ShearConfig(
+        rho_plus=p.rhobar_plus * p.rho_total, rho_minus=p.rhobar_minus * p.rho_total,
+        depth_plus=hp * p.h_eff, depth_minus=hm * p.h_eff, sigma=0.0,
+        gravity=p.g_reduced / (p.rhobar_plus - p.rhobar_minus),
+    )
+    return streams, v_crit, lambda v: p.eps * p.wave_speed * (hp + hm) * v / den
 
 
 @pytest.mark.parametrize("zeta0", [0.0, 0.5])
@@ -58,24 +93,34 @@ def test_indicator_matches_long_wave_kelvin_helmholtz(eps, mu, rbm, ratio, zeta0
     # of the local depths h±H are stable to long waves without surface tension
     p = derive_params(config_from_dimensionless(
         eps=eps, mu=mu, rhobar_minus=rbm, depth_ratio=ratio))
-    hp, hm = heights(p, zeta0)
-    den = p.rhobar_plus * hm + p.rhobar_minus * hp
-    v_crit = den * math.sqrt(den / (p.rhobar_plus * p.rhobar_minus)) / (p.eps * (hp + hm))
-    streams = ShearConfig(
-        rho_plus=p.rhobar_plus * p.rho_total, rho_minus=p.rhobar_minus * p.rho_total,
-        depth_plus=hp * p.h_eff, depth_minus=hm * p.h_eff, sigma=0.0,
-        gravity=p.g_reduced / (p.rhobar_plus - p.rhobar_minus),
-    )
+    streams, v_crit, jump = flat_streams(p, zeta0)
     k = 1e-3 / max(streams.depth_plus, streams.depth_minus)
     grid = PeriodicGrid(8)
     for factor in (0.95, 1.05):
         v = factor * v_crit
         st = SWState(grid=grid, zeta=np.full(8, zeta0), v=np.full(8, v), params=p)
         hyperbolic = bool(np.all(hyperbolicity_indicator(st) > 0.0))
-        # ⟦V⟧ with zero net volume flux h⁺V⁺ + h⁻V⁻ = 0 and ρ̄⁺V⁺ − ρ̄⁻V⁻ = v
-        jump = (hp + hm) * v / den
-        stable = mode_growth(k, streams.with_shear(p.eps * p.wave_speed * jump)) == 0.0
+        stable = mode_growth(k, streams.with_shear(jump(v))) == 0.0
         assert hyperbolic == stable == (factor < 1.0)
+
+
+def test_flat_critical_shear_is_the_long_wave_kelvin_threshold():
+    # on a flat state the indicator vanishes at the velocity jump where
+    # Kelvin-Helmholtz sets in as k → 0, √((H⁺/ρ⁺ + H⁻/ρ⁻)g(ρ⁺ − ρ⁻))
+    rng = np.random.default_rng(17)
+    grid = PeriodicGrid(8)
+    for _ in range(300):
+        p = derive_params(config_from_dimensionless(
+            eps=rng.uniform(0.05, 0.9), mu=0.1, rhobar_minus=rng.uniform(1e-3, 0.49),
+            depth_ratio=rng.uniform(0.3, 3.0)))
+        zeta0 = rng.uniform(-0.9, 0.9) / max(p.eps_plus, p.eps_minus)
+        streams, v_crit, jump = flat_streams(p, zeta0)
+        st = SWState(grid=grid, zeta=np.full(8, zeta0), v=np.full(8, v_crit), params=p)
+        assert np.max(np.abs(hyperbolicity_indicator(st))) <= 1e-14
+        kelvin = math.sqrt((streams.depth_plus / streams.rho_plus
+                            + streams.depth_minus / streams.rho_minus)
+                           * streams.gravity * (streams.rho_plus - streams.rho_minus))
+        assert jump(v_crit) == pytest.approx(kelvin, rel=1e-12)
 
 
 def test_fv_step_conserves_zeta(grid64):
@@ -93,13 +138,13 @@ def test_fv_step_conserves_zeta(grid64):
 def test_run_swsw_computes_the_jacobian_once_per_step(grid64, monkeypatch):
     # the step size and the Rusanov speeds of fv_step share one evaluation
     calls = []
-    entries = swsw._jacobian_entries
+    eigs = swsw.jacobian_eigs
 
     def counted(*args):
         calls.append(1)
-        return entries(*args)
+        return eigs(*args)
 
-    monkeypatch.setattr(swsw, "_jacobian_entries", counted)
+    monkeypatch.setattr(swsw, "jacobian_eigs", counted)
     p = derive_params(config_from_dimensionless(eps=0.5, mu=0.1, rhobar_minus=0.4))
     st = SWState(grid=grid64, zeta=0.3 * np.cos(grid64.nodes),
                  v=0.2 * np.sin(grid64.nodes), params=p)
