@@ -36,7 +36,7 @@ import numpy as np
 from .errors import InvalidConfigError, NumericalError, TwoFluidError
 from .operators import InterfaceState, TraceBundle, coupled_dn_flat_symbol, transmission_solve
 from .params import DimensionlessParams, _check_count
-from .spectral import PeriodicGrid, dealias_mask, deriv, truncate
+from .spectral import PeriodicGrid, _read_only, dealias_mask, deriv, truncate
 
 
 def cfl_cap(params: DimensionlessParams, n_points: int, length: float = 2 * math.pi) -> float:
@@ -120,12 +120,13 @@ def rk4_step(
 ) -> InterfaceState:
     """One classical four-stage step on y = (ζ, ψ)."""
     y = np.array([state.zeta, state.psi])
+    # each stage is a read-only stack, whose rows the stage state holds uncopied
     k1 = rhs(state, mask)
-    k2 = rhs(state.replace_fields(*(y + 0.5 * dt * k1)), mask)
-    k3 = rhs(state.replace_fields(*(y + 0.5 * dt * k2)), mask)
-    k4 = rhs(state.replace_fields(*(y + dt * k3)), mask)
+    k2 = rhs(state.replace_fields(*_read_only(y + 0.5 * dt * k1)), mask)
+    k3 = rhs(state.replace_fields(*_read_only(y + 0.5 * dt * k2)), mask)
+    k4 = rhs(state.replace_fields(*_read_only(y + dt * k3)), mask)
     # a non-finite field raises NumericalError in the state's constructor
-    return state.replace_fields(*(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)))
+    return state.replace_fields(*_read_only(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)))
 
 
 def _tail_fraction(grid: PeriodicGrid, u: np.ndarray) -> float:
@@ -140,8 +141,7 @@ def _record(series: TimeSeries, t, state, traces, grid):
     mass = float(np.mean(state.zeta)) * grid.length
     jump = traces.jump_v()
     series.times.append(t)
-    # without the stepping state's solver caches (x-matrices, layers, 𝒢̃ and
-    # its factor): eight N×N matrices per snapshot, which a fresh state rebuilds
+    # the same read-only fields, without the stepping state's layers and 𝒢̃
     series.states.append(state.replace_fields(state.zeta, state.psi))
     series.traces.append(traces)
     series.diagnostics.append(

@@ -48,10 +48,12 @@ class ShearConfig:
     gravity: float = 9.81
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise InvalidConfigError(f"every value must be finite: {self}")
         if not (self.rho_plus > 0.0 and self.rho_plus >= self.rho_minus >= 0.0):
             raise InvalidConfigError("need rho_plus > 0 and rho_plus >= rho_minus >= 0")
-        if self.depth_plus <= 0.0 or self.depth_minus <= 0.0:
-            raise InvalidConfigError("depths must be positive")
+        if not (min(self.depth_plus, self.depth_minus, self.gravity) > 0.0 and self.sigma >= 0.0):
+            raise InvalidConfigError("depths and gravity must be positive, sigma >= 0")
 
     def with_shear(self, jump: float) -> "ShearConfig":
         return replace(self, c_plus=0.5 * jump, c_minus=-0.5 * jump)

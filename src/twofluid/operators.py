@@ -15,8 +15,8 @@ exposes
 
 An :class:`InterfaceState` holds one :class:`~twofluid.strip.StripOperator`
 per fluid layer, ``state.layer(+1)`` below the interface and
-``state.layer(-1)`` above it, each built on first use from the x-matrices
-of :mod:`twofluid.strip`, which the state builds once for both.  Everything
+``state.layer(-1)`` above it, both built on first use from one set of the
+x-matrices of :mod:`twofluid.strip`, which each layer drops as it sweeps.  Everything
 is assembled from their DN matrices S± (G± = ±S±): the discrete 𝒢̃ is the
 N×N sum (ρ̄⁻/H̄⁺)S⁺ + (ρ̄⁺/H̄⁻)S⁻.  𝒢̃ and the factor of 𝒢̃ + Π, Π the
 projector onto the common kernel (constants and the Nyquist mode), are
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import DimensionlessParams, _check_count
-from .spectral import PeriodicGrid, deriv, inner
+from .spectral import PeriodicGrid, _cached, _read_only, deriv, inner
 from .strip import (
     StripOperator,
     _check_range,
@@ -48,46 +48,45 @@ from .strip import (
 )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class InterfaceState:
-    """Interface elevation and reduced potential with their parameters, and
-    the slope ``zeta_x`` = ζₓ, computed once for every operator that reads it."""
+    """Interface elevation and reduced potential with their parameters, ζₓ and the
+    layer depths, all read-only; the layers and 𝒢̃ are computed once, on first use."""
 
     grid: PeriodicGrid
     zeta: np.ndarray
     psi: np.ndarray
     params: DimensionlessParams
     n_z: int = 32
-    zeta_x: np.ndarray = field(init=False, repr=False, compare=False)
-    _layers: dict = field(default_factory=dict, repr=False, compare=False)
-    _g_tilde: _RangeSolver = field(default=None, repr=False, compare=False)
-    _x: _XMatrices = field(default=None, repr=False, compare=False)
-    _depth: dict = field(init=False, repr=False, compare=False)
+    _depths: dict = field(init=False, repr=False)
+    zeta_x: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_count("n_z", self.n_z)
-        self.zeta = _grid_field(self.grid, self.zeta, "zeta")
-        self.psi = _grid_field(self.grid, self.psi, "psi")
-        self._depth = {s: layer_depth(self.zeta, self.params.layer(s)[0], s) for s in (+1, -1)}
-        self.zeta_x = deriv(self.grid, self.zeta)
+        object.__setattr__(self, "zeta", _grid_field(self.grid, self.zeta, "zeta"))
+        object.__setattr__(self, "psi", _grid_field(self.grid, self.psi, "psi"))
+        object.__setattr__(self, "_depths", {
+            s: layer_depth(self.zeta, self.params.layer(s)[0], s) for s in (+1, -1)})
+        object.__setattr__(self, "zeta_x", _read_only(deriv(self.grid, self.zeta)))
+
+    @_cached
+    def _layers(self) -> dict:
+        """Both layers over one set of x-matrices, which each drops as it sweeps."""
+        x = _XMatrices(self.grid, self.zeta, self.zeta_x)
+        return {s: StripOperator(self.grid, self.zeta, *self.params.layer(s), s, self.n_z,
+                                 _x=x, _depth=self._depths[s]) for s in (+1, -1)}
+
+    @_cached
+    def _g_tilde(self) -> _RangeSolver:
+        """The gauged solve with 𝒢̃, one right-hand side per row."""
+        return _RangeSolver(dense_g_tilde(self), "weighted DN sum")
 
     def layer(self, sign: int) -> StripOperator:
-        """The fluid layer below (+1) or above (−1) the interface, built on
-        first use and kept for the life of the state."""
-        if sign not in self._layers:
-            eps_l, mu_l = self.params.layer(sign)
-            if self._x is None:
-                self._x = _XMatrices(self.grid, self.zeta, self.zeta_x)
-            self._layers[sign] = StripOperator(self.grid, self.zeta, eps_l, mu_l, sign,
-                                               self.n_z, _x=self._x, _depth=self._depth[sign])
-            if len(self._layers) == 2:
-                self._x = None
+        """The fluid layer below (+1) or above (−1) the interface."""
         return self._layers[sign]
 
     def replace_fields(self, zeta, psi) -> "InterfaceState":
-        return InterfaceState(
-            grid=self.grid, zeta=zeta, psi=psi, params=self.params, n_z=self.n_z
-        )
+        return InterfaceState(grid=self.grid, zeta=zeta, psi=psi, params=self.params, n_z=self.n_z)
 
 
 @dataclass
@@ -175,17 +174,6 @@ def apply_j(state: InterfaceState, u) -> np.ndarray:
     return p.rhobar_plus * u - p.rhobar_minus * (p.hbar_minus / p.hbar_plus) * tr
 
 
-def _solve_g_tilde(state: InterfaceState, f) -> np.ndarray:
-    """Gauged solution of 𝒢̃u = f (one right-hand side per row of f) for
-    the part of f in the range of 𝒢̃, with its residual checked.
-
-    𝒢̃ and the Cholesky factor of 𝒢̃ + Π are built once per state.
-    """
-    if state._g_tilde is None:
-        state._g_tilde = _RangeSolver(dense_g_tilde(state), "weighted DN sum")
-    return state._g_tilde(f)
-
-
 def _couple(state: InterfaceState, psi) -> tuple:
     """(ψ⁻, (1/H̄±)G±ψ±) of the transmission problem for ψ = ρ̄⁺ψ⁺ − ρ̄⁻ψ⁻.
 
@@ -194,7 +182,7 @@ def _couple(state: InterfaceState, psi) -> tuple:
     """
     p = state.params
     psi = np.asarray(psi, dtype=float)
-    psi_minus = _solve_g_tilde(state, state.layer(+1).dn_matrix @ psi / -p.hbar_plus)
+    psi_minus = state._g_tilde(state.layer(+1).dn_matrix @ psi / -p.hbar_plus)
     flux = state.layer(-1).dn_matrix @ psi_minus / -p.hbar_minus
     return psi_minus, _deflate(flux)
 
@@ -258,7 +246,7 @@ def transmission_tangent(state: InterfaceState, traces: TraceBundle, dzeta, dpsi
     gp_hw, gp_dpsi = np.array([dzeta * w[0], dpsi]) @ s_plus / p.hbar_plus
     gm_hw = (dzeta * w[1]) @ s_minus / -p.hbar_minus
     shape = -eps * np.array([gp_hw, gm_hw]) - eps * mu * d[1:]
-    dpsi_minus = _solve_g_tilde(state, p.rhobar_plus * (shape[1] - shape[0]) - gp_dpsi)
+    dpsi_minus = state._g_tilde(p.rhobar_plus * (shape[1] - shape[0]) - gp_dpsi)
     dpsi_plus = (dpsi + p.rhobar_minus * dpsi_minus) / p.rhobar_plus
     dg = dpsi_plus @ s_plus / p.hbar_plus + shape[0]
     dpsi_x = deriv(grid, np.array([dpsi_plus, dpsi_minus]))
@@ -291,14 +279,14 @@ def invert_g_tilde(state: InterfaceState, f) -> np.ndarray:
     f must lie in the range of 𝒢̃: zero mean and no Nyquist component, each
     up to rounding, 1e-8·‖f‖∞; other data raises IncompatibleDataError.
     """
-    return _solve_g_tilde(state, _check_range(f, "inverse of the weighted DN sum"))
+    return state._g_tilde(_check_range(f, "inverse of the weighted DN sum"))
 
 
 def pinv_g_tilde(state: InterfaceState) -> np.ndarray:
     """Pseudo-inverse of the dense 𝒢̃ matrix on its range, (𝒢̃ + Π)⁻¹ − Π:
     no longer called by the package (𝔢 reads the factor of 𝒢̃ + Π), kept as
     the tests' dense oracle and because the benchmark tracer names it."""
-    return _solve_g_tilde(state, np.eye(state.grid.n))
+    return state._g_tilde(np.eye(state.grid.n))
 
 
 def apply_e(state: InterfaceState, v) -> np.ndarray:

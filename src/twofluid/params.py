@@ -61,19 +61,16 @@ class PhysicalConfig:
     gravity: float = GRAVITY_DEFAULT
 
     def __post_init__(self):
-        if not self.rho_plus > self.rho_minus >= 0.0:
+        if not math.inf > self.rho_plus > self.rho_minus >= 0.0:
             raise InvalidConfigError(
-                f"need rho_plus > rho_minus >= 0, got {self.rho_plus}, {self.rho_minus}"
+                f"need a finite rho_plus > rho_minus >= 0, got {self.rho_plus}, {self.rho_minus}"
             )
         for name in ("depth_plus", "depth_minus", "wavelength", "gravity"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.amplitude < 0.0:
-            raise InvalidConfigError(f"amplitude must be >= 0, got {self.amplitude}")
-        if self.surface_tension < 0.0:
-            raise InvalidConfigError(
-                f"surface_tension must be >= 0, got {self.surface_tension}"
-            )
+            if not 0.0 < (value := getattr(self, name)) < math.inf:
+                raise InvalidConfigError(f"{name} must be positive and finite, got {value}")
+        for name in ("amplitude", "surface_tension"):
+            if not 0.0 <= (value := getattr(self, name)) < math.inf:
+                raise InvalidConfigError(f"{name} must be finite and >= 0, got {value}")
 
     def with_amplitude(self, amplitude: float) -> "PhysicalConfig":
         return replace(self, amplitude=amplitude)
@@ -248,8 +245,8 @@ def config_from_dimensionless(
     """
     if not 0.0 <= rhobar_minus < 0.5:
         raise InvalidConfigError(f"rhobar_minus must be in [0, 0.5), got {rhobar_minus}")
-    if mu <= 0.0 or depth_ratio <= 0.0:
-        raise InvalidConfigError("mu and depth_ratio must be positive")
+    if not (mu > 0.0 and depth_ratio > 0.0 and bond > 0.0):
+        raise InvalidConfigError("mu, depth_ratio and bond must be positive")
     rbp = 1.0 - rhobar_minus
     h_eff = 1.0
     hbar_plus = rbp + rhobar_minus * depth_ratio

@@ -52,12 +52,12 @@ from scipy.linalg.lapack import dsyevr
 
 from .errors import IncompatibleDataError, InvalidConfigError, NumericalError
 from .evolution import TimeSeries, tendency
-from .operators import InterfaceState, TraceBundle, _solve_g_tilde, e_quadratic_form
+from .operators import InterfaceState, TraceBundle, e_quadratic_form
 from .operators import transmission_tangent
 # imported for the benchmark tracer, which wraps it under this module's name
 from .operators import invert_g_tilde
 from .params import DimensionlessParams, practical_verdict
-from .spectral import PeriodicGrid, _gauge_constants, apply_multiplier, deriv, inner
+from .spectral import PeriodicGrid, _gauge_constants, _read_only, apply_multiplier, deriv, inner
 from .strip import _finite, flat_symbol
 
 
@@ -124,8 +124,7 @@ def _shear_multiplier_t(grid: PeriodicGrid, mu: float) -> np.ndarray:
     iξ/√(1+√μ|ξ|): the multiplier acts on each row of the identity."""
     m_t = apply_multiplier(grid, lambda k: 1j * k / np.sqrt(1.0 + math.sqrt(mu) * np.abs(k)),
                            np.eye(grid.n))
-    m_t.flags.writeable = False
-    return m_t
+    return _read_only(m_t)
 
 
 def e_coeff(state: InterfaceState) -> float:
@@ -140,7 +139,7 @@ def e_coeff(state: InterfaceState) -> float:
     """
     m_t = _shear_multiplier_t(state.grid, state.params.mu)
     # builds the factor and checks its true residual on one row of Mᵀ
-    _solve_g_tilde(state, m_t[0])
+    state._g_tilde(m_t[0])
     c = dsyrk(state.params.mu, state._g_tilde.whiten(m_t), lower=1)
     # (compute_v, range, lower, vl, vu, il, iu) positional; il, iu count from 1
     top, _, _, _, info = dsyevr(c, 0, "I", 1, 0.0, 0.0, len(c), len(c))

@@ -26,19 +26,19 @@ tridiagonal with dense N×N blocks.  With p11 = 1 ± εζ and p12 = ±f·q,
 q = −√μεζₓ, every block is a scalar combination of four N×N x-matrices,
 DᵀD, Dᵀdiag(ζ)D and Q ± Qᵀ with Q = Dᵀdiag(ζₓ), plus a diagonal from p22.
 The x-matrices do not depend on the layer, so both layers of an
-:class:`~twofluid.operators.InterfaceState` share one set, and the scalars
-form a table cached per (μ±, ε±, ±, n_z): a layer's blocks are one product
-of the two, the cell masses one of a second table with (1, q²)/p11
-(:meth:`StripOperator._blocks`).  The x-matrices are freed once both layers
-have swept; a standalone layer, or a second sweep (the Dirichlet solve),
-builds them from ζ.  A block Cholesky
+:class:`~twofluid.operators.InterfaceState` are built on first use over one
+set, and the scalars form a table cached per (μ±, ε±, ±, n_z): a layer's
+blocks are one product of the two, the cell masses one of a second table
+with (1, q²)/p11 (:meth:`StripOperator._blocks`).  Each layer drops the set
+as it sweeps; a standalone layer, or a second sweep (the Dirichlet solve),
+builds it from ζ.  A block Cholesky
 sweep in row order, from the wall to the interface row, eliminates every
 other row in place on them, its loop making only LAPACK and BLAS calls, and
 leaves the Schur complement S on the interface row.  S is the discrete
 Dirichlet-Neumann matrix itself (G± = ±S±): symmetric, positive
 semi-definite, and zero on constants and on the Nyquist column that the
 spectral derivative annihilates.
-:attr:`StripOperator.dn_matrix` sweeps once and caches S.  The Neumann
+:attr:`StripOperator.dn_matrix` is the read-only S of one sweep.  The Neumann
 solve is an interface solve with S alone.  The Dirichlet solve is the one
 field solve: it repeats the sweep, holding the factors of every eliminated
 row for its back-substitution; its true residual, computed with the
@@ -57,7 +57,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import DegenerateGeometryError, IncompatibleDataError, NumericalError
 from .params import _check_count
-from .spectral import PeriodicGrid, _gauge_constants, apply_multiplier, deriv
+from .spectral import PeriodicGrid, _cached, _gauge_constants, _read_only, apply_multiplier, deriv
 
 # Bound on the relative true residual of every direct solve of the package.
 RESIDUAL_TOL = 1e-9
@@ -142,18 +142,21 @@ def _check_residual(r: np.ndarray, b: np.ndarray, what: str) -> float:
 
 def _finite(a, what: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalError(f"{what} contains non-finite values")
     return a
 
 
 def _grid_field(grid: PeriodicGrid, a, what: str) -> np.ndarray:
-    """a as a float field on the grid: ValueError unless its shape is (N,),
-    NumericalError unless it is finite."""
+    """a as a read-only float field on the grid, copied unless read-only down to
+    the memory it views; ValueError unless of shape (N,), NumericalError unless finite."""
     a = np.asarray(a, dtype=float)
     if a.shape != (grid.n,):
         raise ValueError(f"{what} must have shape ({grid.n},)")
-    return _finite(a, what)
+    view = a = _finite(a, what)
+    while isinstance(view, np.ndarray) and not view.flags.writeable:
+        view = view.base
+    return _read_only(a.copy()) if isinstance(view, np.ndarray) else a
 
 
 class _RangeSolver:
@@ -247,8 +250,6 @@ class StripOperator:
         self._zeta, self._x = zeta, _x
         self._coef = _block_coefficients(float(mu_layer), float(eps_layer), layer_sign, n_z)
         self.q = -self.smu * eps_layer * (deriv(grid, zeta) if _x is None else _x.zeta_x)
-        self._s = None
-        self._neumann = None
 
     @property
     def p12(self) -> np.ndarray:
@@ -320,14 +321,14 @@ class StripOperator:
         for j in range(n_z + 1):
             yield rows[j].T, offs[j] if j < n_z else None
 
-    def _sweep(self) -> list:
+    def _sweep(self) -> tuple:
         """Block Cholesky elimination of every row but the interface one.
 
         The loop makes only LAPACK and BLAS calls, in place on the blocks of
-        :meth:`_blocks`.  Caches S and returns the factors (L_j, x_j) of the
-        eliminated rows j < n_z, with L_j the Cholesky factor of row j after
-        the updates of the rows before it and x_j = (L_j⁻¹off_j)ᵀ: views of
-        the block stack, which the sweep holds anyway.
+        :meth:`_blocks`.  Returns the read-only S and the factors (L_j, x_j)
+        of the eliminated rows j < n_z, with L_j the Cholesky factor of row j
+        after the updates of the rows before it and x_j = (L_j⁻¹off_j)ᵀ: views
+        of the block stack, which the sweep holds anyway.
         """
         factors = []
         x_t = None
@@ -344,15 +345,16 @@ class StripOperator:
             x_t = dtrsm(1.0, low, off.T, 1, 1, 1, 0, 1)
             factors.append((low, x_t))
         # only the lower triangle is updated; mirroring it keeps S == Sᵀ exact
-        self._s = np.where(_gauge_constants(len(row))[2], row, row.T)
-        return factors
+        return _read_only(np.where(_gauge_constants(len(row))[2], row, row.T)), factors
 
-    @property
+    @_cached
     def dn_matrix(self) -> np.ndarray:
         """S, the Schur complement of A on the interface row (G± = ±S)."""
-        if self._s is None:
-            self._sweep()
-        return self._s
+        return self._sweep()[0]
+
+    @_cached
+    def _neumann(self) -> _RangeSolver:
+        return _RangeSolver(self.dn_matrix, "Neumann")
 
     def _extend(self, psi: np.ndarray, factors: list) -> np.ndarray:
         """Back-substitute the field with interface trace ψ, rows from the
@@ -369,7 +371,7 @@ class StripOperator:
     def solve_dirichlet(self, psi) -> StripSolution:
         """Solve ∇^μ·P∇^μ φ = 0 with φ = ψ at the interface, no-flux at the wall."""
         psi = _finite(psi, "Dirichlet data")
-        phi = self._extend(psi, self._sweep())
+        phi = self._extend(psi, self._sweep()[1])
         lift = np.zeros_like(phi)
         lift[-1] = psi
         res = _check_residual(
@@ -385,10 +387,7 @@ class StripOperator:
         1e-8·‖g‖∞; other data raises IncompatibleDataError.  No sweep once S
         exists: the factor of S + Π is kept on the layer.
         """
-        g = _check_range(g, "Neumann solve")
-        if self._neumann is None:
-            self._neumann = _RangeSolver(self.dn_matrix, "Neumann")
-        return self._neumann(self.sign * g)
+        return self._neumann(self.sign * _check_range(g, "Neumann solve"))
 
 
 def dn_apply(d: StripOperator, psi) -> np.ndarray:

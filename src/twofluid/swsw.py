@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -33,18 +32,17 @@ from .errors import InvalidConfigError, NumericalError
 from .evolution import EvolutionConfig, run
 from .operators import InterfaceState
 from .params import DimensionlessParams, config_from_dimensionless, derive_params
-from .spectral import PeriodicGrid, antideriv, deriv, fourier_interpolate
+from .spectral import PeriodicGrid, _cached, _read_only, antideriv, deriv, fourier_interpolate
 from .strip import _check_range, _grid_field
 
 # run_swsw's time step in units of dx/max|λ|; fv_step rejects steps above 0.5
 CFL_NUMBER = 0.45
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SWState:
-    """Cell-centered shallow-water state (ζ, v) with its parameters;
-    ValueError on a field off the grid, NumericalError on a non-finite field
-    or a dry layer."""
+    """Cell-centered shallow-water state (ζ, v) with its parameters, read-only;
+    ValueError on a field off the grid, NumericalError if not finite or dry."""
 
     grid: PeriodicGrid
     zeta: np.ndarray
@@ -52,15 +50,15 @@ class SWState:
     params: DimensionlessParams
 
     def __post_init__(self):
-        self.zeta = _grid_field(self.grid, self.zeta, "zeta")
-        self.v = _grid_field(self.grid, self.v, "v")
+        object.__setattr__(self, "zeta", _grid_field(self.grid, self.zeta, "zeta"))
+        object.__setattr__(self, "v", _grid_field(self.grid, self.v, "v"))
         hp, hm = heights(self.params, self.zeta)
         if np.min(hp) <= 0.0 or np.min(hm) <= 0.0:
             raise NumericalError(
                 f"dry state: min heights ({float(np.min(hp)):.3e}, {float(np.min(hm)):.3e})"
             )
 
-    @cached_property
+    @_cached
     def _characteristic(self) -> tuple:
         """(a, u, ind) of the module docstring, computed once per state for the
         fluxes, the characteristic speeds and the indicator."""
@@ -73,7 +71,7 @@ class SWState:
         ) ** 2 / d**3 * v**2
         return hp * hm / d, u, ind
 
-    @cached_property
+    @_cached
     def _local_speed(self) -> np.ndarray:
         """Largest characteristic |speed| in each cell, computed once per
         state for :func:`max_wave_speed` and :func:`fv_step`."""
@@ -125,8 +123,9 @@ def fv_step(state: SWState, dt: float) -> SWState:
     u, f, s = g[:2], g[2:4], g[4]
     s_face = np.maximum(s[:-1], s[1:])
     fhat = 0.5 * (f[:, :-1] + f[:, 1:]) - 0.5 * s_face * (u[:, 1:] - u[:, :-1])
-    unew = u[:, 1:-1] - (dt / dx) * (fhat[:, 1:] - fhat[:, :-1])
-    return SWState(grid=grid, zeta=unew[0], v=unew[1], params=state.params)
+    # a read-only stack, whose rows the new state holds uncopied
+    zeta, v = _read_only(u[:, 1:-1] - (dt / dx) * (fhat[:, 1:] - fhat[:, :-1]))
+    return SWState(grid=grid, zeta=zeta, v=v, params=state.params)
 
 
 @dataclass

@@ -40,6 +40,7 @@ from .params import DimensionlessParams, config_from_dimensionless, derive_param
 from .spectral import (
     PeriodicGrid,
     _p2,
+    _read_only,
     apply_multiplier,
     apply_symbol,
     deriv,
@@ -60,9 +61,9 @@ def _arctan_ratio(y: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 - y**2 / 3.0 + y**4 / 5.0, out)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TailSymbolSet:
-    """Evaluators for the tail symbols of one interface configuration.
+    """Evaluators for the tail symbols of one interface configuration, read-only.
 
     Off-grid x queries evaluate ζ and ∂xζ by periodic linear interpolation;
     on grid nodes the values are exact.
@@ -74,8 +75,8 @@ class TailSymbolSet:
     zeta_x: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.zeta = _grid_field(self.grid, self.zeta, "zeta")
-        self.zeta_x = deriv(self.grid, self.zeta)
+        object.__setattr__(self, "zeta", _grid_field(self.grid, self.zeta, "zeta"))
+        object.__setattr__(self, "zeta_x", _read_only(deriv(self.grid, self.zeta)))
 
     def _at(self, x, values):
         return np.interp(np.asarray(x, dtype=float), self.grid.nodes, values,

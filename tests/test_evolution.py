@@ -246,11 +246,12 @@ def test_snapshots_hold_no_solver_caches(grid32):
     st = make_state(grid32, 0.5 * np.cos(grid32.nodes), 0.2 * np.sin(grid32.nodes), eps=0.2)
     series = run(EvolutionConfig(t_end=0.1, snapshot_every=2), st)
     assert len(series.states) >= 3
-    assert all(not s._layers and s._g_tilde is None for s in series.states)
+    cached = ("_layers", "_g_tilde")
+    assert all(name not in vars(s) for s in series.states for name in cached)
     warm = [s.replace_fields(s.zeta, s.psi) for s in series.states]
     for s in warm:
         transmission_solve(s)
-    assert all(len(s._layers) == 2 and s._g_tilde is not None for s in warm)
+    assert all(len(vars(s)["_layers"]) == 2 and "_g_tilde" in vars(s) for s in warm)
     rows = monitor_criterion(series)
     warm_rows = monitor_criterion(TimeSeries(times=series.times, states=warm,
                                              traces=series.traces,

@@ -128,6 +128,18 @@ def test_sigma_to_zero_threshold_to_zero():
     assert vals[2] < 0.5 * vals[0]
 
 
+@pytest.mark.parametrize("change", [
+    {"sigma": -0.07}, {"sigma": math.nan}, {"gravity": -9.81}, {"c_plus": math.inf},
+], ids=["sigma-negative", "sigma-nan", "gravity-negative", "c-plus-inf"])
+def test_shear_config_rejects_non_physical_values(change):
+    # each used to construct: a negative sigma made critical_shear raise a
+    # math domain error while max_growth returned a rate, a NaN sigma gave a
+    # NaN threshold, and a negative gravity a math domain error
+    with pytest.raises(InvalidConfigError):
+        ShearConfig(**{"rho_plus": 1000.0, "rho_minus": 990.0, "depth_plus": 1.0,
+                       "depth_minus": 1.0, "sigma": 0.07, **change})
+
+
 def test_mode_growth_rejects_bad_wavenumber():
     with pytest.raises(InvalidConfigError):
         mode_growth(0.0, AIR_WATER_DEEP)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as hst
 from twofluid import (
     DegenerateGeometryError,
     IncompatibleDataError,
+    InterfaceState,
     InvalidConfigError,
     NumericalError,
     PeriodicGrid,
@@ -27,6 +29,8 @@ from twofluid import (
     dn_mix_flat_symbol,
     e_coeff,
     e_quadratic_form,
+    flux,
+    hyperbolicity_indicator,
     inner,
     invert_g_tilde,
     invert_j,
@@ -77,7 +81,69 @@ def test_constructors_check_their_grid_fields(build):
         build(grid, np.where(np.arange(16) == 3, np.nan, 0.0), p)
 
 
+def _three_states(grid, zeta, second):
+    """An InterfaceState (ψ = second), an SWState (v = second) and a
+    TailSymbolSet over the same ζ."""
+    p = derive_params(config_from_dimensionless(0.3, 0.5, 0.4, 1.5, 100.0))
+    return (make_state(grid, zeta, second, n_z=8),
+            SWState(grid=grid, zeta=zeta, v=second, params=p),
+            TailSymbolSet(grid, zeta, p))
+
+
+def _results(states):
+    st, sw, ts = states
+    tr = transmission_solve(st)
+    return [np.array(getattr(tr, f.name)) for f in dataclasses.fields(tr)] + [
+        np.array(flux(sw)), hyperbolicity_indicator(sw),
+        ts.s(ts.grid.nodes, 3.0, -1),
+    ]
+
+
+def test_states_do_not_follow_the_callers_buffers(grid32):
+    # each class used to keep the caller's arrays: after a solve, zeroing ζ
+    # left the state's ζ flat but its cached S± in place
+    x = grid32.nodes
+    zeta, second = 0.5 * np.cos(x), np.sin(2 * x)
+    # a read-only view of a writeable buffer is copied too
+    view = second.view()
+    view.flags.writeable = False
+    states = _three_states(grid32, zeta, view)
+    before = _results(states)
+    zeta[:] = 0.0
+    second[:] = 0.0
+    fresh = _three_states(grid32, 0.5 * np.cos(x), np.sin(2 * x))
+    for a, b, c in zip(before, _results(states), _results(fresh)):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_states_are_read_only(grid32):
+    # a field reassigned after a read used to leave the caches stale: an
+    # SWState reported its old hyperbolicity indicator
+    x = grid32.nodes
+    for st in _three_states(grid32, 0.5 * np.cos(x), np.sin(x)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            st.zeta = np.zeros(32)
+        for name in ("zeta", "zeta_x", "psi", "v"):
+            if hasattr(st, name):
+                with pytest.raises(ValueError):
+                    getattr(st, name)[0] = 1.0
+    st = _three_states(grid32, 0.5 * np.cos(x), np.sin(x))[0]
+    with pytest.raises(ValueError):
+        st.layer(+1).dn_matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("name", ["_layers", "_g_tilde", "_x"])
+def test_state_takes_no_caches(grid32, name):
+    # caches of another state used to be accepted, and gave wrong traces
+    a = make_state(grid32, 0.5 * np.cos(grid32.nodes), np.sin(grid32.nodes), n_z=8)
+    with pytest.raises(TypeError):
+        InterfaceState(grid=a.grid, zeta=a.zeta, psi=a.psi, params=a.params, n_z=8,
+                       **{name: None})
+
+
 def test_layers_are_built_lazily_once(grid64, monkeypatch):
+    # the first layer() builds both layers, a second read builds none, and
+    # each layer sweeps when its own S is first read
     builds, sweeps = [], []
     init, sweep = StripOperator.__init__, StripOperator._sweep
 
@@ -94,12 +160,14 @@ def test_layers_are_built_lazily_once(grid64, monkeypatch):
     st = make_state(grid64, 0.3 * np.cos(grid64.nodes), np.zeros(64), n_z=8)
     assert builds == []
     assert st.layer(+1) is st.layer(+1)
-    assert len(builds) == 1
+    assert len(builds) == 2
     s = st.layer(+1).dn_matrix
     assert st.layer(+1).dn_matrix is s
     assert sweeps == [+1]
     st.layer(-1)
     assert len(builds) == 2
+    st.layer(-1).dn_matrix
+    assert sweeps == [+1, -1]
 
 
 def test_state_checks_each_depth_once(grid32, monkeypatch):
@@ -120,8 +188,8 @@ def test_state_checks_each_depth_once(grid32, monkeypatch):
 
 def test_x_matrices_are_freed_after_the_sweeps(grid32):
     st = make_state(grid32, 0.5 * np.cos(grid32.nodes), np.sin(grid32.nodes), n_z=8)
-    st.layer(+1)
-    x = weakref.ref(st._x)
+    x = weakref.ref(st.layer(+1)._x)
+    assert st.layer(-1)._x is x()
     transmission_solve(st)
     assert x() is None
     # a second sweep of a layer rebuilds them from ζ

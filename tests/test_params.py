@@ -70,6 +70,26 @@ def test_invalid_configs_rejected():
         PhysicalConfig(1000.0, 1.0, 1.0, 1.0, -0.1, 1.0, 0.05)
 
 
+@pytest.mark.parametrize("change", [
+    {"amplitude": math.nan}, {"surface_tension": math.nan}, {"amplitude": math.inf},
+    {"rho_plus": math.inf},
+], ids=["amplitude-nan", "sigma-nan", "amplitude-inf", "rho-plus-inf"])
+def test_physical_config_rejects_non_finite_values(change):
+    # each used to construct: a NaN amplitude gave eps = nan, and a NaN
+    # surface tension gave Bo = upsilon = inf, silently the sigma = 0 limit
+    cfg = dict(rho_plus=1000.0, rho_minus=1.0, depth_plus=1.0, depth_minus=1.0,
+               amplitude=0.1, wavelength=1.0, surface_tension=0.05)
+    with pytest.raises(InvalidConfigError):
+        PhysicalConfig(**{**cfg, **change})
+
+
+@pytest.mark.parametrize("change", [{"bond": 0.0}, {"eps": math.nan}], ids=["bond-0", "eps-nan"])
+def test_config_from_dimensionless_rejects_bad_targets(change):
+    # Bo = 0 used to raise ZeroDivisionError, and eps = nan passed through
+    with pytest.raises(InvalidConfigError):
+        config_from_dimensionless(**{"eps": 0.1, "mu": 0.5, "rhobar_minus": 0.4, **change})
+
+
 def test_upsilon_air_water_breaking():
     assert upsilon(PRESETS["air_water_breaking"]) == pytest.approx(0.27, rel=0.05)
 

@@ -33,6 +33,13 @@ def test_grid_invariants():
     assert np.allclose(np.diff(g.nodes), g.dx)
 
 
+def test_grid_rejects_a_length_that_is_not_finite():
+    # an infinite length used to raise ZeroDivisionError
+    for length in (math.inf, math.nan):
+        with pytest.raises(InvalidConfigError):
+            PeriodicGrid(16, length)
+
+
 def test_multiplier_identity(grid64, rng):
     u = smooth_field(rng, grid64)
     out = apply_multiplier(grid64, lambda k: np.ones_like(k), u)

@@ -12,12 +12,12 @@ from twofluid import (
     NumericalError,
     PeriodicGrid,
     StripOperator,
+    apply_g,
     config_from_dimensionless,
     derive_params,
     dn_apply,
     dn_flat,
     inner,
-    transmission_solve,
 )
 from twofluid import strip
 from twofluid.spectral import deriv
@@ -294,16 +294,15 @@ def test_block_elimination_properties(seed, eps, mu, sign, n_z):
         dense[np.ix_(rest, rest)], dense[np.ix_(rest, iface)]
     )
     assert np.linalg.norm(s - schur) <= 1e-13 * np.linalg.norm(a_ii)
-    # non-finite data raises in both field solves and in the transmission solve
+    # non-finite data raises in both field solves and in the coupled solve
     bad = np.where(np.arange(n) == 5, np.inf, np.sin(grid.nodes))
     for solve in (d.solve_dirichlet, d.solve_neumann):
         with pytest.raises(NumericalError):
             solve(bad)
     p = derive_params(config_from_dimensionless(max(eps, 0.01), mu, 0.4, 1.0, 100.0))
     state = InterfaceState(grid=grid, zeta=zeta, psi=np.sin(grid.nodes), params=p, n_z=n_z)
-    state.psi = bad
     with pytest.raises(NumericalError):
-        transmission_solve(state)
+        apply_g(state, bad)
 
 
 def test_dn_matrix_factors_each_eliminated_row_once(grid64, monkeypatch):

@@ -177,10 +177,13 @@ def test_non_finite_state_never_finishes_a_run():
     for zeta, vel in ((np.zeros(16), bad), (bad, v)):
         with pytest.raises(NumericalError):
             SWState(grid=grid, zeta=zeta, v=vel, params=p)
-    # a field that turns non-finite after construction halts the run
-    st = SWState(grid=grid, zeta=np.zeros(16), v=v, params=p)
-    st.v = bad
-    series = run_swsw(EvolutionConfig(t_end=0.5), st)
+    # a finite state whose indicator is not finite halts the run: at ε = 0
+    # the indicator is 1 − 0·v², and v² overflows
+    flat = derive_params(config_from_dimensionless(eps=0.0, mu=0.1, rhobar_minus=0.4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        st = SWState(grid=grid, zeta=np.zeros(16), v=1e200 * np.sin(grid.nodes + 0.1),
+                     params=flat)
+        series = run_swsw(EvolutionConfig(t_end=0.5), st)
     assert series.halted["reason"] == "non-finite hyperbolicity indicator"
     assert series.halted["time"] == 0.0
 
