@@ -6,12 +6,13 @@ State (ζ, ψ) on a periodic grid evolves by
     ∂tψ = −ζ − (ε/2)⟦ρ̄±(∂xψ±)²⟧ + (ε/2μ)(1+ε²μζₓ²)⟦ρ̄±(w±)²⟧
           + (1/Bo) ∂x( ζₓ / √(1+ε²μζₓ²) ),
 
-with the layer traces ψ±, w± supplied by the transmission solve at each
-evaluation: one block elimination per layer and one gauged Cholesky solve
-with 𝒢̃ (:mod:`twofluid.operators`).  These solves are direct, so a run has
-no solver tolerance to set.  A run takes classical RK4 steps of the
-conservative CFL cap and applies the 2/3-rule projection to every
-right-hand side, a fixed projection that keeps the integrated system a
+with the layer traces ψ±, w± supplied by the transmission solve of each
+state: one block elimination per layer and one gauged Cholesky solve with 𝒢̃
+(:mod:`twofluid.operators`), kept with the state, so that a recorded state
+and the first stage of the step leaving it share one solve.  These solves
+are direct, so a run has no solver tolerance to set.  A run takes classical
+RK4 steps of the conservative CFL cap and applies the 2/3-rule projection to
+every right-hand side, a fixed projection that keeps the integrated system a
 well-defined ODE (fourth-order convergence, exact mass conservation).  RK4
 is fourth order but not energy-conserving: on a linear mode of frequency ω
 it scales the quadratic invariant by |R(iωΔt)|² = 1 − (ωΔt)⁶/72 +
@@ -49,7 +50,7 @@ def cfl_cap(params: DimensionlessParams, n_points: int, length: float = 2 * math
     return 0.5 * min(gravity_dt, capillary_dt)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvolutionConfig:
     """Schedule of a run: end time t_end (finite, ≥ 0) and a snapshot every
     snapshot_every-th step (an integer ≥ 1).  :func:`run` steps at
@@ -79,38 +80,49 @@ class TimeSeries:
         return self.breakdown is not None
 
 
-def tendency(state: InterfaceState, traces: TraceBundle) -> tuple:
+def tendency(state: InterfaceState, traces: TraceBundle) -> np.ndarray:
     """Tendency (∂tζ, ∂tψ) of the evolution system at a state with its own
-    trace bundle, with no dealiasing."""
+    trace bundle, as one (2, N) array, with no dealiasing.  The ± terms are
+    formed on (2, N) stacks of the traces, one ufunc per formula."""
     p = state.params
     zx = state.zeta_x
     denom = 1.0 + p.eps**2 * p.mu * zx**2
+    w = np.array([traces.w_plus, traces.w_minus])
     # ∂xψ± = V± + εw±ζₓ, the identity that defines V± in the bundle
-    dxp = traces.v_plus + p.eps * traces.w_plus * zx
-    dxm = traces.v_minus + p.eps * traces.w_minus * zx
+    dx_psi = np.array([traces.v_plus, traces.v_minus]) + p.eps * w * zx
+    # ρ̄±a± on a stack a±: the jump ⟦ρ̄a⟧ = ρ̄⁺a⁺ − ρ̄⁻a⁻ is the sum of its rows
+    rho = np.array([[p.rhobar_plus], [-p.rhobar_minus]])
+    grad_sq, w_sq = rho * dx_psi**2, rho * w**2
+    out = np.empty((2, state.grid.n))
+    dzeta, dpsi = out
     # (1/H̄⁺)G⁺ψ⁺ recovered from the trace identities (no extra solve)
-    g_over_h = traces.w_plus * denom - p.eps * p.mu * zx * dxp
-    dzeta = g_over_h / p.mu
+    np.divide(w[0] * denom - p.eps * p.mu * zx * dx_psi[0], p.mu, out=dzeta)
     # the continuous flux balance makes this mean exactly zero; remove the
     # rounding-level mean so the discrete mass invariant holds to rounding
-    dzeta -= np.mean(dzeta)
-    jump_grad_sq = p.rhobar_plus * dxp**2 - p.rhobar_minus * dxm**2
-    jump_w_sq = p.rhobar_plus * traces.w_plus**2 - p.rhobar_minus * traces.w_minus**2
-    dpsi = -state.zeta - 0.5 * p.eps * jump_grad_sq + (
-        0.5 * p.eps / p.mu
-    ) * denom * jump_w_sq
+    dzeta -= dzeta.sum() / dzeta.size
+    np.add(-state.zeta - 0.5 * p.eps * (grad_sq[0] + grad_sq[1]),
+           (0.5 * p.eps / p.mu) * denom * (w_sq[0] + w_sq[1]), out=dpsi)
     if not math.isinf(p.bond):
         dpsi += deriv(state.grid, zx / np.sqrt(denom)) / p.bond
-    return dzeta, dpsi
+    return out
+
+
+def _traces(state: InterfaceState) -> TraceBundle:
+    """The state's trace bundle, solved once and kept with the state's other
+    solver caches, so that recording a state and stepping it share one solve."""
+    cache = vars(state)
+    if "_traces" not in cache:
+        cache["_traces"] = transmission_solve(state)
+    return cache["_traces"]
 
 
 def rhs(state: InterfaceState, mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Right-hand side ∂t(ζ, ψ) of the evolution system as one (2, N) array,
     projected by mask."""
-    out = np.array(tendency(state, transmission_solve(state)))
+    out = tendency(state, _traces(state))
     if mask is not None:
         out = truncate(state.grid, out, mask)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalError("non-finite right-hand side")
     return out
 
@@ -137,11 +149,13 @@ def _tail_fraction(grid: PeriodicGrid, u: np.ndarray) -> float:
     return float(np.sum(uh[~dealias_mask(grid)])) / total
 
 
-def _record(series: TimeSeries, t, state, traces, grid):
+def _record(series: TimeSeries, t: float, state: InterfaceState):
+    grid = state.grid
+    traces = _traces(state)
     mass = float(np.mean(state.zeta)) * grid.length
     jump = traces.jump_v()
     series.times.append(t)
-    # the same read-only fields, without the stepping state's layers and 𝒢̃
+    # the same read-only fields, without the stepping state's layers, 𝒢̃ and traces
     series.states.append(state.replace_fields(state.zeta, state.psi))
     series.traces.append(traces)
     series.diagnostics.append(
@@ -158,7 +172,9 @@ def _record(series: TimeSeries, t, state, traces, grid):
 def run(config: EvolutionConfig, initial: InterfaceState) -> TimeSeries:
     """Integrate until t_end or breakdown in steps of :func:`cfl_cap` (the
     last one shorter), recording snapshots at the cadence.  The 2/3-rule
-    projection applies to the initial data and to every right-hand side."""
+    projection applies to the initial data and to every right-hand side.  A
+    recorded state's transmission solve serves its snapshot and the first
+    stage of the step that leaves it."""
     grid = initial.grid
     dt = cfl_cap(initial.params, grid.n, grid.length)
     mask = dealias_mask(grid)
@@ -167,15 +183,13 @@ def run(config: EvolutionConfig, initial: InterfaceState) -> TimeSeries:
     n_steps = int(math.ceil(config.t_end / dt - 1e-12))
     t = 0.0
     try:
-        traces0 = transmission_solve(state)
-        _record(series, t, state, traces0, grid)
+        _record(series, t, state)
         for step in range(1, n_steps + 1):
             step_dt = min(dt, config.t_end - t)
             state = rk4_step(state, step_dt, mask)
             t += step_dt
             if step % config.snapshot_every == 0 or step == n_steps:
-                tr = transmission_solve(state)
-                _record(series, t, state, tr, grid)
+                _record(series, t, state)
     except TwoFluidError as exc:
         series.breakdown = {
             "time": t,

@@ -51,7 +51,8 @@ from .strip import (
 @dataclass(frozen=True, eq=False)
 class InterfaceState:
     """Interface elevation and reduced potential with their parameters, ζₓ and the
-    layer depths, all read-only; the layers and 𝒢̃ are computed once, on first use."""
+    layer depths, all read-only; the layers and 𝒢̃ are computed once, on first
+    use, as is the trace bundle that :mod:`twofluid.evolution` keeps with them."""
 
     grid: PeriodicGrid
     zeta: np.ndarray

@@ -14,13 +14,18 @@ symbol, which zeroes it for odd (derivative-like) multipliers.
 dense matrix Dᵀ of the real-FFT multiplier iξ (Nyquist zeroed) that the grid
 caches for the strip discretisation too, then with Π = :func:`_gauge_constants`,
 the package's one projector onto constants and the Nyquist mode, which D zeroes.
+
+:func:`truncate`, the 2/3-rule dealiasing of every RK4 stage (Orszag,
+J. Atmos. Sci. 28, 1971), is likewise a product with a cached N×N matrix,
+the projection of its mask, built from the real FFT.  It is ``np.einsum``'s
+product, which sums a row of a stack as it sums the row alone; BLAS does not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -232,11 +237,29 @@ def dealias_mask(grid: PeriodicGrid) -> np.ndarray:
 
 def truncate(grid: PeriodicGrid, u: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Zero the masked-out Fourier modes of a real field, or of each row of
-    a stack of fields.  mask, over the signed wavenumbers, must be even in ξ
-    (as :func:`dealias_mask` is): the real FFT reads its non-negative half."""
-    half = grid.n // 2
+    a stack of fields, bitwise as if each row were truncated alone: the
+    product with the projection matrix of the mask, cached per (N, mask).
+    mask must be a boolean array of shape (N,) over the signed wavenumbers,
+    even in ξ (as :func:`dealias_mask` is); other masks raise
+    InvalidConfigError."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (grid.n,):
+        raise InvalidConfigError(
+            f"truncation mask must be a boolean array of shape ({grid.n},), "
+            f"got {mask.dtype} of shape {mask.shape}"
+        )
+    return np.einsum("...j,jk->...k", np.asarray(u, dtype=float), _projector(mask.tobytes()))
+
+
+@lru_cache(maxsize=16)
+def _projector(mask_bytes: bytes) -> np.ndarray:
+    """Read-only N×N matrix P with u·P the truncation of u by a boolean mask:
+    row j truncates e_j by the real FFT, which reads the mask's non-negative
+    half, so the mask must be even in ξ."""
+    mask = np.frombuffer(mask_bytes, dtype=bool)
+    n, half = mask.size, mask.size // 2
     if not np.array_equal(mask[1:half], mask[:half:-1]):
         raise InvalidConfigError("truncation mask must be even in the wavenumber")
-    uh = np.fft.rfft(np.asarray(u, dtype=float), axis=-1)
-    uh[..., ~mask[: half + 1]] = 0.0
-    return np.fft.irfft(uh, n=grid.n, axis=-1)
+    uh = np.fft.rfft(np.eye(n), axis=-1)
+    uh[:, ~mask[: half + 1]] = 0.0
+    return _read_only(np.fft.irfft(uh, n=n, axis=-1))

@@ -20,21 +20,22 @@ and positive semi-definite.  Rows are numbered from the wall (row 0) to the
 interface (row n_z) in both layers.
 
 :class:`StripOperator` is the one object per layer.  Its constructor checks
-the depth (:func:`layer_depth`) and samples the metric; nothing else is
-computed until it is asked for.  Because x is spectral, A is block
-tridiagonal with dense N×N blocks.  With p11 = 1 ± εζ and p12 = ±f·q,
-q = −√μεζₓ, every block is a scalar combination of four N×N x-matrices,
-DᵀD, Dᵀdiag(ζ)D and Q ± Qᵀ with Q = Dᵀdiag(ζₓ), plus a diagonal from p22.
-The x-matrices do not depend on the layer, so both layers of an
+ζ and the depth (:func:`layer_depth`), or takes both as an
+:class:`~twofluid.operators.InterfaceState` has checked them, and samples
+the metric; nothing else is computed until it is asked for.  Because x is
+spectral, A is block tridiagonal with dense N×N blocks.  With p11 = 1 ± εζ
+and p12 = ±f·q, q = −√μεζₓ, every block is a scalar combination of four N×N
+x-matrices, DᵀD, Dᵀdiag(ζ)D and Q ± Qᵀ with Q = Dᵀdiag(ζₓ), plus a diagonal
+from p22.  The x-matrices do not depend on the layer, so both layers of an
 :class:`~twofluid.operators.InterfaceState` are built on first use over one
 set, and the scalars form a table cached per (μ±, ε±, ±, n_z): a layer's
 blocks are one product of the two, the cell masses one of a second table
 with (1, q²)/p11 (:meth:`StripOperator._blocks`).  Each layer drops the set
 as it sweeps; a standalone layer, or a second sweep (the Dirichlet solve),
-builds it from ζ.  A block Cholesky
-sweep in row order, from the wall to the interface row, eliminates every
-other row in place on them, its loop making only LAPACK and BLAS calls, and
-leaves the Schur complement S on the interface row.  S is the discrete
+builds it from ζ.  A block Cholesky sweep in row order, from the wall to the
+interface row, eliminates every other row in place on them: one index loop
+over transposed views of the block stack, making only LAPACK and BLAS calls.
+It leaves the Schur complement S on the interface row.  S is the discrete
 Dirichlet-Neumann matrix itself (G± = ±S±): symmetric, positive
 semi-definite, and zero on constants and on the Nyquist column that the
 spectral derivative annihilates.
@@ -238,15 +239,18 @@ class StripOperator:
         if layer_sign not in (+1, -1):
             raise ValueError("layer_sign must be +1 (lower) or -1 (upper)")
         _check_count("n_z", n_z)
-        zeta = _grid_field(grid, zeta, "zeta")
+        # an InterfaceState passes the ζ and depth it has checked, and the
+        # x-matrices its layers share
+        if _depth is None:
+            zeta = _grid_field(grid, zeta, "zeta")
+            _depth = layer_depth(zeta, eps_layer, layer_sign)
         self.grid = grid
         self.mu = mu_layer
         self.sign = layer_sign
         self.n_z = n_z
         self.h = 1.0 / n_z
         self.smu = math.sqrt(mu_layer)
-        # an InterfaceState passes its checked depth and the x-matrices its layers share
-        self.p11 = layer_depth(zeta, eps_layer, layer_sign) if _depth is None else _depth
+        self.p11 = _depth
         self._zeta, self._x = zeta, _x
         self._coef = _block_coefficients(float(mu_layer), float(eps_layer), layer_sign, n_z)
         self.q = -self.smu * eps_layer * (deriv(grid, zeta) if _x is None else _x.zeta_x)
@@ -283,11 +287,11 @@ class StripOperator:
         out[1:-1] = t[:-1] + f2[:-1] + t[1:] - f2[1:]
         return out
 
-    def _blocks(self):
-        """Blocks of A in row order, from the wall to the interface: (row_j,
-        off_j) for the rows j < n_z, off_j = A[j, j+1], then (row_{n_z}, None)
-        for the interface row: Fortran-ordered row blocks and C-ordered off
-        blocks, views of one stack assembled in a single pass.
+    def _blocks(self) -> tuple:
+        """Blocks of A in row order, from the wall to the interface, as two
+        stacks of Fortran-ordered views of one array assembled in a single
+        pass: the row blocks row_j, j = 0..n_z, and the transposed off blocks
+        off_jᵀ, j < n_z, with off_j = A[j, j+1].
 
         The cell between rows j and j + 1 has energy h·∇^μv·P∇^μφ with
         ∂x = D(φ_j + φ_{j+1})/2 and ∂f = (φ_{j+1} − φ_j)/h, D the spectral
@@ -303,7 +307,7 @@ class StripOperator:
         So all blocks are one product of the coefficient table
         (:func:`_block_coefficients`) with the x-matrices (:class:`_XMatrices`),
         which the layer then drops, plus strided adds of the cell masses.  A row
-        block is symmetric to rounding, so read transposed it is Fortran-ordered.
+        block is symmetric to rounding, so it is read transposed too.
         """
         n, n_z = self.grid.n, self.n_z
         table, mass_table = self._coef
@@ -317,33 +321,31 @@ class StripOperator:
         rows[:-1, :: n + 1] += mass
         rows[1:, :: n + 1] += mass
         offs[:, :: n + 1] -= mass
-        rows, offs = rows.reshape(n_z + 1, n, n), offs.reshape(n_z, n, n)
-        for j in range(n_z + 1):
-            yield rows[j].T, offs[j] if j < n_z else None
+        return (rows.reshape(n_z + 1, n, n).transpose(0, 2, 1),
+                offs.reshape(n_z, n, n).transpose(0, 2, 1))
 
     def _sweep(self) -> tuple:
         """Block Cholesky elimination of every row but the interface one.
 
-        The loop makes only LAPACK and BLAS calls, in place on the blocks of
-        :meth:`_blocks`.  Returns the read-only S and the factors (L_j, x_j)
-        of the eliminated rows j < n_z, with L_j the Cholesky factor of row j
-        after the updates of the rows before it and x_j = (L_j⁻¹off_j)ᵀ: views
-        of the block stack, which the sweep holds anyway.
+        One index loop over the blocks of :meth:`_blocks`, from the wall to
+        the interface row, making only LAPACK and BLAS calls, in place.
+        Returns the read-only S and the factors (L_j, x_j) of the eliminated
+        rows j < n_z, with L_j the Cholesky factor of row j after the updates
+        of the rows before it and x_j = (L_j⁻¹off_j)ᵀ: views of the block
+        stack, which the sweep holds anyway.
         """
+        rows, offs_t = self._blocks()
         factors = []
-        x_t = None
-        for row, off in self._blocks():
-            if x_t is not None:
-                # row −= x xᵀ on the lower triangle: (beta, c, trans, lower, overwrite)
-                row = dsyrk(-1.0, x_t, 1.0, row, 0, 1, 1)
-            if off is None:
-                break
+        row = rows[0]
+        for j in range(self.n_z):
             low = _cholesky(row)
-            # xᵀ = offᵀL⁻ᵀ: off.T is a Fortran-ordered view, solved in place;
+            # xᵀ = offᵀL⁻ᵀ: offᵀ is a Fortran-ordered view, solved in place;
             # OpenBLAS runs this right-sided form (side, lower, trans_a, diag,
             # overwrite_b) about twice as fast as L⁻¹off
-            x_t = dtrsm(1.0, low, off.T, 1, 1, 1, 0, 1)
+            x_t = dtrsm(1.0, low, offs_t[j], 1, 1, 1, 0, 1)
             factors.append((low, x_t))
+            # row −= x xᵀ on the lower triangle: (beta, c, trans, lower, overwrite)
+            row = dsyrk(-1.0, x_t, 1.0, rows[j + 1], 0, 1, 1)
         # only the lower triangle is updated; mirroring it keeps S == Sᵀ exact
         return _read_only(np.where(_gauge_constants(len(row))[2], row, row.T)), factors
 

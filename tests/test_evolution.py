@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from twofluid import evolution
 from twofluid import (
     EvolutionConfig,
     InterfaceState,
@@ -136,6 +137,37 @@ def test_config_rejects_invalid_settings(settings):
         EvolutionConfig(**settings)
 
 
+def test_config_is_frozen():
+    # a field set after the checks used to reach run: t_end = nan raised
+    # ValueError there, snapshot_every = 0 ZeroDivisionError
+    cfg = EvolutionConfig(t_end=1.0)
+    for name, value in (("t_end", math.nan), ("snapshot_every", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert (cfg.t_end, cfg.snapshot_every) == (1.0, 10)
+
+
+def test_run_solves_each_state_once(grid32, monkeypatch):
+    # a recorded state shares its transmission solve with the first stage of
+    # the step that leaves it: 1 + 4·steps solves, plus one per recorded state
+    # that is not stepped again (the parent's counts were 10 and 41)
+    solves = []
+
+    def counted(state):
+        solves.append(state)
+        return transmission_solve(state)
+
+    monkeypatch.setattr(evolution, "transmission_solve", counted)
+    st = make_state(grid32, 0.5 * np.cos(grid32.nodes), 0.2 * np.sin(grid32.nodes), eps=0.2)
+    dt = cfl_cap(st.params, 32)
+    for steps, every, snapshots, expected in ((2, 10**9, 2, 9), (8, 1, 9, 33)):
+        solves.clear()
+        series = run(EvolutionConfig(t_end=steps * dt, snapshot_every=every), st)
+        assert not series.broke_down and len(series.times) == snapshots
+        assert len(solves) == expected
+        assert len({id(s) for s in solves}) == expected
+
+
 def test_run_mass_conservation_short():
     grid = PeriodicGrid(16)
     p = derive_params(config_from_dimensionless(0.1, 1.0, 0.4, 1.5, 1e4))
@@ -242,11 +274,11 @@ def test_monitor_evaluates_one_snapshot(grid32):
 
 def test_snapshots_hold_no_solver_caches(grid32):
     # a recorded state keeps its fields but not the stepping state's layers,
-    # 𝒢̃ or 𝒢̃ factor; warm copies of the snapshots get the same reports
+    # 𝒢̃, 𝒢̃ factor or trace bundle; warm copies of the snapshots get the same reports
     st = make_state(grid32, 0.5 * np.cos(grid32.nodes), 0.2 * np.sin(grid32.nodes), eps=0.2)
     series = run(EvolutionConfig(t_end=0.1, snapshot_every=2), st)
     assert len(series.states) >= 3
-    cached = ("_layers", "_g_tilde")
+    cached = ("_layers", "_g_tilde", "_traces")
     assert all(name not in vars(s) for s in series.states for name in cached)
     warm = [s.replace_fields(s.zeta, s.psi) for s in series.states]
     for s in warm:

@@ -149,6 +149,36 @@ def test_truncate_rejects_a_mask_that_is_not_even(grid64, rng):
         truncate(grid64, rng.standard_normal(64), mask)
 
 
+def test_truncate_rejects_a_malformed_mask(grid64, rng):
+    # an integer mask used to act as an index (all ones changed u by 0.2),
+    # a float one raised numpy's TypeError, a short one "not even"
+    u = rng.standard_normal(64)
+    for mask in (np.ones(64, int), np.ones(64), np.ones(32, bool), np.ones((2, 64), bool)):
+        with pytest.raises(InvalidConfigError, match="boolean array of shape"):
+            truncate(grid64, u, mask)
+
+
+def _truncate_fft(grid, u, mask):
+    """The real-FFT truncation: the oracle of the cached projector."""
+    uh = np.fft.rfft(u, axis=-1)
+    uh[..., ~mask[: grid.n // 2 + 1]] = 0.0
+    return np.fft.irfft(uh, n=grid.n, axis=-1)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_truncate_matches_the_real_fft(n, rng):
+    grid = PeriodicGrid(n)
+    half = n // 2
+    keep = rng.random(half + 1) < 0.5
+    for mask in (dealias_mask(grid), np.concatenate([keep, keep[1:half][::-1]])):
+        for _ in range(100):
+            u = rng.standard_normal((2, n))
+            # measured at most 1.3e-15·‖u‖∞ on these draws (N = 128), 2.1e-15
+            # over four seeds
+            err = np.max(np.abs(truncate(grid, u, mask) - _truncate_fft(grid, u, mask)))
+            assert err <= 3e-15 * np.max(np.abs(u))
+
+
 def test_deriv_is_in_the_range_of_a_dn_matrix(rng):
     # the product with Dᵀ leaves rounding on constants and the Nyquist mode,
     # which the projection takes down to rounding of the derivative itself

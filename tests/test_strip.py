@@ -261,11 +261,12 @@ def test_block_elimination_properties(seed, eps, mu, sign, n_z):
     d = StripOperator(grid, zeta, eps, mu, sign, n_z=n_z)
     # the row and off-diagonal blocks assemble to the matrix-free operator
     a = np.zeros((n_z + 1, n, n_z + 1, n))
-    for i, (row, off) in enumerate(d._blocks()):
-        a[i, :, i] = row
-        if off is not None:
-            a[i, :, i + 1] = off
-            a[i + 1, :, i] = off.T
+    rows, offs_t = d._blocks()
+    for i in range(n_z + 1):
+        a[i, :, i] = rows[i]
+    for i in range(n_z):
+        a[i, :, i + 1] = offs_t[i].T
+        a[i + 1, :, i] = offs_t[i]
     phi = rng.standard_normal((n_z + 1, n))
     ref = d.apply(phi).ravel()
     blocks = a.reshape(ref.size, ref.size) @ phi.ravel()
