@@ -10,9 +10,13 @@ with the layer traces ψ±, w± supplied by the transmission solve of each
 state: one block elimination per layer and one gauged Cholesky solve with 𝒢̃
 (:mod:`twofluid.operators`), kept with the state, so that a recorded state
 and the first stage of the step leaving it share one solve.  These solves
-are direct, so a run has no solver tolerance to set.  A run takes classical
-RK4 steps of the conservative CFL cap and applies the 2/3-rule projection to
-every right-hand side, a fixed projection that keeps the integrated system a
+are direct, so a run has no solver tolerance to set.  Each RK4 stage builds
+one state and makes one :func:`rhs`, which is bitwise the projection of
+:func:`tendency` at :func:`~twofluid.operators.transmission_solve`; the
+solve and the tendency share the state's slope terms εμζₓ and 1 + ε²μζₓ²,
+computed once per state.  A run takes classical RK4 steps of the
+conservative CFL cap and applies the 2/3-rule projection to every
+right-hand side, a fixed projection that keeps the integrated system a
 well-defined ODE (fourth-order convergence, exact mass conservation).  RK4
 is fourth order but not energy-conserving: on a linear mode of frequency ω
 it scales the quadratic invariant by |R(iωΔt)|² = 1 − (ωΔt)⁶/72 +
@@ -28,6 +32,7 @@ The stability criteria along a run are evaluated on its snapshots by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,6 +43,7 @@ from .errors import InvalidConfigError, NumericalError, TwoFluidError
 from .operators import InterfaceState, TraceBundle, coupled_dn_flat_symbol, transmission_solve
 from .params import DimensionlessParams, _check_count
 from .spectral import PeriodicGrid, _read_only, dealias_mask, deriv, truncate
+from .strip import _all_finite
 
 
 def cfl_cap(params: DimensionlessParams, n_points: int, length: float = 2 * math.pi) -> float:
@@ -86,25 +92,31 @@ def tendency(state: InterfaceState, traces: TraceBundle) -> np.ndarray:
     formed on (2, N) stacks of the traces, one ufunc per formula."""
     p = state.params
     zx = state.zeta_x
-    denom = 1.0 + p.eps**2 * p.mu * zx**2
+    emz, denom = state._slope_terms
     w = np.array([traces.w_plus, traces.w_minus])
     # ∂xψ± = V± + εw±ζₓ, the identity that defines V± in the bundle
-    dx_psi = np.array([traces.v_plus, traces.v_minus]) + p.eps * w * zx
+    dx_psi = np.array([traces.v_plus, traces.v_minus]) + w * p.eps * zx
     # ρ̄±a± on a stack a±: the jump ⟦ρ̄a⟧ = ρ̄⁺a⁺ − ρ̄⁻a⁻ is the sum of its rows
-    rho = np.array([[p.rhobar_plus], [-p.rhobar_minus]])
-    grad_sq, w_sq = rho * dx_psi**2, rho * w**2
+    rho = _signed_densities(p.rhobar_plus, p.rhobar_minus)
+    grad_sq, w_sq = dx_psi**2 * rho, w**2 * rho
     out = np.empty((2, state.grid.n))
-    dzeta, dpsi = out
+    dzeta, dpsi = out[0], out[1]
     # (1/H̄⁺)G⁺ψ⁺ recovered from the trace identities (no extra solve)
-    np.divide(w[0] * denom - p.eps * p.mu * zx * dx_psi[0], p.mu, out=dzeta)
+    np.divide(w[0] * denom - emz * dx_psi[0], p.mu, out=dzeta)
     # the continuous flux balance makes this mean exactly zero; remove the
     # rounding-level mean so the discrete mass invariant holds to rounding
     dzeta -= dzeta.sum() / dzeta.size
-    np.add(-state.zeta - 0.5 * p.eps * (grad_sq[0] + grad_sq[1]),
-           (0.5 * p.eps / p.mu) * denom * (w_sq[0] + w_sq[1]), out=dpsi)
+    np.add(-state.zeta - (grad_sq[0] + grad_sq[1]) * (0.5 * p.eps),
+           denom * (0.5 * p.eps / p.mu) * (w_sq[0] + w_sq[1]), out=dpsi)
     if not math.isinf(p.bond):
         dpsi += deriv(state.grid, zx / np.sqrt(denom)) / p.bond
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _signed_densities(rhobar_plus: float, rhobar_minus: float) -> np.ndarray:
+    """The read-only column (ρ̄⁺, −ρ̄⁻) that weighs the rows of a ± stack."""
+    return _read_only(np.array([[rhobar_plus], [-rhobar_minus]]))
 
 
 def _traces(state: InterfaceState) -> TraceBundle:
@@ -122,7 +134,7 @@ def rhs(state: InterfaceState, mask: Optional[np.ndarray] = None) -> np.ndarray:
     out = tendency(state, _traces(state))
     if mask is not None:
         out = truncate(state.grid, out, mask)
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         raise NumericalError("non-finite right-hand side")
     return out
 
@@ -132,13 +144,19 @@ def rk4_step(
 ) -> InterfaceState:
     """One classical four-stage step on y = (ζ, ψ)."""
     y = np.array([state.zeta, state.psi])
-    # each stage is a read-only stack, whose rows the stage state holds uncopied
+    half = 0.5 * dt
+
+    def stage(k, h):
+        # a read-only stack, whose rows the stage state holds uncopied
+        z = _read_only(k * h + y)
+        return state.replace_fields(z[0], z[1])
+
     k1 = rhs(state, mask)
-    k2 = rhs(state.replace_fields(*_read_only(y + 0.5 * dt * k1)), mask)
-    k3 = rhs(state.replace_fields(*_read_only(y + 0.5 * dt * k2)), mask)
-    k4 = rhs(state.replace_fields(*_read_only(y + dt * k3)), mask)
+    k2 = rhs(stage(k1, half), mask)
+    k3 = rhs(stage(k2, half), mask)
+    k4 = rhs(stage(k3, dt), mask)
     # a non-finite field raises NumericalError in the state's constructor
-    return state.replace_fields(*_read_only(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)))
+    return stage(k1 + k2 * 2 + k3 * 2 + k4, dt / 6.0)
 
 
 def _tail_fraction(grid: PeriodicGrid, u: np.ndarray) -> float:

@@ -134,7 +134,10 @@ def critical_shear(cfg: ShearConfig) -> tuple:
 
 
 def kelvin_criterion_threshold(cfg: ShearConfig, c0: float) -> float:
-    """Quartic threshold |⟦c⟧|_crit from the explicit criterion constant c0."""
+    """Quartic threshold |⟦c⟧|_crit from the explicit criterion constant c0,
+    which must be finite and > 0 (InvalidConfigError otherwise)."""
+    if not 0.0 < c0 < math.inf:
+        raise InvalidConfigError(f"criterion constant c0 must be finite and > 0, got {c0}")
     if cfg.rho_minus == 0.0:
         return math.inf
     if cfg.sigma == 0.0:

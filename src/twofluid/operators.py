@@ -51,8 +51,9 @@ from .strip import (
 @dataclass(frozen=True, eq=False)
 class InterfaceState:
     """Interface elevation and reduced potential with their parameters, ζₓ and the
-    layer depths, all read-only; the layers and 𝒢̃ are computed once, on first
-    use, as is the trace bundle that :mod:`twofluid.evolution` keeps with them."""
+    layer depths, all read-only; the layers, 𝒢̃ and the slope terms are
+    computed once, on first use, as is the trace bundle that
+    :mod:`twofluid.evolution` keeps with them."""
 
     grid: PeriodicGrid
     zeta: np.ndarray
@@ -64,11 +65,20 @@ class InterfaceState:
 
     def __post_init__(self):
         _check_count("n_z", self.n_z)
-        object.__setattr__(self, "zeta", _grid_field(self.grid, self.zeta, "zeta"))
-        object.__setattr__(self, "psi", _grid_field(self.grid, self.psi, "psi"))
-        object.__setattr__(self, "_depths", {
-            s: layer_depth(self.zeta, self.params.layer(s)[0], s) for s in (+1, -1)})
-        object.__setattr__(self, "zeta_x", _read_only(deriv(self.grid, self.zeta)))
+        grid, p = self.grid, self.params
+        fields = self.__dict__  # frozen: set through the instance dict
+        zeta = fields["zeta"] = _grid_field(grid, self.zeta, "zeta")
+        fields["psi"] = _grid_field(grid, self.psi, "psi")
+        fields["_depths"] = {+1: layer_depth(zeta, p.eps_plus, +1),
+                             -1: layer_depth(zeta, p.eps_minus, -1)}
+        fields["zeta_x"] = _read_only(deriv(grid, zeta))
+
+    @_cached
+    def _slope_terms(self) -> tuple:
+        """(εμζₓ, 1 + ε²μζₓ²), the slope terms shared by the transmission
+        solve, its tangent and the tendency."""
+        p, zx = self.params, self.zeta_x
+        return zx * (p.eps * p.mu), zx**2 * (p.eps**2 * p.mu) + 1.0
 
     @_cached
     def _layers(self) -> dict:
@@ -128,7 +138,7 @@ def _j_of(p: DimensionlessParams, sp, sm) -> np.ndarray:
 def _g_tilde_of(p: DimensionlessParams, sp, sm) -> np.ndarray:
     """(ρ̄⁻/H̄⁺)s⁺ + (ρ̄⁺/H̄⁻)s⁻: the symbol of 𝒢̃ from the layer symbols, or
     its matrix from the DN matrices S±."""
-    return (p.rhobar_minus / p.hbar_plus) * sp + (p.rhobar_plus / p.hbar_minus) * sm
+    return sp * (p.rhobar_minus / p.hbar_plus) + sm * (p.rhobar_plus / p.hbar_minus)
 
 
 def j_flat_symbol(params: DimensionlessParams, k) -> np.ndarray:
@@ -183,8 +193,8 @@ def _couple(state: InterfaceState, psi) -> tuple:
     """
     p = state.params
     psi = np.asarray(psi, dtype=float)
-    psi_minus = state._g_tilde(state.layer(+1).dn_matrix @ psi / -p.hbar_plus)
-    flux = state.layer(-1).dn_matrix @ psi_minus / -p.hbar_minus
+    psi_minus = state._g_tilde(state.layer(+1).dn_matrix.dot(psi) / -p.hbar_plus)
+    flux = state.layer(-1).dn_matrix.dot(psi_minus) / -p.hbar_minus
     return psi_minus, _deflate(flux)
 
 
@@ -212,12 +222,16 @@ def transmission_solve(state: InterfaceState) -> TraceBundle:
     """
     p = state.params
     psi_minus, g_over_h = _couple(state, state.psi)
-    psi_plus = (state.psi + p.rhobar_minus * psi_minus) / p.rhobar_plus
-    zx = state.zeta_x
-    dpsi = deriv(state.grid, np.array([psi_plus, psi_minus]))
-    w = (g_over_h + p.eps * p.mu * zx * dpsi) / (1.0 + p.eps**2 * p.mu * zx**2)
-    v = dpsi - p.eps * w * zx
-    return TraceBundle(psi_plus=psi_plus, psi_minus=psi_minus, v_plus=v[0], v_minus=v[1],
+    psi = np.empty((2, state.grid.n))
+    np.divide(psi_minus * p.rhobar_minus + state.psi, p.rhobar_plus, out=psi[0])
+    psi[1] = psi_minus
+    dpsi = deriv(state.grid, psi)
+    emz, denom = state._slope_terms
+    w = emz * dpsi
+    w += g_over_h
+    w /= denom
+    v = dpsi - w * p.eps * state.zeta_x
+    return TraceBundle(psi_plus=psi[0], psi_minus=psi[1], v_plus=v[0], v_minus=v[1],
                        w_plus=w[0], w_minus=w[1])
 
 
@@ -253,7 +267,7 @@ def transmission_tangent(state: InterfaceState, traces: TraceBundle, dzeta, dpsi
     dpsi_x = deriv(grid, np.array([dpsi_plus, dpsi_minus]))
     # ∂xψ± = V± + εw±ζₓ
     num = dg + eps * mu * (dzx * (v + eps * w * zx) + zx * dpsi_x - 2.0 * eps * zx * dzx * w)
-    dw = num / (1.0 + eps**2 * mu * zx**2)
+    dw = num / state._slope_terms[1]
     dv = dpsi_x - eps * (dw * zx + w * dzx)
     return TraceBundle(psi_plus=dpsi_plus, psi_minus=dpsi_minus, v_plus=dv[0], v_minus=dv[1],
                        w_plus=dw[0], w_minus=dw[1])

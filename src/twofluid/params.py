@@ -193,11 +193,22 @@ def sigma_for_upsilon(cfg: PhysicalConfig, target_upsilon: float) -> float:
     Inverts Υ(σ) = const/σ at fixed densities, depths and amplitude; the
     round trip ``upsilon(cfg.with_surface_tension(result))`` reproduces
     ``target_upsilon`` to machine precision.
+
+    Raises
+    ------
+    InvalidConfigError
+        If the target is not > 0, or if no finite σ > 0 reaches it: Υ ≡ 0
+        at ρ⁻ = 0 or zero amplitude, and Υ = ∞ would need σ = 0.
     """
     if not target_upsilon > 0.0:
         raise InvalidConfigError(f"target upsilon must be > 0, got {target_upsilon}")
-    ref = cfg.with_surface_tension(1.0)
-    return upsilon(ref) / target_upsilon
+    sigma = upsilon(cfg.with_surface_tension(1.0)) / target_upsilon
+    if not 0.0 < sigma < math.inf:
+        raise InvalidConfigError(
+            f"no finite surface tension > 0 gives upsilon = {target_upsilon} "
+            f"in this configuration (it gives sigma = {sigma})"
+        )
+    return sigma
 
 
 def bond_number(cfg: PhysicalConfig) -> float:

@@ -20,7 +20,7 @@ and positive semi-definite.  Rows are numbered from the wall (row 0) to the
 interface (row n_z) in both layers.
 
 :class:`StripOperator` is the one object per layer.  Its constructor checks
-ζ and the depth (:func:`layer_depth`), or takes both as an
+n_z, ζ and the depth (:func:`layer_depth`), or takes all three as an
 :class:`~twofluid.operators.InterfaceState` has checked them, and samples
 the metric; nothing else is computed until it is asked for.  Because x is
 spectral, A is block tridiagonal with dense N×N blocks.  With p11 = 1 ± εζ
@@ -79,8 +79,9 @@ def layer_depth(zeta, eps_layer: float, layer_sign: int) -> np.ndarray:
     DegenerateGeometryError
         If the depth falls below the positivity floor (the layer pinches off).
     """
-    depth = 1.0 + layer_sign * eps_layer * np.asarray(zeta, dtype=float)
-    min_depth = float(depth.min())
+    depth = np.asarray(zeta, dtype=float) * (layer_sign * eps_layer) + 1.0
+    # the entry at argmin is the minimum, without a ufunc reduction's dispatch
+    min_depth = depth.item(depth.argmin())
     if min_depth <= MIN_DEPTH:
         raise DegenerateGeometryError(
             f"layer depth vanishes: min(1 {'+' if layer_sign > 0 else '-'} eps*zeta) "
@@ -102,14 +103,14 @@ class StripSolution:
 def _deflate(v: np.ndarray) -> np.ndarray:
     """Project a trace (or each row of a stack of traces) off constants and
     the Nyquist mode, which the spectral derivative zeroes."""
-    return v - v @ _gauge_constants(v.shape[-1])[1]
+    return v - v.dot(_gauge_constants(v.shape[-1])[1])
 
 
 def _check_range(f, what: str) -> np.ndarray:
     """f as a float array; NumericalError unless finite, IncompatibleDataError
     unless in the range of a DN matrix: mean and Nyquist part below 1e-8·‖f‖∞."""
     f = _finite(f, what)
-    off = float(np.max(np.abs(f @ _gauge_constants(f.shape[-1])[1])))
+    off = float(np.max(np.abs(f.dot(_gauge_constants(f.shape[-1])[1]))))
     if off > 1e-8 * float(np.max(np.abs(f))):
         raise IncompatibleDataError(
             f"{what} needs data with zero mean and no Nyquist component; "
@@ -132,7 +133,8 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
 
 def _check_residual(r: np.ndarray, b: np.ndarray, what: str) -> float:
     """Relative residual ‖r‖/‖b‖; NumericalError above RESIDUAL_TOL or if not finite."""
-    nr, nb = math.sqrt(np.vdot(r, r)), math.sqrt(np.vdot(b, b))
+    r, b = r.ravel(), b.ravel()
+    nr, nb = math.sqrt(r.dot(r)), math.sqrt(b.dot(b))
     res = nr / nb if nb else nr
     if not res <= RESIDUAL_TOL:
         raise NumericalError(
@@ -141,9 +143,17 @@ def _check_residual(r: np.ndarray, b: np.ndarray, what: str) -> float:
     return res
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all() of a float array, at a third of its cost for the
+    package's sizes: a·a is finite if every entry is, and only an a·a that
+    is not finite needs the entrywise test."""
+    flat = a.ravel()
+    return math.isfinite(flat.dot(flat)) or bool(np.isfinite(a).all())
+
+
 def _finite(a, what: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
+    if not _all_finite(a):
         raise NumericalError(f"{what} contains non-finite values")
     return a
 
@@ -174,10 +184,11 @@ class _RangeSolver:
 
     def __call__(self, f) -> np.ndarray:
         f = _deflate(_finite(f, f"{self.what} data"))
-        u, _ = dpotrs(self._low, np.atleast_2d(f).T, 1)  # lower, positional
+        # lower, positional; one column per right-hand side
+        u, _ = dpotrs(self._low, f.T if f.ndim > 1 else f[:, None], 1)
         u = _deflate(u.T.reshape(f.shape))
         # mat is symmetric, so a stack of rows multiplies from the left
-        _check_residual(u @ self.mat - f, f, f"{self.what} solve")
+        _check_residual(u.dot(self.mat) - f, f, f"{self.what} solve")
         return u
 
     def whiten(self, rows: np.ndarray) -> np.ndarray:
@@ -195,8 +206,12 @@ class _XMatrices:
         dmat_t = grid.deriv_matrix_t
         q = dmat_t * zeta_x
         stack = np.empty((4, grid.n, grid.n))
-        np.matmul(dmat_t * zeta, dmat_t.T, out=stack[1])
-        stack[0], stack[2], stack[3] = grid.deriv_gram, q + q.T, q - q.T
+        stack[0] = grid.deriv_gram
+        np.dot(dmat_t * zeta, dmat_t.T, out=stack[1])
+        # a contiguous Qᵀ: two passes over it cost less than two strided reads
+        q_t = q.T.copy()
+        np.add(q, q_t, out=stack[2])
+        np.subtract(q, q_t, out=stack[3])
         self.zeta_x = zeta_x
         self.stack = stack.reshape(4, -1)
 
@@ -238,10 +253,10 @@ class StripOperator:
                  layer_sign: int, n_z: int = 32, *, _x: _XMatrices = None, _depth=None):
         if layer_sign not in (+1, -1):
             raise ValueError("layer_sign must be +1 (lower) or -1 (upper)")
-        _check_count("n_z", n_z)
-        # an InterfaceState passes the ζ and depth it has checked, and the
-        # x-matrices its layers share
+        # an InterfaceState passes the n_z, ζ and depth it has checked, and
+        # the x-matrices its layers share
         if _depth is None:
+            _check_count("n_z", n_z)
             zeta = _grid_field(grid, zeta, "zeta")
             _depth = layer_depth(zeta, eps_layer, layer_sign)
         self.grid = grid
@@ -253,7 +268,7 @@ class StripOperator:
         self.p11 = _depth
         self._zeta, self._x = zeta, _x
         self._coef = _block_coefficients(float(mu_layer), float(eps_layer), layer_sign, n_z)
-        self.q = -self.smu * eps_layer * (deriv(grid, zeta) if _x is None else _x.zeta_x)
+        self.q = (deriv(grid, zeta) if _x is None else _x.zeta_x) * (-self.smu * eps_layer)
 
     @property
     def p12(self) -> np.ndarray:
@@ -306,23 +321,29 @@ class StripOperator:
 
         So all blocks are one product of the coefficient table
         (:func:`_block_coefficients`) with the x-matrices (:class:`_XMatrices`),
-        which the layer then drops, plus strided adds of the cell masses.  A row
-        block is symmetric to rounding, so it is read transposed too.
+        which the layer then drops, plus the cell masses on the block diagonals.
+        A row block is symmetric to rounding, so it is read transposed too.
         """
         n, n_z = self.grid.n, self.n_z
         table, mass_table = self._coef
         if self._x is None:  # a standalone layer, or a second sweep
             self._x = _XMatrices(self.grid, self._zeta, deriv(self.grid, self._zeta))
-        stack, self._x = table @ self._x.stack, None
-        mass = mass_table @ np.array([np.ones(n), self.q * self.q]) / self.p11
-        rows, offs = stack[: n_z + 1], stack[n_z + 1 :]
-        # M_{j−1} and M_j enter a row one after the other: adding their sum
-        # instead rounds differently and moves the traces by up to 1e-12
-        rows[:-1, :: n + 1] += mass
-        rows[1:, :: n + 1] += mass
-        offs[:, :: n + 1] -= mass
-        return (rows.reshape(n_z + 1, n, n).transpose(0, 2, 1),
-                offs.reshape(n_z, n, n).transpose(0, 2, 1))
+        stack, self._x = table.dot(self._x.stack), None
+        ones_q2 = np.ones((2, n))
+        np.multiply(self.q, self.q, out=ones_q2[1])
+        mass = mass_table.dot(ones_q2) / self.p11
+        # the block diagonals take the masses as a gathered copy, which costs
+        # less than adding into their strided views.  M_j and then M_{j−1}
+        # enter a row one after the other: adding their sum instead rounds
+        # differently and moves the traces by up to 1e-12
+        diag = stack[:, :: n + 1]
+        masses = diag.copy()
+        masses[:n_z] += mass
+        masses[1 : n_z + 1] += mass
+        masses[n_z + 1 :] -= mass
+        diag[...] = masses
+        blocks = stack.reshape(2 * n_z + 1, n, n).transpose(0, 2, 1)
+        return blocks[: n_z + 1], blocks[n_z + 1 :]
 
     def _sweep(self) -> tuple:
         """Block Cholesky elimination of every row but the interface one.

@@ -17,7 +17,13 @@ by cell.  Loss of hyperbolicity is the model-level shadow of shear
 instability and is reported as a first-class outcome, not an error.
 
 The solver is a first-order Rusanov (local Lax-Friedrichs) finite-volume
-scheme, conservative in ζ to rounding.
+scheme, conservative in ζ to rounding.  A state computes its heights once,
+in its constructor (which also rejects a dry state), and its characteristic
+triple (a, u, ind) once, on first use; the triple serves the state's fluxes,
+its indicator and its Rusanov speeds |u| + √|a·ind|, which are the
+characteristic speeds max|λ±| where the state is hyperbolic.  A step of
+:func:`run_swsw` reads the state's largest speed for its time step and
+:func:`fv_step` reads the same number for its CFL check.
 """
 
 from __future__ import annotations
@@ -41,21 +47,25 @@ CFL_NUMBER = 0.45
 
 @dataclass(frozen=True, eq=False)
 class SWState:
-    """Cell-centered shallow-water state (ζ, v) with its parameters, read-only;
-    ValueError on a field off the grid, NumericalError if not finite or dry."""
+    """Cell-centered shallow-water state (ζ, v) with its parameters and layer
+    heights, read-only; ValueError on a field off the grid, NumericalError if
+    not finite or dry."""
 
     grid: PeriodicGrid
     zeta: np.ndarray
     v: np.ndarray
     params: DimensionlessParams
+    _heights: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "zeta", _grid_field(self.grid, self.zeta, "zeta"))
-        object.__setattr__(self, "v", _grid_field(self.grid, self.v, "v"))
-        hp, hm = heights(self.params, self.zeta)
-        if np.min(hp) <= 0.0 or np.min(hm) <= 0.0:
+        fields = self.__dict__  # frozen: set through the instance dict
+        zeta = fields["zeta"] = _grid_field(self.grid, self.zeta, "zeta")
+        fields["v"] = _grid_field(self.grid, self.v, "v")
+        hp, hm = fields["_heights"] = heights(self.params, zeta)
+        # the entry at argmin is the minimum, without a ufunc reduction's dispatch
+        if hp.item(hp.argmin()) <= 0.0 or hm.item(hm.argmin()) <= 0.0:
             raise NumericalError(
-                f"dry state: min heights ({float(np.min(hp)):.3e}, {float(np.min(hm)):.3e})"
+                f"dry state: min heights ({float(hp.min()):.3e}, {float(hm.min()):.3e})"
             )
 
     @_cached
@@ -63,32 +73,41 @@ class SWState:
         """(a, u, ind) of the module docstring, computed once per state for the
         fluxes, the characteristic speeds and the indicator."""
         p, v = self.params, self.v
-        hp, hm = heights(p, self.zeta)
-        d = p.rhobar_plus * hm + p.rhobar_minus * hp
-        u = p.eps * (p.rhobar_plus * hm**2 - p.rhobar_minus * hp**2) / d**2 * v
-        ind = 1.0 - p.eps**2 * p.rhobar_plus * p.rhobar_minus * (
-            p.hbar_plus + p.hbar_minus
-        ) ** 2 / d**3 * v**2
+        hp, hm = self._heights
+        d = hm * p.rhobar_plus + hp * p.rhobar_minus
+        u = (hm**2 * p.rhobar_plus - hp**2 * p.rhobar_minus) * p.eps / d**2 * v
+        c = p.eps**2 * p.rhobar_plus * p.rhobar_minus * (p.hbar_plus + p.hbar_minus) ** 2
+        ind = np.subtract(1.0, c / d**3 * v**2)
         return hp * hm / d, u, ind
 
     @_cached
     def _local_speed(self) -> np.ndarray:
-        """Largest characteristic |speed| in each cell, computed once per
-        state for :func:`max_wave_speed` and :func:`fv_step`."""
-        return np.max(np.abs(jacobian_eigs(self)), axis=0)
+        """Rusanov speed |u| + √|a·ind| of each cell: max|λ±| where the cell
+        is hyperbolic (a·ind ≥ 0), a bound on |λ±| = √(u² − a·ind) where it
+        is not.  Real arithmetic, once per state."""
+        a, u, ind = self._characteristic
+        speed = np.sqrt(np.abs(a * ind))
+        speed += np.abs(u)
+        return speed
+
+    @_cached
+    def _max_speed(self) -> float:
+        """max of :attr:`_local_speed`, read by run_swsw's step and fv_step's CFL check."""
+        speed = self._local_speed
+        return speed.item(speed.argmax())
 
 
 def heights(p: DimensionlessParams, zeta: np.ndarray) -> tuple:
     """Layer heights h⁺ = H̄⁺(1+ε⁺ζ), h⁻ = H̄⁻(1−ε⁻ζ)."""
-    hp = p.hbar_plus * (1.0 + p.eps_plus * zeta)
-    hm = p.hbar_minus * (1.0 - p.eps_minus * zeta)
+    hp = (zeta * p.eps_plus + 1.0) * p.hbar_plus
+    hm = np.subtract(1.0, zeta * p.eps_minus) * p.hbar_minus
     return hp, hm
 
 
 def flux(state: SWState) -> tuple:
     """Componentwise fluxes (a·v, ζ + u·v/2) of the conservative form."""
     a, u, _ = state._characteristic
-    return a * state.v, state.zeta + 0.5 * u * state.v
+    return a * state.v, u * 0.5 * state.v + state.zeta
 
 
 def jacobian_eigs(state: SWState) -> tuple:
@@ -105,27 +124,27 @@ def hyperbolicity_indicator(state: SWState) -> np.ndarray:
 
 
 def max_wave_speed(state: SWState) -> float:
-    return float(np.max(state._local_speed))
+    """Largest Rusanov speed of the state (:attr:`SWState._local_speed`)."""
+    return state._max_speed
 
 
 def fv_step(state: SWState, dt: float) -> SWState:
     """One Rusanov step; conservative in ζ to rounding."""
     grid = state.grid
     dx = grid.dx
-    local_speed = state._local_speed
-    if dt > 0.5 * dx / max(float(np.max(local_speed)), 1e-300) * (1.0 + 1e-9):
+    if dt > 0.5 * dx / max(state._max_speed, 1e-300) * (1.0 + 1e-9):
         raise InvalidConfigError("dt violates the CFL restriction")
     # (ζ, v, mass flux, momentum flux, speed) with periodic ghost cells at
     # both ends, so that the n + 1 cell faces are slices
     g = np.empty((5, grid.n + 2))
-    g[:, 1:-1] = (state.zeta, state.v, *flux(state), local_speed)
+    g[:, 1:-1] = (state.zeta, state.v, *flux(state), state._local_speed)
     g[:, 0], g[:, -1] = g[:, -2], g[:, 1]
     u, f, s = g[:2], g[2:4], g[4]
     s_face = np.maximum(s[:-1], s[1:])
-    fhat = 0.5 * (f[:, :-1] + f[:, 1:]) - 0.5 * s_face * (u[:, 1:] - u[:, :-1])
+    fhat = (f[:, :-1] + f[:, 1:]) * 0.5 - s_face * 0.5 * (u[:, 1:] - u[:, :-1])
     # a read-only stack, whose rows the new state holds uncopied
-    zeta, v = _read_only(u[:, 1:-1] - (dt / dx) * (fhat[:, 1:] - fhat[:, :-1]))
-    return SWState(grid=grid, zeta=zeta, v=v, params=state.params)
+    new = _read_only(u[:, 1:-1] - (fhat[:, 1:] - fhat[:, :-1]) * (dt / dx))
+    return SWState(grid=grid, zeta=new[0], v=new[1], params=state.params)
 
 
 @dataclass
@@ -136,23 +155,30 @@ class SWSeries:
     halted: Optional[dict] = None
 
 
+def _least_indicator(state: SWState) -> float:
+    """min of the state's indicator, NaN if an entry is: the entry at argmin,
+    without a ufunc reduction's dispatch."""
+    ind = state._characteristic[2]
+    return ind.item(ind.argmin())
+
+
 def run_swsw(config: EvolutionConfig, initial: SWState) -> SWSeries:
     """Advance until t_end in steps of CFL_NUMBER·dx/max|λ|; halt with a
     report if hyperbolicity is lost, the indicator is not finite or a step
     fails."""
     series = SWSeries()
     state, t, step = initial, 0.0, 0
+    t_stop = config.t_end - 1e-12
 
     def record(ind):
         series.times.append(t)
         series.states.append(state)
         series.indicator_min.append(ind)
 
-    ind = float(np.min(hyperbolicity_indicator(state)))
+    ind = _least_indicator(state)
     record(ind)
-    while ind >= 0.0 and t < config.t_end - 1e-12:
-        speed = max_wave_speed(state)
-        dt = min(CFL_NUMBER * state.grid.dx / speed, config.t_end - t)
+    while ind >= 0.0 and t < t_stop:
+        dt = min(CFL_NUMBER * state.grid.dx / max_wave_speed(state), config.t_end - t)
         try:
             state = fv_step(state, dt)
         except NumericalError as exc:
@@ -160,8 +186,8 @@ def run_swsw(config: EvolutionConfig, initial: SWState) -> SWSeries:
             return series
         t += dt
         step += 1
-        ind = float(np.min(hyperbolicity_indicator(state)))
-        if not ind >= 0.0 or step % config.snapshot_every == 0 or t >= config.t_end - 1e-12:
+        ind = _least_indicator(state)
+        if not ind >= 0.0 or step % config.snapshot_every == 0 or t >= t_stop:
             record(ind)
     if not ind >= 0.0:
         reason = "hyperbolicity loss" if ind < 0.0 else "non-finite hyperbolicity indicator"

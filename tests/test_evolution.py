@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import smooth_field
 from twofluid import evolution
 from twofluid import (
     EvolutionConfig,
@@ -16,6 +17,7 @@ from twofluid import (
     cfl_cap,
     config_from_dimensionless,
     coupled_dn_flat_symbol,
+    dealias_mask,
     derive_params,
     linear_mode_energy,
     monitor_criterion,
@@ -23,7 +25,9 @@ from twofluid import (
     rk4_step,
     run,
     stability_inputs,
+    tendency,
     transmission_solve,
+    truncate,
 )
 
 
@@ -168,6 +172,32 @@ def test_run_solves_each_state_once(grid32, monkeypatch):
         assert len({id(s) for s in solves}) == expected
 
 
+def test_rhs_is_the_composition_of_its_parts():
+    # rhs may share work between the transmission solve, the tendency and the
+    # projection, but not change a bit of their composition
+    rng = np.random.default_rng(20)
+    for n in (16, 32):
+        grid = PeriodicGrid(n)
+        mask = dealias_mask(grid)
+        for rbm in (0.0, 0.4):
+            for bond in (100.0, math.inf):
+                p = derive_params(config_from_dimensionless(
+                    rng.uniform(0.05, 0.5), rng.uniform(0.1, 1.0), rbm,
+                    rng.uniform(0.6, 1.6), bond))
+                for _ in range(3):
+                    zeta = smooth_field(rng, grid, 4, 0.5 / max(p.eps_plus, p.eps_minus))
+                    psi = smooth_field(rng, grid, 4, rng.uniform(0.1, 1.0))
+
+                    def fresh():
+                        return InterfaceState(grid=grid, zeta=zeta, psi=psi, params=p, n_z=8)
+
+                    st = fresh()
+                    parts = truncate(grid, tendency(st, transmission_solve(st)), mask)
+                    assert np.array_equal(rhs(fresh(), mask), parts)
+                    st = fresh()
+                    assert np.array_equal(rhs(st), tendency(st, transmission_solve(st)))
+
+
 def test_run_mass_conservation_short():
     grid = PeriodicGrid(16)
     p = derive_params(config_from_dimensionless(0.1, 1.0, 0.4, 1.5, 1e4))
@@ -278,7 +308,7 @@ def test_snapshots_hold_no_solver_caches(grid32):
     st = make_state(grid32, 0.5 * np.cos(grid32.nodes), 0.2 * np.sin(grid32.nodes), eps=0.2)
     series = run(EvolutionConfig(t_end=0.1, snapshot_every=2), st)
     assert len(series.states) >= 3
-    cached = ("_layers", "_g_tilde", "_traces")
+    cached = ("_layers", "_g_tilde", "_traces", "_slope_terms")
     assert all(name not in vars(s) for s in series.states for name in cached)
     warm = [s.replace_fields(s.zeta, s.psi) for s in series.states]
     for s in warm:

@@ -118,6 +118,14 @@ def test_threshold_formula_scalings():
     assert kelvin_criterion_threshold(no_sigma, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("c0", [-1.0, 0.0, math.nan, math.inf])
+def test_threshold_rejects_a_bad_criterion_constant(c0):
+    # c0 = -1 gave a complex threshold, 0 a ZeroDivisionError, nan a nan and
+    # inf a threshold of 0
+    with pytest.raises(InvalidConfigError):
+        kelvin_criterion_threshold(AIR_WATER_DEEP, c0)
+
+
 def test_sigma_to_zero_threshold_to_zero():
     vals = []
     for s in (0.05, 0.005, 0.0005):

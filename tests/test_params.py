@@ -157,6 +157,22 @@ def test_sigma_for_upsilon_monotone():
         sigma_for_upsilon(cfg, 0.0)
 
 
+@pytest.mark.parametrize("case", ["no upper fluid", "zero amplitude", "infinite target"])
+def test_sigma_for_upsilon_rejects_unreachable_targets(case):
+    # each used to return sigma = 0, on which the documented round trip
+    # upsilon(cfg.with_surface_tension(sigma)) raises
+    cfg = PRESETS["koop_butler"]
+    target = 1.0
+    if case == "no upper fluid":
+        cfg = PhysicalConfig(1000.0, 0.0, 1.0, 1.0, 0.1, 10.0, 0.07)
+    elif case == "zero amplitude":
+        cfg = cfg.with_amplitude(0.0)
+    else:
+        target = math.inf
+    with pytest.raises(InvalidConfigError):
+        sigma_for_upsilon(cfg, target)
+
+
 def test_bond_air_water_long_wave():
     assert bond_number(PRESETS["air_water_long"]) == pytest.approx(1.7e8, rel=0.1)
 

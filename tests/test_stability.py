@@ -508,11 +508,15 @@ def test_margin_at_least_half_d_under_sc(rng):
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():
-    # c_flat, the only user of scipy.optimize, imports it when called
+    # c_flat, the only user of scipy.optimize, imports it when called; the
+    # exit status reports both, so the check holds under python -O too
     import twofluid
 
     src = os.path.dirname(os.path.dirname(twofluid.__file__))
-    code = "import sys, twofluid; assert 'scipy.optimize' not in sys.modules"
+    code = ("import sys, twofluid\n"
+            "at_import = 'scipy.optimize' in sys.modules\n"
+            "twofluid.c_flat(0.6, 0.4, 1.0, 1.0)\n"
+            "sys.exit(2 * at_import + ('scipy.optimize' not in sys.modules))")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
+    assert out.returncode == 0, (out.returncode, out.stderr)

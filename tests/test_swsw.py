@@ -20,6 +20,7 @@ from twofluid import (
     run_swsw,
 )
 from twofluid import swsw
+from twofluid.spectral import _cached
 from twofluid.swsw import heights, max_wave_speed
 from conftest import smooth_field
 
@@ -136,21 +137,49 @@ def test_fv_step_conserves_zeta(grid64):
 
 
 def test_run_swsw_computes_the_jacobian_once_per_step(grid64, monkeypatch):
-    # the step size and the Rusanov speeds of fv_step share one evaluation
+    # the closed-form Jacobian (the characteristic triple a, u, ind) is
+    # evaluated once per state: its indicator, the step size and the Rusanov
+    # fluxes and speeds of the fv_step leaving it share one evaluation
     calls = []
-    eigs = swsw.jacobian_eigs
+    characteristic = swsw.SWState.__dict__["_characteristic"].func
 
-    def counted(*args):
-        calls.append(1)
-        return eigs(*args)
+    def counted(state):
+        calls.append(state)
+        return characteristic(state)
 
-    monkeypatch.setattr(swsw, "jacobian_eigs", counted)
+    counted_property = _cached(counted)
+    counted_property.__set_name__(swsw.SWState, "_characteristic")
+    monkeypatch.setattr(swsw.SWState, "_characteristic", counted_property)
     p = derive_params(config_from_dimensionless(eps=0.5, mu=0.1, rhobar_minus=0.4))
     st = SWState(grid=grid64, zeta=0.3 * np.cos(grid64.nodes),
                  v=0.2 * np.sin(grid64.nodes), params=p)
     series = run_swsw(EvolutionConfig(t_end=0.2, snapshot_every=1), st)
     assert series.halted is None
-    assert len(calls) == len(series.times) - 1 > 1
+    # snapshot_every = 1 records every state, the last one unstepped
+    assert len(calls) == len(series.times) > 2
+    assert [id(s) for s in calls] == [id(s) for s in series.states]
+
+
+def test_run_swsw_is_a_loop_of_fv_steps(grid64):
+    # run_swsw may share work between its steps, but its end state is bitwise
+    # that of fv_step at dt = min(CFL_NUMBER·dx/max_wave_speed, t_end − t)
+    rng = np.random.default_rng(21)
+    for _ in range(6):
+        st = random_state(rng, grid64)
+        while not np.all(hyperbolicity_indicator(st) > 0.0):
+            st = random_state(rng, grid64)
+        t_end = 0.1
+        series = run_swsw(EvolutionConfig(t_end=t_end, snapshot_every=10**9), st)
+        assert series.halted is None
+        t, state, steps = 0.0, st, 0
+        while t < t_end - 1e-12:
+            dt = min(swsw.CFL_NUMBER * grid64.dx / max_wave_speed(state), t_end - t)
+            state = fv_step(state, dt)
+            t += dt
+            steps += 1
+        assert steps > 1 and series.times[-1] == t
+        end = series.states[-1]
+        assert np.array_equal(end.zeta, state.zeta) and np.array_equal(end.v, state.v)
 
 
 def test_run_swsw_halts_on_hyperbolicity_loss():
