@@ -12,12 +12,9 @@ from .params import (
     PhysicalConfig,
     PRESETS,
     Verdict,
-    bond_number,
     config_from_dimensionless,
     derive_params,
     practical_verdict,
-    shear_scale,
-    sigma_for_upsilon,
     upsilon,
 )
 from .spectral import (
@@ -28,8 +25,6 @@ from .spectral import (
     dealias_mask,
     deriv,
     inner,
-    l2_norm,
-    norm_h1_sigma,
     norm_hdot_mu,
     norm_sobolev,
     truncate,
@@ -38,21 +33,15 @@ from .strip import (
     StripOperator,
     StripSolution,
     dn_apply,
-    dn_flat,
 )
 from .operators import (
     InterfaceState,
     TraceBundle,
-    apply_e,
-    apply_g,
     apply_g_tilde,
     apply_j,
-    coupled_dn_flat_symbol,
-    dn_mix_flat_symbol,
     e_quadratic_form,
     invert_g_tilde,
     invert_j,
-    j_flat_symbol,
     transmission_solve,
     transmission_tangent,
 )
@@ -82,14 +71,12 @@ from .kelvin import (
     critical_shear,
     kelvin_criterion_threshold,
     max_growth,
-    mode_frequencies,
     mode_growth,
 )
 from .evolution import (
     EvolutionConfig,
     TimeSeries,
     cfl_cap,
-    linear_mode_energy,
     rhs,
     rk4_step,
     run,
@@ -104,7 +91,6 @@ from .swsw import (
     fv_step,
     heights,
     hyperbolicity_indicator,
-    jacobian_eigs,
     run_swsw,
 )
 

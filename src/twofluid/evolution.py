@@ -40,14 +40,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigError, NumericalError, TwoFluidError
-from .operators import InterfaceState, TraceBundle, coupled_dn_flat_symbol, transmission_solve
-from .params import DimensionlessParams, _check_count
-from .spectral import PeriodicGrid, _read_only, dealias_mask, deriv, truncate
-from .strip import _all_finite
+from .operators import InterfaceState, TraceBundle, transmission_solve
+from .params import DimensionlessParams, _check_count, _check_real
+from .spectral import PeriodicGrid, _all_finite, _read_only, dealias_mask, deriv, truncate
 
 
 def cfl_cap(params: DimensionlessParams, n_points: int, length: float = 2 * math.pi) -> float:
-    """Conservative RK4 step cap from the gravity and capillary phase speeds."""
+    """Conservative RK4 step cap from the gravity and capillary phase speeds
+    on n_points (an integer >= 2) over a finite length > 0."""
+    _check_count("n_points", n_points, 2)
+    _check_real("length", length, 0.0, strict=True)
     k_max = (2.0 * math.pi / length) * (n_points // 2)
     gravity_dt = math.sqrt(params.mu) / k_max
     if math.isinf(params.bond):
@@ -217,24 +219,3 @@ def run(config: EvolutionConfig, initial: InterfaceState) -> TimeSeries:
             ),
         }
     return series
-
-
-def linear_mode_energy(state: InterfaceState, k_index: int) -> float:
-    """Quadratic invariant (1+k²/Bo)|ζ̂ₖ|² + (1/μ)𝒢₀(k)|ψ̂ₖ|² of the continuum linearization.
-
-    𝒢₀ is the exact flat coupled symbol.  A discrete run conserves this
-    energy only up to the O(n_z⁻²) error of the discrete symbol (its own
-    invariant carries 𝒢_h(k) in place of 𝒢₀(k)) and RK4's per-step damping
-    1 − (ωΔt)⁶/72.
-    """
-    p = state.params
-    grid = state.grid
-    zh = np.fft.fft(state.zeta) / grid.n
-    ph = np.fft.fft(state.psi) / grid.n
-    k = abs(grid.wavenumbers[k_index])
-    inv_bo = 0.0 if math.isinf(p.bond) else 1.0 / p.bond
-    g0 = float(coupled_dn_flat_symbol(p, np.array([k]))[0])
-    return float(
-        (1.0 + inv_bo * k**2) * abs(zh[k_index]) ** 2
-        + (g0 / p.mu) * abs(ph[k_index]) ** 2
-    )

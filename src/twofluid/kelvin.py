@@ -66,9 +66,10 @@ _K_SCAN = np.geomspace(1e-3, 1e5, 600)
 def _dispersion(k, cfg: ShearConfig) -> tuple:
     """(t⁺, t⁻, Δ) of the dispersion quadratic at the wavenumbers k:
     t± = ρ±coth(kH±) and Δ = (t⁺ + t⁻)R − t⁺t⁻⟦c⟧², with R the restoring
-    term (g(ρ⁺−ρ⁻) + σk²)/k.  Raises InvalidConfigError unless every k > 0."""
-    if np.any(np.asarray(k) <= 0.0):
-        raise InvalidConfigError("wavenumber must be positive")
+    term (g(ρ⁺−ρ⁻) + σk²)/k.  Raises InvalidConfigError unless every k is
+    finite and > 0."""
+    if not np.all(np.isfinite(k) & (np.asarray(k) > 0.0)):
+        raise InvalidConfigError(f"wavenumber must be finite and positive, got {k}")
     tp = cfg.rho_plus / np.tanh(k * cfg.depth_plus)
     tm = cfg.rho_minus / np.tanh(k * cfg.depth_minus)
     restoring = (cfg.gravity * (cfg.rho_plus - cfg.rho_minus) + cfg.sigma * k**2) / k
@@ -85,15 +86,6 @@ def mode_growth(k, cfg: ShearConfig):
     """
     tp, tm, disc = _dispersion(k, cfg)
     return k * np.sqrt(np.maximum(-disc, 0.0)) / (tp + tm)
-
-
-def mode_frequencies(k: float, cfg: ShearConfig):
-    """Both roots ω = k(t⁺c⁺ + t⁻c⁻ ± √Δ)/(t⁺ + t⁻) of the dispersion
-    quadratic (complex when Δ < 0)."""
-    tp, tm, disc = _dispersion(k, cfg)
-    mean = tp * cfg.c_plus + tm * cfg.c_minus
-    root = np.sqrt(disc + 0j)
-    return (k * (mean + root) / (tp + tm), k * (mean - root) / (tp + tm))
 
 
 def max_growth(cfg: ShearConfig) -> tuple:

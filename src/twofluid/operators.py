@@ -4,14 +4,17 @@ With G± the unit-depth layer operators of :mod:`twofluid.strip`, the package
 exposes
 
   * the coupling map  J u = ρ̄⁺u − ρ̄⁻(H̄⁻/H̄⁺)(G⁻)⁻¹G⁺u  and its inverse,
-  * the coupled interface operator  𝒢 = (1/H̄⁺) G⁺ ∘ J⁻¹,
   * the transmission solve producing both layer traces ψ± and the interface
-    velocities (V±, w±) from the single unknown ψ = ρ̄⁺ψ⁺ − ρ̄⁻ψ⁻, and its
+    velocities (V±, w±) from the single unknown ψ = ρ̄⁺ψ⁺ − ρ̄⁻ψ⁻, with the
+    flux 𝒢ψ of the coupled interface operator 𝒢 = (1/H̄⁺) G⁺ ∘ J⁻¹, and its
     tangent along a tendency (ζ̇, ψ̇),
   * the density-weighted DN sum  𝒢̃ = ρ̄⁻(1/H̄⁺)G⁺ − ρ̄⁺(1/H̄⁻)G⁻  (positive
     on zero-mean data) and its gauged inverse,
-  * the shear operator  ℰ = −∂x ∘ 𝒢̃⁻¹ ∘ ∂x  whose quadratic form measures
-    the destabilizing inertia of a velocity jump.
+  * the quadratic form of the shear operator  ℰ = −∂x ∘ 𝒢̃⁻¹ ∘ ∂x, which
+    measures the destabilizing inertia of a velocity jump.
+
+Its private helpers compose the symbols of J and 𝒢̃ from two layer symbols
+s± for :class:`~twofluid.symbols.TailSymbolSet`.
 
 An :class:`InterfaceState` holds one :class:`~twofluid.strip.StripOperator`
 per fluid layer, ``state.layer(+1)`` below the interface and
@@ -43,7 +46,6 @@ from .strip import (
     _RangeSolver,
     _XMatrices,
     dn_apply,
-    flat_symbol,
     layer_depth,
 )
 
@@ -115,13 +117,6 @@ class TraceBundle:
         return self.v_plus - self.v_minus
 
 
-# -- flat multipliers ------------------------------------------------------------
-#
-# The composed symbols come from the two positive layer symbols s± (G± ≈ ±Op(s±)):
-# the flat ones √μ±|ξ|tanh(√μ±|ξ|) here, the tail ones in :mod:`twofluid.symbols`.
-# At ξ = 0 they take the values of the gauged discrete operators on constants.
-
-
 def _gauged_ratio(num, den) -> np.ndarray:
     """num/den for a positive symbol den, 0 where den = 0: with den = s⁻ the
     symbol of −(G⁻)⁻¹G⁺, which the gauge sets to 0 on constants."""
@@ -139,35 +134,6 @@ def _g_tilde_of(p: DimensionlessParams, sp, sm) -> np.ndarray:
     """(ρ̄⁻/H̄⁺)s⁺ + (ρ̄⁺/H̄⁻)s⁻: the symbol of 𝒢̃ from the layer symbols, or
     its matrix from the DN matrices S±."""
     return sp * (p.rhobar_minus / p.hbar_plus) + sm * (p.rhobar_plus / p.hbar_minus)
-
-
-def j_flat_symbol(params: DimensionlessParams, k) -> np.ndarray:
-    """Multiplier of the flat coupling map J,
-
-    ρ̄⁺ + ρ̄⁻tanh(√μ⁺|ξ|)/tanh(√μ⁻|ξ|), and ρ̄⁺ at ξ = 0.
-    """
-    p = params
-    return _j_of(p, flat_symbol(p.mu_plus, k), flat_symbol(p.mu_minus, k))
-
-
-def coupled_dn_flat_symbol(params: DimensionlessParams, k) -> np.ndarray:
-    """Multiplier of the flat coupled operator 𝒢, s⁺/(H̄⁺·J) with s⁺ the flat
-    symbol of the lower layer:
-
-    √μ|ξ| tanh(√μ⁺|ξ|) tanh(√μ⁻|ξ|) / (ρ̄⁺tanh(√μ⁻|ξ|) + ρ̄⁻tanh(√μ⁺|ξ|)),
-
-    0 at ξ = 0.
-    """
-    return flat_symbol(params.mu_plus, k) / (params.hbar_plus * j_flat_symbol(params, k))
-
-
-def dn_mix_flat_symbol(params: DimensionlessParams, k) -> np.ndarray:
-    """Multiplier of the flat weighted DN sum 𝒢̃, (ρ̄⁻/H̄⁺)s⁺ + (ρ̄⁺/H̄⁻)s⁻:
-
-    √μ|ξ|(ρ̄⁻tanh(√μ⁺|ξ|) + ρ̄⁺tanh(√μ⁻|ξ|)), 0 at ξ = 0.
-    """
-    p = params
-    return _g_tilde_of(p, flat_symbol(p.mu_plus, k), flat_symbol(p.mu_minus, k))
 
 
 # -- composed operators -----------------------------------------------------------
@@ -204,11 +170,6 @@ def invert_j(state: InterfaceState, psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=float)
     psi_minus, _ = _couple(state, psi)
     return (psi + p.rhobar_minus * psi_minus) / p.rhobar_plus
-
-
-def apply_g(state: InterfaceState, psi) -> np.ndarray:
-    """Coupled interface DN operator 𝒢 = (1/H̄⁺) G⁺ ∘ J⁻¹ (zero-mean output)."""
-    return _couple(state, psi)[1]
 
 
 def transmission_solve(state: InterfaceState) -> TraceBundle:
@@ -302,13 +263,6 @@ def pinv_g_tilde(state: InterfaceState) -> np.ndarray:
     no longer called by the package (𝔢 reads the factor of 𝒢̃ + Π), kept as
     the tests' dense oracle and because the benchmark tracer names it."""
     return state._g_tilde(np.eye(state.grid.n))
-
-
-def apply_e(state: InterfaceState, v) -> np.ndarray:
-    """Shear operator ℰ v = −∂x 𝒢̃⁻¹ ∂x v; (ℰv, v) = (𝒢̃⁻¹∂xv, ∂xv) ≥ 0."""
-    g = deriv(state.grid, np.asarray(v, dtype=float))
-    u = invert_g_tilde(state, g)
-    return -deriv(state.grid, u)
 
 
 def e_quadratic_form(state: InterfaceState, v) -> float:

@@ -120,10 +120,20 @@ class Verdict(Enum):
     UNSTABLE = "unstable"
 
 
-def _check_count(name: str, value) -> None:
-    """Raise InvalidConfigError unless value is an integer >= 1 (not a bool)."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1):
-        raise InvalidConfigError(f"{name} must be an integer >= 1, got {value}")
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise InvalidConfigError unless value is an integer >= least (not a bool)."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
+        raise InvalidConfigError(f"{name} must be an integer >= {least}, got {value}")
+
+
+def _check_real(name: str, value, least: float = -math.inf, *, strict: bool = False,
+                finite: bool = True) -> None:
+    """Raise InvalidConfigError unless value >= least (> least if strict) and,
+    if finite, value is finite.  NaN fails every comparison."""
+    if not ((value > least if strict else value >= least) and (math.isfinite(value) or not finite)):
+        raise InvalidConfigError(f"{name} must be {'>' if strict else '>='} {least}"
+                                 f"{' and finite' if finite else ''}, got {value}")
 
 
 def derive_params(cfg: PhysicalConfig) -> DimensionlessParams:
@@ -187,51 +197,15 @@ def upsilon(cfg: PhysicalConfig) -> float:
     return derive_params(cfg).upsilon
 
 
-def sigma_for_upsilon(cfg: PhysicalConfig, target_upsilon: float) -> float:
-    """Surface tension that gives the requested Υ in this geometry.
-
-    Inverts Υ(σ) = const/σ at fixed densities, depths and amplitude; the
-    round trip ``upsilon(cfg.with_surface_tension(result))`` reproduces
-    ``target_upsilon`` to machine precision.
-
-    Raises
-    ------
-    InvalidConfigError
-        If the target is not > 0, or if no finite σ > 0 reaches it: Υ ≡ 0
-        at ρ⁻ = 0 or zero amplitude, and Υ = ∞ would need σ = 0.
-    """
-    if not target_upsilon > 0.0:
-        raise InvalidConfigError(f"target upsilon must be > 0, got {target_upsilon}")
-    sigma = upsilon(cfg.with_surface_tension(1.0)) / target_upsilon
-    if not 0.0 < sigma < math.inf:
-        raise InvalidConfigError(
-            f"no finite surface tension > 0 gives upsilon = {target_upsilon} "
-            f"in this configuration (it gives sigma = {sigma})"
-        )
-    return sigma
-
-
-def bond_number(cfg: PhysicalConfig) -> float:
-    """Bond number Bo = (ρ⁺+ρ⁻)g'λ²/σ (gravity over capillary forces).
-
-    Returns +inf when σ = 0.
-    """
-    return derive_params(cfg).bond
-
-
-def shear_scale(cfg: PhysicalConfig) -> float:
-    """Typical size (a/H)·√(g'H) of the interfacial velocity jump, m·s⁻¹."""
-    p = derive_params(cfg)
-    return p.eps * p.wave_speed
-
-
 def practical_verdict(ups: float) -> Verdict:
     """Classify Υ into stable / critical / unstable bands.
 
     The bands reach one decade on each side of Υ = 1: the practical
     criterion only distinguishes Υ ≪ 1, Υ ∼ 1 and Υ ≫ 1, and anything in
-    the middle band requires the exact criterion.
+    the middle band requires the exact criterion.  Υ must be >= 0; +inf
+    (σ = 0 with ρ⁻ > 0 and a > 0) is unstable.
     """
+    _check_real("upsilon", ups, 0.0, finite=False)
     if ups < 0.1:
         return Verdict.STABLE
     if ups > 10.0:

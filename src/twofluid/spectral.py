@@ -30,6 +30,7 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidConfigError, NumericalError
+from .params import _check_real
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,6 +122,21 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all() of a float array, at a third of its cost for the
+    package's sizes: a·a is finite if every entry is, and only an a·a that
+    is not finite needs the entrywise test."""
+    flat = a.ravel()
+    return math.isfinite(flat.dot(flat)) or bool(np.isfinite(a).all())
+
+
+def _finite(a, what: str) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if not _all_finite(a):
+        raise NumericalError(f"{what} contains non-finite values")
+    return a
+
+
 @cache
 def _gauge_constants(n: int) -> tuple:
     """The Nyquist mode cos(πj) on n nodes, Π = (1 + nyq·nyqᵀ)/n, the
@@ -165,25 +181,23 @@ def apply_symbol(grid: PeriodicGrid, s, u: np.ndarray) -> np.ndarray:
     return ((smat * phases) @ np.fft.fft(u)).real / grid.n
 
 
-def l2_norm(grid: PeriodicGrid, u: np.ndarray) -> float:
-    """Discrete L² norm with trapezoidal (uniform) quadrature weight."""
-    u = np.asarray(u, dtype=float)
-    return math.sqrt(grid.dx * float(np.dot(u, u)))
-
-
 def inner(grid: PeriodicGrid, u: np.ndarray, v: np.ndarray) -> float:
     """Discrete L² inner product."""
     return grid.dx * float(np.dot(np.asarray(u), np.asarray(v)))
 
 
 def _spectral_weighted_norm(grid: PeriodicGrid, u: np.ndarray, weight: np.ndarray) -> float:
-    uh = np.fft.fft(np.asarray(u, dtype=float))
+    """√(Σ weight·|û|²) with the trapezoidal scale, for a weight >= 0;
+    NumericalError unless u is finite."""
+    uh = np.fft.fft(_finite(u, "norm argument"))
     w = grid.length / grid.n**2
-    return math.sqrt(max(0.0, w * float(np.sum(weight * np.abs(uh) ** 2))))
+    return math.sqrt(w * float(np.sum(weight * np.abs(uh) ** 2)))
 
 
 def norm_sobolev(grid: PeriodicGrid, u: np.ndarray, s: float) -> float:
-    """Sobolev norm |u|_{H^s} = |(1+ξ²)^{s/2} û|, trapezoidal weighting."""
+    """Sobolev norm |u|_{H^s} = |(1+ξ²)^{s/2} û|, trapezoidal weighting; the
+    order s must be finite."""
+    _check_real("Sobolev order s", s)
     k = grid.wavenumbers
     return _spectral_weighted_norm(grid, u, (1.0 + k**2) ** s)
 
@@ -200,20 +214,12 @@ def norm_hdot_mu(grid: PeriodicGrid, u: np.ndarray, s: float, mu: float) -> floa
 
     Constants map to zero; the per-mode weight |ξ|/(1+√μ|ξ|)^{1/2} is the
     nonhomogeneous order-1/2 multiplier used throughout the operator bounds.
+    s must be finite and μ finite and >= 0.
     """
-    if mu < 0.0:
-        raise InvalidConfigError(f"mu must be >= 0, got {mu}")
+    _check_real("Sobolev order s", s)
+    _check_real("mu", mu, 0.0)
     k = grid.wavenumbers
     return _spectral_weighted_norm(grid, u, _p2(k, mu) * (1.0 + k**2) ** s)
-
-
-def norm_h1_sigma(grid: PeriodicGrid, u: np.ndarray, bond: float) -> float:
-    """Capillarity-weighted norm, |u|² = |u|²_{L²} + (1/Bo)|∂x u|²_{L²}."""
-    if not bond > 0.0:
-        raise InvalidConfigError(f"bond must be > 0, got {bond}")
-    k = grid.wavenumbers
-    inv_bo = 0.0 if math.isinf(bond) else 1.0 / bond
-    return _spectral_weighted_norm(grid, u, 1.0 + inv_bo * k**2)
 
 
 def fourier_interpolate(grid: PeriodicGrid, u: np.ndarray, n_fine: int) -> np.ndarray:

@@ -56,9 +56,10 @@ from .operators import InterfaceState, TraceBundle, e_quadratic_form
 from .operators import transmission_tangent
 # imported for the benchmark tracer, which wraps it under this module's name
 from .operators import invert_g_tilde
-from .params import DimensionlessParams, practical_verdict
-from .spectral import PeriodicGrid, _gauge_constants, _read_only, apply_multiplier, deriv, inner
-from .strip import _finite, flat_symbol
+from .params import DimensionlessParams, _check_real, practical_verdict
+from .spectral import (PeriodicGrid, _finite, _gauge_constants, _read_only, apply_multiplier,
+                       deriv, inner)
+from .strip import flat_symbol
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,12 @@ def c_flat(
     The x → ∞ limit equals 1 and the x → 0 limit equals
     1/(ρ̄⁻H̄⁺ + ρ̄⁺H̄⁻); whichever endpoint or interior point attains the
     supremum is reported (x → ∞ via ``at_infinity``).  InvalidConfigError
-    unless H̄± > 0, ρ̄⁺ > 0 and ρ̄⁻ ≥ 0.
+    unless all four are finite, H̄± > 0, ρ̄⁺ > 0 and ρ̄⁻ ≥ 0.
     """
-    if not (hbar_plus > 0.0 and hbar_minus > 0.0 and rhobar_plus > 0.0 and rhobar_minus >= 0.0):
-        raise InvalidConfigError(
-            "c_flat needs hbar_plus, hbar_minus, rhobar_plus > 0 and rhobar_minus >= 0, got "
-            f"{(rhobar_plus, rhobar_minus, hbar_plus, hbar_minus)}")
+    _check_real("rhobar_plus", rhobar_plus, 0.0, strict=True)
+    _check_real("rhobar_minus", rhobar_minus, 0.0)
+    _check_real("hbar_plus", hbar_plus, 0.0, strict=True)
+    _check_real("hbar_minus", hbar_minus, 0.0, strict=True)
     # imported by its only user: at module level it would slow every package import
     from scipy.optimize import minimize_scalar
 
@@ -228,6 +229,13 @@ class StabilityReport:
         return json.dumps(self.to_dict(), **kw)
 
 
+def _check_scalars(inf_a: float, **non_negative) -> None:
+    """InvalidConfigError unless inf 𝔞 is finite and the others finite and >= 0."""
+    _check_real("inf_a", inf_a)
+    for name, value in non_negative.items():
+        _check_real(name, value, 0.0)
+
+
 def criteria_from_scalars(
     params: DimensionlessParams,
     e_value: float,
@@ -243,11 +251,13 @@ def criteria_from_scalars(
     (ρ⁺+ρ⁻)g'·inf𝔞 against (1/4)(ρ⁺ρ⁻)²/(σ(ρ⁺+ρ⁻)²)·𝔠·|ω|⁴ with the
     physical velocity jump ω = ε√(g'H)·⟦V⟧; the two verdicts agree by
     construction and exercising both paths guards the scalings.  The
-    strong variant (SCs) takes γ ∈ [0, 1]; another γ raises
-    :class:`InvalidConfigError`.
+    strong variant (SCs) takes γ ∈ [0, 1].  Every scalar must be finite, and
+    all but inf 𝔞 >= 0; other values raise :class:`InvalidConfigError`.
     """
     if not 0.0 <= gamma <= 1.0:
         raise InvalidConfigError(f"gamma must lie in [0, 1], got {gamma}")
+    _check_scalars(inf_a, e_value=e_value, grad_zeta_sup=grad_zeta_sup, jump_sup=jump_sup,
+                   jump_sup_d1=jump_sup_d1)
     p = params
     curvature = (1.0 + p.eps**2 * p.mu * grad_zeta_sup**2) ** 1.5
     c_sq = e_value**2 * curvature
@@ -398,8 +408,10 @@ def modewise_margin(
     quadratic has exactly one positive root, the minimiser; for b = 0 the
     minimum is min(a₀, c/d), at ξ = 0 or in the limit ξ → ∞.  Under (SC)
     the minimum stays above 𝔡/2 (for inf𝔞 ≤ 1 + 𝔡/2); without surface
-    tension the margin is unbounded below whenever a > 0.
+    tension the margin is unbounded below whenever a > 0.  The scalars are
+    checked as in :func:`criteria_from_scalars`.
     """
+    _check_scalars(inf_a, e_value=e_value, grad_zeta_sup=grad_zeta_sup, jump_sup=jump_sup)
     p = params
     a_coeff = p.eps**2 * p.rhobar_plus * p.rhobar_minus * e_value * jump_sup**2
     curvature = (1.0 + p.eps**2 * p.mu * grad_zeta_sup**2) ** 1.5

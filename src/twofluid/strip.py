@@ -58,7 +58,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import DegenerateGeometryError, IncompatibleDataError, NumericalError
 from .params import _check_count
-from .spectral import PeriodicGrid, _cached, _gauge_constants, _read_only, apply_multiplier, deriv
+from .spectral import PeriodicGrid, _cached, _finite, _gauge_constants, _read_only, deriv
 
 # Bound on the relative true residual of every direct solve of the package.
 RESIDUAL_TOL = 1e-9
@@ -141,21 +141,6 @@ def _check_residual(r: np.ndarray, b: np.ndarray, what: str) -> float:
             f"{what}: relative residual {res:.3e} above {RESIDUAL_TOL:.0e}"
         )
     return res
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """np.isfinite(a).all() of a float array, at a third of its cost for the
-    package's sizes: a·a is finite if every entry is, and only an a·a that
-    is not finite needs the entrywise test."""
-    flat = a.ravel()
-    return math.isfinite(flat.dot(flat)) or bool(np.isfinite(a).all())
-
-
-def _finite(a, what: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if not _all_finite(a):
-        raise NumericalError(f"{what} contains non-finite values")
-    return a
 
 
 def _grid_field(grid: PeriodicGrid, a, what: str) -> np.ndarray:
@@ -422,7 +407,3 @@ def dn_apply(d: StripOperator, psi) -> np.ndarray:
     """
     return d.sign * (d.dn_matrix @ np.asarray(psi, dtype=float))
 
-
-def dn_flat(grid: PeriodicGrid, mu_layer: float, layer_sign: int, psi) -> np.ndarray:
-    """Flat-interface Dirichlet-Neumann map ±√μ±|D| tanh(√μ±|D|)ψ."""
-    return apply_multiplier(grid, lambda k: layer_sign * flat_symbol(mu_layer, k), psi)

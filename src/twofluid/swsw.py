@@ -110,14 +110,6 @@ def flux(state: SWState) -> tuple:
     return a * state.v, u * 0.5 * state.v + state.zeta
 
 
-def jacobian_eigs(state: SWState) -> tuple:
-    """Eigenvalues u ± √(a·ind) of the flux Jacobian at every cell (complex
-    when hyperbolicity is lost)."""
-    a, u, ind = state._characteristic
-    root = np.sqrt((a * ind).astype(complex))
-    return u + root, u - root
-
-
 def hyperbolicity_indicator(state: SWState) -> np.ndarray:
     """Pointwise indicator ind, whose sign is that of the Jacobian discriminant."""
     return state._characteristic[2].copy()

@@ -17,9 +17,10 @@ tail leaves an O(1) relative error as μ → 0.  Ratios of these symbols give
 zeroth-order descriptions of the composed operators (G⁻)⁻¹G⁺, (G⁻)⁻¹𝒢 and
 𝒢̃⁻¹; this module provides the evaluators and the numerical harnesses that
 measure the corresponding error scalings against the exact elliptic solves.
-The composed symbols are formed from S± by the same private helpers of
-:mod:`twofluid.operators` as the flat multipliers, so at ζ = 0 they are
-those multipliers.
+The composed symbols are formed from S± by private helpers of
+:mod:`twofluid.operators`.  At ζ = 0, where t± = |ξ|, S± is the flat symbol
+:func:`~twofluid.strip.flat_symbol`, so these are the flat multipliers of the
+composed operators; the package has no other source of them.
 
 At ξ = 0 both S± vanish, and each composed symbol takes the value the gauged
 discrete operator takes on constants, not its ξ → 0 limit: J·1 = ρ̄⁺, so the

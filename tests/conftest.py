@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from twofluid import InterfaceState, PeriodicGrid, config_from_dimensionless, derive_params
+from twofluid import (InterfaceState, PeriodicGrid, TailSymbolSet, config_from_dimensionless,
+                      derive_params, invert_g_tilde)
+from twofluid.spectral import deriv
 
 
 @pytest.fixture
@@ -35,6 +37,24 @@ def smooth_field(rng, grid, k_max=6, amplitude=1.0):
     return amplitude * u / max(np.max(np.abs(u)), 1e-30)
 
 
+def flat_symbols(params):
+    """The tail symbols of a flat interface, which are its flat multipliers
+    (test_tail_symbols_of_a_flat_interface_are_the_flat_multipliers)."""
+    return TailSymbolSet(PeriodicGrid(8), np.zeros(8), params)
+
+
+def flat_coupled_symbol(params, k):
+    """𝒢₀(k) = s⁺/(H̄⁺·J) of a flat interface at k ≠ 0."""
+    ts = flat_symbols(params)
+    return float(ts.s(0.0, k, +1) / (params.hbar_plus * ts.j_symbol(0.0, k)))
+
+
+def apply_e(state, v):
+    """ℰv = −∂x𝒢̃⁻¹∂xv, the shear operator through the checked solve with 𝒢̃."""
+    g = deriv(state.grid, np.asarray(v, dtype=float))
+    return -deriv(state.grid, invert_g_tilde(state, g))
+
+
 def linear_mode_rates(params, grid, n_z, k):
     """Rates (a, b) of the program's own linear flow on the mode cos(kx).
 
@@ -60,7 +80,7 @@ def shear_form_matrix(state):
     The first is assembled column by column from `apply_e`, which solves
     with 𝒢̃ and does not use its pseudo-inverse; its top eigenvalue is 𝔢.
     """
-    from twofluid import apply_e, apply_multiplier
+    from twofluid import apply_multiplier
 
     smu = np.sqrt(state.params.mu)
     b_inv_half = apply_multiplier(

@@ -5,9 +5,12 @@ resolves, so every one must stay in its owner's namespace, and the workloads
 of ``bench/workloads.py`` read report fields such as
 ``StabilityReport.e_converged``.  The tracer's ``strip.operator`` span
 counts the ``StripOperator`` builds, one per fluid layer of each state a
-pass solves with.  These tests read ``bench/`` and change nothing there.
+pass solves with.  A module-level import of the package that its module
+does not read is dead, unless the tracer patches it there.  These tests
+read ``bench/`` and change nothing there.
 """
 
+import ast
 import sys
 from pathlib import Path
 
@@ -26,6 +29,28 @@ def test_every_tracer_target_resolves():
     missing = [f"{owner.__name__}.{attr}"
                for owner, attr, _ in tracer.TARGETS if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_every_module_level_import_is_read():
+    # a name the tracer patches on a module must be bound there even if the
+    # module does not read it
+    patched = {(owner.__name__, attr) for owner, attr, _ in tracer.TARGETS}
+    package = Path(__file__).resolve().parents[1] / "src" / "twofluid"
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and (f"twofluid.{path.stem}", name) not in patched:
+                        unused.append(f"{path.stem}.{name}")
+    assert unused == []
 
 
 # StripOperator builds in one traced SMALL pass: two per state

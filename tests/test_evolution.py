@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import smooth_field
+from conftest import flat_coupled_symbol, smooth_field
 from twofluid import evolution
 from twofluid import (
     EvolutionConfig,
@@ -16,10 +16,8 @@ from twofluid import (
     a_field,
     cfl_cap,
     config_from_dimensionless,
-    coupled_dn_flat_symbol,
     dealias_mask,
     derive_params,
-    linear_mode_energy,
     monitor_criterion,
     rhs,
     rk4_step,
@@ -51,7 +49,7 @@ def test_rhs_matches_linearization(grid32):
     )
     p = st.params
     dz, dp = rhs(st)
-    g0 = float(coupled_dn_flat_symbol(p, np.array([2.0]))[0])
+    g0 = flat_coupled_symbol(p, 2.0)
     dz_lin = (g0 / p.mu) * amp * np.sin(2 * grid32.nodes)
     dp_lin = -(1.0 + 4.0 / p.bond) * amp * np.cos(2 * grid32.nodes)
     assert np.max(np.abs(dz - dz_lin)) <= 1e-4 * np.max(np.abs(dz_lin))
@@ -86,7 +84,7 @@ def test_rk4_linear_mode_drift_scaling(grid32):
     p = derive_params(config_from_dimensionless(1e-5, 0.64, 0.4, 1.5, 50.0))
     k = 2.0
     om = math.sqrt(
-        (1.0 + k**2 / p.bond) / p.mu * float(coupled_dn_flat_symbol(p, np.array([k]))[0])
+        (1.0 + k**2 / p.bond) / p.mu * flat_coupled_symbol(p, k)
     )
     a, b = linear_mode_rates(p, grid32, 32, k)
     om_h = math.sqrt(a * b)
@@ -223,7 +221,7 @@ def test_run_linear_energy_isometry():
     k = 2
     st = InterfaceState(grid=grid, zeta=amp * np.cos(k * grid.nodes),
                         psi=np.zeros(16), params=p, n_z=16)
-    g0 = float(coupled_dn_flat_symbol(p, np.array([float(k)]))[0])
+    g0 = flat_coupled_symbol(p, float(k))
     om = math.sqrt((1 + k**2 / p.bond) / p.mu * g0)
     a, b = linear_mode_rates(p, grid, 16, k)
     # second-order scaling of the 1e-4 symbol error pinned at n_z = 32
@@ -243,8 +241,11 @@ def test_run_linear_energy_isometry():
 
     dt = cfl_cap(p, grid.n)
     e0 = energy(series.states[0])
-    # ψ = 0 at the start, where only the exact ζ weight enters the continuum energy
-    assert e0 == pytest.approx(linear_mode_energy(series.states[0], k), rel=1e-12)
+    # ψ = 0 at the start, where only the exact ζ weight 1 + k²/Bo of the
+    # continuum energy enters
+    assert not series.states[0].psi.any()
+    zh0 = np.fft.fft(series.states[0].zeta)[k] / grid.n
+    assert e0 == pytest.approx((1.0 + k**2 / p.bond) * abs(zh0) ** 2, rel=1e-12)
     drift = 0.0
     for t, s in zip(series.times, series.states):
         full = math.floor(t / dt + 1e-9)

@@ -10,9 +10,9 @@ from twofluid import (
     critical_shear,
     kelvin_criterion_threshold,
     max_growth,
-    mode_frequencies,
     mode_growth,
 )
+from twofluid import kelvin
 
 AIR_WATER_DEEP = ShearConfig(
     rho_plus=1025.0, rho_minus=1.2, depth_plus=1e3, depth_minus=1e3,
@@ -45,8 +45,12 @@ def test_deep_water_marginal_mode():
     )
     assert mode_growth(k_star, cfg0.with_shear(0.999 * u_star)) == 0.0
     assert mode_growth(k_star, cfg0.with_shear(1.001 * u_star)) > 0.0
-    # double root at the marginal point: the two frequencies coincide
-    w1, w2 = mode_frequencies(k_star, cfg0.with_shear(u_star))
+    # double root at the marginal point: the two frequencies
+    # k(t⁺c⁺ + t⁻c⁻ ± √Δ)/(t⁺ + t⁻) coincide
+    cfg = cfg0.with_shear(u_star)
+    tp, tm, disc = kelvin._dispersion(k_star, cfg)
+    mean, root = tp * cfg.c_plus + tm * cfg.c_minus, np.sqrt(disc + 0j)
+    w1, w2 = k_star * (mean + root) / (tp + tm), k_star * (mean - root) / (tp + tm)
     assert abs(w1 - w2) < 1e-6 * abs(w1)
 
 
@@ -149,15 +153,10 @@ def test_shear_config_rejects_non_physical_values(change):
 
 
 def test_mode_growth_rejects_bad_wavenumber():
-    with pytest.raises(InvalidConfigError):
-        mode_growth(0.0, AIR_WATER_DEEP)
-
-
-def test_mode_frequencies_reject_bad_wavenumber():
     # the restoring term divides by k: k = 0 raises instead of dividing by zero
     for k in (0.0, -1.0):
         with pytest.raises(InvalidConfigError):
-            mode_frequencies(k, AIR_WATER_DEEP)
+            mode_growth(k, AIR_WATER_DEEP)
 
 
 def test_max_growth_positive_above_threshold():

@@ -17,16 +17,12 @@ from twofluid import (
     StripOperator,
     SWState,
     TailSymbolSet,
-    apply_e,
-    apply_g,
     apply_g_tilde,
     apply_j,
     apply_multiplier,
     config_from_dimensionless,
-    coupled_dn_flat_symbol,
     derive_params,
     dn_apply,
-    dn_mix_flat_symbol,
     e_coeff,
     e_quadratic_form,
     flux,
@@ -34,14 +30,19 @@ from twofluid import (
     inner,
     invert_g_tilde,
     invert_j,
-    j_flat_symbol,
     norm_hdot_mu,
     transmission_solve,
 )
 from twofluid import operators, strip
 from twofluid.spectral import deriv
 from twofluid.strip import _deflate
-from conftest import make_state, shear_form_matrix, smooth_field
+from conftest import (apply_e, flat_coupled_symbol, flat_symbols, make_state, shear_form_matrix,
+                      smooth_field)
+
+
+def apply_g(state, psi):
+    """𝒢ψ = (1/H̄⁺)G⁺J⁻¹ψ, the flux of the transmission problem."""
+    return operators._couple(state, psi)[1]
 
 
 def test_state_depth_guard(grid64):
@@ -243,7 +244,7 @@ def test_apply_j_flat_multiplier(grid64):
     p = st.params
     for k in (1, 3):
         u = np.cos(k * grid64.nodes)
-        expected = float(j_flat_symbol(p, np.array([float(k)]))[0]) * u
+        expected = float(flat_symbols(p).j_symbol(0.0, float(k))) * u
         out = apply_j(st, u)
         assert np.max(np.abs(out - expected)) < 2e-5
 
@@ -262,7 +263,7 @@ def test_invert_j_flat_closed_form(grid64):
     p = st.params
     k = 2
     psi = np.cos(k * grid64.nodes)
-    expected = psi / float(j_flat_symbol(p, np.array([float(k)]))[0])
+    expected = psi / float(flat_symbols(p).j_symbol(0.0, float(k)))
     assert np.max(np.abs(invert_j(st, psi) - expected)) < 2e-5
 
 
@@ -281,7 +282,7 @@ def test_apply_g_flat_multiplier(grid64):
     p = st.params
     for k in (1, 4):
         psi = np.sin(k * grid64.nodes)
-        expected = float(coupled_dn_flat_symbol(p, np.array([float(k)]))[0]) * psi
+        expected = flat_coupled_symbol(p, float(k)) * psi
         out = apply_g(st, psi)
         assert np.max(np.abs(out - expected)) < 5e-5
 
@@ -351,7 +352,7 @@ def test_transmission_flat_traces(grid64):
     p = st.params
     tr = transmission_solve(st)
     k = 2.0
-    j0 = float(j_flat_symbol(p, np.array([k]))[0])
+    j0 = float(flat_symbols(p).j_symbol(0.0, k))
     smu_p = math.sqrt(p.mu_plus)
     w_expected = (
         (1.0 / p.hbar_plus) * smu_p * k * math.tanh(smu_p * k) / j0
@@ -384,7 +385,7 @@ def test_g_tilde_flat_symbol_and_positivity(grid64, rng):
     p = st.params
     k = 3.0
     u = np.sin(3 * grid64.nodes)
-    expected = float(dn_mix_flat_symbol(p, np.array([k]))[0]) * u
+    expected = float(flat_symbols(p).mix_symbol(0.0, k)) * u
     assert np.max(np.abs(apply_g_tilde(st, u) - expected)) < 5e-5
     st2 = make_state(grid64, smooth_field(rng, grid64, 3, 0.8), np.zeros(64))
     for _ in range(5):
@@ -438,7 +439,7 @@ def test_apply_e_flat_diagonal(grid64):
     p = st.params
     k = 2.0
     v = np.cos(2 * grid64.nodes)
-    expected = (k**2 / float(dn_mix_flat_symbol(p, np.array([k]))[0])) * v
+    expected = (k**2 / float(flat_symbols(p).mix_symbol(0.0, k))) * v
     assert np.max(np.abs(apply_e(st, v) - expected)) < 1e-4
 
 

@@ -8,12 +8,9 @@ from twofluid import (
     PhysicalConfig,
     PRESETS,
     Verdict,
-    bond_number,
     config_from_dimensionless,
     derive_params,
     practical_verdict,
-    shear_scale,
-    sigma_for_upsilon,
     upsilon,
 )
 
@@ -134,59 +131,43 @@ def test_upsilon_homogeneous_in_density_scale():
 
 
 def test_sigma_inference_grue():
-    sigma = sigma_for_upsilon(PRESETS["grue"].with_amplitude(0.2), 1.0)
+    # Υ ∝ 1/σ, so σ·Υ(σ) is the surface tension that gives Υ = 1
+    cfg = PRESETS["grue"].with_amplitude(0.2)
+    sigma = cfg.surface_tension * upsilon(cfg)
     assert sigma == pytest.approx(0.095, abs=0.001)
 
 
 def test_sigma_upsilon_round_trip(rng):
+    # Υ ∝ 1/σ: the surface tension Υ(σ = 1)/target gives the target
     cfg = PRESETS["koop_butler"]
     for target in 10.0 ** rng.uniform(-6, 2, size=10):
-        sigma = sigma_for_upsilon(cfg, target)
+        sigma = upsilon(cfg.with_surface_tension(1.0)) / target
         assert upsilon(cfg.with_surface_tension(sigma)) == pytest.approx(
             target, rel=1e-12
         )
-    assert sigma_for_upsilon(cfg, upsilon(cfg)) == pytest.approx(
+    assert upsilon(cfg.with_surface_tension(1.0)) / upsilon(cfg) == pytest.approx(
         cfg.surface_tension, rel=1e-12
     )
 
 
-def test_sigma_for_upsilon_monotone():
-    cfg = PRESETS["grue"]
-    assert sigma_for_upsilon(cfg, 100.0) < sigma_for_upsilon(cfg, 1.0)
-    with pytest.raises(InvalidConfigError):
-        sigma_for_upsilon(cfg, 0.0)
-
-
-@pytest.mark.parametrize("case", ["no upper fluid", "zero amplitude", "infinite target"])
-def test_sigma_for_upsilon_rejects_unreachable_targets(case):
-    # each used to return sigma = 0, on which the documented round trip
-    # upsilon(cfg.with_surface_tension(sigma)) raises
-    cfg = PRESETS["koop_butler"]
-    target = 1.0
-    if case == "no upper fluid":
-        cfg = PhysicalConfig(1000.0, 0.0, 1.0, 1.0, 0.1, 10.0, 0.07)
-    elif case == "zero amplitude":
-        cfg = cfg.with_amplitude(0.0)
-    else:
-        target = math.inf
-    with pytest.raises(InvalidConfigError):
-        sigma_for_upsilon(cfg, target)
-
-
 def test_bond_air_water_long_wave():
-    assert bond_number(PRESETS["air_water_long"]) == pytest.approx(1.7e8, rel=0.1)
+    assert derive_params(PRESETS["air_water_long"]).bond == pytest.approx(1.7e8, rel=0.1)
 
 
 def test_bond_scalings():
     cfg = PRESETS["grue"]
-    base = bond_number(cfg)
-    assert bond_number(cfg.with_surface_tension(2 * cfg.surface_tension)) == pytest.approx(
-        base / 2, rel=1e-12
-    )
-    assert bond_number(cfg.with_surface_tension(0.0)) == math.inf
+    base = derive_params(cfg).bond
+    assert derive_params(cfg.with_surface_tension(2 * cfg.surface_tension)).bond == (
+        pytest.approx(base / 2, rel=1e-12))
+    assert derive_params(cfg.with_surface_tension(0.0)).bond == math.inf
 
 
 def test_shear_scale():
+    # the typical velocity jump (a/H)·√(g'H) of the criteria's dimensional form
+    def shear_scale(cfg):
+        p = derive_params(cfg)
+        return p.eps * p.wave_speed
+
     cfg = PRESETS["grue"].with_amplitude(0.2)
     p = derive_params(cfg)
     expected = (0.2 / p.h_eff) * math.sqrt(p.g_reduced * p.h_eff)
@@ -198,9 +179,11 @@ def test_shear_scale():
 
 
 def test_practical_verdict_bands():
+    assert practical_verdict(0.0) is Verdict.STABLE
     assert practical_verdict(4e-4) is Verdict.STABLE
     assert practical_verdict(0.27) is Verdict.CRITICAL
     assert practical_verdict(100.0) is Verdict.UNSTABLE
+    assert practical_verdict(math.inf) is Verdict.UNSTABLE
 
 
 def test_config_from_dimensionless_round_trip(rng):

@@ -12,8 +12,7 @@ from twofluid import (
     apply_symbol,
     dealias_mask,
     deriv,
-    l2_norm,
-    norm_h1_sigma,
+    inner,
     norm_hdot_mu,
     norm_sobolev,
     truncate,
@@ -109,7 +108,8 @@ def test_symbol_deterministic(grid64, rng):
 
 def test_parseval(grid64, rng):
     u = smooth_field(rng, grid64)
-    assert norm_sobolev(grid64, u, 0.0) == pytest.approx(l2_norm(grid64, u), rel=1e-12)
+    assert norm_sobolev(grid64, u, 0.0) == pytest.approx(math.sqrt(inner(grid64, u, u)),
+                                                         rel=1e-12)
 
 
 def test_sobolev_single_mode_ratio(grid64):
@@ -129,17 +129,9 @@ def test_hdot_mu_norm(grid64):
     v1 = norm_hdot_mu(grid64, u, 0.0, 0.1)
     v2 = norm_hdot_mu(grid64, u, 0.0, 0.9)
     assert v2 <= v1
-
-
-def test_h1_sigma_norm(grid64):
-    u = np.cos(3 * grid64.nodes)
-    bond = 50.0
-    val = norm_h1_sigma(grid64, u, bond)
-    assert val**2 == pytest.approx((1 + 9 / bond) * grid64.length / 2, rel=1e-12)
-    assert norm_h1_sigma(grid64, u, math.inf) == pytest.approx(
-        l2_norm(grid64, u), rel=1e-12
-    )
-    assert norm_h1_sigma(grid64, np.zeros(64), bond) == 0.0
+    for mu in (-1.0, -math.inf):
+        with pytest.raises(InvalidConfigError):
+            norm_hdot_mu(grid64, u, 0.0, mu)
 
 
 def test_truncate_rejects_a_mask_that_is_not_even(grid64, rng):

@@ -12,15 +12,16 @@ from twofluid import (
     NumericalError,
     PeriodicGrid,
     StripOperator,
-    apply_g,
+    apply_multiplier,
     config_from_dimensionless,
     derive_params,
     dn_apply,
-    dn_flat,
     inner,
+    invert_j,
 )
 from twofluid import strip
 from twofluid.spectral import deriv
+from twofluid.strip import flat_symbol
 from conftest import smooth_field
 
 
@@ -190,16 +191,19 @@ def test_dn_flat_matches_multiplier(grid64):
     g = dn_apply(d, psi)
     exact = math.tanh(1.0) * np.cos(grid64.nodes)
     assert np.linalg.norm(g - exact) / np.linalg.norm(exact) < 1e-6
-    assert np.allclose(dn_flat(grid64, mu, +1, psi), exact, atol=1e-12)
+    assert np.allclose(apply_multiplier(grid64, lambda k: flat_symbol(mu, k), psi), exact,
+                       atol=1e-12)
 
 
 def test_dn_flat_sign_and_small_mu(grid64):
     psi = np.cos(2 * grid64.nodes)
     mu = 1e-6
-    out = dn_flat(grid64, mu, -1, psi)
+    # G⁻ = −Op(flat_symbol) on the upper layer
+    out = apply_multiplier(grid64, lambda k: -flat_symbol(mu, k), psi)
     # tanh(y) ~ y: leading order -mu k^2 psi
     assert np.allclose(out, -mu * 4 * psi, rtol=1e-3)
-    assert np.allclose(dn_flat(grid64, 0.7, +1, np.ones(64)), 0.0, atol=1e-14)
+    assert np.allclose(apply_multiplier(grid64, lambda k: flat_symbol(0.7, k), np.ones(64)), 0.0,
+                       atol=1e-14)
 
 
 def test_dn_symmetry_sign_mean(grid64, rng):
@@ -303,7 +307,7 @@ def test_block_elimination_properties(seed, eps, mu, sign, n_z):
     p = derive_params(config_from_dimensionless(max(eps, 0.01), mu, 0.4, 1.0, 100.0))
     state = InterfaceState(grid=grid, zeta=zeta, psi=np.sin(grid.nodes), params=p, n_z=n_z)
     with pytest.raises(NumericalError):
-        apply_g(state, bad)
+        invert_j(state, bad)
 
 
 def test_dn_matrix_factors_each_eliminated_row_once(grid64, monkeypatch):

@@ -9,10 +9,8 @@ from twofluid import (
     TailSymbolSet,
     apply_symbol,
     config_from_dimensionless,
+    apply_multiplier,
     derive_params,
-    dn_flat,
-    dn_mix_flat_symbol,
-    j_flat_symbol,
     ratio_symbol_error,
     tail_error_report,
 )
@@ -88,24 +86,25 @@ def test_flat_symbol_equals_dn_flat(grid64, rng):
     psi = smooth_field(rng, grid64)
     for sign, mu_l in ((+1, p.mu_plus), (-1, p.mu_minus)):
         out = apply_symbol(grid64, lambda x, k: ts.s(x, k, sign), psi)
-        exact = sign * dn_flat(grid64, mu_l, sign, psi)
+        exact = apply_multiplier(grid64, lambda k: flat_symbol(mu_l, k), psi)
         assert np.max(np.abs(out - exact)) < 1e-12
 
 
 def test_tail_symbols_of_a_flat_interface_are_the_flat_multipliers(grid64):
-    # one source: at zeta = 0 the composed tail symbols equal the flat
-    # multipliers on every grid wavenumber, including xi = 0, where both take
-    # the gauged value (J.1 = rhobar_plus, the ratios 0); the xi -> 0 limit of
-    # J would be 1.2 here
+    # the one source of flat multipliers: at zeta = 0 the composed tail
+    # symbols equal their closed forms in the flat layer symbols s± on every
+    # grid wavenumber, including xi = 0, where J takes the gauged value
+    # J.1 = rhobar_plus and the ratios 0; the xi -> 0 limit of J would be 1.2 here
     ts, p = make_symbols(grid64, np.zeros(64))
     x, k = grid64.nodes[:, None], grid64.wavenumbers
-    j = j_flat_symbol(p, k)
-    assert k[0] == 0.0 and j[0] == p.rhobar_plus == 0.6
     sp, sm = flat_symbol(p.mu_plus, k), flat_symbol(p.mu_minus, k)
     ratio = np.divide(sp, sm, out=np.zeros(64), where=k != 0.0)
+    j = p.rhobar_plus + p.rhobar_minus * (p.hbar_minus / p.hbar_plus) * ratio
+    mix = sp * (p.rhobar_minus / p.hbar_plus) + sm * (p.rhobar_plus / p.hbar_minus)
+    assert k[0] == 0.0 and j[0] == p.rhobar_plus == 0.6
     for got, want in (
         (ts.j_symbol(x, k), j),
-        (ts.mix_symbol(x, k), dn_mix_flat_symbol(p, k)),
+        (ts.mix_symbol(x, k), mix),
         (ts.dn_ratio_symbol(x, k), -ratio),
         (ts.coupled_ratio_symbol(x, k), -ratio / (p.hbar_plus * j)),
     ):
