@@ -30,7 +30,7 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidConfigError, NumericalError
-from .params import _check_real
+from .params import _check_count, _check_real
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,8 +55,9 @@ class PeriodicGrid:
     ik: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 8 or self.n % 2 != 0:
-            raise InvalidConfigError(f"grid size must be even and >= 8, got {self.n}")
+        _check_count("grid size", self.n, 8)
+        if self.n % 2 != 0:
+            raise InvalidConfigError(f"grid size must be even, got {self.n}")
         if not 0.0 < self.length < math.inf:
             raise InvalidConfigError(f"grid length must be positive and finite, got {self.length}")
         k0 = TWO_PI / self.length
@@ -194,12 +195,22 @@ def _spectral_weighted_norm(grid: PeriodicGrid, u: np.ndarray, weight: np.ndarra
     return math.sqrt(w * float(np.sum(weight * np.abs(uh) ** 2)))
 
 
+def _sobolev_weight(grid: PeriodicGrid, s: float, factor=1.0) -> np.ndarray:
+    """factor·(1+ξ²)^s on the grid's wavenumbers; InvalidConfigError unless
+    s is finite and the weight is finite on every wavenumber."""
+    _check_real("Sobolev order s", s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = factor * (1.0 + grid.wavenumbers**2) ** s
+    if not np.isfinite(weight).all():
+        raise InvalidConfigError(f"Sobolev order s = {s} overflows the weight on {grid.n} points")
+    return weight
+
+
 def norm_sobolev(grid: PeriodicGrid, u: np.ndarray, s: float) -> float:
     """Sobolev norm |u|_{H^s} = |(1+ξ²)^{s/2} û|, trapezoidal weighting; the
-    order s must be finite."""
-    _check_real("Sobolev order s", s)
-    k = grid.wavenumbers
-    return _spectral_weighted_norm(grid, u, (1.0 + k**2) ** s)
+    order s must be finite, and small enough that (1+ξ²)^s is finite on the
+    grid."""
+    return _spectral_weighted_norm(grid, u, _sobolev_weight(grid, s))
 
 
 def _p2(xi, mu: float) -> np.ndarray:
@@ -214,16 +225,17 @@ def norm_hdot_mu(grid: PeriodicGrid, u: np.ndarray, s: float, mu: float) -> floa
 
     Constants map to zero; the per-mode weight |ξ|/(1+√μ|ξ|)^{1/2} is the
     nonhomogeneous order-1/2 multiplier used throughout the operator bounds.
-    s must be finite and μ finite and >= 0.
+    s must be finite, and small enough that the weight is finite on the
+    grid, and μ finite and >= 0.
     """
-    _check_real("Sobolev order s", s)
     _check_real("mu", mu, 0.0)
-    k = grid.wavenumbers
-    return _spectral_weighted_norm(grid, u, _p2(k, mu) * (1.0 + k**2) ** s)
+    return _spectral_weighted_norm(grid, u, _sobolev_weight(grid, s, _p2(grid.wavenumbers, mu)))
 
 
 def fourier_interpolate(grid: PeriodicGrid, u: np.ndarray, n_fine: int) -> np.ndarray:
-    """Trigonometric interpolation onto a finer grid (exact for band-limited u)."""
+    """Trigonometric interpolation onto a finer grid (exact for band-limited u);
+    n_fine must be an integer multiple of grid.n."""
+    _check_count("fine grid size", n_fine, grid.n)
     if n_fine % grid.n != 0:
         raise InvalidConfigError("fine grid size must be a multiple of the coarse one")
     uh = np.fft.fft(np.asarray(u, dtype=float))

@@ -1,7 +1,9 @@
 """Public scalar entry points reject a value their domain excludes (NaN, ±∞,
 0 or −1): InvalidConfigError, or NumericalError for a non-finite array, and no
 RuntimeWarning.  Values rejected before these checks (a wavenumber ≤ 0, μ < 0,
-the c_flat cases of test_stability, γ outside [0, 1]) are tested by module."""
+the c_flat cases of test_stability, γ outside [0, 1]) are tested by module.
+A finite Sobolev order whose weight (1 + ξ²)^s overflows on the grid is
+outside the domain too, as is a grid size that is not an integer."""
 
 import math
 import warnings
@@ -12,6 +14,7 @@ import pytest
 from twofluid import (InvalidConfigError, NumericalError, PeriodicGrid, ShearConfig, c_flat,
                       cfl_cap, config_from_dimensionless, criteria_from_scalars, derive_params,
                       mode_growth, modewise_margin, norm_hdot_mu, norm_sobolev, practical_verdict)
+from twofluid.spectral import fourier_interpolate
 
 GRID = PeriodicGrid(16)
 PARAMS = derive_params(config_from_dimensionless(0.3, 0.5, 0.4, 1.5, 100.0))
@@ -42,14 +45,17 @@ def c_flat_with(i, value):
 
 ROWS = {
     "practical_verdict-ups": (practical_verdict, (math.nan, -math.inf, -1.0)),
-    "norm_sobolev-s": (lambda v: norm_sobolev(GRID, field(), v), NOT_FINITE),
+    "norm_sobolev-s": (lambda v: norm_sobolev(GRID, field(), v), NOT_FINITE + (1e3,)),
     "norm_sobolev-u[3]": (lambda v: norm_sobolev(GRID, field(v), 1.0), NOT_FINITE, NumericalError),
-    "norm_hdot_mu-s": (lambda v: norm_hdot_mu(GRID, field(), v, 0.5), NOT_FINITE),
+    "norm_hdot_mu-s": (lambda v: norm_hdot_mu(GRID, field(), v, 0.5), NOT_FINITE + (1e3,)),
     "norm_hdot_mu-mu": (lambda v: norm_hdot_mu(GRID, field(), 0.0, v), (math.nan, math.inf)),
     "norm_hdot_mu-u[3]": (lambda v: norm_hdot_mu(GRID, field(v), 0.0, 0.5), NOT_FINITE,
                           NumericalError),
     "mode_growth-k": (lambda v: mode_growth(v, SHEAR), (math.nan, math.inf)),
     "mode_growth-k[1]": (lambda v: mode_growth(np.array([1.0, v]), SHEAR), (math.nan,)),
+    "fourier_interpolate-n_fine": (lambda v: fourier_interpolate(GRID, field(), v),
+                                   (0, -16, 32.0)),
+    "PeriodicGrid-n": (PeriodicGrid, (16.0,)),
     "cfl_cap-n_points": (lambda v: cfl_cap(PARAMS, v), (0, 1, -1, 16.0, math.nan, True)),
     "cfl_cap-length": (lambda v: cfl_cap(PARAMS, 16, v), (*NOT_FINITE, 0.0, -1.0)),
     **{f"criteria_from_scalars-{name}": (lambda v, name=name: criteria(**{name: v}),

@@ -240,6 +240,41 @@ def test_compare_with_full_is_first_order_in_mu():
     assert 0.75 <= table.fitted_exponent() <= 1.25
 
 
+def test_compare_with_full_runs_the_shallow_model_once_per_call(monkeypatch):
+    # one Richardson reference (two refined runs) serves every μ of the list
+    calls = []
+
+    def counted(config, initial):
+        calls.append(initial.grid.n)
+        return run_swsw(config, initial)
+
+    monkeypatch.setattr(swsw, "run_swsw", counted)
+    grid = PeriodicGrid(16)
+    zeta0 = np.cos(grid.nodes)
+    v0 = 0.5 * np.cos(grid.nodes + 0.4)
+    table = compare_with_full(grid, zeta0, v0, eps=0.1, mu_list=[0.05, 0.1, 0.2],
+                              t_end=0.05, n_z=8)
+    assert len(table.rows) == 3
+    assert sorted(calls) == [8 * 16, 16 * 16]
+    calls.clear()
+    assert compare_with_full(grid, zeta0, v0, eps=0.1, mu_list=[], t_end=0.05).rows == []
+    assert calls == []
+
+
+def test_shallow_endpoint_does_not_depend_on_mu_or_bond():
+    # the property the sharing above rests on: parameter sets that differ
+    # only in μ and Bo give the bitwise same reference
+    grid = PeriodicGrid(16)
+    zeta0 = np.cos(grid.nodes) + 0.3 * np.sin(2 * grid.nodes)
+    v0 = 0.5 * np.cos(grid.nodes + 0.4)
+    ends = [swsw._sw_endpoint(grid, zeta0, v0, derive_params(config_from_dimensionless(
+                eps=0.3, mu=mu, rhobar_minus=0.3, depth_ratio=1.5, bond=bond)), 0.1)
+            for mu, bond in ((0.05, 2e4), (0.2, math.inf))]
+    assert ends[0] is not None
+    for a, b in zip(*ends):
+        assert np.array_equal(a, b)
+
+
 def test_compare_with_full_rejects_mean_current():
     # ψ = ∫v0 drops a mean of v0 that the shallow-water side keeps: without
     # the check, a mean of 0.05 turned the discrepancies of the test above
