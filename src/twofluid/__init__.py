@@ -22,12 +22,12 @@ from .spectral import (
     antideriv,
     apply_multiplier,
     apply_symbol,
+    dealias,
     dealias_mask,
     deriv,
     inner,
     norm_hdot_mu,
     norm_sobolev,
-    truncate,
 )
 from .strip import (
     StripOperator,

@@ -11,20 +11,22 @@ state: one block elimination per layer and one gauged Cholesky solve with 𝒢̃
 (:mod:`twofluid.operators`), kept with the state, so that a recorded state
 and the first stage of the step leaving it share one solve.  These solves
 are direct, so a run has no solver tolerance to set.  Each RK4 stage builds
-one state and makes one :func:`rhs`, which is bitwise the projection of
+one state and makes one :func:`rhs`, which is bitwise the 2/3-rule
+projection (:func:`~twofluid.spectral.dealias`, Orszag's rule) of
 :func:`tendency` at :func:`~twofluid.operators.transmission_solve`; the
 solve and the tendency share the state's slope terms εμζₓ and 1 + ε²μζₓ²,
-computed once per state.  A run takes classical RK4 steps of the
-conservative CFL cap and applies the 2/3-rule projection to every
-right-hand side, a fixed projection that keeps the integrated system a
-well-defined ODE (fourth-order convergence, exact mass conservation).  RK4
-is fourth order but not energy-conserving: on a linear mode of frequency ω
-it scales the quadratic invariant by |R(iωΔt)|² = 1 − (ωΔt)⁶/72 +
-(ωΔt)⁸/576 per step.
+computed once per state.  The projection is fixed, not an option: the full
+system is Kelvin–Helmholtz ill-posed at high frequencies, and the projected
+one is a well-defined ODE (fourth-order convergence, exact mass
+conservation).  :func:`tendency` stays unprojected, for the criteria of
+:mod:`twofluid.stability`.  A run takes classical RK4 steps of the
+conservative CFL cap.  RK4 is fourth order but not energy-conserving: on a
+linear mode of frequency ω it scales the quadratic invariant by
+|R(iωΔt)|² = 1 − (ωΔt)⁶/72 + (ωΔt)⁸/576 per step.
 
 Breakdown (vanishing layer depth, a failed residual check or NaN) is a
 first-class outcome: shear-unstable runs are expected to end this way and
-the series reports the breakdown time together with a spectral-tail diagnostic.
+the series reports the breakdown time and the error that ended the run.
 The stability criteria along a run are evaluated on its snapshots by
 :func:`twofluid.stability.monitor_criterion`; this module does not import
 :mod:`twofluid.stability`, which imports :func:`tendency` from it.
@@ -42,7 +44,7 @@ import numpy as np
 from .errors import InvalidConfigError, NumericalError, TwoFluidError
 from .operators import InterfaceState, TraceBundle, transmission_solve
 from .params import DimensionlessParams, _check_count, _check_real
-from .spectral import PeriodicGrid, _all_finite, _read_only, dealias_mask, deriv, truncate
+from .spectral import _all_finite, _read_only, dealias, deriv
 
 
 def cfl_cap(params: DimensionlessParams, n_points: int, length: float = 2 * math.pi) -> float:
@@ -75,7 +77,10 @@ class EvolutionConfig:
 
 @dataclass
 class TimeSeries:
-    """Snapshots and diagnostics of one run."""
+    """Snapshots of one run: times, states (within the 2/3-rule band), their
+    trace bundles and one diagnostics row each (time, mass, sup|ζ| and
+    sup|⟦V⟧|).  ``breakdown`` holds the time and reason of the error that
+    ended the run, or None."""
 
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
@@ -130,21 +135,22 @@ def _traces(state: InterfaceState) -> TraceBundle:
     return cache["_traces"]
 
 
-def rhs(state: InterfaceState, mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Right-hand side ∂t(ζ, ψ) of the evolution system as one (2, N) array,
-    projected by mask."""
-    out = tendency(state, _traces(state))
-    if mask is not None:
-        out = truncate(state.grid, out, mask)
+def rhs(state: InterfaceState) -> np.ndarray:
+    """Right-hand side ∂t(ζ, ψ) of the integrated system as one (2, N) array:
+    the 2/3-rule projection (:func:`~twofluid.spectral.dealias`) of
+    :func:`tendency` at the state's own trace bundle."""
+    out = dealias(state.grid, tendency(state, _traces(state)))
     if not _all_finite(out):
         raise NumericalError("non-finite right-hand side")
     return out
 
 
-def rk4_step(
-    state: InterfaceState, dt: float, mask: Optional[np.ndarray] = None
-) -> InterfaceState:
-    """One classical four-stage step on y = (ζ, ψ)."""
+def rk4_step(state: InterfaceState, dt: float) -> InterfaceState:
+    """One classical four-stage step of the projected system on y = (ζ, ψ),
+    each stage a :func:`rhs`, so a state inside the 2/3-rule band steps to
+    one inside it.  dt must be finite (InvalidConfigError otherwise); a
+    negative dt is a backward step."""
+    _check_real("time step", dt)
     y = np.array([state.zeta, state.psi])
     half = 0.5 * dt
 
@@ -153,26 +159,17 @@ def rk4_step(
         z = _read_only(k * h + y)
         return state.replace_fields(z[0], z[1])
 
-    k1 = rhs(state, mask)
-    k2 = rhs(stage(k1, half), mask)
-    k3 = rhs(stage(k2, half), mask)
-    k4 = rhs(stage(k3, dt), mask)
+    k1 = rhs(state)
+    k2 = rhs(stage(k1, half))
+    k3 = rhs(stage(k2, half))
+    k4 = rhs(stage(k3, dt))
     # a non-finite field raises NumericalError in the state's constructor
     return stage(k1 + k2 * 2 + k3 * 2 + k4, dt / 6.0)
 
 
-def _tail_fraction(grid: PeriodicGrid, u: np.ndarray) -> float:
-    """Share of the energy of u off the mean that lies in the modes the 2/3
-    rule removes."""
-    uh = np.abs(np.fft.fft(u)) ** 2
-    total = float(np.sum(uh[1:])) or 1.0
-    return float(np.sum(uh[~dealias_mask(grid)])) / total
-
-
 def _record(series: TimeSeries, t: float, state: InterfaceState):
-    grid = state.grid
     traces = _traces(state)
-    mass = float(np.mean(state.zeta)) * grid.length
+    mass = float(np.mean(state.zeta)) * state.grid.length
     jump = traces.jump_v()
     series.times.append(t)
     # the same read-only fields, without the stepping state's layers, 𝒢̃ and traces
@@ -184,21 +181,21 @@ def _record(series: TimeSeries, t: float, state: InterfaceState):
             "mass": mass,
             "zeta_sup": float(np.max(np.abs(state.zeta))),
             "jump_sup": float(np.max(np.abs(jump))),
-            "tail_fraction": _tail_fraction(grid, state.zeta),
         }
     )
 
 
 def run(config: EvolutionConfig, initial: InterfaceState) -> TimeSeries:
     """Integrate until t_end or breakdown in steps of :func:`cfl_cap` (the
-    last one shorter), recording snapshots at the cadence.  The 2/3-rule
-    projection applies to the initial data and to every right-hand side.  A
+    last one shorter), recording snapshots at the cadence.  The initial data
+    are projected onto the 2/3-rule band (:func:`~twofluid.spectral.dealias`)
+    and every right-hand side is projected, so every state stays in it.  A
     recorded state's transmission solve serves its snapshot and the first
-    stage of the step that leaves it."""
+    stage of the step that leaves it.  An error of the package ends the run
+    as a recorded breakdown."""
     grid = initial.grid
     dt = cfl_cap(initial.params, grid.n, grid.length)
-    mask = dealias_mask(grid)
-    state = initial.replace_fields(*truncate(grid, np.array([initial.zeta, initial.psi]), mask))
+    state = initial.replace_fields(*dealias(grid, np.array([initial.zeta, initial.psi])))
     series = TimeSeries()
     n_steps = int(math.ceil(config.t_end / dt - 1e-12))
     t = 0.0
@@ -206,16 +203,10 @@ def run(config: EvolutionConfig, initial: InterfaceState) -> TimeSeries:
         _record(series, t, state)
         for step in range(1, n_steps + 1):
             step_dt = min(dt, config.t_end - t)
-            state = rk4_step(state, step_dt, mask)
+            state = rk4_step(state, step_dt)
             t += step_dt
             if step % config.snapshot_every == 0 or step == n_steps:
                 _record(series, t, state)
     except TwoFluidError as exc:
-        series.breakdown = {
-            "time": t,
-            "reason": f"{type(exc).__name__}: {exc}",
-            "tail_fraction": (
-                series.diagnostics[-1]["tail_fraction"] if series.diagnostics else None
-            ),
-        }
+        series.breakdown = {"time": t, "reason": f"{type(exc).__name__}: {exc}"}
     return series

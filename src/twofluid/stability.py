@@ -172,7 +172,6 @@ class StabilityInputs:
     """Everything the criteria need about one instant of a configuration."""
 
     state: InterfaceState
-    traces: TraceBundle
     jump_v: np.ndarray
     djump_v_x: np.ndarray
     djump_v_t: np.ndarray
@@ -185,15 +184,16 @@ def stability_inputs(state: InterfaceState, traces: TraceBundle) -> StabilityInp
 
     ∂t is the derivative along the state's tendency with no dealiasing
     (:func:`~twofluid.evolution.tendency`): the criterion is a property of
-    the state, not of the projection a run applies.  The rates of w± and V±
-    are the tangent of the transmission map, which reuses the state's DN
-    matrices and 𝒢̃ factor (:func:`~twofluid.operators.transmission_tangent`).
+    the state, not of the 2/3-rule projection that
+    :func:`~twofluid.evolution.rhs` applies.  The rates of w± and V± are the
+    tangent of the transmission map, which reuses the state's DN matrices
+    and 𝒢̃ factor (:func:`~twofluid.operators.transmission_tangent`).
     """
     grid = state.grid
     rates = transmission_tangent(state, traces, *tendency(state, traces))
     jump = traces.jump_v()
     return StabilityInputs(
-        state=state, traces=traces, jump_v=jump, djump_v_x=deriv(grid, jump),
+        state=state, jump_v=jump, djump_v_x=deriv(grid, jump),
         djump_v_t=rates.jump_v(), a_values=a_field(grid, state.params, traces, rates),
     )
 

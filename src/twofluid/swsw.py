@@ -41,7 +41,7 @@ import numpy as np
 from .errors import InvalidConfigError, NumericalError
 from .evolution import EvolutionConfig, run
 from .operators import InterfaceState
-from .params import DimensionlessParams, config_from_dimensionless, derive_params
+from .params import DimensionlessParams, _check_real, config_from_dimensionless, derive_params
 from .spectral import PeriodicGrid, _cached, _read_only, antideriv, deriv, fourier_interpolate
 from .strip import _check_range, _grid_field
 
@@ -125,7 +125,9 @@ def max_wave_speed(state: SWState) -> float:
 
 
 def fv_step(state: SWState, dt: float) -> SWState:
-    """One Rusanov step; conservative in ζ to rounding."""
+    """One Rusanov step; conservative in ζ to rounding.  dt must be finite,
+    >= 0 and within the CFL restriction (InvalidConfigError otherwise)."""
+    _check_real("time step", dt, 0.0)
     grid = state.grid
     dx = grid.dx
     if dt > 0.5 * dx / max(state._max_speed, 1e-300) * (1.0 + 1e-9):

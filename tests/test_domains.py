@@ -3,7 +3,9 @@
 RuntimeWarning.  Values rejected before these checks (a wavenumber ≤ 0, μ < 0,
 the c_flat cases of test_stability, γ outside [0, 1]) are tested by module.
 A finite Sobolev order whose weight (1 + ξ²)^s overflows on the grid is
-outside the domain too, as is a grid size that is not an integer."""
+outside the domain too, as is a grid size that is not an integer, and a time
+step that is not finite (or, for the Rusanov step, negative).  A finite field
+is inside the domain however large its entries."""
 
 import math
 import warnings
@@ -11,9 +13,10 @@ import warnings
 import numpy as np
 import pytest
 
-from twofluid import (InvalidConfigError, NumericalError, PeriodicGrid, ShearConfig, c_flat,
-                      cfl_cap, config_from_dimensionless, criteria_from_scalars, derive_params,
-                      mode_growth, modewise_margin, norm_hdot_mu, norm_sobolev, practical_verdict)
+from twofluid import (InterfaceState, InvalidConfigError, NumericalError, PeriodicGrid,
+                      ShearConfig, SWState, c_flat, cfl_cap, config_from_dimensionless,
+                      criteria_from_scalars, derive_params, fv_step, mode_growth,
+                      modewise_margin, norm_hdot_mu, norm_sobolev, practical_verdict, rk4_step)
 from twofluid.spectral import fourier_interpolate
 
 GRID = PeriodicGrid(16)
@@ -37,6 +40,17 @@ def margin(**bad):
     return modewise_margin(PARAMS, **scalars)
 
 
+def interface_state(psi=None):
+    psi = np.sin(GRID.nodes) if psi is None else psi
+    return InterfaceState(grid=GRID, zeta=0.3 * np.cos(GRID.nodes), psi=psi, params=PARAMS,
+                          n_z=8)
+
+
+def sw_state(v=None):
+    v = 0.1 * np.sin(GRID.nodes) if v is None else v
+    return SWState(GRID, 0.3 * np.cos(GRID.nodes), v=v, params=PARAMS)
+
+
 def c_flat_with(i, value):
     args = [0.6, 0.4, 1.0, 1.0]
     args[i] = value
@@ -56,6 +70,12 @@ ROWS = {
     "fourier_interpolate-n_fine": (lambda v: fourier_interpolate(GRID, field(), v),
                                    (0, -16, 32.0)),
     "PeriodicGrid-n": (PeriodicGrid, (16.0,)),
+    # a negative Rusanov step is anti-diffusive; a negative RK4 step is a
+    # backward step, inside the domain.  Both reject before any solve.
+    "fv_step-dt": (lambda v: fv_step(sw_state(), v), NOT_FINITE + (-0.01,)),
+    "rk4_step-dt": (lambda v: rk4_step(interface_state(), v), NOT_FINITE),
+    "InterfaceState-psi[3]": (lambda v: interface_state(field(v)), NOT_FINITE, NumericalError),
+    "SWState-v[3]": (lambda v: sw_state(field(v)), NOT_FINITE, NumericalError),
     "cfl_cap-n_points": (lambda v: cfl_cap(PARAMS, v), (0, 1, -1, 16.0, math.nan, True)),
     "cfl_cap-length": (lambda v: cfl_cap(PARAMS, 16, v), (*NOT_FINITE, 0.0, -1.0)),
     **{f"criteria_from_scalars-{name}": (lambda v, name=name: criteria(**{name: v}),
@@ -77,3 +97,13 @@ def test_entry_point_rejects_a_value_outside_its_domain(call, value, error):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(error):
             call(value)
+
+
+@pytest.mark.parametrize("value", [1e200, 1e300])
+@pytest.mark.parametrize("make", [interface_state, sw_state], ids=["InterfaceState-psi[3]",
+                                                                  "SWState-v[3]"])
+def test_a_finite_field_with_large_entries_is_accepted(make, value):
+    # the finiteness check squares the field, which overflows past 1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        make(field(value))

@@ -10,14 +10,14 @@ from twofluid import (
     antideriv,
     apply_multiplier,
     apply_symbol,
+    dealias,
     dealias_mask,
     deriv,
     inner,
     norm_hdot_mu,
     norm_sobolev,
-    truncate,
 )
-from twofluid.spectral import _gauge_constants
+from twofluid.spectral import _dealias_projector, _gauge_constants
 from twofluid.strip import _check_range
 from conftest import smooth_field
 
@@ -119,6 +119,20 @@ def test_sobolev_single_mode_ratio(grid64):
     assert norm_sobolev(grid64, np.zeros(64), 2.0) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_sobolev_norm_with_a_large_finite_weight():
+    # the Nyquist mode cos(8x) on 16 nodes has |u|_{H^s} = √(2π)·65^{s/2}; at
+    # s = 169 the weight 65^169 times |û|² = 256 overflows, although the
+    # norm, 3.893e153, is finite.  A norm past the largest float raises.
+    grid = PeriodicGrid(16)
+    u = np.cos(8 * grid.nodes)
+    for s in (100.0, 169.0):
+        exact = math.sqrt(2 * math.pi) * 65.0 ** (s / 2)
+        assert norm_sobolev(grid, u, s) == pytest.approx(exact, rel=1e-12)
+    with pytest.raises(NumericalError, match="overflows"):
+        norm_sobolev(grid, 1e160 * u, 169.0)
+
+
 def test_hdot_mu_norm(grid64):
     # constants vanish; single-mode value |xi|/(1+sqrt(mu)|xi|)^{1/2}
     assert norm_hdot_mu(grid64, np.ones(64), 0.0, 0.5) == 0.0
@@ -134,41 +148,22 @@ def test_hdot_mu_norm(grid64):
             norm_hdot_mu(grid64, u, 0.0, mu)
 
 
-def test_truncate_rejects_a_mask_that_is_not_even(grid64, rng):
-    mask = dealias_mask(grid64)
-    mask[3] = False
-    with pytest.raises(InvalidConfigError):
-        truncate(grid64, rng.standard_normal(64), mask)
-
-
-def test_truncate_rejects_a_malformed_mask(grid64, rng):
-    # an integer mask used to act as an index (all ones changed u by 0.2),
-    # a float one raised numpy's TypeError, a short one "not even"
-    u = rng.standard_normal(64)
-    for mask in (np.ones(64, int), np.ones(64), np.ones(32, bool), np.ones((2, 64), bool)):
-        with pytest.raises(InvalidConfigError, match="boolean array of shape"):
-            truncate(grid64, u, mask)
-
-
-def _truncate_fft(grid, u, mask):
-    """The real-FFT truncation: the oracle of the cached projector."""
+def _dealias_fft(grid, u):
+    """The real-FFT 2/3-rule projection: the oracle of the cached projector."""
     uh = np.fft.rfft(u, axis=-1)
-    uh[..., ~mask[: grid.n // 2 + 1]] = 0.0
+    uh[..., ~dealias_mask(grid)[: grid.n // 2 + 1]] = 0.0
     return np.fft.irfft(uh, n=grid.n, axis=-1)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
-def test_truncate_matches_the_real_fft(n, rng):
+def test_dealias_matches_the_real_fft(n, rng):
     grid = PeriodicGrid(n)
-    half = n // 2
-    keep = rng.random(half + 1) < 0.5
-    for mask in (dealias_mask(grid), np.concatenate([keep, keep[1:half][::-1]])):
-        for _ in range(100):
-            u = rng.standard_normal((2, n))
-            # measured at most 1.3e-15·‖u‖∞ on these draws (N = 128), 2.1e-15
-            # over four seeds
-            err = np.max(np.abs(truncate(grid, u, mask) - _truncate_fft(grid, u, mask)))
-            assert err <= 3e-15 * np.max(np.abs(u))
+    for _ in range(100):
+        u = rng.standard_normal((2, n))
+        # measured at most 1.2e-15·‖u‖∞ on these draws (N = 128), 1.6e-15
+        # over four seeds
+        err = np.max(np.abs(dealias(grid, u) - _dealias_fft(grid, u)))
+        assert err <= 3e-15 * np.max(np.abs(u))
 
 
 def test_deriv_is_in_the_range_of_a_dn_matrix(rng):
@@ -190,10 +185,18 @@ def test_deriv_is_in_the_range_of_a_dn_matrix(rng):
             assert np.max(np.abs(deriv(g, row) - d)) <= 1e-15 * terms
 
 
-def test_truncate_acts_on_each_row_of_a_stack(grid64, rng):
-    mask = dealias_mask(grid64)
+def test_dealias_acts_on_each_row_of_a_stack(grid64, rng):
     rows = np.array([smooth_field(rng, grid64, k_max=30), rng.standard_normal(64)])
-    stacked = truncate(grid64, rows, mask)
+    stacked = dealias(grid64, rows)
     assert stacked.shape == rows.shape
     for row, out in zip(rows, stacked):
-        assert np.array_equal(out, truncate(grid64, row, mask))
+        assert np.array_equal(out, dealias(grid64, row))
+
+
+def test_dealias_builds_one_projector_per_grid_value():
+    # a fresh grid of the same size and length reuses the projector, which
+    # is read-only; another length or size gets its own
+    p = _dealias_projector(PeriodicGrid(32))
+    assert _dealias_projector(PeriodicGrid(32)) is p and not p.flags.writeable
+    assert _dealias_projector(PeriodicGrid(32, length=4.0)) is not p
+    assert _dealias_projector(PeriodicGrid(16)).shape == (16, 16)

@@ -26,8 +26,8 @@ from twofluid import (
     inner,
     ins_form,
     modewise_margin,
-    rhs,
     stability_inputs,
+    tendency,
     transmission_solve,
 )
 from twofluid import strip
@@ -229,7 +229,7 @@ def test_one_state_rates_match_directional_difference(grid64, rbm, a_bound, jump
         st = make_state(grid64, zeta, psi, rbm=rbm, n_z=n_z)
         tr = transmission_solve(st)
         inputs = stability_inputs(st, tr)
-        dz, dp = rhs(st)
+        dz, dp = tendency(st, tr)
         plus, minus = (
             transmission_solve(st.replace_fields(zeta + s * delta * dz, psi + s * delta * dp))
             for s in (1.0, -1.0)
