@@ -138,8 +138,11 @@ def _traces(state: InterfaceState) -> TraceBundle:
 def rhs(state: InterfaceState) -> np.ndarray:
     """Right-hand side ∂t(ζ, ψ) of the integrated system as one (2, N) array:
     the 2/3-rule projection (:func:`~twofluid.spectral.dealias`) of
-    :func:`tendency` at the state's own trace bundle."""
-    out = dealias(state.grid, tendency(state, _traces(state)))
+    :func:`tendency` at the state's own trace bundle; NumericalError if it
+    is not finite, as when the squares of a finite state overflow."""
+    traces = _traces(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = dealias(state.grid, tendency(state, traces))
     if not _all_finite(out):
         raise NumericalError("non-finite right-hand side")
     return out

@@ -1,32 +1,34 @@
 """Periodic grid, Fourier multipliers, discrete quantization and norms.
 
-All fields live on a uniform periodic grid of N points over [0, L).  Fourier
-multipliers act diagonally on the FFT; a variable-coefficient symbol s(x, ξ)
-is applied through the direct quantization
+All fields live on a uniform periodic grid of N points over [0, L).  Every
+Fourier operator is a multiplier on the real FFT, valued by one rule,
+:func:`_multiplier_values`: on the wavenumbers 0…ξ_N, with the unpaired
+Nyquist bin the even part (m(ξ_N) + m(−ξ_N))/2, which zeroes it for odd
+(derivative-like) multipliers.  The real FFT reads a bin as the pair ±ξ, so
+a multiplier, and a symbol s(x, ξ) in ξ, must be Hermitian, m(−ξ) = conj m(ξ).
+:func:`apply_symbol` quantizes a symbol directly,
 
-    (Op(s) u)(x_j) = Re Σ_ξ e^{i x_j ξ} s(x_j, ξ) û(ξ) / N,
+    (Op(s) u)(x_j) = Σ_ξ e^{i x_j ξ} s(x_j, ξ) û(ξ) / N,
 
-an O(N²) sum that is exact (up to rounding) for x-independent symbols.  On an
-even grid the unpaired Nyquist mode is folded onto the even part of the
-symbol, which zeroes it for odd (derivative-like) multipliers.
+the value at x_j of the multiplier s(x_j, ·) applied to u, exact (up to
+rounding) for x-independent symbols.
 
-:func:`deriv` is the one x-derivative of the package: the product with the
-dense matrix Dᵀ of the real-FFT multiplier iξ (Nyquist zeroed) that the grid
-caches for the strip discretisation too, then with Π = :func:`_gauge_constants`,
-the package's one projector onto constants and the Nyquist mode, which D zeroes.
-
-:func:`dealias`, the 2/3-rule projection of every RK4 stage (Orszag,
-J. Atmos. Sci. 28, 1971), is likewise a product with an N×N matrix, built
-once per grid from the real FFT of the identity with the modes outside
-:func:`dealias_mask` zeroed.  It is ``np.einsum``'s product, which sums a
-row of a stack as it sums the row alone; BLAS does not.
+The dense matrices are the rule applied to the identity, once per grid.
+:func:`deriv` is the one x-derivative of the package: the product with Dᵀ,
+D the matrix of iξ, that the grid caches for the strip discretisation too,
+then with Π = :func:`_gauge_constants`, the package's one projector onto
+constants and the Nyquist mode, which D zeroes.  :func:`dealias`, the
+2/3-rule projection of every RK4 stage (Orszag, J. Atmos. Sci. 28, 1971), is
+the product with the matrix of the multiplier that keeps the modes of
+:func:`dealias_mask`: ``np.einsum``'s product, which sums a row of a stack
+as it sums the row alone; BLAS does not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.linalg.blas import ddot
@@ -53,8 +55,6 @@ class PeriodicGrid:
     length: float = TWO_PI
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
-    # real-FFT multiplier iξ of the x-derivative, zero on the unpaired Nyquist bin
-    ik: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_count("grid size", self.n, 8)
@@ -67,14 +67,11 @@ class PeriodicGrid:
         object.__setattr__(
             self, "wavenumbers", np.fft.fftfreq(self.n, d=1.0 / (self.n * k0))
         )
-        ik = 1j * np.fft.rfftfreq(self.n, d=1.0 / (self.n * k0))
-        ik[-1] = 0.0
-        object.__setattr__(self, "ik", ik)
 
     @_cached
     def deriv_matrix_t(self) -> np.ndarray:
         """Dᵀ, the transpose of the dense spectral derivative matrix (row j is D e_j)."""
-        return np.fft.irfft(self.ik * np.fft.rfft(np.eye(self.n)), n=self.n)
+        return apply_multiplier(self, lambda k: 1j * k, np.eye(self.n))
 
     @_cached
     def deriv_gram(self) -> np.ndarray:
@@ -94,29 +91,26 @@ class PeriodicGrid:
         return self.k_fundamental * (self.n // 2)
 
 
-def _multiplier_values(grid: PeriodicGrid, m, lead: tuple = ()) -> np.ndarray:
-    """Evaluate m on the signed wavenumbers, its last axis, broadcast to
-    lead + (N,), and fold the Nyquist bin onto the even part of m."""
-    inyq = grid.n // 2
-    k_nyq = grid.k_fundamental * inyq
-    mk = np.broadcast_to(np.asarray(m(grid.wavenumbers), dtype=complex), lead + (grid.n,)).copy()
-    pair = np.broadcast_to(np.asarray(m(np.array([k_nyq, -k_nyq])), dtype=complex), lead + (2,))
-    mk[..., inyq] = 0.5 * (pair[..., 0] + pair[..., 1])
-    if not np.all(np.isfinite(mk)):
+def _multiplier_values(grid: PeriodicGrid, m) -> np.ndarray:
+    """m on the real-FFT wavenumbers 0…ξ_N, its last axis, the Nyquist bin
+    the even part (m(ξ_N) + m(−ξ_N))/2; NumericalError unless finite."""
+    k = np.append(np.abs(grid.wavenumbers[: grid.n // 2 + 1]), grid.wavenumbers[grid.n // 2])
+    mk = np.asarray(m(k), dtype=complex)
+    mk = np.broadcast_to(mk, np.broadcast_shapes(mk.shape, k.shape))
+    out = mk[..., :-1].copy()
+    out[..., -1] = 0.5 * (mk[..., -2] + mk[..., -1])
+    if not np.all(np.isfinite(out)):
         raise NumericalError("multiplier is not finite on a grid wavenumber")
-    return mk
+    return out
 
 
 def apply_multiplier(grid: PeriodicGrid, m, u: np.ndarray) -> np.ndarray:
-    """Apply the Fourier multiplier m(ξ) to a real field.
-
-    ``m`` is a callable vectorized over the signed wavenumber array; values
-    may be complex provided they have Hermitian symmetry (e.g. iξ).  The
-    real part of the inverse transform is returned.
-    """
-    u = np.asarray(u, dtype=float)
+    """irfft(m·rfft u): the Fourier multiplier m(ξ) applied to a real field,
+    or to each row of a stack of fields.  ``m`` is a callable vectorized over
+    an array of wavenumbers, its last axis, and Hermitian, m(−ξ) = conj m(ξ)
+    (e.g. iξ); a stack of multipliers applies each to u."""
     mk = _multiplier_values(grid, m)
-    return np.fft.ifft(mk * np.fft.fft(u)).real
+    return np.fft.irfft(mk * np.fft.rfft(np.asarray(u, dtype=float)), n=grid.n)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -173,17 +167,14 @@ def antideriv(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
 
 
 def apply_symbol(grid: PeriodicGrid, s, u: np.ndarray) -> np.ndarray:
-    """Apply a variable-coefficient symbol s(x, ξ) by direct quantization.
-
-    ``s`` is a callable broadcasting over (x, ξ) arrays.  Cost is O(N²);
-    for x-independent symbols the result agrees with
-    :func:`apply_multiplier` to rounding.
-    """
-    u = np.asarray(u, dtype=float)
+    """Apply a variable-coefficient symbol s(x, ξ) by direct quantization:
+    entry j of the multiplier s(x_j, ·) applied to u, the diagonal of N
+    inverse real FFTs.  ``s`` is a callable broadcasting over (x, ξ) arrays,
+    Hermitian in ξ; for x-independent symbols the result agrees with
+    :func:`apply_multiplier` to rounding."""
     x = grid.nodes[:, None]
-    smat = _multiplier_values(grid, lambda k: s(x, k), lead=(grid.n,))
-    phases = np.exp(1j * np.outer(grid.nodes, grid.wavenumbers))
-    return ((smat * phases) @ np.fft.fft(u)).real / grid.n
+    rows = apply_multiplier(grid, lambda k: np.broadcast_to(s(x, k), (grid.n, k.size)), u)
+    return rows.diagonal().copy()
 
 
 def inner(grid: PeriodicGrid, u: np.ndarray, v: np.ndarray) -> float:
@@ -244,38 +235,34 @@ def norm_hdot_mu(grid: PeriodicGrid, u: np.ndarray, s: float, mu: float) -> floa
 
 
 def fourier_interpolate(grid: PeriodicGrid, u: np.ndarray, n_fine: int) -> np.ndarray:
-    """Trigonometric interpolation onto a finer grid (exact for band-limited u);
-    n_fine must be an integer multiple of grid.n."""
+    """The trigonometric interpolant of u on n_fine points, an integer
+    multiple of grid.n: the inverse real FFT to n_fine points of u's real FFT
+    with its Nyquist bin halved, which the fine grid reads as the pair ±ξ_N.
+    It is u on the coarse nodes, and exact for band-limited u."""
     _check_count("fine grid size", n_fine, grid.n)
     if n_fine % grid.n != 0:
         raise InvalidConfigError("fine grid size must be a multiple of the coarse one")
-    uh = np.fft.fft(np.asarray(u, dtype=float))
-    pad = np.zeros(n_fine, dtype=complex)
-    half = grid.n // 2
-    pad[:half] = uh[:half]
-    pad[-half:] = uh[-half:]
-    # split the unpaired Nyquist bin symmetrically
-    pad[half] = 0.5 * uh[half]
-    pad[n_fine - half] += 0.5 * uh[half]
-    return np.fft.ifft(pad).real * (n_fine / grid.n)
+    uh = np.fft.rfft(np.asarray(u, dtype=float))
+    uh[-1] *= 0.5
+    return np.fft.irfft(uh, n=n_fine) * (n_fine / grid.n)
+
+
+def _retained(grid: PeriodicGrid, k) -> np.ndarray:
+    """The 2/3 rule: True where |ξ| <= (2/3)·ξ_N."""
+    return np.abs(k) <= (2.0 / 3.0) * grid.k_max + 1e-12
 
 
 def dealias_mask(grid: PeriodicGrid) -> np.ndarray:
     """Boolean 2/3-rule mask over the signed wavenumbers."""
-    cutoff = (2.0 / 3.0) * grid.k_max
-    return np.abs(grid.wavenumbers) <= cutoff + 1e-12
+    return _retained(grid, grid.wavenumbers)
 
 
 @lru_cache(maxsize=16)
 def _dealias_projector(grid: PeriodicGrid) -> np.ndarray:
-    """Read-only N×N matrix P with u·P the 2/3-rule projection of u: row j
-    projects e_j by the real FFT, keeping the non-negative half of
-    :func:`dealias_mask`.  Cached by grid value, so a fresh grid of the same
-    size and length reuses it."""
-    keep = dealias_mask(grid)[: grid.n // 2 + 1]
-    uh = np.fft.rfft(np.eye(grid.n), axis=-1)
-    uh[:, ~keep] = 0.0
-    return _read_only(np.fft.irfft(uh, n=grid.n, axis=-1))
+    """Read-only N×N matrix P with u·P the 2/3-rule projection of u, the
+    multiplier of :func:`dealias_mask` applied to the identity.  Cached by grid
+    value, so a fresh grid of the same size and length reuses it."""
+    return _read_only(apply_multiplier(grid, partial(_retained, grid), np.eye(grid.n)))
 
 
 def dealias(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:

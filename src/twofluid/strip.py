@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsyrk, dtrsm
+from scipy.linalg.blas import dnrm2, dsyrk, dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import DegenerateGeometryError, IncompatibleDataError, NumericalError
@@ -132,9 +132,10 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
 
 
 def _check_residual(r: np.ndarray, b: np.ndarray, what: str) -> float:
-    """Relative residual ‖r‖/‖b‖; NumericalError above RESIDUAL_TOL or if not finite."""
-    r, b = r.ravel(), b.ravel()
-    nr, nb = math.sqrt(r.dot(r)), math.sqrt(b.dot(b))
+    """Relative residual ‖r‖/‖b‖; NumericalError above RESIDUAL_TOL or if not
+    finite.  BLAS dnrm2 scales as it sums, so neither norm overflows unless
+    it exceeds the largest float."""
+    nr, nb = dnrm2(r.ravel()), dnrm2(b.ravel())
     res = nr / nb if nb else nr
     if not res <= RESIDUAL_TOL:
         raise NumericalError(
@@ -271,16 +272,14 @@ class StripOperator:
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """Symmetric PSD operator A with v·Aφ = Σ_cells h ∇^μ v·P ∇^μ φ, on a
         field with rows from the wall to the interface."""
-        h, grid = self.h, self.grid
-        ik = grid.ik
-        uh = np.fft.rfft(phi, axis=-1)
-        phix = np.fft.irfft(ik * uh, n=grid.n, axis=-1)
+        h, dmat_t = self.h, self.grid.deriv_matrix_t
+        phix = phi.dot(dmat_t)
         px_half = 0.5 * (phix[:-1] + phix[1:])
         pz_half = (phi[1:] - phi[:-1]) * (1.0 / h)
         p12, p22 = self.p12, self.p22
         f1 = self.mu * self.p11 * px_half + self.smu * p12 * pz_half
         f2 = self.smu * p12 * px_half + p22 * pz_half
-        t = np.fft.irfft((-0.5 * h) * ik * np.fft.rfft(f1, axis=-1), n=grid.n, axis=-1)
+        t = (f1 * (-0.5 * h)).dot(dmat_t)
         out = np.empty_like(phi)
         out[0] = t[0] - f2[0]
         out[-1] = t[-1] + f2[-1]

@@ -75,13 +75,15 @@ class SWState:
     @_cached
     def _characteristic(self) -> tuple:
         """(a, u, ind) of the module docstring, computed once per state for the
-        fluxes, the characteristic speeds and the indicator."""
+        fluxes, the characteristic speeds and the indicator; not finite where
+        v² overflows, which fv_step rejects and run_swsw reports."""
         p, v = self.params, self.v
         hp, hm = self._heights
         d = hm * p.rhobar_plus + hp * p.rhobar_minus
-        u = (hm**2 * p.rhobar_plus - hp**2 * p.rhobar_minus) * p.eps / d**2 * v
         c = p.eps**2 * p.rhobar_plus * p.rhobar_minus * (p.hbar_plus + p.hbar_minus) ** 2
-        ind = np.subtract(1.0, c / d**3 * v**2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = (hm**2 * p.rhobar_plus - hp**2 * p.rhobar_minus) * p.eps / d**2 * v
+            ind = np.subtract(1.0, c / d**3 * v**2)
         return hp * hm / d, u, ind
 
     @_cached
@@ -126,10 +128,13 @@ def max_wave_speed(state: SWState) -> float:
 
 def fv_step(state: SWState, dt: float) -> SWState:
     """One Rusanov step; conservative in ζ to rounding.  dt must be finite,
-    >= 0 and within the CFL restriction (InvalidConfigError otherwise)."""
+    >= 0 and within the CFL restriction (InvalidConfigError otherwise);
+    NumericalError if a characteristic speed is not finite."""
     _check_real("time step", dt, 0.0)
     grid = state.grid
     dx = grid.dx
+    if not math.isfinite(state._max_speed):
+        raise NumericalError("a characteristic speed is not finite")
     if dt > 0.5 * dx / max(state._max_speed, 1e-300) * (1.0 + 1e-9):
         raise InvalidConfigError("dt violates the CFL restriction")
     # (ζ, v, mass flux, momentum flux, speed) with periodic ghost cells at
@@ -188,7 +193,7 @@ def run_swsw(config: EvolutionConfig, initial: SWState) -> SWSeries:
         if not ind >= 0.0 or step % config.snapshot_every == 0 or t >= t_stop:
             record(ind)
     if not ind >= 0.0:
-        reason = "hyperbolicity loss" if ind < 0.0 else "non-finite hyperbolicity indicator"
+        reason = "hyperbolicity loss" if math.isfinite(ind) else "non-finite hyperbolicity indicator"
         series.halted = {"time": t, "indicator_min": ind, "reason": reason}
     return series
 

@@ -7,7 +7,8 @@ of ``bench/workloads.py`` read report fields such as
 counts the ``StripOperator`` builds, one per fluid layer of each state a
 pass solves with.  A module-level import of the package that its module
 does not read is dead, unless the tracer patches it there.  These tests
-read ``bench/`` and change nothing there.
+read ``bench/`` and change nothing there; one more reads the package's
+sources for its one Fourier transform module.
 """
 
 import ast
@@ -51,6 +52,24 @@ def test_every_module_level_import_is_read():
                     if name not in read and (f"twofluid.{path.stem}", name) not in patched:
                         unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+def test_only_spectral_takes_a_fourier_transform():
+    # every Fourier operator is a multiplier of spectral's one real-FFT rule,
+    # which alone decides the unpaired Nyquist bin
+    package = Path(__file__).resolve().parents[1] / "src" / "twofluid"
+    users = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [alias.name for alias in getattr(node, "names", [])]
+            if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    or isinstance(node, ast.ImportFrom) and "fft" in (node.module or "")
+                    or isinstance(node, (ast.Import, ast.ImportFrom))
+                    and any("fft" in name for name in names)):
+                users.append(f"{path.stem}:{node.lineno}")
+    assert users == []
 
 
 # StripOperator builds in one traced SMALL pass: two per state

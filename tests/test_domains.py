@@ -1,11 +1,12 @@
 """Public scalar entry points reject a value their domain excludes (NaN, ±∞,
-0 or −1): InvalidConfigError, or NumericalError for a non-finite array, and no
-RuntimeWarning.  Values rejected before these checks (a wavenumber ≤ 0, μ < 0,
+0 or −1): InvalidConfigError, NumericalError for a non-finite array or a dry
+state, ValueError for a layer sign other than ±1, and no RuntimeWarning.  Values rejected before these checks (a wavenumber ≤ 0, μ < 0,
 the c_flat cases of test_stability, γ outside [0, 1]) are tested by module.
 A finite Sobolev order whose weight (1 + ξ²)^s overflows on the grid is
-outside the domain too, as is a grid size that is not an integer, and a time
-step that is not finite (or, for the Rusanov step, negative).  A finite field
-is inside the domain however large its entries."""
+outside the domain too, as is a grid size that is not an even integer, and a
+time step that is not finite (or, for the Rusanov step, negative or above the
+CFL bound).  A finite field is inside the domain however large its entries,
+but stepping one whose squares overflow raises NumericalError."""
 
 import math
 import warnings
@@ -13,10 +14,11 @@ import warnings
 import numpy as np
 import pytest
 
-from twofluid import (InterfaceState, InvalidConfigError, NumericalError, PeriodicGrid,
-                      ShearConfig, SWState, c_flat, cfl_cap, config_from_dimensionless,
-                      criteria_from_scalars, derive_params, fv_step, mode_growth,
-                      modewise_margin, norm_hdot_mu, norm_sobolev, practical_verdict, rk4_step)
+from twofluid import (EvolutionConfig, InterfaceState, InvalidConfigError, NumericalError,
+                      PeriodicGrid, ShearConfig, StripOperator, SWState, c_flat, cfl_cap,
+                      config_from_dimensionless, criteria_from_scalars, derive_params, fv_step,
+                      mode_growth, modewise_margin, norm_hdot_mu, norm_sobolev,
+                      practical_verdict, rhs, rk4_step, run, run_swsw)
 from twofluid.spectral import fourier_interpolate
 
 GRID = PeriodicGrid(16)
@@ -46,9 +48,10 @@ def interface_state(psi=None):
                           n_z=8)
 
 
-def sw_state(v=None):
+def sw_state(v=None, zeta=None):
     v = 0.1 * np.sin(GRID.nodes) if v is None else v
-    return SWState(GRID, 0.3 * np.cos(GRID.nodes), v=v, params=PARAMS)
+    zeta = 0.3 * np.cos(GRID.nodes) if zeta is None else zeta
+    return SWState(GRID, zeta, v=v, params=PARAMS)
 
 
 def c_flat_with(i, value):
@@ -68,14 +71,18 @@ ROWS = {
     "mode_growth-k": (lambda v: mode_growth(v, SHEAR), (math.nan, math.inf)),
     "mode_growth-k[1]": (lambda v: mode_growth(np.array([1.0, v]), SHEAR), (math.nan,)),
     "fourier_interpolate-n_fine": (lambda v: fourier_interpolate(GRID, field(), v),
-                                   (0, -16, 32.0)),
-    "PeriodicGrid-n": (PeriodicGrid, (16.0,)),
+                                   (0, -16, 32.0, 40)),
+    "PeriodicGrid-n": (PeriodicGrid, (16.0, 17)),
     # a negative Rusanov step is anti-diffusive; a negative RK4 step is a
     # backward step, inside the domain.  Both reject before any solve.
-    "fv_step-dt": (lambda v: fv_step(sw_state(), v), NOT_FINITE + (-0.01,)),
+    "fv_step-dt": (lambda v: fv_step(sw_state(), v), NOT_FINITE + (-0.01, 1.0)),
     "rk4_step-dt": (lambda v: rk4_step(interface_state(), v), NOT_FINITE),
     "InterfaceState-psi[3]": (lambda v: interface_state(field(v)), NOT_FINITE, NumericalError),
     "SWState-v[3]": (lambda v: sw_state(field(v)), NOT_FINITE, NumericalError),
+    # a layer of zero or negative height: ζ ≤ −1/ε⁺ or ζ ≥ 1/ε⁻
+    "SWState-zeta[3]": (lambda v: sw_state(zeta=field(v)), (-5.0, 3.0), NumericalError),
+    "StripOperator-layer_sign": (lambda v: StripOperator(GRID, field(), 0.3, 0.5, v, n_z=8),
+                                 (0, 2, -2), ValueError),
     "cfl_cap-n_points": (lambda v: cfl_cap(PARAMS, v), (0, 1, -1, 16.0, math.nan, True)),
     "cfl_cap-length": (lambda v: cfl_cap(PARAMS, 16, v), (*NOT_FINITE, 0.0, -1.0)),
     **{f"criteria_from_scalars-{name}": (lambda v, name=name: criteria(**{name: v}),
@@ -107,3 +114,20 @@ def test_a_finite_field_with_large_entries_is_accepted(make, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         make(field(value))
+
+
+@pytest.mark.parametrize("amplitude", [1e155, 1e160, 1e200, 1e300])
+def test_stepping_a_state_whose_squares_overflow_raises(amplitude):
+    # the tendency squares ∂xψ and the characteristic speeds square v: past
+    # about 1e154 they overflow, which used to warn where it now fails
+    big = amplitude * np.sin(GRID.nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError):
+            rhs(interface_state(big))
+        series = run(EvolutionConfig(t_end=0.1), interface_state(big))
+        assert series.breakdown["reason"].startswith("NumericalError")
+        with pytest.raises(NumericalError):
+            fv_step(sw_state(big), 1e-3)
+        halted = run_swsw(EvolutionConfig(t_end=0.1), sw_state(big)).halted
+        assert halted["reason"] == "non-finite hyperbolicity indicator"

@@ -142,7 +142,8 @@ def test_sigma_to_zero_threshold_to_zero():
 
 @pytest.mark.parametrize("change", [
     {"sigma": -0.07}, {"sigma": math.nan}, {"gravity": -9.81}, {"c_plus": math.inf},
-], ids=["sigma-negative", "sigma-nan", "gravity-negative", "c-plus-inf"])
+    {"rho_minus": 1010.0},
+], ids=["sigma-negative", "sigma-nan", "gravity-negative", "c-plus-inf", "rho-minus-above-plus"])
 def test_shear_config_rejects_non_physical_values(change):
     # each used to construct: a negative sigma made critical_shear raise a
     # math domain error while max_growth returned a rate, a NaN sigma gave a

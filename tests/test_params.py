@@ -80,7 +80,9 @@ def test_physical_config_rejects_non_finite_values(change):
         PhysicalConfig(**{**cfg, **change})
 
 
-@pytest.mark.parametrize("change", [{"bond": 0.0}, {"eps": math.nan}], ids=["bond-0", "eps-nan"])
+@pytest.mark.parametrize("change", [
+    {"bond": 0.0}, {"eps": math.nan}, {"rhobar_minus": 0.5}, {"rhobar_minus": -0.1},
+], ids=["bond-0", "eps-nan", "rhobar_minus-0.5", "rhobar_minus-negative"])
 def test_config_from_dimensionless_rejects_bad_targets(change):
     # Bo = 0 used to raise ZeroDivisionError, and eps = nan passed through
     with pytest.raises(InvalidConfigError):

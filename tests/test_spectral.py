@@ -17,7 +17,7 @@ from twofluid import (
     norm_hdot_mu,
     norm_sobolev,
 )
-from twofluid.spectral import _dealias_projector, _gauge_constants
+from twofluid.spectral import _dealias_projector, _gauge_constants, fourier_interpolate
 from twofluid.strip import _check_range
 from conftest import smooth_field
 
@@ -146,6 +146,29 @@ def test_hdot_mu_norm(grid64):
     for mu in (-1.0, -math.inf):
         with pytest.raises(InvalidConfigError):
             norm_hdot_mu(grid64, u, 0.0, mu)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("factor", [2, 8, 16])
+def test_fourier_interpolate_is_the_trigonometric_interpolant(n, factor, rng):
+    grid, fine = PeriodicGrid(n), PeriodicGrid(n * factor)
+    # on the coarse nodes it is the identity, Nyquist mode included: the
+    # Nyquist bin used to be counted one and a half times, an error of
+    # 1.0·‖u‖∞ on cos(πj)
+    nyq = np.cos(np.pi * np.arange(n))
+    for u in (nyq, np.cos(3 * grid.nodes) + 0.25 * nyq, rng.standard_normal(n)):
+        err = np.max(np.abs(fourier_interpolate(grid, u, fine.n)[::factor] - u))
+        assert err <= 1e-14 * np.max(np.abs(u))
+
+    # a band-limited field, its Nyquist part the even cos(ξ_N x), is its own
+    # interpolant on the fine grid
+    def band_limited(x):
+        return (0.5 + np.cos(3 * x) - 0.7 * np.sin((n // 2 - 1) * x)
+                + 0.3 * np.cos(n // 2 * x))
+
+    err = np.max(np.abs(fourier_interpolate(grid, band_limited(grid.nodes), fine.n)
+                        - band_limited(fine.nodes)))
+    assert err <= 1e-13
 
 
 def _dealias_fft(grid, u):

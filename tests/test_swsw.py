@@ -219,6 +219,35 @@ def test_non_finite_state_never_finishes_a_run():
     assert series.halted["time"] == 0.0
 
 
+def test_run_swsw_halts_when_a_step_fails(monkeypatch):
+    # a step that raises NumericalError (a dry or non-finite new state) ends
+    # the run with the error as its reason, at the time of the last state
+    def failing(state, dt):
+        raise NumericalError("dry state")
+
+    monkeypatch.setattr(swsw, "fv_step", failing)
+    grid = PeriodicGrid(16)
+    p = derive_params(config_from_dimensionless(eps=0.5, mu=0.1, rhobar_minus=0.4))
+    st = SWState(grid=grid, zeta=np.zeros(16), v=0.2 * np.sin(grid.nodes), params=p)
+    series = run_swsw(EvolutionConfig(t_end=1.0), st)
+    assert series.halted == {"time": 0.0, "reason": "dry state"}
+    assert series.times == [0.0]
+
+
+def test_compare_with_full_reports_a_failed_side_as_a_nan_row():
+    # a shear past the long-wave threshold (ε = 0.5, ρ̄⁻ = 0.4, flat interface:
+    # |v| = 2.05) halts the shallow model at t = 0 while the full run ends;
+    # a velocity whose square overflows also ends the full run
+    grid = PeriodicGrid(16)
+    for amplitude, broke_down in ((2.5, False), (1e200, True)):
+        v0 = amplitude * np.sin(grid.nodes)
+        table = compare_with_full(grid, np.zeros(16), v0, eps=0.5, mu_list=[0.1], t_end=0.05,
+                                  n_z=8)
+        [row] = table.rows
+        assert row.sw_halted and row.full_broke_down is broke_down
+        assert math.isnan(row.discrepancy)
+
+
 def test_fitted_exponent_needs_two_valid_rows():
     rows = [swsw.ComparisonRow(mu=0.1, discrepancy=0.01, full_broke_down=False,
                                sw_halted=False),
