@@ -23,7 +23,6 @@ from .spectral import (
     apply_multiplier,
     apply_symbol,
     dealias,
-    dealias_mask,
     deriv,
     inner,
     norm_hdot_mu,
@@ -45,12 +44,7 @@ from .operators import (
     transmission_solve,
     transmission_tangent,
 )
-from .symbols import (
-    TailReport,
-    TailSymbolSet,
-    ratio_symbol_error,
-    tail_error_report,
-)
+from .symbols import TailSymbolSet, symbol_comparisons
 from .stability import (
     FlatConstant,
     MarginResult,

@@ -95,28 +95,32 @@ class TimeSeries:
 
 def tendency(state: InterfaceState, traces: TraceBundle) -> np.ndarray:
     """Tendency (∂tζ, ∂tψ) of the evolution system at a state with its own
-    trace bundle, as one (2, N) array, with no dealiasing.  The ± terms are
-    formed on (2, N) stacks of the traces, one ufunc per formula."""
+    trace bundle, as one (2, N) array, with no dealiasing; NumericalError if
+    it is not finite, as when the squares of a finite state overflow.  The ±
+    terms are formed on (2, N) stacks of the traces, one ufunc per formula."""
     p = state.params
     zx = state.zeta_x
     emz, denom = state._slope_terms
-    w = np.array([traces.w_plus, traces.w_minus])
-    # ∂xψ± = V± + εw±ζₓ, the identity that defines V± in the bundle
-    dx_psi = np.array([traces.v_plus, traces.v_minus]) + w * p.eps * zx
-    # ρ̄±a± on a stack a±: the jump ⟦ρ̄a⟧ = ρ̄⁺a⁺ − ρ̄⁻a⁻ is the sum of its rows
-    rho = _signed_densities(p.rhobar_plus, p.rhobar_minus)
-    grad_sq, w_sq = dx_psi**2 * rho, w**2 * rho
     out = np.empty((2, state.grid.n))
     dzeta, dpsi = out[0], out[1]
-    # (1/H̄⁺)G⁺ψ⁺ recovered from the trace identities (no extra solve)
-    np.divide(w[0] * denom - emz * dx_psi[0], p.mu, out=dzeta)
-    # the continuous flux balance makes this mean exactly zero; remove the
-    # rounding-level mean so the discrete mass invariant holds to rounding
-    dzeta -= dzeta.sum() / dzeta.size
-    np.add(-state.zeta - (grad_sq[0] + grad_sq[1]) * (0.5 * p.eps),
-           denom * (0.5 * p.eps / p.mu) * (w_sq[0] + w_sq[1]), out=dpsi)
-    if not math.isinf(p.bond):
-        dpsi += deriv(state.grid, zx / np.sqrt(denom)) / p.bond
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.array([traces.w_plus, traces.w_minus])
+        # ∂xψ± = V± + εw±ζₓ, the identity that defines V± in the bundle
+        dx_psi = np.array([traces.v_plus, traces.v_minus]) + w * p.eps * zx
+        # ρ̄±a± on a stack a±: the jump ⟦ρ̄a⟧ = ρ̄⁺a⁺ − ρ̄⁻a⁻ is the sum of its rows
+        rho = _signed_densities(p.rhobar_plus, p.rhobar_minus)
+        grad_sq, w_sq = dx_psi**2 * rho, w**2 * rho
+        # (1/H̄⁺)G⁺ψ⁺ recovered from the trace identities (no extra solve)
+        np.divide(w[0] * denom - emz * dx_psi[0], p.mu, out=dzeta)
+        # the continuous flux balance makes this mean exactly zero; remove the
+        # rounding-level mean so the discrete mass invariant holds to rounding
+        dzeta -= dzeta.sum() / dzeta.size
+        np.add(-state.zeta - (grad_sq[0] + grad_sq[1]) * (0.5 * p.eps),
+               denom * (0.5 * p.eps / p.mu) * (w_sq[0] + w_sq[1]), out=dpsi)
+        if not math.isinf(p.bond):
+            dpsi += deriv(state.grid, zx / np.sqrt(denom)) / p.bond
+    if not _all_finite(out):
+        raise NumericalError("non-finite tendency")
     return out
 
 
@@ -138,11 +142,9 @@ def _traces(state: InterfaceState) -> TraceBundle:
 def rhs(state: InterfaceState) -> np.ndarray:
     """Right-hand side ∂t(ζ, ψ) of the integrated system as one (2, N) array:
     the 2/3-rule projection (:func:`~twofluid.spectral.dealias`) of
-    :func:`tendency` at the state's own trace bundle; NumericalError if it
-    is not finite, as when the squares of a finite state overflow."""
-    traces = _traces(state)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = dealias(state.grid, tendency(state, traces))
+    :func:`tendency` at the state's own trace bundle; NumericalError if
+    either is not finite."""
+    out = dealias(state.grid, tendency(state, _traces(state)))
     if not _all_finite(out):
         raise NumericalError("non-finite right-hand side")
     return out
@@ -195,14 +197,15 @@ def run(config: EvolutionConfig, initial: InterfaceState) -> TimeSeries:
     and every right-hand side is projected, so every state stays in it.  A
     recorded state's transmission solve serves its snapshot and the first
     stage of the step that leaves it.  An error of the package ends the run
-    as a recorded breakdown."""
+    as a recorded breakdown, one from the projected initial data at t = 0."""
     grid = initial.grid
     dt = cfl_cap(initial.params, grid.n, grid.length)
-    state = initial.replace_fields(*dealias(grid, np.array([initial.zeta, initial.psi])))
     series = TimeSeries()
     n_steps = int(math.ceil(config.t_end / dt - 1e-12))
     t = 0.0
     try:
+        # a Gibbs overshoot can pinch a layer off, and a sum can overflow
+        state = initial.replace_fields(*dealias(grid, np.array([initial.zeta, initial.psi])))
         _record(series, t, state)
         for step in range(1, n_steps + 1):
             step_dt = min(dt, config.t_end - t)

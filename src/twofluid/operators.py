@@ -42,6 +42,7 @@ from .strip import (
     StripOperator,
     _check_range,
     _deflate,
+    _dn_product,
     _grid_field,
     _RangeSolver,
     _XMatrices,
@@ -159,8 +160,8 @@ def _couple(state: InterfaceState, psi) -> tuple:
     """
     p = state.params
     psi = np.asarray(psi, dtype=float)
-    psi_minus = state._g_tilde(state.layer(+1).dn_matrix.dot(psi) / -p.hbar_plus)
-    flux = state.layer(-1).dn_matrix.dot(psi_minus) / -p.hbar_minus
+    psi_minus = state._g_tilde(_dn_product(state.layer(+1).dn_matrix, psi) / -p.hbar_plus)
+    flux = _dn_product(state.layer(-1).dn_matrix, psi_minus) / -p.hbar_minus
     return psi_minus, _deflate(flux)
 
 

@@ -19,9 +19,9 @@ D the matrix of iξ, that the grid caches for the strip discretisation too,
 then with Π = :func:`_gauge_constants`, the package's one projector onto
 constants and the Nyquist mode, which D zeroes.  :func:`dealias`, the
 2/3-rule projection of every RK4 stage (Orszag, J. Atmos. Sci. 28, 1971), is
-the product with the matrix of the multiplier that keeps the modes of
-:func:`dealias_mask`: ``np.einsum``'s product, which sums a row of a stack
-as it sums the row alone; BLAS does not.
+the product with the matrix of the multiplier that keeps the modes
+|ξ| <= (2/3)ξ_N: ``np.einsum``'s product, which sums a row of a stack as it
+sums the row alone; BLAS does not.
 """
 
 from __future__ import annotations
@@ -252,15 +252,10 @@ def _retained(grid: PeriodicGrid, k) -> np.ndarray:
     return np.abs(k) <= (2.0 / 3.0) * grid.k_max + 1e-12
 
 
-def dealias_mask(grid: PeriodicGrid) -> np.ndarray:
-    """Boolean 2/3-rule mask over the signed wavenumbers."""
-    return _retained(grid, grid.wavenumbers)
-
-
 @lru_cache(maxsize=16)
 def _dealias_projector(grid: PeriodicGrid) -> np.ndarray:
     """Read-only N×N matrix P with u·P the 2/3-rule projection of u, the
-    multiplier of :func:`dealias_mask` applied to the identity.  Cached by grid
+    multiplier of :func:`_retained` applied to the identity.  Cached by grid
     value, so a fresh grid of the same size and length reuses it."""
     return _read_only(apply_multiplier(grid, partial(_retained, grid), np.eye(grid.n)))
 
@@ -268,6 +263,6 @@ def _dealias_projector(grid: PeriodicGrid) -> np.ndarray:
 def dealias(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
     """The 2/3-rule projection of a real field, or of each row of a stack of
     fields, bitwise as if each row were projected alone: the product with the
-    grid's cached projection matrix, which zeroes every mode outside
-    :func:`dealias_mask`."""
+    grid's cached projection matrix, which zeroes every mode that
+    :func:`_retained` does not keep."""
     return np.einsum("...j,jk->...k", np.asarray(u, dtype=float), _dealias_projector(grid))

@@ -236,6 +236,20 @@ def _check_scalars(inf_a: float, **non_negative) -> None:
         _check_real(name, value, 0.0)
 
 
+def _pow(x: float, n: float) -> float:
+    """x**n, or ∞ where the float power overflows (OverflowError)."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
+def _check_representable(*values: float) -> None:
+    """NumericalError unless every value is finite (not ∞, nor ∞·0 = NaN)."""
+    if not all(map(math.isfinite, values)):
+        raise NumericalError("a quantity of the criteria overflows the largest float")
+
+
 def criteria_from_scalars(
     params: DimensionlessParams,
     e_value: float,
@@ -252,15 +266,16 @@ def criteria_from_scalars(
     physical velocity jump ω = ε√(g'H)·⟦V⟧; the two verdicts agree by
     construction and exercising both paths guards the scalings.  The
     strong variant (SCs) takes γ ∈ [0, 1].  Every scalar must be finite, and
-    all but inf 𝔞 >= 0; other values raise :class:`InvalidConfigError`.
+    all but inf 𝔞 >= 0; other values raise :class:`InvalidConfigError`.  A
+    derived quantity past the largest float raises :class:`NumericalError`.
     """
     if not 0.0 <= gamma <= 1.0:
         raise InvalidConfigError(f"gamma must lie in [0, 1], got {gamma}")
     _check_scalars(inf_a, e_value=e_value, grad_zeta_sup=grad_zeta_sup, jump_sup=jump_sup,
                    jump_sup_d1=jump_sup_d1)
     p = params
-    curvature = (1.0 + p.eps**2 * p.mu * grad_zeta_sup**2) ** 1.5
-    c_sq = e_value**2 * curvature
+    curvature = _pow(1.0 + p.eps**2 * p.mu * _pow(grad_zeta_sup, 2), 1.5)
+    c_sq = _pow(e_value, 2) * curvature
     ups = p.upsilon
     if p.rhobar_minus == 0.0:
         rhs_sc = rhs_alt = rhs_strong = 0.0
@@ -270,9 +285,9 @@ def criteria_from_scalars(
                 "criteria need sigma > 0 (finite upsilon); the zero-surface-tension "
                 "two-fluid problem has no stable regime to report"
             )
-        rhs_sc = ups * c_sq * jump_sup_d1**4
-        rhs_alt = ups * c_sq * jump_sup**4
-        rhs_strong = p.eps ** (-2.0 * gamma) * rhs_sc if p.eps > 0 else rhs_sc
+        rhs_sc = ups * c_sq * _pow(jump_sup_d1, 4)
+        rhs_alt = ups * c_sq * _pow(jump_sup, 4)
+        rhs_strong = _pow(p.eps, -2.0 * gamma) * rhs_sc if p.eps > 0 else rhs_sc
     sc = rhs_sc < inf_a
     sc_alt = rhs_alt < inf_a
     sc_strong = rhs_strong < inf_a
@@ -287,12 +302,14 @@ def criteria_from_scalars(
             * (rho_p * rho_m) ** 2
             / (p.sigma * p.rho_total**2)
             * c_sq
-            * omega_sup**4
+            * _pow(omega_sup, 4)
         )
+        _check_representable(dim_rhs)
         dim_verdict = dim_lhs > dim_rhs
     else:
         dim_rhs = 0.0 if p.rhobar_minus == 0.0 else float("nan")
         dim_verdict = dim_lhs > dim_rhs if not math.isnan(dim_lhs + dim_rhs) else sc_alt
+    _check_representable(c_sq, rhs_strong, inf_a - rhs_sc, inf_a - rhs_alt, dim_lhs)
     verdict = "stable" if sc else "unstable"
     return StabilityReport(
         upsilon=ups,
@@ -408,13 +425,14 @@ def modewise_margin(
     quadratic has exactly one positive root, the minimiser; for b = 0 the
     minimum is min(a₀, c/d), at ξ = 0 or in the limit ξ → ∞.  Under (SC)
     the minimum stays above 𝔡/2 (for inf𝔞 ≤ 1 + 𝔡/2); without surface
-    tension the margin is unbounded below whenever a > 0.  The scalars are
-    checked as in :func:`criteria_from_scalars`.
+    tension the margin is unbounded below whenever a > 0.  The scalars, and
+    what they overflow, are checked as in :func:`criteria_from_scalars`.
     """
     _check_scalars(inf_a, e_value=e_value, grad_zeta_sup=grad_zeta_sup, jump_sup=jump_sup)
     p = params
-    a_coeff = p.eps**2 * p.rhobar_plus * p.rhobar_minus * e_value * jump_sup**2
-    curvature = (1.0 + p.eps**2 * p.mu * grad_zeta_sup**2) ** 1.5
+    a_coeff = p.eps**2 * p.rhobar_plus * p.rhobar_minus * e_value * _pow(jump_sup, 2)
+    curvature = _pow(1.0 + p.eps**2 * p.mu * _pow(grad_zeta_sup, 2), 1.5)
+    _check_representable(a_coeff, curvature)
     if math.isinf(p.bond):
         if a_coeff > 0.0:
             return MarginResult(value=-math.inf, xi_argmin=math.inf, unbounded=True)
@@ -430,5 +448,7 @@ def modewise_margin(
     q = c - inf_a * d
     root = math.sqrt(q * q + b * b * d)
     xi = b / (q + root) if q >= 0.0 else (root - q) / (b * d)
-    value = (inf_a - b * xi + c * xi**2) / (1.0 + d * xi**2)
+    xi_sq = _pow(xi, 2)
+    value = (inf_a - b * xi + c * xi_sq) / (1.0 + d * xi_sq)
+    _check_representable(value)
     return MarginResult(value=value, xi_argmin=xi, unbounded=False)

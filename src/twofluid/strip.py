@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dnrm2, dsyrk, dtrsm
+from scipy.linalg.blas import dgemv, dnrm2, dsyrk, dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import DegenerateGeometryError, IncompatibleDataError, NumericalError
@@ -142,6 +142,12 @@ def _check_residual(r: np.ndarray, b: np.ndarray, what: str) -> float:
             f"{what}: relative residual {res:.3e} above {RESIDUAL_TOL:.0e}"
         )
     return res
+
+
+def _dn_product(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """mat·v, NumericalError unless finite: BLAS dgemv (trans = 1, positional)
+    on matᵀ, as ndarray.dot, but an overflow warns of nothing."""
+    return _finite(dgemv(1.0, mat.T, v, 0.0, None, 0, 1, 0, 1, 1), "DN product")
 
 
 def _grid_field(grid: PeriodicGrid, a, what: str) -> np.ndarray:
@@ -403,6 +409,7 @@ def dn_apply(d: StripOperator, psi) -> np.ndarray:
     The product ±Sψ with the Schur complement of the discrete operator, the
     variational flux of the discrete solution, which keeps (ψ₁, Gψ₂)
     symmetric, ±(ψ, G±ψ) ≥ 0 and mean(Gψ) = 0 exact to rounding.
+    NumericalError if the product is not finite.
     """
-    return d.sign * (d.dn_matrix @ np.asarray(psi, dtype=float))
+    return d.sign * _dn_product(d.dn_matrix, np.asarray(psi, dtype=float))
 

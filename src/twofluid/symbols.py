@@ -1,4 +1,4 @@
-"""Symbols with a bottom tail for the layer DN operators, and error harnesses.
+"""Symbols with a bottom tail for the layer DN operators, and their exact operators.
 
 The flat-interface DN multiplier √μ±|ξ|tanh(√μ±|ξ|) keeps the smoothing
 tanh factor coming from the bottom.  Its variable-coefficient generalization
@@ -15,9 +15,10 @@ Op(S⁺) approximates G⁺ (and −Op(S⁻) approximates G⁻) with an error of
 relative size O(ε√μ), uniformly down to the shallow limit; dropping the tanh
 tail leaves an O(1) relative error as μ → 0.  Ratios of these symbols give
 zeroth-order descriptions of the composed operators (G⁻)⁻¹G⁺, (G⁻)⁻¹𝒢 and
-𝒢̃⁻¹; this module provides the evaluators and the numerical harnesses that
-measure the corresponding error scalings against the exact elliptic solves.
-The composed symbols are formed from S± by private helpers of
+𝒢̃⁻¹.  This module provides the evaluators (:class:`TailSymbolSet`) and, for
+one state, each symbol next to the exact operator it describes
+(:func:`symbol_comparisons`), for the caller's sweep to measure.  The
+composed symbols are formed from S± by private helpers of
 :mod:`twofluid.operators`.  At ζ = 0, where t± = |ξ|, S± is the flat symbol
 :func:`~twofluid.strip.flat_symbol`, so these are the flat multipliers of the
 composed operators; the package has no other source of them.
@@ -35,20 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TwoFluidError
 from .operators import _g_tilde_of, _gauged_ratio, _j_of, invert_g_tilde, invert_j
-from .params import DimensionlessParams, config_from_dimensionless, derive_params
-from .spectral import (
-    PeriodicGrid,
-    _p2,
-    _read_only,
-    apply_multiplier,
-    apply_symbol,
-    deriv,
-    norm_hdot_mu,
-    norm_sobolev,
-)
-from .strip import StripOperator, _grid_field, dn_apply
+from .params import DimensionlessParams
+from .spectral import PeriodicGrid, _p2, _read_only, apply_multiplier, apply_symbol, deriv
+from .strip import _grid_field, dn_apply
 
 _SMALL_SLOPE = 1e-6
 
@@ -134,125 +125,44 @@ class TailSymbolSet:
 
     def coupled_ratio_symbol(self, x, xi) -> np.ndarray:
         """Symbol of (G⁻)⁻¹𝒢, i.e. (1/H̄⁺)·(−S⁺/S⁻)/S_J."""
-        sp, sm = self._s_pair(x, xi)
-        return -_gauged_ratio(sp, sm) / (self.params.hbar_plus * _j_of(self.params, sp, sm))
+        return self.dn_ratio_symbol(x, xi) / (self.params.hbar_plus * self.j_symbol(x, xi))
 
     def p2_over_mix_symbol(self, x, xi) -> np.ndarray:
         """Symbol 𝔓²/S̃ describing 𝔓² ∘ 𝒢̃⁻¹."""
         return _gauged_ratio(_p2(xi, self.params.mu), self.mix_symbol(x, xi))
 
 
-@dataclass
-class TailReport:
-    """Sweep table of symbol-vs-elliptic DN errors and fitted exponents."""
-
-    rows: list
-
-    def fit_eps_exponent(self, mu: float) -> float:
-        """Slope of log err_hs_half against log ε over the ε > 0 rows at μ."""
-        pts = [(r["eps"], r["err_hs_half"]) for r in self.rows
-               if r["mu"] == mu and r["eps"] > 0.0 and r["err_hs_half"] > 0.0]
-        if len(pts) < 2:
-            raise ValueError("need at least two eps > 0 rows at this mu")
-        x = np.log([p[0] for p in pts])
-        y = np.log([p[1] for p in pts])
-        return float(np.polyfit(x, y, 1)[0])
+def _gauged(exact, symbol) -> tuple:
+    """The pair with each mean removed, the gauge of the exact solves."""
+    return exact - float(np.mean(exact)), symbol - float(np.mean(symbol))
 
 
-def tail_error_report(
-    grid: PeriodicGrid,
-    zeta_shape: np.ndarray,
-    psi: np.ndarray,
-    sweep,
-    n_z: int = 256,
-) -> TailReport:
-    """Measure ‖G⁺ψ − Op(S⁺)ψ‖ over an (ε, μ) sweep.
-
-    The configuration has ρ̄⁻ = 0.4 and equal layer depths; errors are
-    measured in L² (``err_hs``) and H^{1/2} (``err_hs_half``).  For each
-    sweep entry the exact operator is the elliptic strip solve and the
-    approximation is the quantized tail symbol; the table also carries
-    the tail-less comparison Op(√μ⁺|ξ|), whose error does not vanish
-    relative to ‖G⁺ψ‖ as μ → 0.  An entry the package rejects (a
-    :class:`TwoFluidError`, e.g. a layer that pinches off) flags its row and
-    the sweep continues; any other exception propagates.
+def symbol_comparisons(state, f) -> dict:
+    """Each exact operator of a state and its symbol on the zero-mean part
+    of f, as (exact, symbol) pairs: ``"dn"`` G⁺f and Op(S⁺)f;
+    ``"dn_tailless"`` G⁺f and Op(√μ⁺|ξ|)f; ``"dn_ratio"`` (G⁻)⁻¹G⁺f and
+    Op(−S⁺/S⁻)f; ``"coupled_ratio"`` (G⁻)⁻¹𝒢f and (1/H̄⁺)Op(−S⁺/(S⁻S_J))f;
+    ``"p2_mix"`` 𝔓²𝒢̃⁻¹∂xf and Op(𝔓²/S̃)∂xf.  The exact sides use the
+    state's cached DN matrices S± and factor of 𝒢̃; the ratio pairs, gauged
+    like the exact solves, have their means removed.  The caller measures
+    the pairs, e.g. with :func:`~twofluid.spectral.norm_sobolev` or
+    :func:`~twofluid.spectral.norm_hdot_mu`.
     """
-    zeta_shape = np.asarray(zeta_shape, dtype=float)
-    psi = np.asarray(psi, dtype=float) - float(np.mean(psi))
-    rows = []
-    for eps, mu in sweep:
-        row = {"eps": float(eps), "mu": float(mu), "failed": False}
-        try:
-            cfg = config_from_dimensionless(
-                eps=max(eps, 0.0), mu=mu, rhobar_minus=0.4,
-            )
-            p = derive_params(cfg)
-            layer = StripOperator(grid, zeta_shape, p.eps_plus, p.mu_plus, +1, n_z=n_z)
-            exact = dn_apply(layer, psi)
-            ts = TailSymbolSet(grid, zeta_shape, p)
-            approx = apply_symbol(grid, lambda x, k: ts.s(x, k, +1), psi)
-            diff = exact - approx
-            smu_p = math.sqrt(p.mu_plus)
-            tailless = apply_multiplier(grid, lambda k: smu_p * np.abs(k), psi)
-            norm_exact = norm_sobolev(grid, exact, 0.0)
-            row.update(
-                err_hs=norm_sobolev(grid, diff, 0.0),
-                err_hs_half=norm_sobolev(grid, diff, 0.5),
-                norm_psi=norm_hdot_mu(grid, psi, 0.0, p.mu),
-                err_tailless=norm_sobolev(grid, exact - tailless, 0.0),
-                norm_exact=norm_exact,
-            )
-            row["ratio"] = row["err_hs"] / row["norm_psi"] if row["norm_psi"] else 0.0
-            row["tailless_ratio"] = (
-                row["err_tailless"] / norm_exact if norm_exact else 0.0
-            )
-        except TwoFluidError as exc:  # flagged, sweep continues
-            row["failed"] = True
-            row["error"] = str(exc)
-        rows.append(row)
-    return TailReport(rows=rows)
-
-
-def ratio_symbol_error(state, f, which: str) -> dict:
-    """Discrepancy between a composed exact operator and its single symbol.
-
-    Choices for ``which``:
-      * ``"dn_ratio"``   : (G⁻)⁻¹G⁺ vs Op(−S⁺/S⁻)
-      * ``"coupled_ratio"``: (G⁻)⁻¹𝒢 vs (1/H̄⁺)Op(−S⁺/(S⁻ S_J))
-      * ``"p2_mix"``     : 𝔓²𝒢̃⁻¹∂x vs Op(𝔓²/S̃)∂x
-
-    Returns the measured discrepancy in the shallowness-adapted 1/2 norm
-    together with the predicted small factors ε·μ^{−k/4}·|f|, k = 0, 1.
-    """
-    p = state.params
-    grid = state.grid
+    p, grid = state.params, state.grid
     f = np.asarray(f, dtype=float) - float(np.mean(f))
+    df = deriv(grid, f)
     ts = TailSymbolSet(grid, state.zeta, p)
-    if which == "dn_ratio":
-        exact = state.layer(-1).solve_neumann(dn_apply(state.layer(+1), f))
-        approx = apply_symbol(grid, ts.dn_ratio_symbol, f)
-    elif which == "coupled_ratio":
-        pp = invert_j(state, f)
-        g = dn_apply(state.layer(+1), pp)
-        exact = state.layer(-1).solve_neumann(g) / p.hbar_plus
-        approx = apply_symbol(grid, ts.coupled_ratio_symbol, f)
-    elif which == "p2_mix":
-        df = deriv(grid, f)
-        u = invert_g_tilde(state, df)
-        exact = apply_multiplier(grid, lambda k: _p2(k, p.mu), u)
-        approx = apply_symbol(grid, ts.p2_over_mix_symbol, df)
-    else:
-        raise ValueError(f"unknown comparison {which!r}")
-    approx = approx - float(np.mean(approx))
-    exact = exact - float(np.mean(exact))
-    diff = exact - approx
-    out = {
-        "which": which,
-        "discrepancy": norm_hdot_mu(grid, diff, 0.0, p.mu),
-        "norm_exact": norm_hdot_mu(grid, exact, 0.0, p.mu),
+    upper_solve = state.layer(-1).solve_neumann
+    g_plus = dn_apply(state.layer(+1), f)
+    smu = math.sqrt(p.mu_plus)
+    return {
+        "dn": (g_plus, apply_symbol(grid, lambda x, k: ts.s(x, k, +1), f)),
+        "dn_tailless": (g_plus, apply_multiplier(grid, lambda k: smu * np.abs(k), f)),
+        "dn_ratio": _gauged(upper_solve(g_plus), apply_symbol(grid, ts.dn_ratio_symbol, f)),
+        "coupled_ratio": _gauged(
+            upper_solve(dn_apply(state.layer(+1), invert_j(state, f))) / p.hbar_plus,
+            apply_symbol(grid, ts.coupled_ratio_symbol, f)),
+        "p2_mix": _gauged(
+            apply_multiplier(grid, lambda k: _p2(k, p.mu), invert_g_tilde(state, df)),
+            apply_symbol(grid, ts.p2_over_mix_symbol, df)),
     }
-    for k in (0, 1):
-        out[f"predicted_k{k}"] = (
-            p.eps * p.mu ** (-k / 4.0) * norm_sobolev(grid, f, -k / 2.0)
-        )
-    return out

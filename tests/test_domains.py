@@ -6,7 +6,8 @@ A finite Sobolev order whose weight (1 + ξ²)^s overflows on the grid is
 outside the domain too, as is a grid size that is not an even integer, and a
 time step that is not finite (or, for the Rusanov step, negative or above the
 CFL bound).  A finite field is inside the domain however large its entries,
-but stepping one whose squares overflow raises NumericalError."""
+but stepping one whose squares overflow raises NumericalError, as do the
+criteria, the tendency and the DN products of one past the largest float."""
 
 import math
 import warnings
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 
 from twofluid import (EvolutionConfig, InterfaceState, InvalidConfigError, NumericalError,
-                      PeriodicGrid, ShearConfig, StripOperator, SWState, c_flat, cfl_cap,
-                      config_from_dimensionless, criteria_from_scalars, derive_params, fv_step,
-                      mode_growth, modewise_margin, norm_hdot_mu, norm_sobolev,
-                      practical_verdict, rhs, rk4_step, run, run_swsw)
+                      PeriodicGrid, ShearConfig, StripOperator, SWState, apply_j, c_flat,
+                      cfl_cap, config_from_dimensionless, criteria_from_scalars, derive_params,
+                      evaluate_criteria, fv_step, mode_growth, modewise_margin, norm_hdot_mu,
+                      norm_sobolev, practical_verdict, rhs, rk4_step, run, run_swsw,
+                      stability_inputs, tendency, transmission_solve)
 from twofluid.spectral import fourier_interpolate
 
 GRID = PeriodicGrid(16)
@@ -52,6 +54,15 @@ def sw_state(v=None, zeta=None):
     v = 0.1 * np.sin(GRID.nodes) if v is None else v
     zeta = 0.3 * np.cos(GRID.nodes) if zeta is None else zeta
     return SWState(GRID, zeta, v=v, params=PARAMS)
+
+
+def on_amplitude(call):
+    """call(state) at ψ = v·sin x, a finite state whose products overflow."""
+    return lambda v: call(interface_state(v * np.sin(GRID.nodes)))
+
+
+def criteria_of(state):
+    return evaluate_criteria(stability_inputs(state, transmission_solve(state)))
 
 
 def c_flat_with(i, value):
@@ -93,6 +104,19 @@ ROWS = {
        for name in ("inf_a", "e_value", "grad_zeta_sup", "jump_sup")},
     **{f"c_flat-{name}": (lambda v, i=i: c_flat_with(i, v), (math.inf,))
        for i, name in enumerate(("rhobar_plus", "rhobar_minus", "hbar_plus", "hbar_minus"))},
+    # finite scalars whose powers pass the largest float
+    "criteria_from_scalars-grad_zeta_sup-overflow": (
+        lambda v: criteria(grad_zeta_sup=v, jump_sup=0.0, jump_sup_d1=0.0), (1e200,),
+        NumericalError),
+    "modewise_margin-jump_sup-overflow": (
+        lambda v: margin(jump_sup=v, grad_zeta_sup=v), (1e200,), NumericalError),
+    # ⟦V⟧⁴ overflows from 1e100 on, the tendency's squares from 1e160 and
+    # the DN products at 1e308
+    "evaluate_criteria-psi": (on_amplitude(criteria_of), (1e100, 1e160, 1e308), NumericalError),
+    "tendency-psi": (on_amplitude(lambda st: tendency(st, transmission_solve(st))),
+                     (1e160, 1e308), NumericalError),
+    "transmission_solve-psi": (on_amplitude(transmission_solve), (1e308,), NumericalError),
+    "apply_j-psi": (on_amplitude(lambda st: apply_j(st, st.psi)), (1e308,), NumericalError),
 }
 
 

@@ -11,13 +11,12 @@ from twofluid import (
     apply_multiplier,
     apply_symbol,
     dealias,
-    dealias_mask,
     deriv,
     inner,
     norm_hdot_mu,
     norm_sobolev,
 )
-from twofluid.spectral import _dealias_projector, _gauge_constants, fourier_interpolate
+from twofluid.spectral import _dealias_projector, _gauge_constants, _retained, fourier_interpolate
 from twofluid.strip import _check_range
 from conftest import smooth_field
 
@@ -174,7 +173,7 @@ def test_fourier_interpolate_is_the_trigonometric_interpolant(n, factor, rng):
 def _dealias_fft(grid, u):
     """The real-FFT 2/3-rule projection: the oracle of the cached projector."""
     uh = np.fft.rfft(u, axis=-1)
-    uh[..., ~dealias_mask(grid)[: grid.n // 2 + 1]] = 0.0
+    uh[..., ~_retained(grid, grid.wavenumbers)[: grid.n // 2 + 1]] = 0.0
     return np.fft.irfft(uh, n=grid.n, axis=-1)
 
 

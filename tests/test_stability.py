@@ -11,6 +11,7 @@ import pytest
 from twofluid import (
     IncompatibleDataError,
     InvalidConfigError,
+    MarginResult,
     NumericalError,
     PeriodicGrid,
     TraceBundle,
@@ -488,6 +489,13 @@ def test_margin_unbounded_without_surface_tension():
     res = modewise_margin(p, inf_a=1.0, jump_sup=0.5, e_value=1.0)
     assert res.unbounded
     assert res.value == -math.inf
+
+
+def test_margin_without_surface_tension_or_shear_is_inf_a():
+    # Bo = ∞ and no velocity jump: nothing depends on ξ, and the margin is inf 𝔞
+    p = derive_params(config_from_dimensionless(0.4, 0.5, 0.4, 1.5, math.inf))
+    res = modewise_margin(p, inf_a=0.7, jump_sup=0.0, e_value=1.0, grad_zeta_sup=2.0)
+    assert res == MarginResult(value=0.7, xi_argmin=0.0, unbounded=False)
 
 
 def test_margin_at_least_half_d_under_sc(rng):

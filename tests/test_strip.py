@@ -177,6 +177,13 @@ def test_solves_exit_on_the_true_residual(grid64, monkeypatch):
             solve(psi)
 
 
+def test_range_solver_rejects_a_matrix_without_a_cholesky_factor():
+    # -I + Π is not positive definite: the factorization fails, and the
+    # failure is the package's NumericalError, not LAPACK's info code
+    with pytest.raises(NumericalError, match="Cholesky factorization failed"):
+        strip._RangeSolver(-np.eye(16), "negative definite")
+
+
 def test_dn_constant_maps_to_zero(grid64):
     d = StripOperator(grid64, 0.3 * np.sin(grid64.nodes), 0.2, 0.4, +1, n_z=24)
     out = dn_apply(d, np.ones(64))

@@ -11,8 +11,9 @@ from twofluid import (
     config_from_dimensionless,
     apply_multiplier,
     derive_params,
-    ratio_symbol_error,
-    tail_error_report,
+    norm_hdot_mu,
+    norm_sobolev,
+    symbol_comparisons,
 )
 from twofluid.strip import flat_symbol
 from conftest import smooth_field
@@ -112,59 +113,67 @@ def test_tail_symbols_of_a_flat_interface_are_the_flat_multipliers(grid64):
         np.testing.assert_allclose(got, np.broadcast_to(want, got.shape), rtol=1e-14, atol=0.0)
 
 
-def test_tail_report_flat_row_and_eps_slope():
+def make_state(grid, zeta, eps, mu, rbm=0.4, ratio=1.5, bond=100.0, n_z=96):
+    p = derive_params(config_from_dimensionless(eps, mu, rbm, ratio, bond))
+    return InterfaceState(grid=grid, zeta=zeta, psi=np.zeros(grid.n), params=p, n_z=n_z)
+
+
+def dn_errors(eps_mu, n_z=128):
+    """Per (ε, μ): the L² and H^{1/2} errors of Op(S⁺) against G⁺, the L²
+    error of the tail-less symbol and ‖G⁺ψ‖, on ζ = cos x and ψ = sin x at
+    ρ̄⁻ = 0.4, equal layer depths and no surface tension."""
     grid = PeriodicGrid(64)
-    zeta = np.cos(grid.nodes)
-    psi = np.sin(grid.nodes)
-    sweep = [(0.0, 0.5), (0.05, 0.5), (0.1, 0.5), (0.2, 0.5)]
-    rep = tail_error_report(grid, zeta, psi, sweep, n_z=128)
-    rows = {r["eps"]: r for r in rep.rows}
-    assert not any(r["failed"] for r in rep.rows)
+    zeta, psi = np.cos(grid.nodes), np.sin(grid.nodes)
+    rows = {}
+    for eps, mu in eps_mu:
+        st = make_state(grid, zeta, eps, mu, ratio=1.0, bond=math.inf, n_z=n_z)
+        pairs = symbol_comparisons(st, psi)
+        exact, symbol = pairs["dn"]
+        tailless = pairs["dn_tailless"][1]
+        rows[eps, mu] = {
+            "err_hs": norm_sobolev(grid, exact - symbol, 0.0),
+            "err_hs_half": norm_sobolev(grid, exact - symbol, 0.5),
+            "err_tailless": norm_sobolev(grid, exact - tailless, 0.0),
+            "norm_exact": norm_sobolev(grid, exact, 0.0),
+        }
+    return rows
+
+
+def test_dn_symbol_error_flat_row_and_eps_slope():
+    rows = dn_errors([(0.0, 0.5), (0.05, 0.5), (0.1, 0.5), (0.2, 0.5)])
     # flat row sits at the discretization floor, far below the eps > 0 rows
-    assert rows[0.0]["err_hs"] < 5e-6
-    assert rows[0.0]["err_hs"] < 1e-3 * rows[0.05]["err_hs"]
-    slope = rep.fit_eps_exponent(mu=0.5)
+    assert rows[0.0, 0.5]["err_hs"] < 5e-6
+    assert rows[0.0, 0.5]["err_hs"] < 1e-3 * rows[0.05, 0.5]["err_hs"]
+    eps = [0.05, 0.1, 0.2]
+    errs = [rows[e, 0.5]["err_hs_half"] for e in eps]
+    slope = float(np.polyfit(np.log(eps), np.log(errs), 1)[0])
     assert 0.8 <= slope <= 1.2
 
 
-def test_tail_report_tailless_ratio_does_not_vanish():
-    grid = PeriodicGrid(64)
-    zeta = np.cos(grid.nodes)
-    psi = np.sin(grid.nodes)
-    sweep = [(0.1, m) for m in (0.5, 0.1, 0.02)]
-    rep = tail_error_report(grid, zeta, psi, sweep, n_z=128)
-    ratios = [r["tailless_ratio"] for r in rep.rows]
-    with_tail = [r["err_hs"] / r["norm_exact"] for r in rep.rows]
+def test_dn_tailless_error_does_not_vanish():
+    rows = list(dn_errors([(0.1, m) for m in (0.5, 0.1, 0.02)]).values())
+    ratios = [r["err_tailless"] / r["norm_exact"] for r in rows]
+    with_tail = [r["err_hs"] / r["norm_exact"] for r in rows]
     # tail-less relative error grows toward shallow water; with tail it stays small
     assert ratios[-1] > 0.5
     assert ratios[-1] >= ratios[0]
     assert with_tail[-1] < 0.1 * ratios[-1]
 
 
-def test_tail_report_flags_degenerate_rows_and_raises_on_bad_input():
-    grid = PeriodicGrid(32)
-    zeta = np.cos(grid.nodes)
-    psi = np.sin(grid.nodes)
-    # at eps = 5 the lower layer pinches off: that row is flagged, the rest run
-    rep = tail_error_report(grid, zeta, psi, [(0.1, 0.5), (5.0, 0.5), (0.2, 0.5)], n_z=32)
-    assert [r["failed"] for r in rep.rows] == [False, True, False]
-    assert "depth vanishes" in rep.rows[1]["error"]
-    # a zeta of the wrong shape is a caller error, not a failed row
-    with pytest.raises(ValueError):
-        tail_error_report(grid, zeta[:-1], psi, [(0.1, 0.5)], n_z=32)
-
-
-def make_state(grid, zeta, eps, mu, rbm=0.4, ratio=1.5, n_z=96):
-    p = derive_params(config_from_dimensionless(eps, mu, rbm, ratio, 100.0))
-    return InterfaceState(grid=grid, zeta=zeta, psi=np.zeros(grid.n), params=p, n_z=n_z)
+def ratio_errors(state, f):
+    """Per ratio comparison: its discrepancy and the norm of its exact side,
+    in the shallowness-adapted 1/2 norm."""
+    pairs, mu = symbol_comparisons(state, f), state.params.mu
+    return {key: (norm_hdot_mu(state.grid, pairs[key][0] - pairs[key][1], 0.0, mu),
+                  norm_hdot_mu(state.grid, pairs[key][0], 0.0, mu))
+            for key in ("dn_ratio", "coupled_ratio", "p2_mix")}
 
 
 def test_ratio_symbol_flat_is_floor(grid64, rng):
     f = smooth_field(rng, grid64)
     st = make_state(grid64, np.zeros(64), 0.0, 0.5, n_z=256)
-    for which in ("dn_ratio", "coupled_ratio", "p2_mix"):
-        out = ratio_symbol_error(st, f, which)
-        assert out["discrepancy"] < 5e-5 * max(out["norm_exact"], 1.0)
+    for discrepancy, norm_exact in ratio_errors(st, f).values():
+        assert discrepancy < 5e-5 * max(norm_exact, 1.0)
 
 
 def test_ratio_symbol_eps_slope(grid64):
@@ -174,7 +183,7 @@ def test_ratio_symbol_eps_slope(grid64):
     eps_list = (0.05, 0.1, 0.2)
     for eps in eps_list:
         st = make_state(grid64, zeta, eps, 0.5, n_z=128)
-        errs.append(ratio_symbol_error(st, f, "dn_ratio")["discrepancy"])
+        errs.append(ratio_errors(st, f)["dn_ratio"][0])
     slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
     assert 0.7 <= slope <= 1.3
 
@@ -189,6 +198,5 @@ def test_ratio_symbol_water_waves_collapse(grid64, rng):
     sj = ts.j_symbol(grid64.nodes[:, None], k[None, :])
     assert np.allclose(sj, st.params.rhobar_plus, atol=1e-14)
     f = smooth_field(rng, grid64)
-    a = ratio_symbol_error(st, f, "dn_ratio")
-    b = ratio_symbol_error(st, f, "coupled_ratio")
-    assert a["discrepancy"] == pytest.approx(b["discrepancy"], rel=1e-6)
+    errs = ratio_errors(st, f)
+    assert errs["dn_ratio"][0] == pytest.approx(errs["coupled_ratio"][0], rel=1e-6)
