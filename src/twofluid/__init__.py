@@ -46,12 +46,10 @@ from .operators import (
 )
 from .symbols import TailSymbolSet, symbol_comparisons
 from .stability import (
-    FlatConstant,
     MarginResult,
     StabilityInputs,
     StabilityReport,
     a_field,
-    c_flat,
     criteria_from_scalars,
     e_coeff,
     evaluate_criteria,
@@ -59,13 +57,6 @@ from .stability import (
     modewise_margin,
     monitor_criterion,
     stability_inputs,
-)
-from .kelvin import (
-    ShearConfig,
-    critical_shear,
-    kelvin_criterion_threshold,
-    max_growth,
-    mode_growth,
 )
 from .evolution import (
     EvolutionConfig,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidConfigError
@@ -71,12 +71,6 @@ class PhysicalConfig:
         for name in ("amplitude", "surface_tension"):
             if not 0.0 <= (value := getattr(self, name)) < math.inf:
                 raise InvalidConfigError(f"{name} must be finite and >= 0, got {value}")
-
-    def with_amplitude(self, amplitude: float) -> "PhysicalConfig":
-        return replace(self, amplitude=amplitude)
-
-    def with_surface_tension(self, sigma: float) -> "PhysicalConfig":
-        return replace(self, surface_tension=sigma)
 
 
 @dataclass(frozen=True)

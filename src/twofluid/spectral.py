@@ -178,8 +178,13 @@ def apply_symbol(grid: PeriodicGrid, s, u: np.ndarray) -> np.ndarray:
 
 
 def inner(grid: PeriodicGrid, u: np.ndarray, v: np.ndarray) -> float:
-    """Discrete L² inner product."""
-    return grid.dx * float(np.dot(np.asarray(u), np.asarray(v)))
+    """Discrete L² inner product; NumericalError unless it is finite, as when
+    the products of two finite fields overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = grid.dx * float(np.dot(np.asarray(u), np.asarray(v)))
+    if not math.isfinite(value):
+        raise NumericalError(f"the inner product on {grid.n} points is not finite")
+    return value
 
 
 def _spectral_weighted_norm(grid: PeriodicGrid, u: np.ndarray, weight: np.ndarray) -> float:

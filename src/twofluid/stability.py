@@ -24,15 +24,16 @@ vertical differences.  The geometric constant uses the sharp operator bound
 On the grid 𝔢(ζ) is the top eigenvalue of the dense symmetric N×N matrix
 of μ(1+√μ|D|)^{-1/2} ℰ (1+√μ|D|)^{-1/2}, found by LAPACK with no iteration
 and no tolerance, from the Cholesky factor of 𝒢̃ + Π that the state holds
-for its transmission solve (:func:`e_coeff`).  In the continuum a flat
-interface reduces 𝔢 to the mode-wise supremum (:func:`c_flat`)
+for its transmission solve (:func:`e_coeff`).  A flat interface takes the
+same matrix path as any other state.  Its discrete ℰ is a Fourier
+multiplier that vanishes on the Nyquist mode, so 𝔢(0) on the grid is the
+maximum over 0 < |ξ| < ξ_max of the flat quotient
 
-    𝔢(0) = sup_{x≥0} x / ((1+x)(ρ̄⁻tanh(H̄⁺x) + ρ̄⁺tanh(H̄⁻x))).
+    x / ((1+x)(ρ̄⁻tanh(H̄⁺x) + ρ̄⁺tanh(H̄⁻x))),   x = √μ|ξ|,
 
-On the grid ζ = 0 takes the same matrix path as any other state: the
-discrete ℰ vanishes on the Nyquist mode, so the grid's 𝔢 maximises over
-0 < |ξ| < ξ_max only, and at coarse n_z its discrete 𝒢̃ can put it above
-:func:`c_flat`.
+with the tanh terms read from the discrete DN symbols, which match them to
+O(n_z⁻²); test_e_coeff_flat_closed_form pins that maximum.  The quotient
+tends to 1 as ξ → ∞.  Its supremum over the whole line is not computed.
 
 The margins 𝔡 = inf 𝔞 − Υ𝔠·max⁴ and 𝔡' (with the plain sup) quantify by
 how much a configuration clears the criteria.
@@ -59,64 +60,6 @@ from .operators import invert_g_tilde
 from .params import DimensionlessParams, _check_real, practical_verdict
 from .spectral import (PeriodicGrid, _finite, _gauge_constants, _read_only, apply_multiplier,
                        deriv, inner)
-from .strip import flat_symbol
-
-
-@dataclass(frozen=True)
-class FlatConstant:
-    """Result of the flat-interface mode-wise supremum."""
-
-    value: float
-    x_argmax: float
-    at_infinity: bool
-
-
-def _flat_quotient(x, rbp, rbm, hbp, hbm):
-    # x² over (1 + x) times the flat 𝒢̃ at √μ|ξ| = x, from the layer symbols
-    mix = (rbm / hbp) * flat_symbol(hbp**2, x) + (rbp / hbm) * flat_symbol(hbm**2, x)
-    return x**2 / ((1.0 + x) * mix)
-
-
-def c_flat(
-    rhobar_plus: float,
-    rhobar_minus: float,
-    hbar_plus: float,
-    hbar_minus: float,
-) -> FlatConstant:
-    """Flat-interface constant sup_x x/((1+x)(ρ̄⁻tanh(H̄⁺x)+ρ̄⁺tanh(H̄⁻x))).
-
-    Log-spaced scan over x ∈ [1e-4, 1e4] with golden-section refinement.
-    The x → ∞ limit equals 1 and the x → 0 limit equals
-    1/(ρ̄⁻H̄⁺ + ρ̄⁺H̄⁻); whichever endpoint or interior point attains the
-    supremum is reported (x → ∞ via ``at_infinity``).  InvalidConfigError
-    unless all four are finite, H̄± > 0, ρ̄⁺ > 0 and ρ̄⁻ ≥ 0.
-    """
-    _check_real("rhobar_plus", rhobar_plus, 0.0, strict=True)
-    _check_real("rhobar_minus", rhobar_minus, 0.0)
-    _check_real("hbar_plus", hbar_plus, 0.0, strict=True)
-    _check_real("hbar_minus", hbar_minus, 0.0, strict=True)
-    # imported by its only user: at module level it would slow every package import
-    from scipy.optimize import minimize_scalar
-
-    xs = np.geomspace(1e-4, 1e4, 400)
-    vals = _flat_quotient(xs, rhobar_plus, rhobar_minus, hbar_plus, hbar_minus)
-    i = int(np.argmax(vals))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, len(xs) - 1)]
-    res = minimize_scalar(
-        lambda x: -_flat_quotient(x, rhobar_plus, rhobar_minus, hbar_plus, hbar_minus),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    interior_val = max(float(vals[i]), float(-res.fun))
-    interior_x = float(res.x) if -res.fun >= vals[i] else float(xs[i])
-    limit_zero = 1.0 / (rhobar_minus * hbar_plus + rhobar_plus * hbar_minus)
-    if limit_zero > interior_val and limit_zero >= 1.0:
-        return FlatConstant(value=limit_zero, x_argmax=0.0, at_infinity=False)
-    if interior_val >= 1.0:
-        return FlatConstant(value=interior_val, x_argmax=interior_x, at_infinity=False)
-    return FlatConstant(value=1.0, x_argmax=math.inf, at_infinity=True)
 
 
 @functools.lru_cache(maxsize=16)

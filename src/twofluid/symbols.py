@@ -83,25 +83,6 @@ class TailSymbolSet:
         slope = p.eps * math.sqrt(p.mu) * zxv
         return (1.0 + sign * eps_l * zv) * _arctan_ratio(slope) * np.abs(xi)
 
-    def t_quadrature(self, x, xi, sign) -> np.ndarray:
-        """Tail symbol by the vertical-average quadrature definition.
-
-        Independent of the closed form: 96-point Gauss-Legendre integration
-        of |ξ| / (1 + ε²μ(1+z)²(∂xζ)²) over z ∈ [−1, 0].
-        """
-        p = self.params
-        eps_l, _ = p.layer(sign)
-        zv = self._at(x, self.zeta)
-        zxv = self._at(x, self.zeta_x)
-        nodes, weights = np.polynomial.legendre.leggauss(96)
-        z = 0.5 * (nodes - 1.0)  # map [-1,1] -> [-1,0]
-        w = 0.5 * weights
-        a2 = p.eps**2 * p.mu * zxv**2
-        integ = np.zeros_like(np.asarray(zv, dtype=float))
-        for zj, wj in zip(z, w):
-            integ = integ + wj / (1.0 + a2 * (1.0 + zj) ** 2)
-        return (1.0 + sign * eps_l * zv) * integ * np.abs(xi)
-
     def s(self, x, xi, sign) -> np.ndarray:
         """Positive DN symbol S±(x, ξ) = √μ± |ξ| tanh(√μ± t±(x, ξ))."""
         _, mu_l = self.params.layer(sign)

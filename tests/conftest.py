@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,42 @@ def flat_coupled_symbol(params, k):
     """𝒢₀(k) = s⁺/(H̄⁺·J) of a flat interface at k ≠ 0."""
     ts = flat_symbols(params)
     return float(ts.s(0.0, k, +1) / (params.hbar_plus * ts.j_symbol(0.0, k)))
+
+
+def _flat_mix_ratio(params, xi, depths=None):
+    """S̃(ξ)/(μξ²) of two flat layers at the modes ξ ≠ 0, in closed form.
+
+    S̃ = (ρ̄⁻/d⁺)y⁺tanh y⁺ + (ρ̄⁺/d⁻)y⁻tanh y⁻ with y± = √μ d±|ξ| is the
+    symbol of 𝒢̃ for layers of depths d± in units of H: H̄± by default, or
+    the local depths h± of a uniform state.  Written with tanh, not with the
+    package's flat symbols, so that it can check them.
+    """
+    dp, dm = (params.hbar_plus, params.hbar_minus) if depths is None else depths
+    xi = np.abs(np.asarray(xi, dtype=float))
+    smu = math.sqrt(params.mu)
+    tanhs = (params.rhobar_minus * np.tanh(smu * dp * xi)
+             + params.rhobar_plus * np.tanh(smu * dm * xi))
+    return tanhs / (smu * xi)
+
+
+def kelvin_threshold(params, xi, depths=None):
+    """Kelvin–Helmholtz threshold of two uniform streams at the modes ξ ≠ 0.
+
+    Two flat layers of depths d± (see :func:`_flat_mix_ratio`) slide past
+    each other with the velocity jump ⟦V⟧ in units of ε√(g'H).  Mode ξ grows
+    exactly when ε²ρ̄⁺ρ̄⁻⟦V⟧² exceeds (1 + ξ²/Bo)S̃(ξ)/(μξ²), the value
+    returned.  This is the streams' dispersion relation
+    t⁺(c − c⁺)² + t⁻(c − c⁻)² = (g(ρ⁺−ρ⁻) + σk²)/k, t± = ρ±coth(kH±), in
+    the package's variables: k = ξ/λ and ⟦c⟧ = ε√(g'H)⟦V⟧.
+    """
+    return (1.0 + xi**2 / params.bond) * _flat_mix_ratio(params, xi, depths)
+
+
+def flat_quotient(params, xi):
+    """μξ²/((1 + √μ|ξ|)S̃(ξ)) at the rest depths: the shear form's quotient
+    on the mode ξ of a flat interface, whose maximum over the grid's modes
+    is that interface's 𝔢 (test_e_coeff_flat_closed_form)."""
+    return 1.0 / ((1.0 + math.sqrt(params.mu) * np.abs(xi)) * _flat_mix_ratio(params, xi))
 
 
 def apply_e(state, v):

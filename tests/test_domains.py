@@ -1,13 +1,15 @@
 """Public scalar entry points reject a value their domain excludes (NaN, ±∞,
 0 or −1): InvalidConfigError, NumericalError for a non-finite array or a dry
-state, ValueError for a layer sign other than ±1, and no RuntimeWarning.  Values rejected before these checks (a wavenumber ≤ 0, μ < 0,
-the c_flat cases of test_stability, γ outside [0, 1]) are tested by module.
+state, ValueError for a layer sign other than ±1, and no RuntimeWarning.
+Values rejected before these checks (μ < 0, γ outside [0, 1]) are tested by
+module.
 A finite Sobolev order whose weight (1 + ξ²)^s overflows on the grid is
 outside the domain too, as is a grid size that is not an even integer, and a
 time step that is not finite (or, for the Rusanov step, negative or above the
 CFL bound).  A finite field is inside the domain however large its entries,
 but stepping one whose squares overflow raises NumericalError, as do the
-criteria, the tendency and the DN products of one past the largest float."""
+criteria, the tendency, the inner products and the DN products of one past
+the largest float."""
 
 import math
 import warnings
@@ -16,16 +18,15 @@ import numpy as np
 import pytest
 
 from twofluid import (EvolutionConfig, InterfaceState, InvalidConfigError, NumericalError,
-                      PeriodicGrid, ShearConfig, StripOperator, SWState, apply_j, c_flat,
-                      cfl_cap, config_from_dimensionless, criteria_from_scalars, derive_params,
-                      evaluate_criteria, fv_step, mode_growth, modewise_margin, norm_hdot_mu,
-                      norm_sobolev, practical_verdict, rhs, rk4_step, run, run_swsw,
-                      stability_inputs, tendency, transmission_solve)
+                      PeriodicGrid, StripOperator, SWState, apply_j, cfl_cap,
+                      config_from_dimensionless, criteria_from_scalars, derive_params,
+                      e_quadratic_form, evaluate_criteria, fv_step, inner, ins_form,
+                      modewise_margin, norm_hdot_mu, norm_sobolev, practical_verdict, rhs,
+                      rk4_step, run, run_swsw, stability_inputs, tendency, transmission_solve)
 from twofluid.spectral import fourier_interpolate
 
 GRID = PeriodicGrid(16)
 PARAMS = derive_params(config_from_dimensionless(0.3, 0.5, 0.4, 1.5, 100.0))
-SHEAR = ShearConfig(1025.0, 1.2, 1e3, 1e3, sigma=0.073)
 NOT_FINITE = (math.nan, math.inf, -math.inf)
 SCALARS = dict(e_value=1.0, grad_zeta_sup=0.5, inf_a=1.0, jump_sup=0.5, jump_sup_d1=0.8)
 
@@ -61,14 +62,17 @@ def on_amplitude(call):
     return lambda v: call(interface_state(v * np.sin(GRID.nodes)))
 
 
+def inputs_of(state):
+    return stability_inputs(state, transmission_solve(state))
+
+
 def criteria_of(state):
-    return evaluate_criteria(stability_inputs(state, transmission_solve(state)))
+    return evaluate_criteria(inputs_of(state))
 
 
-def c_flat_with(i, value):
-    args = [0.6, 0.4, 1.0, 1.0]
-    args[i] = value
-    return c_flat(*args)
+def ins_form_at(v):
+    """The instability form of u = v·sin x on the inputs of the default state."""
+    return ins_form(v * np.sin(GRID.nodes), inputs_of(interface_state()))
 
 
 ROWS = {
@@ -79,8 +83,6 @@ ROWS = {
     "norm_hdot_mu-mu": (lambda v: norm_hdot_mu(GRID, field(), 0.0, v), (math.nan, math.inf)),
     "norm_hdot_mu-u[3]": (lambda v: norm_hdot_mu(GRID, field(v), 0.0, 0.5), NOT_FINITE,
                           NumericalError),
-    "mode_growth-k": (lambda v: mode_growth(v, SHEAR), (math.nan, math.inf)),
-    "mode_growth-k[1]": (lambda v: mode_growth(np.array([1.0, v]), SHEAR), (math.nan,)),
     "fourier_interpolate-n_fine": (lambda v: fourier_interpolate(GRID, field(), v),
                                    (0, -16, 32.0, 40)),
     "PeriodicGrid-n": (PeriodicGrid, (16.0, 17)),
@@ -102,21 +104,31 @@ ROWS = {
     **{f"modewise_margin-{name}": (lambda v, name=name: margin(**{name: v}),
                                    NOT_FINITE + ((-1.0,) if name != "inf_a" else ()))
        for name in ("inf_a", "e_value", "grad_zeta_sup", "jump_sup")},
-    **{f"c_flat-{name}": (lambda v, i=i: c_flat_with(i, v), (math.inf,))
-       for i, name in enumerate(("rhobar_plus", "rhobar_minus", "hbar_plus", "hbar_minus"))},
     # finite scalars whose powers pass the largest float
     "criteria_from_scalars-grad_zeta_sup-overflow": (
         lambda v: criteria(grad_zeta_sup=v, jump_sup=0.0, jump_sup_d1=0.0), (1e200,),
         NumericalError),
     "modewise_margin-jump_sup-overflow": (
         lambda v: margin(jump_sup=v, grad_zeta_sup=v), (1e200,), NumericalError),
-    # ⟦V⟧⁴ overflows from 1e100 on, the tendency's squares from 1e160 and
-    # the DN products at 1e308
+    # ⟦V⟧⁴ overflows from 1e100 on, the inner products from 1e156, the
+    # tendency's squares from 1e160 and the DN products at 1e308
     "evaluate_criteria-psi": (on_amplitude(criteria_of), (1e100, 1e160, 1e308), NumericalError),
     "tendency-psi": (on_amplitude(lambda st: tendency(st, transmission_solve(st))),
                      (1e160, 1e308), NumericalError),
     "transmission_solve-psi": (on_amplitude(transmission_solve), (1e308,), NumericalError),
     "apply_j-psi": (on_amplitude(lambda st: apply_j(st, st.psi)), (1e308,), NumericalError),
+    "inner-psi": (on_amplitude(lambda st: inner(GRID, st.psi, st.psi)), (1e156, 1e200, 1e308),
+                  NumericalError),
+    # at 1e308 ∂xψ itself overflows, which deriv reports with a RuntimeWarning
+    "e_quadratic_form-psi": (on_amplitude(lambda st: e_quadratic_form(st, st.psi)),
+                             (1e156, 1e200), NumericalError),
+    "ins_form-u": (ins_form_at, (1e156, 1e200, 1e308), NumericalError),
+    # a non-finite entry makes the product non-finite
+    "inner-u[3]": (lambda v: inner(GRID, field(v), field()), NOT_FINITE, NumericalError),
+    "e_quadratic_form-v[3]": (lambda v: e_quadratic_form(interface_state(), field(v)),
+                              NOT_FINITE, NumericalError),
+    "ins_form-u[3]": (lambda v: ins_form(field(v), inputs_of(interface_state())), NOT_FINITE,
+                      NumericalError),
 }
 
 

@@ -1,166 +1,179 @@
+"""Kelvin–Helmholtz stability of two uniform streams, in the package's variables.
+
+The oracle is `kelvin_threshold` of conftest: mode ξ grows exactly when
+ε²ρ̄⁺ρ̄⁻⟦V⟧² exceeds it.  Dimensional settings enter through
+`config_from_dimensionless`, whose effective depth is H = 1 m, and a
+dimensional velocity jump is ⟦c⟧ = ε√(g'H)⟦V⟧.
+"""
+
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from twofluid import (
-    InvalidConfigError,
-    NumericalError,
-    ShearConfig,
-    critical_shear,
-    kelvin_criterion_threshold,
-    max_growth,
-    mode_growth,
-)
-from twofluid import kelvin
+from twofluid import config_from_dimensionless, derive_params
+from twofluid.operators import _g_tilde_of
+from twofluid.strip import flat_symbol
+from conftest import kelvin_threshold
 
-AIR_WATER_DEEP = ShearConfig(
-    rho_plus=1025.0, rho_minus=1.2, depth_plus=1e3, depth_minus=1e3,
-    sigma=0.073, gravity=9.81,
-)
+GRAVITY = 9.81
 
 
-def test_no_shear_is_stable():
-    cfg = ShearConfig(1000.0, 400.0, 2.0, 1.0, c_plus=0.7, c_minus=0.7, sigma=0.01)
-    for k in np.geomspace(1e-3, 1e4, 50):
-        assert mode_growth(k, cfg) == 0.0
+def streams(rho_plus, rho_minus, sigma, mu=1.0):
+    """Parameters of two streams of densities ρ± and equal depths H = 1 m,
+    with the tension σ, gravity g and the wavelength scale λ = H/√μ."""
+    rho_total = rho_plus + rho_minus
+    rbm = rho_minus / rho_total
+    g_reduced = (1.0 - 2.0 * rbm) * GRAVITY
+    bond = rho_total * g_reduced / (mu * sigma) if sigma > 0.0 else math.inf
+    return derive_params(config_from_dimensionless(
+        0.1, mu, rbm, 1.0, bond, GRAVITY, rho_total=rho_total))
 
 
-def test_equal_densities_no_tension_always_unstable():
-    cfg = ShearConfig(1000.0, 1000.0, 1.0, 1.0, c_plus=0.5, c_minus=-0.5, sigma=0.0)
-    for k in np.geomspace(1e-2, 1e3, 30):
-        assert mode_growth(k, cfg) > 0.0
+def critical_shear(p):
+    """(⟦c⟧ at the infimum over ξ > 0 of the threshold, the ξ reaching it).
+
+    A log-spaced scan over ξ ∈ [1e-4, 1e8], refined by minimize_scalar in
+    log ξ between the neighbours of the scan's minimum."""
+    xs = np.geomspace(1e-4, 1e8, 1201)
+    i = int(np.argmin(kelvin_threshold(p, xs)))
+    res = minimize_scalar(lambda t: float(kelvin_threshold(p, math.exp(t))),
+                          bounds=(math.log(xs[max(i - 1, 0)]), math.log(xs[min(i + 1, 1200)])),
+                          method="bounded", options={"xatol": 1e-12})
+    return jump_of(p, res.fun), math.exp(res.x)
+
+
+def jump_of(p, threshold):
+    """The dimensional jump ⟦c⟧ at which ε²ρ̄⁺ρ̄⁻⟦V⟧² equals the threshold."""
+    return p.wave_speed * math.sqrt(threshold / (p.rhobar_plus * p.rhobar_minus))
+
+
+def package_threshold(p, xi):
+    """The threshold from the package's symbols, (1 + ξ²/Bo)S̃/(μξ²) with
+    S̃ = 𝒢̃'s symbol of the flat layer symbols."""
+    mix = _g_tilde_of(p, flat_symbol(p.mu_plus, xi), flat_symbol(p.mu_minus, xi))
+    return (1.0 + xi**2 / p.bond) * mix / (p.mu * xi**2)
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.01])
+def test_deep_water_threshold_is_the_classical_one(mu):
+    # air over water, 1 m deep: the marginal mode k* = √(gΔρ/σ) has
+    # k*H ≈ 371, and the classical threshold (ρ⁺ρ⁻/(ρ⁺+ρ⁻))U² = 2√(gΔρσ)
+    # is the quartic |⟦c⟧|⁴ = 4σgΔρ(ρ⁺+ρ⁻)²/(ρ⁺ρ⁻)²
+    rho_plus, rho_minus, sigma = 1025.0, 1.2, 0.073
+    p = streams(rho_plus, rho_minus, sigma, mu)
+    assert p.sigma == pytest.approx(sigma, rel=1e-14)
+    drho, rho_total = rho_plus - rho_minus, rho_plus + rho_minus
+    u_star = (4.0 * sigma * GRAVITY * drho * rho_total**2 / (rho_plus * rho_minus) ** 2) ** 0.25
+    k_star = math.sqrt(GRAVITY * drho / sigma)
+    wavelength = 1.0 / math.sqrt(mu)
+    assert jump_of(p, kelvin_threshold(p, k_star * wavelength)) == pytest.approx(u_star,
+                                                                                 rel=1e-12)
+    u_crit, xi_crit = critical_shear(p)
+    assert u_crit == pytest.approx(u_star, rel=1e-10)
+    assert u_crit == pytest.approx(6.7, rel=0.01)
+    assert xi_crit / wavelength == pytest.approx(k_star, rel=1e-7)
 
 
 def test_deep_water_marginal_mode():
-    # classical threshold: (rho+ rho-/(rho+ + rho-)) U^2 = 2 sqrt(g drho sigma),
-    # attained at k* = sqrt(g drho / sigma)
-    cfg0 = AIR_WATER_DEEP
-    g, s = cfg0.gravity, cfg0.sigma
-    drho = cfg0.rho_plus - cfg0.rho_minus
-    k_star = math.sqrt(g * drho / s)
-    u_star = math.sqrt(
-        2.0 * math.sqrt(g * drho * s) * (cfg0.rho_plus + cfg0.rho_minus)
-        / (cfg0.rho_plus * cfg0.rho_minus)
-    )
-    assert mode_growth(k_star, cfg0.with_shear(0.999 * u_star)) == 0.0
-    assert mode_growth(k_star, cfg0.with_shear(1.001 * u_star)) > 0.0
-    # double root at the marginal point: the two frequencies
-    # k(t⁺c⁺ + t⁻c⁻ ± √Δ)/(t⁺ + t⁻) coincide
-    cfg = cfg0.with_shear(u_star)
-    tp, tm, disc = kelvin._dispersion(k_star, cfg)
-    mean, root = tp * cfg.c_plus + tm * cfg.c_minus, np.sqrt(disc + 0j)
-    w1, w2 = k_star * (mean + root) / (tp + tm), k_star * (mean - root) / (tp + tm)
-    assert abs(w1 - w2) < 1e-6 * abs(w1)
+    # the package's symbols put the classical marginal shear u* at
+    # k* = √(gΔρ/σ): modes there grow just above u* and not just below,
+    # and the neighbouring modes need more shear
+    rho_plus, rho_minus, sigma = 1025.0, 1.2, 0.073
+    p = streams(rho_plus, rho_minus, sigma)
+    drho, rho_total = rho_plus - rho_minus, rho_plus + rho_minus
+    u_star = (4.0 * sigma * GRAVITY * drho * rho_total**2 / (rho_plus * rho_minus) ** 2) ** 0.25
+    xi_star = math.sqrt(GRAVITY * drho / sigma) / math.sqrt(p.mu)
+    threshold = float(package_threshold(p, xi_star))
+    assert jump_of(p, threshold) == pytest.approx(u_star, rel=1e-12)
+    for factor, grows in ((0.999, False), (1.001, True)):
+        # ε²ρ̄⁺ρ̄⁻⟦V⟧² of the jump ⟦c⟧ = ε√(g'H)⟦V⟧
+        shear = p.rhobar_plus * p.rhobar_minus * (factor * u_star / p.wave_speed) ** 2
+        assert (shear > threshold) == grows
+    assert np.all(package_threshold(p, xi_star * np.array([0.999, 1.001])) > threshold)
 
 
-def test_deep_water_critical_shear_value():
-    u_crit, k_crit = critical_shear(AIR_WATER_DEEP)
-    closed = (
-        4.0 * AIR_WATER_DEEP.sigma * AIR_WATER_DEEP.gravity
-        * (AIR_WATER_DEEP.rho_plus - AIR_WATER_DEEP.rho_minus)
-        * (AIR_WATER_DEEP.rho_plus + AIR_WATER_DEEP.rho_minus) ** 2
-        / (AIR_WATER_DEEP.rho_plus * AIR_WATER_DEEP.rho_minus) ** 2
-    ) ** 0.25
-    assert u_crit == pytest.approx(closed, rel=1e-4)
-    assert u_crit == pytest.approx(6.7, rel=0.01)
-    k_star = math.sqrt(
-        AIR_WATER_DEEP.gravity * (AIR_WATER_DEEP.rho_plus - AIR_WATER_DEEP.rho_minus)
-        / AIR_WATER_DEEP.sigma
-    )
-    assert k_crit == pytest.approx(k_star, rel=0.05)
+def test_equal_densities_no_tension_critical_jump_vanishes():
+    # without surface tension the critical jump of mode k solves
+    # t⁺t⁻⟦c⟧²/(t⁺ + t⁻) = gΔρ/k, t± = ρ±coth(kH±), so it is
+    # √(gΔρ(ρ⁺ + ρ⁻)tanh(k)/(kρ⁺ρ⁻)) at H± = 1 m and vanishes like √Δρ as
+    # the densities meet; the package's symbols give it mode by mode
+    xis = np.geomspace(1e-2, 1e3, 30)
+    crit = []
+    for drho in (200.0, 2.0, 0.02):
+        rho_plus, rho_minus = 1000.0 + drho / 2.0, 1000.0 - drho / 2.0
+        p = streams(rho_plus, rho_minus, 0.0)
+        k = xis * math.sqrt(p.mu)
+        tp, tm = rho_plus / np.tanh(k), rho_minus / np.tanh(k)
+        closed = np.sqrt(GRAVITY * drho * (tp + tm) / (k * tp * tm))
+        jumps = np.array([jump_of(p, t) for t in package_threshold(p, xis)])
+        assert jumps == pytest.approx(closed, rel=1e-10)
+        crit.append(jumps)
+    fall = math.sqrt(0.02 / 200.0 * (1100.0 * 900.0) / (1000.01 * 999.99))
+    assert crit[2] / crit[0] == pytest.approx(fall, rel=1e-10)
 
 
-def test_critical_shear_degenerate_configurations():
-    # equal densities without surface tension: every shear is unstable
-    u, _ = critical_shear(ShearConfig(1000.0, 1000.0, 1.0, 1.0, sigma=0.0))
-    assert u == 0.0
-    # a stable stratification without surface tension: the threshold T(k)
-    # decays like 1/k, so the infimum is 0, reached only as k -> infinity
-    cfg = ShearConfig(1025.0, 1000.0, 10.0, 3.0, sigma=0.0)
-    assert critical_shear(cfg) == (0.0, math.inf)
-    assert mode_growth(1e6, cfg.with_shear(1e-3)) > 0.0
-    # equal densities with surface tension: T(k) = (tanh kH⁺ + tanh kH⁻)σk/ρ
-    # decays like k², so the infimum is 0, reached only as k -> 0
-    cfg = ShearConfig(1000.0, 1000.0, 1.0, 1.0, sigma=0.07)
-    assert critical_shear(cfg) == (0.0, 0.0)
-    assert mode_growth(1e-6, cfg.with_shear(1e-3)) > 0.0
-    # a single stream: every mode is neutral
-    with pytest.raises(NumericalError):
-        critical_shear(ShearConfig(1000.0, 0.0, 1.0, 1.0, sigma=0.07))
-
-
-def test_galilean_invariance(rng):
-    for _ in range(10):
-        jump = rng.uniform(0.1, 5.0)
-        shift = rng.uniform(-10, 10)
-        base = ShearConfig(1200.0, 900.0, 0.05, 0.11, c_plus=jump / 2,
-                           c_minus=-jump / 2, sigma=0.02)
-        moved = ShearConfig(1200.0, 900.0, 0.05, 0.11, c_plus=jump / 2 + shift,
-                            c_minus=-jump / 2 + shift, sigma=0.02)
-        for k in (0.5, 7.0, 300.0):
-            assert mode_growth(k, base) == pytest.approx(
-                mode_growth(k, moved), abs=1e-12 * max(1.0, mode_growth(k, base))
-            )
-
-
-def test_jump_sign_symmetry():
-    cfg = ShearConfig(1100.0, 1000.0, 0.2, 0.1, sigma=0.03)
-    for k in (1.0, 50.0):
-        up = mode_growth(k, cfg.with_shear(1.7))
-        down = mode_growth(k, cfg.with_shear(-1.7))
-        assert up == pytest.approx(down, rel=1e-12)
-
-
-def test_threshold_formula_scalings():
-    base = kelvin_criterion_threshold(AIR_WATER_DEEP, 1.0)
-    doubled = kelvin_criterion_threshold(AIR_WATER_DEEP, 2.0)
-    assert doubled == pytest.approx(base * 2.0 ** (-0.25), rel=1e-12)
-    dry = ShearConfig(1000.0, 0.0, 1.0, 1.0, sigma=0.05)
-    assert kelvin_criterion_threshold(dry, 1.0) == math.inf
-    no_sigma = ShearConfig(1000.0, 500.0, 1.0, 1.0, sigma=0.0)
-    assert kelvin_criterion_threshold(no_sigma, 1.0) == 0.0
-
-
-@pytest.mark.parametrize("c0", [-1.0, 0.0, math.nan, math.inf])
-def test_threshold_rejects_a_bad_criterion_constant(c0):
-    # c0 = -1 gave a complex threshold, 0 a ZeroDivisionError, nan a nan and
-    # inf a threshold of 0
-    with pytest.raises(InvalidConfigError):
-        kelvin_criterion_threshold(AIR_WATER_DEEP, c0)
+def test_no_shear_is_stable(rng):
+    # ⟦V⟧ = 0 leaves no mode growing: the threshold is positive and finite
+    xis = np.geomspace(1e-3, 1e4, 50)
+    for _ in range(20):
+        p = derive_params(config_from_dimensionless(
+            rng.uniform(0.05, 0.6), rng.uniform(1e-3, 1.0), rng.uniform(0.0, 0.49),
+            rng.uniform(0.2, 5.0), rng.choice([math.inf, rng.uniform(1.0, 1e6)])))
+        threshold = kelvin_threshold(p, xis)
+        assert np.all((threshold > 0.0) & np.isfinite(threshold))
 
 
 def test_sigma_to_zero_threshold_to_zero():
-    vals = []
-    for s in (0.05, 0.005, 0.0005):
-        cfg = ShearConfig(1100.0, 900.0, 10.0, 10.0, sigma=s)
-        u, _ = critical_shear(cfg)
-        vals.append(u)
+    # water over a lighter fluid, 1 m deep: in deep water the threshold falls
+    # like σ^{1/4}, and without surface tension it vanishes like 1/ξ
+    vals = [critical_shear(streams(1100.0, 900.0, s))[0] for s in (0.05, 0.005, 0.0005)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 0.5 * vals[0]
+    assert vals[1] / vals[0] == pytest.approx(0.1**0.25, rel=1e-10)
+    assert vals[2] / vals[1] == pytest.approx(0.1**0.25, rel=1e-10)
+    p = streams(1100.0, 900.0, 0.0)
+    xis = np.geomspace(1e2, 1e12, 11)
+    assert kelvin_threshold(p, xis) * math.sqrt(p.mu) * xis == pytest.approx(1.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("change", [
-    {"sigma": -0.07}, {"sigma": math.nan}, {"gravity": -9.81}, {"c_plus": math.inf},
-    {"rho_minus": 1010.0},
-], ids=["sigma-negative", "sigma-nan", "gravity-negative", "c-plus-inf", "rho-minus-above-plus"])
-def test_shear_config_rejects_non_physical_values(change):
-    # each used to construct: a negative sigma made critical_shear raise a
-    # math domain error while max_growth returned a rate, a NaN sigma gave a
-    # NaN threshold, and a negative gravity a math domain error
-    with pytest.raises(InvalidConfigError):
-        ShearConfig(**{"rho_plus": 1000.0, "rho_minus": 990.0, "depth_plus": 1.0,
-                       "depth_minus": 1.0, "sigma": 0.07, **change})
+def test_single_stream_has_no_unstable_shear():
+    # with ρ̄⁻ = 0, ε²ρ̄⁺ρ̄⁻⟦V⟧² = 0 whatever the shear, below every threshold
+    for bond in (math.inf, 100.0):
+        p = derive_params(config_from_dimensionless(0.3, 0.5, 0.0, 1.5, bond))
+        threshold = kelvin_threshold(p, np.geomspace(1e-4, 1e8, 200))
+        assert p.rhobar_minus == 0.0
+        assert np.all((threshold > 0.0) & np.isfinite(threshold))
 
 
-def test_mode_growth_rejects_bad_wavenumber():
-    # the restoring term divides by k: k = 0 raises instead of dividing by zero
-    for k in (0.0, -1.0):
-        with pytest.raises(InvalidConfigError):
-            mode_growth(k, AIR_WATER_DEEP)
+def test_threshold_matches_the_package_flat_symbols():
+    # the threshold from the package's symbols is the oracle's
+    rng = np.random.default_rng(24)
+    worst = 0.0
+    for _ in range(200):
+        p = derive_params(config_from_dimensionless(
+            rng.uniform(0.0, 0.6), 10.0 ** rng.uniform(-3.0, 0.0), rng.uniform(1e-3, 0.49),
+            10.0 ** rng.uniform(math.log10(0.2), math.log10(5.0)),
+            10.0 ** rng.uniform(0.0, 6.0)))
+        xi = 10.0 ** rng.uniform(-2.0, 4.0, 50)
+        ratio = package_threshold(p, xi) / kelvin_threshold(p, xi)
+        worst = max(worst, float(np.max(np.abs(ratio - 1.0))))
+    assert worst <= 1e-13
 
 
-def test_max_growth_positive_above_threshold():
-    rate, k = max_growth(AIR_WATER_DEEP.with_shear(10.0))
-    assert rate > 0.0
-    assert 1e-3 <= k <= 1e5
+def test_critical_shear_degenerate_configurations():
+    # at the edges of the parameter domain, a single stream or no surface
+    # tension, the package's threshold stays the oracle's far out in ξ; with
+    # Bo = ∞ it decays like 1/(√μξ), so its infimum 0 is reached only as
+    # ξ → ∞
+    xi = np.geomspace(1e-4, 1e12, 161)
+    for rbm, bond in ((0.0, 100.0), (0.0, math.inf), (0.3, math.inf), (0.49, math.inf)):
+        p = derive_params(config_from_dimensionless(0.3, 0.5, rbm, 1.5, bond))
+        package = package_threshold(p, xi)
+        assert np.all((package > 0.0) & np.isfinite(package))
+        assert package == pytest.approx(kelvin_threshold(p, xi), rel=1e-13)
+        if math.isinf(bond):
+            tail = xi >= 1e2
+            assert package[tail] * math.sqrt(p.mu) * xi[tail] == pytest.approx(1.0, rel=1e-15)
+            assert np.all(np.diff(package[tail]) < 0.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,6 +82,20 @@ def test_physical_config_rejects_non_finite_values(change):
 
 
 @pytest.mark.parametrize("change", [
+    {"surface_tension": -0.07}, {"surface_tension": math.nan}, {"gravity": -9.81},
+    {"depth_plus": math.inf}, {"rho_minus": 1010.0},
+], ids=["sigma-negative", "sigma-nan", "gravity-negative", "depth-plus-inf",
+        "rho-minus-above-plus"])
+def test_stream_config_rejects_non_physical_values(change):
+    # the checks of two uniform streams of close densities: a negative σ
+    # or g would give an imaginary critical shear, a NaN σ a NaN one
+    cfg = dict(rho_plus=1000.0, rho_minus=990.0, depth_plus=1.0, depth_minus=1.0,
+               amplitude=0.1, wavelength=1.0, surface_tension=0.07)
+    with pytest.raises(InvalidConfigError):
+        PhysicalConfig(**{**cfg, **change})
+
+
+@pytest.mark.parametrize("change", [
     {"bond": 0.0}, {"eps": math.nan}, {"rhobar_minus": 0.5}, {"rhobar_minus": -0.1},
 ], ids=["bond-0", "eps-nan", "rhobar_minus-0.5", "rhobar_minus-negative"])
 def test_config_from_dimensionless_rejects_bad_targets(change):
@@ -95,26 +110,26 @@ def test_upsilon_air_water_breaking():
 
 def test_upsilon_koop_butler_range():
     cfg = PRESETS["koop_butler"]
-    assert upsilon(cfg.with_amplitude(0.00034)) == pytest.approx(5.39e-7, rel=0.05)
-    assert upsilon(cfg.with_amplitude(0.0068)) == pytest.approx(0.086, rel=0.05)
+    assert upsilon(replace(cfg, amplitude=0.00034)) == pytest.approx(5.39e-7, rel=0.05)
+    assert upsilon(replace(cfg, amplitude=0.0068)) == pytest.approx(0.086, rel=0.05)
 
 
 def test_upsilon_zero_amplitude():
-    cfg = PRESETS["grue"].with_amplitude(0.0)
+    cfg = replace(PRESETS["grue"], amplitude=0.0)
     assert upsilon(cfg) == 0.0
 
 
 def test_upsilon_quartic_in_amplitude():
     cfg = PRESETS["grue"]
     base = upsilon(cfg)
-    assert upsilon(cfg.with_amplitude(2 * cfg.amplitude)) == pytest.approx(
+    assert upsilon(replace(cfg, amplitude=2 * cfg.amplitude)) == pytest.approx(
         16.0 * base, rel=1e-12
     )
 
 
 def test_upsilon_sigma_zero_is_error():
     with pytest.raises(InvalidConfigError):
-        upsilon(PRESETS["grue"].with_surface_tension(0.0))
+        upsilon(replace(PRESETS["grue"], surface_tension=0.0))
 
 
 def test_upsilon_homogeneous_in_density_scale():
@@ -134,7 +149,7 @@ def test_upsilon_homogeneous_in_density_scale():
 
 def test_sigma_inference_grue():
     # Υ ∝ 1/σ, so σ·Υ(σ) is the surface tension that gives Υ = 1
-    cfg = PRESETS["grue"].with_amplitude(0.2)
+    cfg = replace(PRESETS["grue"], amplitude=0.2)
     sigma = cfg.surface_tension * upsilon(cfg)
     assert sigma == pytest.approx(0.095, abs=0.001)
 
@@ -143,11 +158,11 @@ def test_sigma_upsilon_round_trip(rng):
     # Υ ∝ 1/σ: the surface tension Υ(σ = 1)/target gives the target
     cfg = PRESETS["koop_butler"]
     for target in 10.0 ** rng.uniform(-6, 2, size=10):
-        sigma = upsilon(cfg.with_surface_tension(1.0)) / target
-        assert upsilon(cfg.with_surface_tension(sigma)) == pytest.approx(
+        sigma = upsilon(replace(cfg, surface_tension=1.0)) / target
+        assert upsilon(replace(cfg, surface_tension=sigma)) == pytest.approx(
             target, rel=1e-12
         )
-    assert upsilon(cfg.with_surface_tension(1.0)) / upsilon(cfg) == pytest.approx(
+    assert upsilon(replace(cfg, surface_tension=1.0)) / upsilon(cfg) == pytest.approx(
         cfg.surface_tension, rel=1e-12
     )
 
@@ -159,9 +174,9 @@ def test_bond_air_water_long_wave():
 def test_bond_scalings():
     cfg = PRESETS["grue"]
     base = derive_params(cfg).bond
-    assert derive_params(cfg.with_surface_tension(2 * cfg.surface_tension)).bond == (
+    assert derive_params(replace(cfg, surface_tension=2 * cfg.surface_tension)).bond == (
         pytest.approx(base / 2, rel=1e-12))
-    assert derive_params(cfg.with_surface_tension(0.0)).bond == math.inf
+    assert derive_params(replace(cfg, surface_tension=0.0)).bond == math.inf
 
 
 def test_shear_scale():
@@ -170,12 +185,12 @@ def test_shear_scale():
         p = derive_params(cfg)
         return p.eps * p.wave_speed
 
-    cfg = PRESETS["grue"].with_amplitude(0.2)
+    cfg = replace(PRESETS["grue"], amplitude=0.2)
     p = derive_params(cfg)
     expected = (0.2 / p.h_eff) * math.sqrt(p.g_reduced * p.h_eff)
     assert shear_scale(cfg) == pytest.approx(expected, rel=1e-12)
-    assert shear_scale(cfg.with_amplitude(0.0)) == 0.0
-    assert shear_scale(cfg.with_amplitude(0.4)) == pytest.approx(
+    assert shear_scale(replace(cfg, amplitude=0.0)) == 0.0
+    assert shear_scale(replace(cfg, amplitude=0.4)) == pytest.approx(
         2 * shear_scale(cfg), rel=1e-12
     )
 

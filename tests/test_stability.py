@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from twofluid import (
     IncompatibleDataError,
@@ -18,7 +19,6 @@ from twofluid import (
     a_field,
     apply_g_tilde,
     apply_multiplier,
-    c_flat,
     config_from_dimensionless,
     criteria_from_scalars,
     derive_params,
@@ -33,8 +33,7 @@ from twofluid import (
 )
 from twofluid import strip
 from twofluid.operators import pinv_g_tilde
-from twofluid.stability import _flat_quotient
-from conftest import make_state, shear_form_matrix, smooth_field
+from conftest import flat_quotient, make_state, shear_form_matrix, smooth_field
 
 
 def h1_sigma_norm2(grid, u, bond):
@@ -48,71 +47,6 @@ def zero_traces(n):
     return TraceBundle(z, z.copy(), z.copy(), z.copy(), z.copy(), z.copy())
 
 
-# -- flat constant ----------------------------------------------------------------
-
-
-def test_c_flat_deep_limit():
-    res = c_flat(0.6, 0.4, 1e3, 1e3)
-    assert abs(res.value - 1.0) <= 1e-3
-    assert res.at_infinity
-
-
-@pytest.mark.parametrize("args", [
-    (0.6, 0.4, -1.0, 1.0), (0.6, 0.4, 1.0, 0.0), (0.0, 0.4, 1.0, 1.0),
-    (0.6, -0.1, 1.0, 1.0), (0.6, 0.4, math.nan, 1.0),
-])
-def test_c_flat_rejects_non_physical_input(args):
-    # (0.6, 0.4, -1.0, 1.0) used to return value=5.0
-    with pytest.raises(InvalidConfigError):
-        c_flat(*args)
-
-
-def test_c_flat_symmetric_unit_depths():
-    res = c_flat(0.5, 0.5, 1.0, 1.0)
-    assert res.value == pytest.approx(1.0, abs=1e-9)
-    # both endpoints reach the supremum 1 here; the interior stays below it
-    # quotient stays below 1 at finite x and approaches the limit from below
-    xs = np.array([0.5, 1.0, 5.0, 50.0, 500.0])
-    q = _flat_quotient(xs, 0.5, 0.5, 1.0, 1.0)
-    assert np.all(q < 1.0)
-    assert q[-1] > 0.99
-
-
-def test_c_flat_grue_geometry():
-    p = derive_params(config_from_dimensionless(0.2, 0.1, 0.4943, 0.62 / 0.15))
-    res = c_flat(p.rhobar_plus, p.rhobar_minus, p.hbar_plus, p.hbar_minus)
-    # scan-refined value, frozen on first verified run
-    assert res.value == pytest.approx(1.0, abs=1e-9)
-    assert res.at_infinity
-
-
-def test_c_flat_zero_limit_can_dominate():
-    # strongly asymmetric split: the x -> 0 end exceeds the deep limit
-    rbp, rbm, r = 0.9, 0.1, 9.0
-    hbp, hbm = rbp + rbm * r, rbp / r + rbm
-    res = c_flat(rbp, rbm, hbp, hbm)
-    expected = 1.0 / (rbm * hbp + rbp * hbm)
-    assert expected > 1.0
-    assert res.value == pytest.approx(expected, rel=1e-9)
-    assert res.x_argmax == 0.0
-
-
-def test_c_flat_interior_supremum():
-    # a deep light layer over a thin heavy one: the supremum is interior,
-    # above both endpoint limits, and the refinement matches a fine scan
-    args = (0.99, 0.01, 10.0, 0.01)
-    res = c_flat(*args)
-    assert not res.at_infinity and 0.0 < res.x_argmax < math.inf
-    assert res.value > max(1.0, 1.0 / (0.01 * 10.0 + 0.99 * 0.01))
-    xs = np.linspace(0.5, 1.5, 200001)
-    vals = _flat_quotient(xs, *args)
-    i = int(np.argmax(vals))
-    assert vals[i] <= res.value <= vals[i] * (1.0 + 1e-9)
-    assert abs(res.x_argmax - xs[i]) <= 2.0 * (xs[1] - xs[0])
-    assert res.value == pytest.approx(25.12621, rel=1e-6)
-    assert res.x_argmax == pytest.approx(1.00512, abs=1e-5)
-
-
 # -- e coefficient ----------------------------------------------------------------
 
 
@@ -124,14 +58,82 @@ def test_e_coeff_flat_closed_form(grid64):
     # one, on which the discrete ℰ vanishes
     k = np.abs(grid64.wavenumbers)
     k = k[(k > 0) & (k < grid64.k_max)]
-    vals = _flat_quotient(
-        math.sqrt(p.mu) * k, p.rhobar_plus, p.rhobar_minus, p.hbar_plus, p.hbar_minus
-    )
-    assert e_val == pytest.approx(float(np.max(vals)), rel=1e-12)
-    # the maximizing mode is resolved exactly at this n_z, so the value stays
-    # below the continuum supremum of the same quotient
-    cont = c_flat(p.rhobar_plus, p.rhobar_minus, p.hbar_plus, p.hbar_minus)
-    assert e_val <= cont.value + 1e-12
+    assert e_val == pytest.approx(float(np.max(flat_quotient(p, k))), rel=1e-12)
+
+
+def flat_e_coeff(n, **config):
+    """(𝔢 of a flat interface on PeriodicGrid(n), the flat quotient on the
+    modes ξ = 1 … n/2 − 1 of that grid, the interface's parameters)."""
+    grid = PeriodicGrid(n)
+    st = make_state(grid, np.zeros(n), np.zeros(n), eps=0.0, **config)
+    return e_coeff(st), flat_quotient(st.params, np.arange(1.0, n // 2)), st.params
+
+
+def zero_limit(p):
+    """The ξ → 0 limit 1/(ρ̄⁻H̄⁺ + ρ̄⁺H̄⁻) of the flat quotient; its ξ → ∞
+    limit is 1."""
+    return 1.0 / (p.rhobar_minus * p.hbar_plus + p.rhobar_plus * p.hbar_minus)
+
+
+def test_e_coeff_flat_deep_limit():
+    # layers deep next to every wavelength: tanh = 1 on the grid, so 𝔢 is
+    # x/(1 + x) at the top mode x = √μ·31, below the ξ → ∞ limit 1
+    e_val, vals, p = flat_e_coeff(64, mu=100.0, rbm=0.4, ratio=1.0)
+    x = math.sqrt(p.mu) * 31.0
+    assert e_val == pytest.approx(x / (1.0 + x), rel=1e-10)
+    assert e_val == pytest.approx(float(vals[-1]), rel=1e-10)
+    assert 0.0 < 1.0 - e_val <= 1.0 / (1.0 + x) * (1.0 + 1e-8)
+
+
+def test_e_coeff_flat_symmetric_unit_depths():
+    # H̄± = 1: the quotient x/((1 + x)tanh x) stays below 1 at every finite
+    # x and rises to it, so 𝔢 grows with the grid towards 1 from below
+    vals = []
+    for n in (16, 64, 256):
+        e_val, quotient, p = flat_e_coeff(n, mu=0.5, rbm=0.4, ratio=1.0)
+        assert p.hbar_plus == p.hbar_minus == 1.0
+        assert np.all(quotient < 1.0)
+        assert e_val == pytest.approx(float(quotient[-1]), rel=1e-5)
+        vals.append(e_val)
+    assert vals[0] < vals[1] < vals[2] < 1.0
+    assert vals[2] > 0.98
+
+
+def test_e_coeff_flat_grue_geometry():
+    # the zero limit is below the deep one, so 𝔢 sits at the top mode,
+    # under the quotient's supremum 1
+    e_val, vals, p = flat_e_coeff(64, mu=0.1, rbm=0.4943, ratio=0.62 / 0.15)
+    assert zero_limit(p) < 1.0
+    assert int(np.argmax(vals)) == vals.size - 1
+    assert e_val == pytest.approx(float(vals[-1]), rel=1e-6)
+    assert e_val < 1.0
+
+
+def test_e_coeff_flat_zero_limit_can_dominate():
+    # strongly asymmetric split: the ξ → 0 end exceeds the deep limit, and
+    # on a long wave the lowest mode carries 𝔢, just below that end
+    e_val, vals, p = flat_e_coeff(64, mu=1e-4, rbm=0.1, ratio=9.0)
+    assert (p.hbar_plus, p.hbar_minus) == pytest.approx((1.8, 0.2), rel=1e-14)
+    assert zero_limit(p) == pytest.approx(1.0 / 0.36, rel=1e-14)
+    assert int(np.argmax(vals)) == 0
+    assert e_val == pytest.approx(float(vals[0]), rel=1e-6)
+    assert 1.0 < e_val < zero_limit(p)
+
+
+def test_e_coeff_flat_interior_maximum():
+    # a deep light layer over a thin heavy one: the quotient peaks inside
+    # the grid's band, above both end limits, and 𝔢 is its grid maximum
+    # at the mode next to the peak
+    e_val, vals, p = flat_e_coeff(64, mu=0.01, rbm=0.01, ratio=901.0)
+    assert p.hbar_plus == pytest.approx(10.0, rel=1e-14)
+    i = int(np.argmax(vals))
+    assert 0 < i < vals.size - 1
+    assert e_val == pytest.approx(float(vals[i]), rel=1e-6)
+    assert e_val > max(1.0, zero_limit(p), vals[0], vals[-1])
+    peak = minimize_scalar(lambda xi: -float(flat_quotient(p, xi)), bounds=(i, i + 2.0),
+                           method="bounded", options={"xatol": 1e-10})
+    assert i < peak.x < i + 2.0
+    assert vals[i] <= -peak.fun <= vals[i] * (1.0 + 1e-3)
 
 
 def test_e_coeff_flat_two_code_paths(grid64):
@@ -331,6 +333,43 @@ def test_criteria_strong_variant_scales_by_eps_power():
     assert criteria_from_scalars(p, inf_a=strong * (1 - 1e-9), **args).sc_strong
 
 
+def test_criteria_are_even_in_psi(grid32, rng):
+    # the flow is reversible, (ζ, ψ, t) → (ζ, −ψ, −t): w± and ⟦V⟧ change
+    # sign with ψ, and ∂t w± and V±∂x w± do not, so neither does 𝔞; the
+    # criteria read |⟦V⟧| alone and Kelvin's sign symmetry holds exactly
+    for _ in range(3):
+        zeta, psi = smooth_field(rng, grid32, amplitude=0.3), smooth_field(rng, grid32)
+        reports = []
+        for sign in (1.0, -1.0):
+            st = make_state(grid32, zeta, sign * psi)
+            reports.append(evaluate_criteria(stability_inputs(st, transmission_solve(st))))
+        assert reports[0].to_dict() == reports[1].to_dict()
+        assert reports[0].jump_sup > 0.0
+
+
+def test_criteria_jump_threshold_scales_like_c_to_the_minus_quarter():
+    # (SC') holds while Υ𝔠|⟦V⟧|⁴ < inf 𝔞, so its critical jump is
+    # (inf 𝔞/(Υ𝔠))^{1/4}: doubling 𝔢 makes 𝔠 fourfold and divides that jump
+    # by √2, and the dimensional restatement flips with (SC')
+    p = derive_params(config_from_dimensionless(0.3, 0.5, 0.4, 1.5, 100.0))
+    caps = []
+    for e_value in (1.2, 2.4):
+        def report(jump):
+            return criteria_from_scalars(p, e_value=e_value, grad_zeta_sup=0.5, inf_a=1.0,
+                                         jump_sup=jump, jump_sup_d1=jump)
+        cap = (1.0 / (p.upsilon * report(0.0).c_coeff)) ** 0.25
+        for factor, holds in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+            rep = report(factor * cap)
+            assert rep.sc == rep.sc_alt == rep.dim_verdict == holds
+        caps.append(cap)
+    assert caps[1] == pytest.approx(caps[0] / math.sqrt(2.0), rel=1e-12)
+    # a single fluid has no critical jump
+    dry = derive_params(config_from_dimensionless(0.3, 0.5, 0.0, 1.5, 100.0))
+    rep = criteria_from_scalars(dry, e_value=1.2, grad_zeta_sup=0.5, inf_a=1.0, jump_sup=1e50,
+                                jump_sup_d1=1e50)
+    assert rep.sc and rep.sc_alt and rep.dim_verdict
+
+
 @pytest.mark.parametrize("gamma", [-0.1, 1.5, 5.0, math.nan])
 def test_criteria_reject_gamma_outside_unit_interval(gamma):
     p = derive_params(config_from_dimensionless(0.3, 0.5, 0.4, 1.5, 100.0))
@@ -521,15 +560,12 @@ def test_margin_at_least_half_d_under_sc(rng):
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():
-    # c_flat, the only user of scipy.optimize, imports it when called; the
-    # exit status reports both, so the check holds under python -O too
+    # the package has no use for scipy.optimize, and importing it would slow
+    # every package import; the exit status holds under python -O too
     import twofluid
 
     src = os.path.dirname(os.path.dirname(twofluid.__file__))
-    code = ("import sys, twofluid\n"
-            "at_import = 'scipy.optimize' in sys.modules\n"
-            "twofluid.c_flat(0.6, 0.4, 1.0, 1.0)\n"
-            "sys.exit(2 * at_import + ('scipy.optimize' not in sys.modules))")
+    code = "import sys, twofluid\nsys.exit('scipy.optimize' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, (out.returncode, out.stderr)

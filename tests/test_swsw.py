@@ -9,19 +9,17 @@ from twofluid import (
     NumericalError,
     PeriodicGrid,
     SWState,
-    ShearConfig,
     compare_with_full,
     config_from_dimensionless,
     derive_params,
     fv_step,
     hyperbolicity_indicator,
-    mode_growth,
     run_swsw,
 )
 from twofluid import swsw
 from twofluid.spectral import _cached
 from twofluid.swsw import heights, max_wave_speed
-from conftest import smooth_field
+from conftest import kelvin_threshold, smooth_field
 
 
 def random_state(rng, grid):
@@ -72,19 +70,15 @@ def test_indicator_sign_matches_discriminant(grid64):
 
 
 def flat_streams(p, zeta0):
-    """The uniform state ζ₀ as two uniform streams of the local depths h±H
-    without surface tension, the critical v of the long-wave closed form, and
-    the map from v to the physical velocity jump ⟦V⟧ of those streams: zero
-    net volume flux h⁺V⁺ + h⁻V⁻ = 0 and ρ̄⁺V⁺ − ρ̄⁻V⁻ = v."""
+    """The uniform state ζ₀ as two uniform streams of the local depths h±
+    without surface tension: those depths, the critical v of the long-wave
+    closed form, and the map from v to the streams' velocity jump ⟦V⟧ (in
+    units of ε√(g'H)) with zero net volume flux h⁺V⁺ + h⁻V⁻ = 0 and
+    ρ̄⁺V⁺ − ρ̄⁻V⁻ = v."""
     hp, hm = heights(p, zeta0)
     den = p.rhobar_plus * hm + p.rhobar_minus * hp
     v_crit = den * math.sqrt(den / (p.rhobar_plus * p.rhobar_minus)) / (p.eps * (hp + hm))
-    streams = ShearConfig(
-        rho_plus=p.rhobar_plus * p.rho_total, rho_minus=p.rhobar_minus * p.rho_total,
-        depth_plus=hp * p.h_eff, depth_minus=hm * p.h_eff, sigma=0.0,
-        gravity=p.g_reduced / (p.rhobar_plus - p.rhobar_minus),
-    )
-    return streams, v_crit, lambda v: p.eps * p.wave_speed * (hp + hm) * v / den
+    return (hp, hm), v_crit, lambda v: (hp + hm) * v / den
 
 
 @pytest.mark.parametrize("zeta0", [0.0, 0.5])
@@ -96,20 +90,22 @@ def test_indicator_matches_long_wave_kelvin_helmholtz(eps, mu, rbm, ratio, zeta0
     # of the local depths h±H are stable to long waves without surface tension
     p = derive_params(config_from_dimensionless(
         eps=eps, mu=mu, rhobar_minus=rbm, depth_ratio=ratio))
-    streams, v_crit, jump = flat_streams(p, zeta0)
-    k = 1e-3 / max(streams.depth_plus, streams.depth_minus)
+    depths, v_crit, jump = flat_streams(p, zeta0)
+    xi = 1e-3 / (math.sqrt(p.mu) * max(depths))
     grid = PeriodicGrid(8)
     for factor in (0.95, 1.05):
         v = factor * v_crit
         st = SWState(grid=grid, zeta=np.full(8, zeta0), v=np.full(8, v), params=p)
         hyperbolic = bool(np.all(hyperbolicity_indicator(st) > 0.0))
-        stable = mode_growth(k, streams.with_shear(jump(v))) == 0.0
+        shear = p.eps**2 * p.rhobar_plus * p.rhobar_minus * jump(v) ** 2
+        stable = shear <= kelvin_threshold(p, xi, depths)
         assert hyperbolic == stable == (factor < 1.0)
 
 
 def test_flat_critical_shear_is_the_long_wave_kelvin_threshold():
     # on a flat state the indicator vanishes at the velocity jump where
-    # Kelvin-Helmholtz sets in as k → 0, √((H⁺/ρ⁺ + H⁻/ρ⁻)g(ρ⁺ − ρ⁻))
+    # Kelvin-Helmholtz sets in as ξ → 0; at ξ = 1e-8 the threshold is its
+    # long-wave limit (ρ̄⁻h⁺ + ρ̄⁺h⁻) to within (1e-8·√μh±)²
     rng = np.random.default_rng(17)
     grid = PeriodicGrid(8)
     for _ in range(300):
@@ -117,12 +113,11 @@ def test_flat_critical_shear_is_the_long_wave_kelvin_threshold():
             eps=rng.uniform(0.05, 0.9), mu=0.1, rhobar_minus=rng.uniform(1e-3, 0.49),
             depth_ratio=rng.uniform(0.3, 3.0)))
         zeta0 = rng.uniform(-0.9, 0.9) / max(p.eps_plus, p.eps_minus)
-        streams, v_crit, jump = flat_streams(p, zeta0)
+        depths, v_crit, jump = flat_streams(p, zeta0)
         st = SWState(grid=grid, zeta=np.full(8, zeta0), v=np.full(8, v_crit), params=p)
         assert np.max(np.abs(hyperbolicity_indicator(st))) <= 1e-14
-        kelvin = math.sqrt((streams.depth_plus / streams.rho_plus
-                            + streams.depth_minus / streams.rho_minus)
-                           * streams.gravity * (streams.rho_plus - streams.rho_minus))
+        kelvin = math.sqrt(kelvin_threshold(p, 1e-8, depths)
+                           / (p.eps**2 * p.rhobar_plus * p.rhobar_minus))
         assert jump(v_crit) == pytest.approx(kelvin, rel=1e-12)
 
 
