@@ -197,6 +197,14 @@ def transmission_solve(state: InterfaceState) -> TraceBundle:
                        w_plus=w[0], w_minus=w[1])
 
 
+def _dn_rows(rows, s: np.ndarray, scale: float) -> np.ndarray:
+    """rows·S/scale for a symmetric S, so a row stack multiplies from the
+    left; NumericalError unless finite, as when finite rows overflow it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rows @ s / scale
+    return _finite(out, "DN product")
+
+
 def transmission_tangent(state: InterfaceState, traces: TraceBundle, dzeta, dpsi) -> TraceBundle:
     """Derivative of :func:`transmission_solve` along (ζ̇, ψ̇) at the state
     whose own bundle is ``traces``.
@@ -219,13 +227,12 @@ def transmission_tangent(state: InterfaceState, traces: TraceBundle, dzeta, dpsi
     zx = state.zeta_x
     d = deriv(grid, np.array([dzeta, dzeta * v[0], dzeta * v[1]]))
     dzx = d[0]
-    # S is symmetric, so row stacks multiply from the left
-    gp_hw, gp_dpsi = np.array([dzeta * w[0], dpsi]) @ s_plus / p.hbar_plus
-    gm_hw = (dzeta * w[1]) @ s_minus / -p.hbar_minus
+    gp_hw, gp_dpsi = _dn_rows(np.array([dzeta * w[0], dpsi]), s_plus, p.hbar_plus)
+    gm_hw = _dn_rows(dzeta * w[1], s_minus, -p.hbar_minus)
     shape = -eps * np.array([gp_hw, gm_hw]) - eps * mu * d[1:]
     dpsi_minus = state._g_tilde(p.rhobar_plus * (shape[1] - shape[0]) - gp_dpsi)
     dpsi_plus = (dpsi + p.rhobar_minus * dpsi_minus) / p.rhobar_plus
-    dg = dpsi_plus @ s_plus / p.hbar_plus + shape[0]
+    dg = _dn_rows(dpsi_plus, s_plus, p.hbar_plus) + shape[0]
     dpsi_x = deriv(grid, np.array([dpsi_plus, dpsi_minus]))
     # ∂xψ± = V± + εw±ζₓ
     num = dg + eps * mu * (dzx * (v + eps * w * zx) + zx * dpsi_x - 2.0 * eps * zx * dzx * w)
@@ -246,8 +253,11 @@ def dense_g_tilde(state: InterfaceState) -> np.ndarray:
 
 
 def apply_g_tilde(state: InterfaceState, u) -> np.ndarray:
-    """Weighted DN sum 𝒢̃ u = ρ̄⁻(1/H̄⁺)G⁺u − ρ̄⁺(1/H̄⁻)G⁻u (positive operator)."""
-    return dense_g_tilde(state) @ np.asarray(u, dtype=float)
+    """Weighted DN sum 𝒢̃ u = ρ̄⁻(1/H̄⁺)G⁺u − ρ̄⁺(1/H̄⁻)G⁻u (positive operator);
+    NumericalError unless the product is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = dense_g_tilde(state) @ np.asarray(u, dtype=float)
+    return _finite(out, "weighted DN sum product")
 
 
 def invert_g_tilde(state: InterfaceState, f) -> np.ndarray:

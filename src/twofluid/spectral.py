@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
-from scipy.linalg.blas import ddot
 
+from ._lapack import ddot
 from .errors import InvalidConfigError, NumericalError
 from .params import _check_count, _check_real
 

@@ -53,9 +53,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemv, dnrm2, dsyrk, dtrsm
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
+from ._lapack import dgemv, dnrm2, dpotrf, dpotrs, dsyrk, dtrsm, dtrtrs
 from .errors import DegenerateGeometryError, IncompatibleDataError, NumericalError
 from .params import _check_count
 from .spectral import PeriodicGrid, _cached, _finite, _gauge_constants, _read_only, deriv

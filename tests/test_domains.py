@@ -18,14 +18,16 @@ import numpy as np
 import pytest
 
 from twofluid import (EvolutionConfig, InterfaceState, InvalidConfigError, NumericalError,
-                      PeriodicGrid, StripOperator, SWState, apply_j, cfl_cap,
+                      PeriodicGrid, StripOperator, SWState, apply_g_tilde, apply_j, cfl_cap,
                       config_from_dimensionless, criteria_from_scalars, derive_params,
                       e_quadratic_form, evaluate_criteria, fv_step, inner, ins_form,
                       modewise_margin, norm_hdot_mu, norm_sobolev, practical_verdict, rhs,
-                      rk4_step, run, run_swsw, stability_inputs, tendency, transmission_solve)
+                      rk4_step, run, run_swsw, stability_inputs, tendency, transmission_solve,
+                      transmission_tangent)
 from twofluid.spectral import fourier_interpolate
 
 GRID = PeriodicGrid(16)
+GRID32 = PeriodicGrid(32)
 PARAMS = derive_params(config_from_dimensionless(0.3, 0.5, 0.4, 1.5, 100.0))
 NOT_FINITE = (math.nan, math.inf, -math.inf)
 SCALARS = dict(e_value=1.0, grad_zeta_sup=0.5, inf_a=1.0, jump_sup=0.5, jump_sup_d1=0.8)
@@ -45,9 +47,9 @@ def margin(**bad):
     return modewise_margin(PARAMS, **scalars)
 
 
-def interface_state(psi=None):
-    psi = np.sin(GRID.nodes) if psi is None else psi
-    return InterfaceState(grid=GRID, zeta=0.3 * np.cos(GRID.nodes), psi=psi, params=PARAMS,
+def interface_state(psi=None, grid=GRID):
+    psi = np.sin(grid.nodes) if psi is None else psi
+    return InterfaceState(grid=grid, zeta=0.3 * np.cos(grid.nodes), psi=psi, params=PARAMS,
                           n_z=8)
 
 
@@ -70,9 +72,18 @@ def criteria_of(state):
     return evaluate_criteria(inputs_of(state))
 
 
-def ins_form_at(v):
+def ins_form_at(v, grid=GRID):
     """The instability form of u = v·sin x on the inputs of the default state."""
-    return ins_form(v * np.sin(GRID.nodes), inputs_of(interface_state()))
+    return ins_form(v * np.sin(grid.nodes), inputs_of(interface_state(grid=grid)))
+
+
+def tangent_at(grid):
+    """transmission_tangent along ψ̇ = v·sin x at the default state on ``grid``."""
+    def call(v):
+        state = interface_state(grid=grid)
+        return transmission_tangent(state, transmission_solve(state), np.zeros(grid.n),
+                                    v * np.sin(grid.nodes))
+    return call
 
 
 ROWS = {
@@ -123,6 +134,13 @@ ROWS = {
     "e_quadratic_form-psi": (on_amplitude(lambda st: e_quadratic_form(st, st.psi)),
                              (1e156, 1e200), NumericalError),
     "ins_form-u": (ins_form_at, (1e156, 1e200, 1e308), NumericalError),
+    # on 32 points the Nyquist check's own sum of u would overflow at 1e308
+    "ins_form-u-N32": (lambda v: ins_form_at(v, GRID32), (1e308,), NumericalError),
+    # the products with S± and with the dense 𝒢̃ overflow at 1e308
+    **{f"transmission_tangent-dpsi-N{grid.n}": (tangent_at(grid), (1e308,), NumericalError)
+       for grid in (GRID, GRID32)},
+    "apply_g_tilde-psi": (on_amplitude(lambda st: apply_g_tilde(st, st.psi)), (1e308,),
+                          NumericalError),
     # a non-finite entry makes the product non-finite
     "inner-u[3]": (lambda v: inner(GRID, field(v), field()), NOT_FINITE, NumericalError),
     "e_quadratic_form-v[3]": (lambda v: e_quadratic_form(interface_state(), field(v)),

@@ -560,12 +560,14 @@ def test_margin_at_least_half_d_under_sc(rng):
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():
-    # the package has no use for scipy.optimize, and importing it would slow
-    # every package import; the exit status holds under python -O too
+    # the package has no use for scipy.optimize, and reads BLAS and LAPACK
+    # without the package import of scipy.linalg (twofluid._lapack): either
+    # would slow every package import; the exit status holds under python -O
     import twofluid
 
     src = os.path.dirname(os.path.dirname(twofluid.__file__))
-    code = "import sys, twofluid\nsys.exit('scipy.optimize' in sys.modules)"
+    code = ("import sys, twofluid\n"
+            "sys.exit(sorted({'scipy.optimize', 'scipy.linalg'} & set(sys.modules)) or None)")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, (out.returncode, out.stderr)
