@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import DimensionlessParams, _check_count
-from .spectral import PeriodicGrid, _cached, _finite, _read_only, deriv, inner
+from .spectral import PeriodicGrid, _cached, _dot, _finite, _read_only, deriv, inner
 from .strip import (
     StripOperator,
     _check_range,
@@ -201,7 +201,7 @@ def _dn_rows(rows, s: np.ndarray, scale: float) -> np.ndarray:
     """rows·S/scale for a symmetric S, so a row stack multiplies from the
     left; NumericalError unless finite, as when finite rows overflow it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = rows @ s / scale
+        out = _dot(rows, s) / scale
     return _finite(out, "DN product")
 
 

@@ -32,7 +32,7 @@ from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 
-from ._lapack import ddot
+from ._lapack import ddot, dgemm, dgemv
 from .errors import InvalidConfigError, NumericalError
 from .params import _check_count, _check_real
 
@@ -76,6 +76,8 @@ class PeriodicGrid:
     @_cached
     def deriv_gram(self) -> np.ndarray:
         """DᵀD, the Gram matrix of the derivative matrix."""
+        # numpy's matmul forms A·Aᵀ with syrk, which a gemm matches bitwise
+        # only at some N, so this one product per grid stays with numpy
         return self.deriv_matrix_t @ self.deriv_matrix_t.T
 
     @property
@@ -147,13 +149,25 @@ def _gauge_constants(n: int) -> tuple:
     return nyq, proj, lower
 
 
+def _dot(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """u·m for a field or a stack of fields u and a C-ordered N×N m, bitwise
+    as ndarray.dot: scipy's dgemv or dgemm on the transposed views, which
+    f2py takes uncopied.  numpy's own OpenBLAS pool then never wakes next to
+    scipy's, and an overflow warns of nothing."""
+    if u.ndim == 1:
+        return dgemv(1.0, m.T, u)
+    return dgemm(1.0, m.T, u.T).T
+
+
 def deriv(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
     """Spectral x-derivative along the last axis (Nyquist zeroed), projected
-    off constants and the Nyquist mode, so that rounding leaves none there."""
-    # ndarray.dot makes the BLAS call that @ makes, without matmul's ufunc
-    # dispatch, at a third to a half of its cost for N <= 64
-    d = np.asarray(u, dtype=float).dot(grid.deriv_matrix_t)
-    return d - d.dot(_gauge_constants(grid.n)[1])
+    off constants and the Nyquist mode, so that rounding leaves none there;
+    NumericalError unless it is finite, as when a finite u's derivative
+    overflows."""
+    # scipy's BLAS, as for every product of an rhs (_dot), skips numpy's
+    # floating-point check: an overflow shows in the result alone
+    d = _finite(_dot(np.asarray(u, dtype=float), grid.deriv_matrix_t), "derivative")
+    return d - _dot(d, _gauge_constants(grid.n)[1])
 
 
 def antideriv(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:

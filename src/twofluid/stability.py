@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dsyevr, dsyrk
+from ._lapack import dgemm, dsyevr
 from .errors import IncompatibleDataError, InvalidConfigError, NumericalError
 from .evolution import TimeSeries, tendency
 from .operators import InterfaceState, TraceBundle, e_quadratic_form
@@ -91,7 +91,9 @@ def e_coeff(state: InterfaceState) -> float:
     m_t = _shear_multiplier_t(state.grid, state.params.mu)
     # builds the factor and checks its true residual on one row of Mᵀ
     state._g_tilde(m_t[0])
-    c = dsyrk(state.params.mu, state._g_tilde.whiten(m_t), lower=1)
+    x = state._g_tilde.whiten(m_t)
+    # μXXᵀ: (b, beta, c, trans_a, trans_b) positional
+    c = dgemm(state.params.mu, x, x, 0.0, None, 0, 1)
     # (compute_v, range, lower, vl, vu, il, iu) positional; il, iu count from 1
     top, _, _, _, info = dsyevr(c, 0, "I", 1, 0.0, 0.0, len(c), len(c))
     if info != 0:

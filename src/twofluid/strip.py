@@ -35,7 +35,10 @@ as it sweeps; a standalone layer, or a second sweep (the Dirichlet solve),
 builds it from ζ.  A block Cholesky sweep in row order, from the wall to the
 interface row, eliminates every other row in place on them: one index loop
 over transposed views of the block stack, making only LAPACK and BLAS calls.
-It leaves the Schur complement S on the interface row.  S is the discrete
+Each row's Schur update is a dgemm on the whole next row block, of which
+the factorisation reads the lower triangle: twice the flops of a dsyrk on
+that triangle, and yet faster up to N = 96 in OpenBLAS.  The sweep leaves
+the Schur complement S on the interface row.  S is the discrete
 Dirichlet-Neumann matrix itself (G± = ±S±): symmetric, positive
 semi-definite, and zero on constants and on the Nyquist column that the
 spectral derivative annihilates.
@@ -54,10 +57,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dgemv, dnrm2, dpotrf, dpotrs, dsyrk, dtrsm, dtrtrs
+from ._lapack import dgemm, dgemv, dnrm2, dpotrf, dpotrs, dtrsm, dtrtrs
 from .errors import DegenerateGeometryError, IncompatibleDataError, NumericalError
 from .params import _check_count
-from .spectral import PeriodicGrid, _cached, _finite, _gauge_constants, _read_only, deriv
+from .spectral import PeriodicGrid, _cached, _dot, _finite, _gauge_constants, _read_only, deriv
 
 # Bound on the relative true residual of every direct solve of the package.
 RESIDUAL_TOL = 1e-9
@@ -102,14 +105,14 @@ class StripSolution:
 def _deflate(v: np.ndarray) -> np.ndarray:
     """Project a trace (or each row of a stack of traces) off constants and
     the Nyquist mode, which the spectral derivative zeroes."""
-    return v - v.dot(_gauge_constants(v.shape[-1])[1])
+    return v - _dot(v, _gauge_constants(v.shape[-1])[1])
 
 
 def _check_range(f, what: str) -> np.ndarray:
     """f as a float array; NumericalError unless finite, IncompatibleDataError
     unless in the range of a DN matrix: mean and Nyquist part below 1e-8·‖f‖∞."""
     f = _finite(f, what)
-    off = float(np.max(np.abs(f.dot(_gauge_constants(f.shape[-1])[1]))))
+    off = float(np.max(np.abs(_dot(f, _gauge_constants(f.shape[-1])[1]))))
     if off > 1e-8 * float(np.max(np.abs(f))):
         raise IncompatibleDataError(
             f"{what} needs data with zero mean and no Nyquist component; "
@@ -179,7 +182,7 @@ class _RangeSolver:
         u, _ = dpotrs(self._low, f.T if f.ndim > 1 else f[:, None], 1)
         u = _deflate(u.T.reshape(f.shape))
         # mat is symmetric, so a stack of rows multiplies from the left
-        _check_residual(u.dot(self.mat) - f, f, f"{self.what} solve")
+        _check_residual(_dot(u, self.mat) - f, f, f"{self.what} solve")
         return u
 
     def whiten(self, rows: np.ndarray) -> np.ndarray:
@@ -198,7 +201,9 @@ class _XMatrices:
         q = dmat_t * zeta_x
         stack = np.empty((4, grid.n, grid.n))
         stack[0] = grid.deriv_gram
-        np.dot(dmat_t * zeta, dmat_t.T, out=stack[1])
+        # Dᵀdiag(ζ)D into its slot, through the slot's transposed view:
+        # (beta, c, trans_a, trans_b, overwrite_c); beta = 0 reads nothing of c
+        dgemm(1.0, dmat_t.T, (dmat_t * zeta).T, 0.0, stack[1].T, 1, 0, 1)
         # a contiguous Qᵀ: two passes over it cost less than two strided reads
         q_t = q.T.copy()
         np.add(q, q_t, out=stack[2])
@@ -317,7 +322,8 @@ class StripOperator:
         table, mass_table = self._coef
         if self._x is None:  # a standalone layer, or a second sweep
             self._x = _XMatrices(self.grid, self._zeta, deriv(self.grid, self._zeta))
-        stack, self._x = table.dot(self._x.stack), None
+        # table·stack, C-ordered: the transposed product on transposed views
+        stack, self._x = dgemm(1.0, self._x.stack.T, table.T).T, None
         ones_q2 = np.ones((2, n))
         np.multiply(self.q, self.q, out=ones_q2[1])
         mass = mass_table.dot(ones_q2) / self.p11
@@ -354,9 +360,12 @@ class StripOperator:
             # overwrite_b) about twice as fast as L⁻¹off
             x_t = dtrsm(1.0, low, offs_t[j], 1, 1, 1, 0, 1)
             factors.append((low, x_t))
-            # row −= x xᵀ on the lower triangle: (beta, c, trans, lower, overwrite)
-            row = dsyrk(-1.0, x_t, 1.0, rows[j + 1], 0, 1, 1)
-        # only the lower triangle is updated; mirroring it keeps S == Sᵀ exact
+            # row −= x xᵀ in place, on the whole block, of which the next
+            # factor and S read the lower triangle: (b, beta, c, trans_a,
+            # trans_b, overwrite_c)
+            row = dgemm(-1.0, x_t, x_t, 1.0, rows[j + 1], 0, 1, 1)
+        # the upper triangle is the lower one's mirror only to rounding;
+        # mirroring the lower keeps S == Sᵀ exact
         return _read_only(np.where(_gauge_constants(len(row))[2], row, row.T)), factors
 
     @_cached
@@ -375,7 +384,7 @@ class StripOperator:
         phi[-1] = psi
         for j in reversed(range(self.n_z)):
             low, x_t = factors[j]
-            y, _ = dtrtrs(low, (phi[j + 1] @ x_t)[:, None], lower=1, trans=1)
+            y, _ = dtrtrs(low, (phi[j + 1] @ x_t)[:, None], 1, 1)  # lower, trans
             phi[j] = -y[:, 0]
         return phi
 

@@ -19,7 +19,7 @@ import pytest
 
 from twofluid import (EvolutionConfig, InterfaceState, InvalidConfigError, NumericalError,
                       PeriodicGrid, StripOperator, SWState, apply_g_tilde, apply_j, cfl_cap,
-                      config_from_dimensionless, criteria_from_scalars, derive_params,
+                      config_from_dimensionless, criteria_from_scalars, deriv, derive_params,
                       e_quadratic_form, evaluate_criteria, fv_step, inner, ins_form,
                       modewise_margin, norm_hdot_mu, norm_sobolev, practical_verdict, rhs,
                       rk4_step, run, run_swsw, stability_inputs, tendency, transmission_solve,
@@ -77,13 +77,15 @@ def ins_form_at(v, grid=GRID):
     return ins_form(v * np.sin(grid.nodes), inputs_of(interface_state(grid=grid)))
 
 
+def tangent_along(dzeta, dpsi, grid=GRID):
+    """transmission_tangent along (ζ̇, ψ̇) at the default state on ``grid``."""
+    state = interface_state(grid=grid)
+    return transmission_tangent(state, transmission_solve(state), dzeta, dpsi)
+
+
 def tangent_at(grid):
     """transmission_tangent along ψ̇ = v·sin x at the default state on ``grid``."""
-    def call(v):
-        state = interface_state(grid=grid)
-        return transmission_tangent(state, transmission_solve(state), np.zeros(grid.n),
-                                    v * np.sin(grid.nodes))
-    return call
+    return lambda v: tangent_along(np.zeros(grid.n), v * np.sin(grid.nodes), grid)
 
 
 ROWS = {
@@ -130,15 +132,22 @@ ROWS = {
     "apply_j-psi": (on_amplitude(lambda st: apply_j(st, st.psi)), (1e308,), NumericalError),
     "inner-psi": (on_amplitude(lambda st: inner(GRID, st.psi, st.psi)), (1e156, 1e200, 1e308),
                   NumericalError),
-    # at 1e308 ∂xψ itself overflows, which deriv reports with a RuntimeWarning
+    # at 1e308 ∂xψ itself overflows, which deriv reports
+    "deriv-u": (lambda v: deriv(GRID, v * np.sin(GRID.nodes)), (1e308,), NumericalError),
     "e_quadratic_form-psi": (on_amplitude(lambda st: e_quadratic_form(st, st.psi)),
-                             (1e156, 1e200), NumericalError),
+                             (1e156, 1e200, 1e308), NumericalError),
     "ins_form-u": (ins_form_at, (1e156, 1e200, 1e308), NumericalError),
     # on 32 points the Nyquist check's own sum of u would overflow at 1e308
     "ins_form-u-N32": (lambda v: ins_form_at(v, GRID32), (1e308,), NumericalError),
     # the products with S± and with the dense 𝒢̃ overflow at 1e308
     **{f"transmission_tangent-dpsi-N{grid.n}": (tangent_at(grid), (1e308,), NumericalError)
        for grid in (GRID, GRID32)},
+    # ∂x of the solved ψ̇± or of ζ̇ overflows where the products with S± do not
+    "transmission_tangent-dpsi-cos3x": (
+        lambda v: tangent_along(np.zeros(16), v * np.cos(3 * GRID.nodes)), (5e307,),
+        NumericalError),
+    "transmission_tangent-dzeta": (lambda v: tangent_along(v * np.cos(GRID.nodes), np.zeros(16)),
+                                   (1e308,), NumericalError),
     "apply_g_tilde-psi": (on_amplitude(lambda st: apply_g_tilde(st, st.psi)), (1e308,),
                           NumericalError),
     # a non-finite entry makes the product non-finite
