@@ -1,19 +1,19 @@
 """The Fortran BLAS and LAPACK routines the package calls, from scipy's f2py
 wrappers, without the package import of ``scipy.linalg``.
 
-The package calls nine wrappers: ``ddot``, ``dgemm``, ``dgemv``, ``dnrm2``
-and ``dtrsm`` from the extension module ``scipy.linalg._fblas``, ``dpotrf``,
-``dpotrs``, ``dtrtrs`` and ``dsyevr`` from ``scipy.linalg._flapack``.
+The package calls ten wrappers: ``ddot``, ``dgemm``, ``dgemv``, ``dnrm2``,
+``dsyrk`` and ``dtrsm`` from the extension module ``scipy.linalg._fblas``,
+``dpotrf``, ``dpotrs``, ``dtrtrs`` and ``dsyevr`` from
+``scipy.linalg._flapack``.
 
-Every large product of a right-hand side goes through them: the block
-assembly and the Schur updates of the strip's sweep, the x-derivative, the
-gauge projection, the residual checks and the DN products.  numpy and scipy
-each bundle an OpenBLAS with a thread pool of its own, and under the
-inherited thread settings two pools spinning side by side make an ``rhs``
-several times slower than one thread, so only scipy's runs.  numpy keeps the
-products too small to be threaded, those of the Dirichlet field solve, and
-the Gram matrix DᵀD, which a grid forms once with a syrk that a gemm
-reproduces bitwise only at some N.
+Every large product of a right-hand side goes through them: the Gram matrix
+DᵀD of a grid, the block assembly and the Schur updates of the strip's
+sweep, the x-derivative, the gauge projection, the residual checks and the
+DN products.  numpy and scipy each bundle an OpenBLAS with a thread pool of
+its own, and under the inherited thread settings two pools spinning side by
+side make an ``rhs`` several times slower than one thread, so only scipy's
+runs.  numpy keeps the products too small to be threaded and those of the
+Dirichlet field solve.
 
 Importing them through ``scipy.linalg.blas`` and ``scipy.linalg.lapack``
 first runs the package import of ``scipy.linalg``, whose array-API layer
@@ -66,6 +66,6 @@ def _load(name: str, directory: str):
 
 _linalg = os.path.join(scipy.__path__[0], "linalg")
 _fblas, _flapack = _load("_fblas", _linalg), _load("_flapack", _linalg)
-ddot, dgemm, dgemv, dnrm2, dtrsm = (_fblas.ddot, _fblas.dgemm, _fblas.dgemv, _fblas.dnrm2,
-                                    _fblas.dtrsm)
+ddot, dgemm, dgemv, dnrm2, dsyrk, dtrsm = (_fblas.ddot, _fblas.dgemm, _fblas.dgemv, _fblas.dnrm2,
+                                           _fblas.dsyrk, _fblas.dtrsm)
 dpotrf, dpotrs, dtrtrs, dsyevr = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs, _flapack.dsyevr

@@ -26,8 +26,12 @@ projector onto the common kernel (constants and the Nyquist mode), are
 built once per state for J⁻¹, 𝒢, 𝒢̃⁻¹, the transmission solve and 𝔢;
 J solves with S⁻.  Both are the gauged solve of :mod:`twofluid.strip`:
 traces have zero mean and zero Nyquist content, and every residual is
-checked.  The same formulas hold at ρ̄⁻ = 0.  Sign conventions are pinned by the
-positivity of the associated quadratic forms, which the tests check.
+checked.  Every product with S± or 𝒢̃ is :func:`~twofluid.strip._dn_product`,
+with the 1/H̄± of the formulas as its scale.  So the float-limit guards sit
+in those two primitives, and in :func:`~twofluid.spectral._checked` for an
+entrywise product that can overflow, not in the formulas here.  The same
+formulas hold at ρ̄⁻ = 0.  Sign conventions are pinned by the positivity of the
+associated quadratic forms, which the tests check.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import DimensionlessParams, _check_count
-from .spectral import PeriodicGrid, _cached, _dot, _finite, _read_only, deriv, inner
+from .spectral import PeriodicGrid, _cached, _checked, _finite, _read_only, deriv, inner
 from .strip import (
     StripOperator,
     _check_range,
@@ -115,7 +119,8 @@ class TraceBundle:
     w_minus: np.ndarray
 
     def jump_v(self) -> np.ndarray:
-        return self.v_plus - self.v_minus
+        """V⁺ − V⁻; NumericalError unless finite."""
+        return _checked(np.subtract, self.v_plus, self.v_minus, "velocity jump")
 
 
 def _gauged_ratio(num, den) -> np.ndarray:
@@ -159,10 +164,8 @@ def _couple(state: InterfaceState, psi) -> tuple:
     𝒢̃ψ⁻ = −S⁺ψ/H̄⁺, which holds at ρ̄⁻ = 0 too.
     """
     p = state.params
-    psi = np.asarray(psi, dtype=float)
-    psi_minus = state._g_tilde(_dn_product(state.layer(+1).dn_matrix, psi) / -p.hbar_plus)
-    flux = _dn_product(state.layer(-1).dn_matrix, psi_minus) / -p.hbar_minus
-    return psi_minus, _deflate(flux)
+    psi_minus = state._g_tilde(_dn_product(state.layer(+1).dn_matrix, psi, -p.hbar_plus))
+    return psi_minus, _deflate(_dn_product(state.layer(-1).dn_matrix, psi_minus, -p.hbar_minus))
 
 
 def invert_j(state: InterfaceState, psi) -> np.ndarray:
@@ -197,14 +200,6 @@ def transmission_solve(state: InterfaceState) -> TraceBundle:
                        w_plus=w[0], w_minus=w[1])
 
 
-def _dn_rows(rows, s: np.ndarray, scale: float) -> np.ndarray:
-    """rows·S/scale for a symmetric S, so a row stack multiplies from the
-    left; NumericalError unless finite, as when finite rows overflow it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _dot(rows, s) / scale
-    return _finite(out, "DN product")
-
-
 def transmission_tangent(state: InterfaceState, traces: TraceBundle, dzeta, dpsi) -> TraceBundle:
     """Derivative of :func:`transmission_solve` along (ζ̇, ψ̇) at the state
     whose own bundle is ``traces``.
@@ -225,14 +220,15 @@ def transmission_tangent(state: InterfaceState, traces: TraceBundle, dzeta, dpsi
     w = np.array([traces.w_plus, traces.w_minus])
     v = np.array([traces.v_plus, traces.v_minus])
     zx = state.zeta_x
-    d = deriv(grid, np.array([dzeta, dzeta * v[0], dzeta * v[1]]))
+    dzeta_v, dzeta_w = _checked(np.multiply, dzeta, np.array([v, w]), "tangent products")
+    d = deriv(grid, np.array([dzeta, *dzeta_v]))
     dzx = d[0]
-    gp_hw, gp_dpsi = _dn_rows(np.array([dzeta * w[0], dpsi]), s_plus, p.hbar_plus)
-    gm_hw = _dn_rows(dzeta * w[1], s_minus, -p.hbar_minus)
+    gp_hw, gp_dpsi = _dn_product(s_plus, np.array([dzeta_w[0], dpsi]), p.hbar_plus)
+    gm_hw = _dn_product(s_minus, dzeta_w[1], -p.hbar_minus)
     shape = -eps * np.array([gp_hw, gm_hw]) - eps * mu * d[1:]
     dpsi_minus = state._g_tilde(p.rhobar_plus * (shape[1] - shape[0]) - gp_dpsi)
     dpsi_plus = (dpsi + p.rhobar_minus * dpsi_minus) / p.rhobar_plus
-    dg = _dn_rows(dpsi_plus, s_plus, p.hbar_plus) + shape[0]
+    dg = _dn_product(s_plus, dpsi_plus, p.hbar_plus) + shape[0]
     dpsi_x = deriv(grid, np.array([dpsi_plus, dpsi_minus]))
     # ∂xψ± = V± + εw±ζₓ
     num = dg + eps * mu * (dzx * (v + eps * w * zx) + zx * dpsi_x - 2.0 * eps * zx * dzx * w)
@@ -255,9 +251,7 @@ def dense_g_tilde(state: InterfaceState) -> np.ndarray:
 def apply_g_tilde(state: InterfaceState, u) -> np.ndarray:
     """Weighted DN sum 𝒢̃ u = ρ̄⁻(1/H̄⁺)G⁺u − ρ̄⁺(1/H̄⁻)G⁻u (positive operator);
     NumericalError unless the product is finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = dense_g_tilde(state) @ np.asarray(u, dtype=float)
-    return _finite(out, "weighted DN sum product")
+    return _dn_product(dense_g_tilde(state), u)
 
 
 def invert_g_tilde(state: InterfaceState, f) -> np.ndarray:

@@ -32,7 +32,7 @@ from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 
-from ._lapack import ddot, dgemm, dgemv
+from ._lapack import ddot, dgemm, dgemv, dsyrk
 from .errors import InvalidConfigError, NumericalError
 from .params import _check_count, _check_real
 
@@ -76,9 +76,11 @@ class PeriodicGrid:
     @_cached
     def deriv_gram(self) -> np.ndarray:
         """DᵀD, the Gram matrix of the derivative matrix."""
-        # numpy's matmul forms A·Aᵀ with syrk, which a gemm matches bitwise
-        # only at some N, so this one product per grid stays with numpy
-        return self.deriv_matrix_t @ self.deriv_matrix_t.T
+        # scipy's dsyrk on the lower triangle (beta, c, trans, lower), then
+        # mirrored: bitwise numpy's A·Aᵀ, which is a syrk in numpy's own
+        # OpenBLAS pool, and which a gemm matches only at some N
+        low = dsyrk(1.0, self.deriv_matrix_t.T, 0.0, None, 1, 1)
+        return np.where(_gauge_constants(self.n)[2], low, low.T)
 
     @property
     def dx(self) -> float:
@@ -136,6 +138,15 @@ def _finite(a, what: str) -> np.ndarray:
     if not _all_finite(a):
         raise NumericalError(f"{what} contains non-finite values")
     return a
+
+
+def _checked(op, a, b, what: str) -> np.ndarray:
+    """op(a, b) for an arithmetic ufunc op of finite fields, NumericalError
+    unless finite: an entrywise product or difference that overflows raises
+    and warns of nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = op(a, b)
+    return _finite(out, what)
 
 
 @cache

@@ -47,6 +47,12 @@ solve is an interface solve with S alone.  The Dirichlet solve is the one
 field solve: it repeats the sweep, holding the factors of every eliminated
 row for its back-substitution; its true residual, computed with the
 matrix-free :meth:`StripOperator.apply`, is checked against :data:`RESIDUAL_TOL`.
+
+Each primitive guards the float limit once, and raises NumericalError where
+a finite input overflows, without a warning.  :func:`_dn_product` is the
+package's one checked product with a DN-type matrix, S± or 𝒢̃, its scale
+the BLAS alpha.  The gauged solve :class:`_RangeSolver` checks its answer
+before it deflates, and the Dirichlet solve checks its residual.
 """
 
 from __future__ import annotations
@@ -146,10 +152,14 @@ def _check_residual(r: np.ndarray, b: np.ndarray, what: str) -> float:
     return res
 
 
-def _dn_product(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """mat·v, NumericalError unless finite: BLAS dgemv (trans = 1, positional)
-    on matᵀ, as ndarray.dot, but an overflow warns of nothing."""
-    return _finite(dgemv(1.0, mat.T, v, 0.0, None, 0, 1, 0, 1, 1), "DN product")
+def _dn_product(mat: np.ndarray, rows, scale: float = 1.0) -> np.ndarray:
+    """rows·mat/scale for one field or a stack and a symmetric DN-type mat
+    (S± or 𝒢̃), NumericalError unless finite: BLAS dgemv (trans = 1,
+    positional) or dgemm on matᵀ with alpha = 1/scale, so nothing warns."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 1:
+        return _finite(dgemv(1.0 / scale, mat.T, rows, 0.0, None, 0, 1, 0, 1, 1), "DN product")
+    return _finite(dgemm(1.0 / scale, mat.T, rows.T).T, "DN product")
 
 
 def _grid_field(grid: PeriodicGrid, a, what: str) -> np.ndarray:
@@ -168,8 +178,9 @@ class _RangeSolver:
     """The one gauged solve of mat·u = f, f in the range of a symmetric PSD
     mat with kernel span{1, Nyquist}: a DN matrix or a positive sum of them.
     The factor of the SPD mat + Π is computed once; a call checks that f is
-    finite, deflates, back-substitutes, deflates and checks the true residual
-    against mat.  f is one right-hand side or one per row."""
+    finite, deflates, back-substitutes, checks that u is finite, deflates and
+    checks the true residual against mat, so an overflowing solve raises
+    before its deflation sees ±∞.  f is one right-hand side or one per row."""
 
     def __init__(self, mat: np.ndarray, what: str):
         self.mat = mat
@@ -180,7 +191,7 @@ class _RangeSolver:
         f = _deflate(_finite(f, f"{self.what} data"))
         # lower, positional; one column per right-hand side
         u, _ = dpotrs(self._low, f.T if f.ndim > 1 else f[:, None], 1)
-        u = _deflate(u.T.reshape(f.shape))
+        u = _deflate(_finite(u.T.reshape(f.shape), f"{self.what} solution"))
         # mat is symmetric, so a stack of rows multiplies from the left
         _check_residual(_dot(u, self.mat) - f, f, f"{self.what} solve")
         return u
@@ -390,14 +401,17 @@ class StripOperator:
 
     # -- solves -----------------------------------------------------------------
     def solve_dirichlet(self, psi) -> StripSolution:
-        """Solve ∇^μ·P∇^μ φ = 0 with φ = ψ at the interface, no-flux at the wall."""
+        """Solve ∇^μ·P∇^μ φ = 0 with φ = ψ at the interface, no-flux at the wall;
+        NumericalError unless the field and its residual are finite."""
         psi = _finite(psi, "Dirichlet data")
-        phi = self._extend(psi, self._sweep()[1])
-        lift = np.zeros_like(phi)
-        lift[-1] = psi
-        res = _check_residual(
-            self.apply(phi)[:-1], self.apply(lift)[:-1], "Dirichlet solve"
-        )
+        # the one guard of the field solve: an overflow of the back-substitution
+        # or of the residual shows in the residual, which the check rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = self._extend(psi, self._sweep()[1])
+            lift = np.zeros_like(phi)
+            lift[-1] = psi
+            r, b = self.apply(phi)[:-1], self.apply(lift)[:-1]
+        res = _check_residual(r, b, "Dirichlet solve")
         return StripSolution(phi=phi, trace=phi[-1].copy(), residual_norm=res)
 
     def solve_neumann(self, g) -> np.ndarray:
@@ -419,5 +433,5 @@ def dn_apply(d: StripOperator, psi) -> np.ndarray:
     symmetric, ±(ψ, G±ψ) ≥ 0 and mean(Gψ) = 0 exact to rounding.
     NumericalError if the product is not finite.
     """
-    return d.sign * _dn_product(d.dn_matrix, np.asarray(psi, dtype=float))
+    return _dn_product(d.dn_matrix, psi, d.sign)
 

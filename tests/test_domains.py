@@ -9,7 +9,10 @@ time step that is not finite (or, for the Rusanov step, negative or above the
 CFL bound).  A finite field is inside the domain however large its entries,
 but stepping one whose squares overflow raises NumericalError, as do the
 criteria, the tendency, the inner products and the DN products of one past
-the largest float."""
+the largest float.  So does a solve whose answer or products pass the
+largest float, at depth ratios from 0.2 to 5: the transmission solve, J and
+its inverse, the inverse of 𝒢̃, the Neumann and the Dirichlet solve; a run
+records it as its breakdown."""
 
 import math
 import warnings
@@ -21,9 +24,9 @@ from twofluid import (EvolutionConfig, InterfaceState, InvalidConfigError, Numer
                       PeriodicGrid, StripOperator, SWState, apply_g_tilde, apply_j, cfl_cap,
                       config_from_dimensionless, criteria_from_scalars, deriv, derive_params,
                       e_quadratic_form, evaluate_criteria, fv_step, inner, ins_form,
-                      modewise_margin, norm_hdot_mu, norm_sobolev, practical_verdict, rhs,
-                      rk4_step, run, run_swsw, stability_inputs, tendency, transmission_solve,
-                      transmission_tangent)
+                      invert_g_tilde, invert_j, modewise_margin, norm_hdot_mu, norm_sobolev,
+                      practical_verdict, rhs, rk4_step, run, run_swsw, stability_inputs,
+                      tendency, transmission_solve, transmission_tangent)
 from twofluid.spectral import fourier_interpolate
 
 GRID = PeriodicGrid(16)
@@ -51,6 +54,18 @@ def interface_state(psi=None, grid=GRID):
     psi = np.sin(grid.nodes) if psi is None else psi
     return InterfaceState(grid=grid, zeta=0.3 * np.cos(grid.nodes), psi=psi, params=PARAMS,
                           n_z=8)
+
+
+def layered_state(depth_ratio, psi=None, zeta=0.3):
+    """interface_state at another depth ratio H⁺/H⁻, with ζ = zeta·cos x."""
+    p = derive_params(config_from_dimensionless(0.3, 0.5, 0.4, depth_ratio, 100.0))
+    psi = np.sin(GRID.nodes) if psi is None else psi
+    return InterfaceState(grid=GRID, zeta=zeta * np.cos(GRID.nodes), psi=psi, params=p, n_z=8)
+
+
+def cos_wave(v, k):
+    """v·cos kx on the default grid."""
+    return v * np.cos(k * GRID.nodes)
 
 
 def sw_state(v=None, zeta=None):
@@ -146,10 +161,31 @@ ROWS = {
     "transmission_tangent-dpsi-cos3x": (
         lambda v: tangent_along(np.zeros(16), v * np.cos(3 * GRID.nodes)), (5e307,),
         NumericalError),
+    # at 1.5e308 the products ζ̇V± overflow before ∂x of them
     "transmission_tangent-dzeta": (lambda v: tangent_along(v * np.cos(GRID.nodes), np.zeros(16)),
-                                   (1e308,), NumericalError),
+                                   (1e308, 1.5e308), NumericalError),
     "apply_g_tilde-psi": (on_amplitude(lambda st: apply_g_tilde(st, st.psi)), (1e308,),
                           NumericalError),
+    # the DN products scaled by 1/H̄± (depth ratio 0.2), the gauged solves
+    # and the field solve overflow at the float limit
+    "transmission_solve-psi-depth0.2": (
+        lambda v: transmission_solve(layered_state(0.2, cos_wave(v, 4), 0.0)), (7e307,),
+        NumericalError),
+    "invert_j-psi-depth0.2": (
+        lambda v: invert_j(layered_state(0.2, zeta=0.0), cos_wave(v, 4)), (7e307,),
+        NumericalError),
+    "rhs-psi-depth0.2": (lambda v: rhs(layered_state(0.2, cos_wave(v, 4), 0.0)), (7e307,),
+                         NumericalError),
+    "invert_g_tilde-f": (lambda v: invert_g_tilde(interface_state(), cos_wave(v, 1)), (5e307,),
+                         NumericalError),
+    "solve_neumann-g-upper-depth1": (
+        lambda v: layered_state(1.0).layer(-1).solve_neumann(cos_wave(v, 1)), (5e307,),
+        NumericalError),
+    "apply_j-u-depth5": (lambda v: apply_j(layered_state(5.0), cos_wave(v, 2)), (2e307,),
+                         NumericalError),
+    "solve_dirichlet-psi-depth0.2": (
+        lambda v: layered_state(0.2).layer(+1).solve_dirichlet(cos_wave(v, 1)), (1e308,),
+        NumericalError),
     # a non-finite entry makes the product non-finite
     "inner-u[3]": (lambda v: inner(GRID, field(v), field()), NOT_FINITE, NumericalError),
     "e_quadratic_form-v[3]": (lambda v: e_quadratic_form(interface_state(), field(v)),
@@ -194,3 +230,17 @@ def test_stepping_a_state_whose_squares_overflow_raises(amplitude):
             fv_step(sw_state(big), 1e-3)
         halted = run_swsw(EvolutionConfig(t_end=0.1), sw_state(big)).halted
         assert halted["reason"] == "non-finite hyperbolicity indicator"
+
+
+@pytest.mark.parametrize("depth_ratio, zeta, k, amplitude", [
+    # the scaled DN product of the transmission solve overflows
+    (0.2, 0.0, 4, 7e307),
+    # the recorded state's velocity jump V⁺ − V⁻ overflows
+    (1.0, 0.3, 2, 5e307),
+])
+def test_a_run_that_overflows_records_a_breakdown(depth_ratio, zeta, k, amplitude):
+    state = layered_state(depth_ratio, cos_wave(amplitude, k), zeta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        series = run(EvolutionConfig(t_end=0.1), state)
+    assert series.breakdown["reason"].startswith("NumericalError")

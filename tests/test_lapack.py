@@ -35,6 +35,7 @@ assert scipy.linalg.get_blas_funcs("gemm", (spd,)).typecode == "d"
 assert scipy.linalg._fblas.dgemm is blas.dgemm is _lapack.dgemm
 assert scipy.linalg._flapack.dpotrf is lapack.dpotrf is _lapack.dpotrf
 for theirs, ours in [(blas.dgemm(1.0, b, b.T), _lapack.dgemm(1.0, b, b.T)),
+                     (blas.dsyrk(1.0, b.T, trans=1), _lapack.dsyrk(1.0, b.T, trans=1)),
                      (lapack.dpotrf(spd)[0], _lapack.dpotrf(spd)[0])]:
     assert theirs.tobytes() == ours.tobytes()
 """,
@@ -81,7 +82,8 @@ def calls_of_the_package():
     f = np.asfortranarray
     return {
         # the sweep's Schur update, e_coeff's Gram product, the x-matrix
-        # Dᵀdiag(ζ)D and the products u·m of spectral._dot
+        # Dᵀdiag(ζ)D and the products u·m of spectral._dot and of a stack
+        # in strip._dn_product
         "dgemm-update": ((-1.0, b, b, 1.0, f(spd), 0, 1, 1),
                          dict(alpha=-1.0, a=b, b=b, beta=1.0, c=f(spd), trans_a=0, trans_b=1,
                               overwrite_c=1)),
@@ -91,9 +93,13 @@ def calls_of_the_package():
                           dict(alpha=1.0, a=b.T, b=spd.T, beta=0.0, c=np.zeros((6, 6)).T,
                                trans_a=1, trans_b=0, overwrite_c=1)),
         "dgemm-dot": ((1.0, b.T, stack.T), dict(alpha=1.0, a=b.T, b=stack.T)),
+        # the Gram matrix DᵀD of a grid
+        "dsyrk": ((1.0, b.T, 0.0, None, 1, 1),
+                  dict(alpha=1.0, a=b.T, beta=0.0, c=None, trans=1, lower=1)),
         "dgemv-dot": ((1.0, b.T, v), dict(alpha=1.0, a=b.T, x=v)),
-        "dgemv-dn": ((1.0, b.T, v, 0.0, None, 0, 1, 0, 1, 1),
-                     dict(alpha=1.0, a=b.T, x=v, beta=0.0, y=None, offx=0, incx=1, offy=0,
+        # strip._dn_product of one field, its scale in alpha
+        "dgemv-dn": ((-0.5, b.T, v, 0.0, None, 0, 1, 0, 1, 1),
+                     dict(alpha=-0.5, a=b.T, x=v, beta=0.0, y=None, offx=0, incx=1, offy=0,
                           incy=1, trans=1)),
         "dtrsm-sweep": ((1.0, low, f(b), 1, 1, 1, 0, 1),
                         dict(alpha=1.0, a=low, b=f(b), side=1, lower=1, trans_a=1, diag=0,
