@@ -6,19 +6,19 @@ State (ζ, ψ) on a periodic grid evolves by
     ∂tψ = −ζ − (ε/2)⟦ρ̄±(∂xψ±)²⟧ + (ε/2μ)(1+ε²μζₓ²)⟦ρ̄±(w±)²⟧
           + (1/Bo) ∂x( ζₓ / √(1+ε²μζₓ²) ),
 
-with the layer traces ψ±, w± supplied by the transmission solve of each
-state: one block elimination per layer and one gauged Cholesky solve with 𝒢̃
-(:mod:`twofluid.operators`), kept with the state, so that a recorded state
-and the first stage of the step leaving it share one solve.  These solves
-are direct, so a run has no solver tolerance to set.  Each RK4 stage builds
-one state and makes one :func:`rhs`, which is bitwise the 2/3-rule
-projection (:func:`~twofluid.spectral.dealias`, Orszag's rule) of
+with ∂xψ±, w± and the flux 𝒢ψ read from the trace bundle of each state's
+transmission solve: one block elimination per layer and one gauged Cholesky
+solve with 𝒢̃ (:mod:`twofluid.operators`), kept with the state, so that a
+recorded state and the first stage of the step leaving it share one solve.
+These solves are direct, so a run has no solver tolerance to set.  Each RK4
+stage builds one state and makes one :func:`rhs`, which is bitwise the
+2/3-rule projection (:func:`~twofluid.spectral.dealias`, Orszag's rule) of
 :func:`tendency` at :func:`~twofluid.operators.transmission_solve`; the
-solve and the tendency share the state's slope terms εμζₓ and 1 + ε²μζₓ²,
-computed once per state.  The projection is fixed, not an option: the full
-system is Kelvin–Helmholtz ill-posed at high frequencies, and the projected
-one is a well-defined ODE (fourth-order convergence, exact mass
-conservation).  :func:`tendency` stays unprojected, for the criteria of
+solve and the tendency share the state's slope term 1 + ε²μζₓ², computed
+once per state.  The projection is fixed, not an option: the full system is
+Kelvin–Helmholtz ill-posed at high frequencies, and the projected one is a
+well-defined ODE (fourth-order convergence, exact mass conservation).
+:func:`tendency` stays unprojected, for the criteria of
 :mod:`twofluid.stability`.  A run takes classical RK4 steps of the
 conservative CFL cap.  RK4 is fourth order but not energy-conserving: on a
 linear mode of frequency ω it scales the quadratic invariant by
@@ -27,6 +27,16 @@ linear mode of frequency ω it scales the quadratic invariant by
 Breakdown (vanishing layer depth, a failed residual check or NaN) is a
 first-class outcome: shear-unstable runs are expected to end this way and
 the series reports the breakdown time and the error that ended the run.
+
+Each snapshot also records the system's Hamiltonian (Benjamin & Bridges,
+JFM 333, 1997)
+
+    H = ∫ ζ²/2 + ψ𝒢ψ/(2μ) + (√(1+ε²μζₓ²) − 1)/(ε²μBo) dx,
+
+one inner product with the bundle's flux beyond the mass.  The discrete
+flow conserves it up to the O(n_z⁻²) of the shape derivative on the
+discrete DN matrices and the RK4 error.
+
 The stability criteria along a run are evaluated on its snapshots by
 :func:`twofluid.stability.monitor_criterion`; this module does not import
 :mod:`twofluid.stability`, which imports :func:`tendency` from it.
@@ -41,10 +51,11 @@ from typing import Optional
 
 import numpy as np
 
+from ._lapack import dgemv
 from .errors import InvalidConfigError, NumericalError, TwoFluidError
 from .operators import InterfaceState, TraceBundle, transmission_solve
 from .params import DimensionlessParams, _check_count, _check_real
-from .spectral import _all_finite, _read_only, dealias, deriv
+from .spectral import _all_finite, _read_only, dealias, deriv, inner
 
 
 def cfl_cap(params: DimensionlessParams, n_points: int, length: float = 2 * math.pi) -> float:
@@ -78,9 +89,9 @@ class EvolutionConfig:
 @dataclass
 class TimeSeries:
     """Snapshots of one run: times, states (within the 2/3-rule band), their
-    trace bundles and one diagnostics row each (time, mass, sup|ζ| and
-    sup|⟦V⟧|).  ``breakdown`` holds the time and reason of the error that
-    ended the run, or None."""
+    trace bundles and one diagnostics row each (time, mass, sup|ζ|,
+    sup|⟦V⟧| and the Hamiltonian).  ``breakdown`` holds the time and reason
+    of the error that ended the run, or None."""
 
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
@@ -96,29 +107,23 @@ class TimeSeries:
 def tendency(state: InterfaceState, traces: TraceBundle) -> np.ndarray:
     """Tendency (∂tζ, ∂tψ) of the evolution system at a state with its own
     trace bundle, as one (2, N) array, with no dealiasing; NumericalError if
-    it is not finite, as when the squares of a finite state overflow.  The ±
-    terms are formed on (2, N) stacks of the traces, one ufunc per formula."""
+    it is not finite, as when the squares of a finite state overflow.  ∂tζ
+    is the bundle's flux 𝒢ψ over μ; each jump ⟦ρ̄a²⟧ = ρ̄⁺(a⁺)² − ρ̄⁻(a⁻)²
+    is one product of the squared stack of ∂xψ± or w± with (ρ̄⁺, −ρ̄⁻)."""
     p = state.params
-    zx = state.zeta_x
-    emz, denom = state._slope_terms
+    denom = state._slope_terms[1]
+    rho = _signed_densities(p.rhobar_plus, p.rhobar_minus)
     out = np.empty((2, state.grid.n))
-    dzeta, dpsi = out[0], out[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.array([traces.w_plus, traces.w_minus])
-        # ∂xψ± = V± + εw±ζₓ, the identity that defines V± in the bundle
-        dx_psi = np.array([traces.v_plus, traces.v_minus]) + w * p.eps * zx
-        # ρ̄±a± on a stack a±: the jump ⟦ρ̄a⟧ = ρ̄⁺a⁺ − ρ̄⁻a⁻ is the sum of its rows
-        rho = _signed_densities(p.rhobar_plus, p.rhobar_minus)
-        grad_sq, w_sq = dx_psi**2 * rho, w**2 * rho
-        # (1/H̄⁺)G⁺ψ⁺ recovered from the trace identities (no extra solve)
-        np.divide(w[0] * denom - emz * dx_psi[0], p.mu, out=dzeta)
-        # the continuous flux balance makes this mean exactly zero; remove the
-        # rounding-level mean so the discrete mass invariant holds to rounding
-        dzeta -= dzeta.sum() / dzeta.size
-        np.add(-state.zeta - (grad_sq[0] + grad_sq[1]) * (0.5 * p.eps),
-               denom * (0.5 * p.eps / p.mu) * (w_sq[0] + w_sq[1]), out=dpsi)
+        np.divide(traces.flux, p.mu, out=out[0])
+        # alpha·aᵀ·rho by BLAS dgemv on the squared stack's transposed view
+        grad_jump = dgemv(-0.5 * p.eps, np.square(traces.psi_x).T, rho)
+        w_jump = dgemv(0.5 * p.eps / p.mu, np.square(traces.w).T, rho)
+        w_jump *= denom
+        w_jump += grad_jump
+        np.subtract(w_jump, state.zeta, out=out[1])
         if not math.isinf(p.bond):
-            dpsi += deriv(state.grid, zx / np.sqrt(denom)) / p.bond
+            out[1] += deriv(state.grid, state.zeta_x / np.sqrt(denom)) / p.bond
     if not _all_finite(out):
         raise NumericalError("non-finite tendency")
     return out
@@ -126,8 +131,8 @@ def tendency(state: InterfaceState, traces: TraceBundle) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _signed_densities(rhobar_plus: float, rhobar_minus: float) -> np.ndarray:
-    """The read-only column (ρ̄⁺, −ρ̄⁻) that weighs the rows of a ± stack."""
-    return _read_only(np.array([[rhobar_plus], [-rhobar_minus]]))
+    """The read-only (ρ̄⁺, −ρ̄⁻) that weighs the rows of a ± stack."""
+    return _read_only(np.array([rhobar_plus, -rhobar_minus]))
 
 
 def _traces(state: InterfaceState) -> TraceBundle:
@@ -176,6 +181,16 @@ def _record(series: TimeSeries, t: float, state: InterfaceState):
     traces = _traces(state)
     mass = float(np.mean(state.zeta)) * state.grid.length
     jump = traces.jump_v()
+    # the Hamiltonian ∫ ζ²/2 + ψ𝒢ψ/(2μ) + (√(1 + ε²μζₓ²) − 1)/(ε²μBo), its
+    # capillary term written as ζₓ²/(Bo(1 + √(1 + ε²μζₓ²))), which needs no
+    # division by ε²μ
+    p, grid, zx = state.params, state.grid, state.zeta_x
+    energy = (0.5 * inner(grid, state.zeta, state.zeta)
+              + inner(grid, state.psi, traces.flux) / (2.0 * p.mu))
+    if not math.isinf(p.bond):
+        energy += inner(grid, zx, zx / (1.0 + np.sqrt(state._slope_terms[1]))) / p.bond
+    if not math.isfinite(energy):
+        raise NumericalError("the Hamiltonian overflows the largest float")
     series.times.append(t)
     # the same read-only fields, without the stepping state's layers, 𝒢̃ and traces
     series.states.append(state.replace_fields(state.zeta, state.psi))
@@ -186,6 +201,7 @@ def _record(series: TimeSeries, t: float, state: InterfaceState):
             "mass": mass,
             "zeta_sup": float(np.max(np.abs(state.zeta))),
             "jump_sup": float(np.max(np.abs(jump))),
+            "hamiltonian": energy,
         }
     )
 

@@ -4,10 +4,12 @@ With G± the unit-depth layer operators of :mod:`twofluid.strip`, the package
 exposes
 
   * the coupling map  J u = ρ̄⁺u − ρ̄⁻(H̄⁻/H̄⁺)(G⁻)⁻¹G⁺u  and its inverse,
-  * the transmission solve producing both layer traces ψ± and the interface
-    velocities (V±, w±) from the single unknown ψ = ρ̄⁺ψ⁺ − ρ̄⁻ψ⁻, with the
-    flux 𝒢ψ of the coupled interface operator 𝒢 = (1/H̄⁺) G⁺ ∘ J⁻¹, and its
-    tangent along a tendency (ζ̇, ψ̇),
+  * the transmission solve: from the single unknown ψ = ρ̄⁺ψ⁺ − ρ̄⁻ψ⁻,
+    both layer traces ψ±, their slopes ∂xψ±, the interface velocities
+    (V±, w±) and the flux 𝒢ψ of the coupled interface operator
+    𝒢 = (1/H̄⁺) G⁺ ∘ J⁻¹, as one :class:`TraceBundle` of (2, N) stacks whose
+    ± fields are read-only row views; and its tangent along a tendency
+    (ζ̇, ψ̇), the bundle of the rates,
   * the density-weighted DN sum  𝒢̃ = ρ̄⁻(1/H̄⁺)G⁺ − ρ̄⁺(1/H̄⁻)G⁻  (positive
     on zero-mean data) and its gauged inverse,
   * the quadratic form of the shear operator  ℰ = −∂x ∘ 𝒢̃⁻¹ ∘ ∂x, which
@@ -107,20 +109,36 @@ class InterfaceState:
         return InterfaceState(grid=self.grid, zeta=zeta, psi=psi, params=self.params, n_z=self.n_z)
 
 
+def _row(stack: str, row: int, what: str) -> property:
+    """A read-only view of one row of a ± stack: 0 the lower layer, 1 the upper."""
+    return property(lambda self: _read_only(getattr(self, stack)[row]),
+                    doc=f"{what}, a read-only view of row {row} of ``{stack}``.")
+
+
 @dataclass
 class TraceBundle:
-    """Layer traces and interface velocities from the transmission solve."""
+    """The interface fields of the transmission solve, or their rates along a
+    tendency (:func:`transmission_tangent`).
 
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
-    v_plus: np.ndarray
-    v_minus: np.ndarray
-    w_plus: np.ndarray
-    w_minus: np.ndarray
+    ``psi``, ``psi_x``, ``w`` and ``v`` are (2, N) stacks of ψ±, ∂xψ±, w± and
+    V±, row 0 the lower layer (+) and row 1 the upper one (−); ``flux`` is
+    the common flux 𝒢ψ = (1/H̄⁺)G⁺ψ⁺ = (1/H̄⁻)G⁻ψ⁻.  ``psi_plus`` …
+    ``w_minus`` are read-only views of the rows.
+    """
+
+    psi: np.ndarray
+    psi_x: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    flux: np.ndarray
+
+    psi_plus, psi_minus = _row("psi", 0, "ψ⁺"), _row("psi", 1, "ψ⁻")
+    v_plus, v_minus = _row("v", 0, "V⁺"), _row("v", 1, "V⁻")
+    w_plus, w_minus = _row("w", 0, "w⁺"), _row("w", 1, "w⁻")
 
     def jump_v(self) -> np.ndarray:
         """V⁺ − V⁻; NumericalError unless finite."""
-        return _checked(np.subtract, self.v_plus, self.v_minus, "velocity jump")
+        return _checked(np.subtract, self.v[0], self.v[1], "velocity jump")
 
 
 def _gauged_ratio(num, den) -> np.ndarray:
@@ -177,32 +195,32 @@ def invert_j(state: InterfaceState, psi) -> np.ndarray:
 
 
 def transmission_solve(state: InterfaceState) -> TraceBundle:
-    """Recover both layer traces and interface velocities from (ζ, ψ).
+    """Both layer traces, their slopes, the interface velocities and the
+    common flux 𝒢ψ at (ζ, ψ), as one :class:`TraceBundle`.
 
-    ψ⁻ and the common flux (1/H̄±)G±ψ± come from one gauged solve with 𝒢̃,
-    and ψ⁺ = (ψ + ρ̄⁻ψ⁻)/ρ̄⁺, so the trace identity holds to rounding.  Then
+    ψ⁻ and the flux (1/H̄±)G±ψ± come from one gauged solve with 𝒢̃, and
+    ψ⁺ = (ψ + ρ̄⁻ψ⁻)/ρ̄⁺, so the trace identity holds to rounding.  Then
 
         w± = ((1/H̄±) G±ψ± + εμ ζₓ ∂xψ±) / (1 + ε²μ ζₓ²),
         V± = ∂xψ± − ε w± ζₓ.
     """
     p = state.params
-    psi_minus, g_over_h = _couple(state, state.psi)
+    psi_minus, flux = _couple(state, state.psi)
     psi = np.empty((2, state.grid.n))
     np.divide(psi_minus * p.rhobar_minus + state.psi, p.rhobar_plus, out=psi[0])
     psi[1] = psi_minus
-    dpsi = deriv(state.grid, psi)
+    psi_x = deriv(state.grid, psi)
     emz, denom = state._slope_terms
-    w = emz * dpsi
-    w += g_over_h
+    w = emz * psi_x
+    w += flux
     w /= denom
-    v = dpsi - w * p.eps * state.zeta_x
-    return TraceBundle(psi_plus=psi[0], psi_minus=psi[1], v_plus=v[0], v_minus=v[1],
-                       w_plus=w[0], w_minus=w[1])
+    v = psi_x - w * p.eps * state.zeta_x
+    return TraceBundle(psi=psi, psi_x=psi_x, w=w, v=v, flux=flux)
 
 
 def transmission_tangent(state: InterfaceState, traces: TraceBundle, dzeta, dpsi) -> TraceBundle:
     """Derivative of :func:`transmission_solve` along (ζ̇, ψ̇) at the state
-    whose own bundle is ``traces``.
+    whose own bundle is ``traces``, as the bundle of the rates.
 
     With 𝒢⁺ = S⁺/H̄⁺, 𝒢⁻ = −S⁻/H̄⁻ and the shape derivative of the DN maps
     (Lannes, *The Water Waves Problem*, AMS 2013, ch. 3)
@@ -211,14 +229,13 @@ def transmission_tangent(state: InterfaceState, traces: TraceBundle, dzeta, dpsi
 
     flux continuity gives 𝒢̃ψ̇⁻ = ρ̄⁺(d𝒢⁻ψ⁻ − d𝒢⁺ψ⁺) − 𝒢⁺ψ̇, then
     ψ̇⁺ = (ψ̇ + ρ̄⁻ψ̇⁻)/ρ̄⁺, the flux rate ġ = 𝒢⁺ψ̇⁺ + d𝒢⁺ψ⁺ and the rates of
-    w± and V±.  One solve with the cached factor of 𝒢̃ + Π and no sweep; on
-    the discrete S the continuum formula is consistent to O(n_z⁻²).
+    ∂xψ±, w± and V±.  One solve with the cached factor of 𝒢̃ + Π and no
+    sweep; on the discrete S the continuum formula is consistent to O(n_z⁻²).
     """
     p, grid = state.params, state.grid
     eps, mu = p.eps, p.mu
     s_plus, s_minus = state.layer(+1).dn_matrix, state.layer(-1).dn_matrix
-    w = np.array([traces.w_plus, traces.w_minus])
-    v = np.array([traces.v_plus, traces.v_minus])
+    w, v = traces.w, traces.v
     zx = state.zeta_x
     dzeta_v, dzeta_w = _checked(np.multiply, dzeta, np.array([v, w]), "tangent products")
     d = deriv(grid, np.array([dzeta, *dzeta_v]))
@@ -226,16 +243,15 @@ def transmission_tangent(state: InterfaceState, traces: TraceBundle, dzeta, dpsi
     gp_hw, gp_dpsi = _dn_product(s_plus, np.array([dzeta_w[0], dpsi]), p.hbar_plus)
     gm_hw = _dn_product(s_minus, dzeta_w[1], -p.hbar_minus)
     shape = -eps * np.array([gp_hw, gm_hw]) - eps * mu * d[1:]
-    dpsi_minus = state._g_tilde(p.rhobar_plus * (shape[1] - shape[0]) - gp_dpsi)
-    dpsi_plus = (dpsi + p.rhobar_minus * dpsi_minus) / p.rhobar_plus
-    dg = _dn_product(s_plus, dpsi_plus, p.hbar_plus) + shape[0]
-    dpsi_x = deriv(grid, np.array([dpsi_plus, dpsi_minus]))
-    # ∂xψ± = V± + εw±ζₓ
-    num = dg + eps * mu * (dzx * (v + eps * w * zx) + zx * dpsi_x - 2.0 * eps * zx * dzx * w)
+    dtraces = np.empty((2, grid.n))
+    dtraces[1] = state._g_tilde(p.rhobar_plus * (shape[1] - shape[0]) - gp_dpsi)
+    np.divide(dpsi + p.rhobar_minus * dtraces[1], p.rhobar_plus, out=dtraces[0])
+    dg = _dn_product(s_plus, dtraces[0], p.hbar_plus) + shape[0]
+    dpsi_x = deriv(grid, dtraces)
+    num = dg + eps * mu * (dzx * traces.psi_x + zx * dpsi_x - 2.0 * eps * zx * dzx * w)
     dw = num / state._slope_terms[1]
     dv = dpsi_x - eps * (dw * zx + w * dzx)
-    return TraceBundle(psi_plus=dpsi_plus, psi_minus=dpsi_minus, v_plus=dv[0], v_minus=dv[1],
-                       w_plus=dw[0], w_minus=dw[1])
+    return TraceBundle(psi=dtraces, psi_x=dpsi_x, w=dw, v=dv, flux=dg)
 
 
 def dense_g_tilde(state: InterfaceState) -> np.ndarray:

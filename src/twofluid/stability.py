@@ -110,13 +110,12 @@ def a_field(
     """Pressure-jump coefficient 𝔞 = 1 + ε⟦ρ̄±(∂t + εV±∂x)w±⟧.
 
     ``rates`` holds the time derivative of each field of ``traces``, as
-    :func:`~twofluid.operators.transmission_tangent` returns it.
+    :func:`~twofluid.operators.transmission_tangent` returns it; the ± terms
+    are formed on their (2, N) stacks.
     """
     p = params
-    wx = deriv(grid, np.array([traces.w_plus, traces.w_minus]))
-    material_p = rates.w_plus + p.eps * traces.v_plus * wx[0]
-    material_m = rates.w_minus + p.eps * traces.v_minus * wx[1]
-    return 1.0 + p.eps * (p.rhobar_plus * material_p - p.rhobar_minus * material_m)
+    material = rates.w + p.eps * traces.v * deriv(grid, traces.w)
+    return 1.0 + p.eps * (p.rhobar_plus * material[0] - p.rhobar_minus * material[1])
 
 
 @dataclass
@@ -137,9 +136,10 @@ def stability_inputs(state: InterfaceState, traces: TraceBundle) -> StabilityInp
     ∂t is the derivative along the state's tendency with no dealiasing
     (:func:`~twofluid.evolution.tendency`): the criterion is a property of
     the state, not of the 2/3-rule projection that
-    :func:`~twofluid.evolution.rhs` applies.  The rates of w± and V± are the
-    tangent of the transmission map, which reuses the state's DN matrices
-    and 𝒢̃ factor (:func:`~twofluid.operators.transmission_tangent`).
+    :func:`~twofluid.evolution.rhs` applies.  The rates are the tangent of
+    the transmission map, which reuses the state's DN matrices and 𝒢̃
+    factor (:func:`~twofluid.operators.transmission_tangent`), as a bundle
+    whose stacks of ẇ± and V̇± give 𝔞 and ∂t⟦V⟧.
     """
     grid = state.grid
     rates = transmission_tangent(state, traces, *tendency(state, traces))

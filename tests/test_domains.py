@@ -12,7 +12,7 @@ criteria, the tendency, the inner products and the DN products of one past
 the largest float.  So does a solve whose answer or products pass the
 largest float, at depth ratios from 0.2 to 5: the transmission solve, J and
 its inverse, the inverse of 𝒢̃, the Neumann and the Dirichlet solve; a run
-records it as its breakdown."""
+records it as its breakdown, as it does a Hamiltonian past the largest float."""
 
 import math
 import warnings
@@ -244,3 +244,16 @@ def test_a_run_that_overflows_records_a_breakdown(depth_ratio, zeta, k, amplitud
         warnings.simplefilter("error", RuntimeWarning)
         series = run(EvolutionConfig(t_end=0.1), state)
     assert series.breakdown["reason"].startswith("NumericalError")
+
+
+def test_a_run_whose_hamiltonian_overflows_records_a_breakdown():
+    # at μ = 1e-4, ψ = 3e154·sin x: ψ𝒢ψ/(2μ) passes the largest float while
+    # the traces and the velocity jump of the first snapshot stay finite
+    params = derive_params(config_from_dimensionless(0.3, 1e-4, 0.4, 1.5, 100.0))
+    state = InterfaceState(grid=GRID, zeta=0.3 * np.cos(GRID.nodes),
+                           psi=3e154 * np.sin(GRID.nodes), params=params, n_z=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        series = run(EvolutionConfig(t_end=0.01), state)
+    assert series.breakdown["reason"].startswith("NumericalError")
+    assert not series.diagnostics

@@ -27,7 +27,7 @@ from twofluid import (
     tendency,
     transmission_solve,
 )
-from twofluid.spectral import _retained
+from twofluid.spectral import _retained, deriv
 
 
 def make_state(grid, zeta, psi, eps=0.1, mu=0.64, rbm=0.4, ratio=1.5, bond=50.0, n_z=16):
@@ -221,6 +221,56 @@ def test_rk4_step_keeps_a_state_in_the_retained_band(grid32):
     for dt in (cfl_cap(st.params, 32), -cfl_cap(st.params, 32)):
         out = rk4_step(st, dt)
         assert np.all(_out_of_band(grid32, np.array([out.zeta, out.psi])) <= 1e-28)
+
+
+def tendency_from_identities(st, tr):
+    """The tendency with ∂xψ± and 𝒢ψ recovered from the ± traces by the
+    identities ∂xψ± = V± + εw±ζₓ and 𝒢ψ = w⁺(1 + ε²μζₓ²) − εμζₓ∂xψ⁺."""
+    p, zx = st.params, st.zeta_x
+    denom = 1.0 + p.eps**2 * p.mu * zx**2
+    dx_plus = tr.v_plus + p.eps * tr.w_plus * zx
+    dx_minus = tr.v_minus + p.eps * tr.w_minus * zx
+    dzeta = (tr.w_plus * denom - p.eps * p.mu * zx * dx_plus) / p.mu
+    dzeta -= dzeta.mean()
+    dpsi = (-st.zeta - 0.5 * p.eps * (p.rhobar_plus * dx_plus**2 - p.rhobar_minus * dx_minus**2)
+            + 0.5 * p.eps / p.mu * denom
+            * (p.rhobar_plus * tr.w_plus**2 - p.rhobar_minus * tr.w_minus**2))
+    if not math.isinf(p.bond):
+        dpsi += deriv(st.grid, zx / np.sqrt(denom)) / p.bond
+    return np.array([dzeta, dpsi])
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("rbm", [0.0, 0.4])
+@pytest.mark.parametrize("bond", [50.0, math.inf])
+def test_tendency_matches_the_identity_recovery(n, rbm, bond):
+    # the bundle's ∂xψ± and 𝒢ψ against their recovery from the traces:
+    # measured ≤ 1.8e-16 of ‖tendency‖∞ over this family
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng([n, int(10 * rbm), int(math.isinf(bond))])
+    st = make_state(grid, smooth_field(rng, grid, 3, 1.0), smooth_field(rng, grid, 3, 0.5),
+                    eps=0.3, mu=0.5, rbm=rbm, bond=bond, n_z=8)
+    tr = transmission_solve(st)
+    oracle = tendency_from_identities(st, tr)
+    assert np.max(np.abs(tendency(st, tr) - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+
+
+def test_run_hamiltonian_drift_is_second_order_in_n_z():
+    # the Hamiltonian of the snapshots is conserved up to the discrete shape
+    # derivative, O(n_z⁻²): measured relative drifts over t = 1 of 7.3e-7,
+    # 1.9e-7 and 4.7e-8 at n_z = 8, 16 and 32
+    grid = PeriodicGrid(32)
+    x = grid.nodes
+    drifts = []
+    for n_z in (8, 16, 32):
+        st = make_state(grid, 0.5 * np.cos(x) + 0.2 * np.sin(2 * x), 0.3 * np.sin(x),
+                        eps=0.3, mu=0.5, rbm=0.4, ratio=1.5, bond=100.0, n_z=n_z)
+        series = run(EvolutionConfig(t_end=1.0, snapshot_every=10**6), st)
+        assert not series.broke_down
+        first, last = (d["hamiltonian"] for d in series.diagnostics)
+        drifts.append(abs(last - first) / abs(first))
+    assert drifts[1] < 4e-7
+    assert drifts[0] >= 3.0 * drifts[1] and drifts[1] >= 3.0 * drifts[2]
 
 
 def test_run_mass_conservation_short():

@@ -380,6 +380,39 @@ def test_transmission_water_waves_reduction(grid64, rng):
     )
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_bundle_slopes_and_flux(n, rng):
+    # ∂xψ± = V± + εw±ζₓ to rounding (measured 2.0e-16 of ‖∂xψ‖∞), and the flux
+    # is 𝒢ψ = (1/H̄⁺)S⁺ψ⁺, deflated (measured 8.4e-15 of ‖𝒢ψ‖∞), which flux
+    # continuity makes −(1/H̄⁻)S⁻ψ⁻ to the residual of the 𝒢̃ solve (3.4e-14)
+    grid = PeriodicGrid(n)
+    for rbm in (0.0, 0.4):
+        st = make_state(grid, smooth_field(rng, grid, 3, 1.0), smooth_field(rng, grid, 3, 0.5),
+                        rbm=rbm, n_z=16)
+        tr = transmission_solve(st)
+        p = st.params
+        slope = tr.v + p.eps * tr.w * st.zeta_x
+        assert np.max(np.abs(tr.psi_x - slope)) <= 1e-15 * np.max(np.abs(tr.psi_x))
+        scale = np.max(np.abs(tr.flux))
+        lower = _deflate(tr.psi_plus @ st.layer(+1).dn_matrix) / p.hbar_plus
+        upper = -(tr.psi_minus @ st.layer(-1).dn_matrix) / p.hbar_minus
+        assert np.max(np.abs(tr.flux - lower)) <= 3e-14 * scale
+        assert np.max(np.abs(tr.flux - upper)) <= 1e-13 * scale
+
+
+def test_bundle_rows_are_read_only_views(grid64, rng):
+    st = make_state(grid64, smooth_field(rng, grid64, 3, 1.0), smooth_field(rng, grid64), n_z=8)
+    tr = transmission_solve(st)
+    for stack in ("psi", "v", "w"):
+        for row, sign in enumerate(("plus", "minus")):
+            view = getattr(tr, f"{stack}_{sign}")
+            assert np.shares_memory(view, getattr(tr, stack))
+            assert np.array_equal(view, getattr(tr, stack)[row])
+            assert not view.flags.writeable
+    assert tr.psi.shape == tr.psi_x.shape == tr.w.shape == tr.v.shape == (2, 64)
+    assert tr.flux.shape == (64,)
+
+
 def test_g_tilde_flat_symbol_and_positivity(grid64, rng):
     st = make_state(grid64, np.zeros(64), np.zeros(64), eps=0.0, mu=0.6, n_z=192)
     p = st.params

@@ -43,8 +43,14 @@ def h1_sigma_norm2(grid, u, bond):
 
 
 def zero_traces(n):
-    z = np.zeros(n)
-    return TraceBundle(z, z.copy(), z.copy(), z.copy(), z.copy(), z.copy())
+    z = np.zeros((2, n))
+    return TraceBundle(z, z.copy(), z.copy(), z.copy(), np.zeros(n))
+
+
+def random_traces(rng, grid):
+    """A bundle of smooth random fields: four ± stacks and the flux."""
+    return TraceBundle(*(np.array([smooth_field(rng, grid), smooth_field(rng, grid)])
+                         for _ in range(4)), smooth_field(rng, grid))
 
 
 # -- e coefficient ----------------------------------------------------------------
@@ -174,6 +180,16 @@ def test_e_coeff_checks_the_residual_of_its_factor(grid32, monkeypatch):
         e_coeff(st)
 
 
+def test_e_coeff_checks_its_factor_after_a_solve_with_zero_data(grid32, monkeypatch):
+    # at ψ = 0 the transmission solve with 𝒢̃ has zero data and passes any
+    # residual bound; e_coeff still makes its own check of the factor
+    st = make_state(grid32, 0.5 * np.cos(grid32.nodes), np.zeros(32), n_z=8)
+    monkeypatch.setattr(strip, "RESIDUAL_TOL", 0.0)
+    transmission_solve(st)
+    with pytest.raises(NumericalError):
+        e_coeff(st)
+
+
 def test_e_coeff_continuity_in_amplitude(grid64):
     zeta = np.cos(grid64.nodes)
     flat = e_coeff(make_state(grid64, 1e-30 * zeta, np.zeros(64), eps=0.3))
@@ -206,8 +222,8 @@ def test_a_field_rest_state(grid64):
 
 def test_a_field_zero_amplitude(grid64, rng):
     p = derive_params(config_from_dimensionless(0.0, 0.5, 0.4, 1.5, 100.0))
-    tr = TraceBundle(*(smooth_field(rng, grid64) for _ in range(6)))
-    tr2 = TraceBundle(*(smooth_field(rng, grid64) for _ in range(6)))
+    tr = random_traces(rng, grid64)
+    tr2 = random_traces(rng, grid64)
     vals = a_field(grid64, p, tr, tr2)
     assert np.allclose(vals, 1.0, atol=1e-15)
 
