@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from ._lapack import dgemv
-from .errors import InvalidConfigError, NumericalError, TwoFluidError
+from .errors import NumericalError, TwoFluidError
 from .operators import InterfaceState, TraceBundle, transmission_solve
 from .params import DimensionlessParams, _check_count, _check_real
 from .spectral import _all_finite, _read_only, dealias, deriv, inner
@@ -65,8 +65,7 @@ def cfl_cap(params: DimensionlessParams, n_points: int, length: float = 2 * math
     _check_real("length", length, 0.0, strict=True)
     k_max = (2.0 * math.pi / length) * (n_points // 2)
     gravity_dt = math.sqrt(params.mu) / k_max
-    if math.isinf(params.bond):
-        return 0.5 * gravity_dt
+    # Bo = ∞ makes the capillary cap ∞
     capillary_dt = math.sqrt(params.bond * math.sqrt(params.mu)) / k_max**1.5
     return 0.5 * min(gravity_dt, capillary_dt)
 
@@ -81,8 +80,7 @@ class EvolutionConfig:
     snapshot_every: int = 10
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise InvalidConfigError(f"t_end must be finite and >= 0, got {self.t_end}")
+        _check_real("t_end", self.t_end, 0.0)
         _check_count("snapshot_every", self.snapshot_every)
 
 
@@ -230,5 +228,10 @@ def run(config: EvolutionConfig, initial: InterfaceState) -> TimeSeries:
             if step % config.snapshot_every == 0 or step == n_steps:
                 _record(series, t, state)
     except TwoFluidError as exc:
-        series.breakdown = {"time": t, "reason": f"{type(exc).__name__}: {exc}"}
+        series.breakdown = _breakdown(t, exc)
     return series
+
+
+def _breakdown(t: float, exc: TwoFluidError) -> dict:
+    """The record of ``run`` and ``run_swsw`` of exc, raised after time t."""
+    return {"time": t, "reason": f"{type(exc).__name__}: {exc}"}

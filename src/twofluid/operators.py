@@ -176,39 +176,37 @@ def apply_j(state: InterfaceState, u) -> np.ndarray:
 
 
 def _couple(state: InterfaceState, psi) -> tuple:
-    """(ψ⁻, (1/H̄±)G±ψ±) of the transmission problem for ψ = ρ̄⁺ψ⁺ − ρ̄⁻ψ⁻.
+    """(ψ±, (1/H̄±)G±ψ±) of the transmission problem for ψ = ρ̄⁺ψ⁺ − ρ̄⁻ψ⁻,
+    the traces as one (2, N) stack, row 0 the lower layer.
 
     Flux continuity (1/H̄⁺)G⁺ψ⁺ = (1/H̄⁻)G⁻ψ⁻ with ρ̄⁺ψ⁺ = ψ + ρ̄⁻ψ⁻ reads
-    𝒢̃ψ⁻ = −S⁺ψ/H̄⁺, which holds at ρ̄⁻ = 0 too.
+    𝒢̃ψ⁻ = −S⁺ψ/H̄⁺, which holds at ρ̄⁻ = 0 too; then the trace identity
+    ψ⁺ = (ψ + ρ̄⁻ψ⁻)/ρ̄⁺ holds to rounding.
     """
     p = state.params
-    psi_minus = state._g_tilde(_dn_product(state.layer(+1).dn_matrix, psi, -p.hbar_plus))
-    return psi_minus, _deflate(_dn_product(state.layer(-1).dn_matrix, psi_minus, -p.hbar_minus))
+    traces = np.empty((2, state.grid.n))
+    traces[1] = state._g_tilde(_dn_product(state.layer(+1).dn_matrix, psi, -p.hbar_plus))
+    np.divide(traces[1] * p.rhobar_minus + psi, p.rhobar_plus, out=traces[0])
+    return traces, _deflate(_dn_product(state.layer(-1).dn_matrix, traces[1], -p.hbar_minus))
 
 
 def invert_j(state: InterfaceState, psi) -> np.ndarray:
     """Solve J ψ⁺ = ψ for the lower-layer trace ψ⁺ = (ψ + ρ̄⁻ψ⁻)/ρ̄⁺."""
-    p = state.params
-    psi = np.asarray(psi, dtype=float)
-    psi_minus, _ = _couple(state, psi)
-    return (psi + p.rhobar_minus * psi_minus) / p.rhobar_plus
+    return _couple(state, np.asarray(psi, dtype=float))[0][0]
 
 
 def transmission_solve(state: InterfaceState) -> TraceBundle:
     """Both layer traces, their slopes, the interface velocities and the
     common flux 𝒢ψ at (ζ, ψ), as one :class:`TraceBundle`.
 
-    ψ⁻ and the flux (1/H̄±)G±ψ± come from one gauged solve with 𝒢̃, and
-    ψ⁺ = (ψ + ρ̄⁻ψ⁻)/ρ̄⁺, so the trace identity holds to rounding.  Then
+    ψ± and the flux (1/H̄±)G±ψ± come from one gauged solve with 𝒢̃ and the
+    trace identity ψ⁺ = (ψ + ρ̄⁻ψ⁻)/ρ̄⁺ (:func:`_couple`).  Then
 
         w± = ((1/H̄±) G±ψ± + εμ ζₓ ∂xψ±) / (1 + ε²μ ζₓ²),
         V± = ∂xψ± − ε w± ζₓ.
     """
     p = state.params
-    psi_minus, flux = _couple(state, state.psi)
-    psi = np.empty((2, state.grid.n))
-    np.divide(psi_minus * p.rhobar_minus + state.psi, p.rhobar_plus, out=psi[0])
-    psi[1] = psi_minus
+    psi, flux = _couple(state, state.psi)
     psi_x = deriv(state.grid, psi)
     emz, denom = state._slope_terms
     w = emz * psi_x
@@ -281,8 +279,7 @@ def invert_g_tilde(state: InterfaceState, f) -> np.ndarray:
 
 def pinv_g_tilde(state: InterfaceState) -> np.ndarray:
     """Pseudo-inverse of the dense 𝒢̃ matrix on its range, (𝒢̃ + Π)⁻¹ − Π:
-    no longer called by the package (𝔢 reads the factor of 𝒢̃ + Π), kept as
-    the tests' dense oracle and because the benchmark tracer names it."""
+    the tests' dense oracle, and a target of the benchmark tracer."""
     return state._g_tilde(np.eye(state.grid.n))
 
 

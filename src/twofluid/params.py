@@ -66,11 +66,9 @@ class PhysicalConfig:
                 f"need a finite rho_plus > rho_minus >= 0, got {self.rho_plus}, {self.rho_minus}"
             )
         for name in ("depth_plus", "depth_minus", "wavelength", "gravity"):
-            if not 0.0 < (value := getattr(self, name)) < math.inf:
-                raise InvalidConfigError(f"{name} must be positive and finite, got {value}")
+            _check_real(name, getattr(self, name), 0.0, strict=True)
         for name in ("amplitude", "surface_tension"):
-            if not 0.0 <= (value := getattr(self, name)) < math.inf:
-                raise InvalidConfigError(f"{name} must be finite and >= 0, got {value}")
+            _check_real(name, getattr(self, name), 0.0)
 
 
 @dataclass(frozen=True)

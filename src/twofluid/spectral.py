@@ -60,8 +60,7 @@ class PeriodicGrid:
         _check_count("grid size", self.n, 8)
         if self.n % 2 != 0:
             raise InvalidConfigError(f"grid size must be even, got {self.n}")
-        if not 0.0 < self.length < math.inf:
-            raise InvalidConfigError(f"grid length must be positive and finite, got {self.length}")
+        _check_real("grid length", self.length, 0.0, strict=True)
         k0 = TWO_PI / self.length
         object.__setattr__(self, "nodes", np.arange(self.n) * (self.length / self.n))
         object.__setattr__(
@@ -112,9 +111,9 @@ def apply_multiplier(grid: PeriodicGrid, m, u: np.ndarray) -> np.ndarray:
     """irfft(m·rfft u): the Fourier multiplier m(ξ) applied to a real field,
     or to each row of a stack of fields.  ``m`` is a callable vectorized over
     an array of wavenumbers, its last axis, and Hermitian, m(−ξ) = conj m(ξ)
-    (e.g. iξ); a stack of multipliers applies each to u."""
+    (e.g. iξ); a stack of multipliers applies each to a finite u."""
     mk = _multiplier_values(grid, m)
-    return np.fft.irfft(mk * np.fft.rfft(np.asarray(u, dtype=float)), n=grid.n)
+    return np.fft.irfft(mk * np.fft.rfft(_finite(u, "multiplier argument")), n=grid.n)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -182,7 +181,9 @@ def deriv(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
 
 
 def antideriv(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
-    """Zero-mean spectral antiderivative of a mean-zero field."""
+    """Zero-mean spectral antiderivative of a finite, mean-zero field."""
+    u = _finite(u, "antiderivative argument")
+
     def m(k):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(k == 0.0, 0.0, 1.0 / np.where(k == 0.0, 1.0, 1j * k))
@@ -268,11 +269,11 @@ def fourier_interpolate(grid: PeriodicGrid, u: np.ndarray, n_fine: int) -> np.nd
     """The trigonometric interpolant of u on n_fine points, an integer
     multiple of grid.n: the inverse real FFT to n_fine points of u's real FFT
     with its Nyquist bin halved, which the fine grid reads as the pair ±ξ_N.
-    It is u on the coarse nodes, and exact for band-limited u."""
+    It is u on the coarse nodes, and exact for band-limited finite u."""
     _check_count("fine grid size", n_fine, grid.n)
     if n_fine % grid.n != 0:
         raise InvalidConfigError("fine grid size must be a multiple of the coarse one")
-    uh = np.fft.rfft(np.asarray(u, dtype=float))
+    uh = np.fft.rfft(_finite(u, "interpolated field"))
     uh[-1] *= 0.5
     return np.fft.irfft(uh, n=n_fine) * (n_fine / grid.n)
 
@@ -294,5 +295,5 @@ def dealias(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
     """The 2/3-rule projection of a real field, or of each row of a stack of
     fields, bitwise as if each row were projected alone: the product with the
     grid's cached projection matrix, which zeroes every mode that
-    :func:`_retained` does not keep."""
-    return np.einsum("...j,jk->...k", np.asarray(u, dtype=float), _dealias_projector(grid))
+    :func:`_retained` does not keep.  NumericalError unless u is finite."""
+    return np.einsum("...j,jk->...k", _finite(u, "dealiased field"), _dealias_projector(grid))

@@ -351,7 +351,7 @@ def ins_form(u, inputs: StabilityInputs) -> float:
         )
     cap = 0.0
     if not math.isinf(p.bond):
-        kweight = (1.0 + p.eps**2 * p.mu * state.zeta_x**2) ** (-1.5)
+        kweight = state._slope_terms[1] ** -1.5
         du = deriv(grid, u)
         cap = inner(grid, kweight * du, du) / p.bond
     return a_term - shear + cap

@@ -73,12 +73,6 @@ RESIDUAL_TOL = 1e-9
 MIN_DEPTH = 1e-10
 
 
-def flat_symbol(mu_layer: float, k) -> np.ndarray:
-    """√μ±|ξ| tanh(√μ±|ξ|), the flat DN symbol of one unit-depth layer (G± = ±it)."""
-    y = math.sqrt(mu_layer) * np.abs(np.asarray(k, dtype=float))
-    return y * np.tanh(y)
-
-
 def layer_depth(zeta, eps_layer: float, layer_sign: int) -> np.ndarray:
     """Depth 1 ± ε±ζ of the layer below (+1) or above (−1) the interface.
 

@@ -18,12 +18,15 @@ instability and is reported as a first-class outcome, not an error.
 
 The solver is a first-order Rusanov (local Lax-Friedrichs) finite-volume
 scheme, conservative in ζ to rounding.  A state computes its heights once,
-in its constructor (which also rejects a dry state), and its characteristic
-triple (a, u, ind) once, on first use; the triple serves the state's fluxes,
-its indicator and its Rusanov speeds |u| + √|a·ind|, which are the
-characteristic speeds max|λ±| where the state is hyperbolic.  A step of
-:func:`run_swsw` reads the state's largest speed for its time step and
-:func:`fv_step` reads the same number for its CFL check.
+in its constructor, which rejects a dry state with the full model's
+pinch-off check (:func:`~twofluid.strip.layer_depth`,
+DegenerateGeometryError), and its characteristic triple (a, u, ind) once,
+on first use; the triple serves the state's fluxes, its indicator and its
+Rusanov speeds |u| + √|a·ind|, which are the characteristic speeds max|λ±|
+where the state is hyperbolic.  A step of :func:`run_swsw` reads the
+state's largest speed for its time step and :func:`fv_step` reads the same
+number for its CFL check.  A step that fails halts a run with the record of
+a breakdown of :func:`~twofluid.evolution.run`, ``"Type: message"``.
 
 The model carries neither μ nor Bo: a state reads only ε, ε±, H̄± and ρ̄±.
 So :func:`compare_with_full` integrates it once per call, and the one
@@ -38,12 +41,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidConfigError, NumericalError
-from .evolution import EvolutionConfig, run
+from .errors import InvalidConfigError, NumericalError, TwoFluidError
+from .evolution import EvolutionConfig, _breakdown, run
 from .operators import InterfaceState
 from .params import DimensionlessParams, _check_real, config_from_dimensionless, derive_params
 from .spectral import PeriodicGrid, _cached, _read_only, antideriv, deriv, fourier_interpolate
-from .strip import _check_range, _grid_field
+from .strip import _check_range, _grid_field, layer_depth
 
 # run_swsw's time step in units of dx/max|λ|; fv_step rejects steps above 0.5
 CFL_NUMBER = 0.45
@@ -53,7 +56,7 @@ CFL_NUMBER = 0.45
 class SWState:
     """Cell-centered shallow-water state (ζ, v) with its parameters and layer
     heights, read-only; ValueError on a field off the grid, NumericalError if
-    not finite or dry."""
+    not finite, DegenerateGeometryError if dry (:func:`heights`)."""
 
     grid: PeriodicGrid
     zeta: np.ndarray
@@ -65,12 +68,7 @@ class SWState:
         fields = self.__dict__  # frozen: set through the instance dict
         zeta = fields["zeta"] = _grid_field(self.grid, self.zeta, "zeta")
         fields["v"] = _grid_field(self.grid, self.v, "v")
-        hp, hm = fields["_heights"] = heights(self.params, zeta)
-        # the entry at argmin is the minimum, without a ufunc reduction's dispatch
-        if hp.item(hp.argmin()) <= 0.0 or hm.item(hm.argmin()) <= 0.0:
-            raise NumericalError(
-                f"dry state: min heights ({float(hp.min()):.3e}, {float(hm.min()):.3e})"
-            )
+        fields["_heights"] = heights(self.params, zeta)
 
     @_cached
     def _characteristic(self) -> tuple:
@@ -104,10 +102,10 @@ class SWState:
 
 
 def heights(p: DimensionlessParams, zeta: np.ndarray) -> tuple:
-    """Layer heights h⁺ = H̄⁺(1+ε⁺ζ), h⁻ = H̄⁻(1−ε⁻ζ)."""
-    hp = (zeta * p.eps_plus + 1.0) * p.hbar_plus
-    hm = np.subtract(1.0, zeta * p.eps_minus) * p.hbar_minus
-    return hp, hm
+    """Layer heights h⁺ = H̄⁺(1+ε⁺ζ), h⁻ = H̄⁻(1−ε⁻ζ); DegenerateGeometryError
+    where a layer pinches off (:func:`~twofluid.strip.layer_depth`)."""
+    return (layer_depth(zeta, p.eps_plus, +1) * p.hbar_plus,
+            layer_depth(zeta, p.eps_minus, -1) * p.hbar_minus)
 
 
 def flux(state: SWState) -> tuple:
@@ -129,7 +127,8 @@ def max_wave_speed(state: SWState) -> float:
 def fv_step(state: SWState, dt: float) -> SWState:
     """One Rusanov step; conservative in ζ to rounding.  dt must be finite,
     >= 0 and within the CFL restriction (InvalidConfigError otherwise);
-    NumericalError if a characteristic speed is not finite."""
+    NumericalError if a characteristic speed or the new state is not finite,
+    DegenerateGeometryError if the new state is dry."""
     _check_real("time step", dt, 0.0)
     grid = state.grid
     dx = grid.dx
@@ -168,7 +167,8 @@ def _least_indicator(state: SWState) -> float:
 def run_swsw(config: EvolutionConfig, initial: SWState) -> SWSeries:
     """Advance until t_end in steps of CFL_NUMBER·dx/max|λ|; halt with a
     report if hyperbolicity is lost, the indicator is not finite or a step
-    fails."""
+    fails, the last as :func:`~twofluid.evolution.run` records a breakdown:
+    ``"DegenerateGeometryError: …"`` for a dry state, at the last state's time."""
     series = SWSeries()
     state, t, step = initial, 0.0, 0
     t_stop = config.t_end - 1e-12
@@ -184,8 +184,8 @@ def run_swsw(config: EvolutionConfig, initial: SWState) -> SWSeries:
         dt = min(CFL_NUMBER * state.grid.dx / max_wave_speed(state), config.t_end - t)
         try:
             state = fv_step(state, dt)
-        except NumericalError as exc:
-            series.halted = {"time": t, "reason": str(exc)}
+        except TwoFluidError as exc:
+            series.halted = _breakdown(t, exc)
             return series
         t += dt
         step += 1

@@ -19,8 +19,9 @@ zeroth-order descriptions of the composed operators (G⁻)⁻¹G⁺, (G⁻)⁻¹
 one state, each symbol next to the exact operator it describes
 (:func:`symbol_comparisons`), for the caller's sweep to measure.  The
 composed symbols are formed from S± by private helpers of
-:mod:`twofluid.operators`.  At ζ = 0, where t± = |ξ|, S± is the flat symbol
-:func:`~twofluid.strip.flat_symbol`, so these are the flat multipliers of the
+:mod:`twofluid.operators`.  At ζ = 0, where t± = |ξ|, S± is the flat DN
+symbol √μ±|ξ|tanh(√μ±|ξ|) of one unit-depth layer, so a flat
+:class:`TailSymbolSet` gives the flat multipliers of the layers and of the
 composed operators; the package has no other source of them.
 
 At ξ = 0 both S± vanish, and each composed symbol takes the value the gauged

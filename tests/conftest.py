@@ -45,6 +45,40 @@ def flat_symbols(params):
     return TailSymbolSet(PeriodicGrid(8), np.zeros(8), params)
 
 
+def flat_dn_symbol(mu_layer, xi):
+    """y·tanh y with y = √μ±|ξ|: the DN symbol of one flat layer of unit
+    depth, S± with G± = ±Op(S±).  Written with tanh, not with the package's
+    symbols, so that it can check them."""
+    y = math.sqrt(mu_layer) * np.abs(np.asarray(xi, dtype=float))
+    return y * np.tanh(y)
+
+
+def curved_layer_dn(grid, zeta_modes, eps_layer, mu_layer, layer_sign, modes):
+    """(ζ, ψ, G±ψ) of one layer over a curved interface, in closed form.
+
+    ζ = Σ (a cos kx + b sin kx) over the triples (k, a, b) of zeta_modes.
+    φ = Σ a_k cosh(√μ±k(1 ± z)) cos kx over the pairs (k, a_k) of modes
+    solves μ±∂x²φ + ∂z²φ = 0 with no flux at the wall z = ∓1, for any ζ.
+    So ψ = φ(x, ε±ζ) is its Dirichlet trace on the interface z = ε±ζ, and
+    G±ψ = ∂zφ − μ±ε±ζₓ∂xφ there is the exact DN value, the upward conormal
+    flux.  On a flat interface G±ψ/ψ is ±flat_dn_symbol.  Written without
+    the package, so that it can check the discrete maps.
+    """
+    x = grid.nodes
+    zeta, zeta_x = np.zeros(grid.n), np.zeros(grid.n)
+    for k, a, b in zeta_modes:
+        zeta += a * np.cos(k * x) + b * np.sin(k * x)
+        zeta_x += k * (b * np.cos(k * x) - a * np.sin(k * x))
+    psi, phi_x, phi_z = np.zeros(grid.n), np.zeros(grid.n), np.zeros(grid.n)
+    for k, a in modes:
+        c = math.sqrt(mu_layer) * k
+        arg = c * (1.0 + layer_sign * eps_layer * zeta)
+        psi += a * np.cosh(arg) * np.cos(k * x)
+        phi_x -= a * k * np.cosh(arg) * np.sin(k * x)
+        phi_z += a * layer_sign * c * np.sinh(arg) * np.cos(k * x)
+    return zeta, psi, phi_z - mu_layer * eps_layer * zeta_x * phi_x
+
+
 def flat_coupled_symbol(params, k):
     """𝒢₀(k) = s⁺/(H̄⁺·J) of a flat interface at k ≠ 0."""
     ts = flat_symbols(params)

@@ -6,7 +6,9 @@ of ``bench/workloads.py`` read report fields such as
 ``StabilityReport.e_converged``.  The tracer's ``strip.operator`` span
 counts the ``StripOperator`` builds, one per fluid layer of each state a
 pass solves with.  A module-level import of the package that its module
-does not read is dead, unless the tracer patches it there.  These tests
+does not read is dead, unless the tracer patches it there, and so is a
+public function or class that neither the package nor the benchmark reads,
+unless it waits for a ROADMAP item that will call it.  These tests
 read ``bench/`` and change nothing there; one more reads the package's
 sources for its one Fourier transform module.
 """
@@ -52,6 +54,48 @@ def test_every_module_level_import_is_read():
                     if name not in read and (f"twofluid.{path.stem}", name) not in patched:
                         unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+# public names whose callers are still to come, each with its ROADMAP item
+WAITING_FOR_A_CALLER = {
+    "ins_form": "item 11",
+    "modewise_margin": "item 10",
+    "symbol_comparisons": "item 22",
+    "hyperbolicity_indicator": "item 17",
+    "norm_sobolev": "the norm the paper states its estimates in",
+    "norm_hdot_mu": "the norm the paper states its estimates in",
+}
+
+
+def test_every_public_top_level_name_has_a_caller():
+    # a public function or class of the package is read by one of its
+    # modules (__init__ only re-exports), or by the benchmark, whose tracer
+    # names its targets as strings; the rest wait for the item named above
+    root = Path(__file__).resolve().parents[1]
+    modules = [path for path in sorted((root / "src" / "twofluid").glob("*.py"))
+               if path.name != "__init__.py"]
+
+    def names(path, bench=False):
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+            elif bench and isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif bench and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+        return found
+
+    read = set().union(*(names(path) for path in modules),
+                       *(names(path, True) for path in sorted((root / "bench").glob("*.py"))))
+    uncalled = [f"{path.stem}.{stmt.name}" for path in modules
+                for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and not stmt.name.startswith("_")
+                and stmt.name not in read | WAITING_FOR_A_CALLER.keys()]
+    assert uncalled == []
 
 
 def test_only_spectral_takes_a_fourier_transform():

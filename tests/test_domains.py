@@ -1,6 +1,7 @@
 """Public scalar entry points reject a value their domain excludes (NaN, ±∞,
-0 or −1): InvalidConfigError, NumericalError for a non-finite array or a dry
-state, ValueError for a layer sign other than ±1, and no RuntimeWarning.
+0 or −1): InvalidConfigError, NumericalError for a non-finite array,
+DegenerateGeometryError for a dry state, ValueError for a layer sign other
+than ±1, and no RuntimeWarning.
 Values rejected before these checks (μ < 0, γ outside [0, 1]) are tested by
 module.
 A finite Sobolev order whose weight (1 + ξ²)^s overflows on the grid is
@@ -20,10 +21,11 @@ import warnings
 import numpy as np
 import pytest
 
-from twofluid import (EvolutionConfig, InterfaceState, InvalidConfigError, NumericalError,
-                      PeriodicGrid, StripOperator, SWState, apply_g_tilde, apply_j, cfl_cap,
-                      config_from_dimensionless, criteria_from_scalars, deriv, derive_params,
-                      e_quadratic_form, evaluate_criteria, fv_step, inner, ins_form,
+from twofluid import (DegenerateGeometryError, EvolutionConfig, InterfaceState,
+                      InvalidConfigError, NumericalError, PeriodicGrid, StripOperator, SWState,
+                      antideriv, apply_g_tilde, apply_j, apply_multiplier, apply_symbol, cfl_cap,
+                      config_from_dimensionless, criteria_from_scalars, dealias, deriv,
+                      derive_params, e_quadratic_form, evaluate_criteria, fv_step, inner, ins_form,
                       invert_g_tilde, invert_j, modewise_margin, norm_hdot_mu, norm_sobolev,
                       practical_verdict, rhs, rk4_step, run, run_swsw, stability_inputs,
                       tendency, transmission_solve, transmission_tangent)
@@ -113,6 +115,14 @@ ROWS = {
                           NumericalError),
     "fourier_interpolate-n_fine": (lambda v: fourier_interpolate(GRID, field(), v),
                                    (0, -16, 32.0, 40)),
+    "fourier_interpolate-u[3]": (lambda v: fourier_interpolate(GRID, field(v), 32), NOT_FINITE,
+                                 NumericalError),
+    "apply_multiplier-u[3]": (lambda v: apply_multiplier(GRID, lambda k: 1j * k, field(v)),
+                              NOT_FINITE, NumericalError),
+    "apply_symbol-u[3]": (lambda v: apply_symbol(GRID, lambda x, k: np.abs(k) + 0.0 * x,
+                                                 field(v)), NOT_FINITE, NumericalError),
+    "antideriv-u[3]": (lambda v: antideriv(GRID, field(v)), NOT_FINITE, NumericalError),
+    "dealias-u[3]": (lambda v: dealias(GRID, field(v)), NOT_FINITE, NumericalError),
     "PeriodicGrid-n": (PeriodicGrid, (16.0, 17)),
     # a negative Rusanov step is anti-diffusive; a negative RK4 step is a
     # backward step, inside the domain.  Both reject before any solve.
@@ -121,7 +131,7 @@ ROWS = {
     "InterfaceState-psi[3]": (lambda v: interface_state(field(v)), NOT_FINITE, NumericalError),
     "SWState-v[3]": (lambda v: sw_state(field(v)), NOT_FINITE, NumericalError),
     # a layer of zero or negative height: ζ ≤ −1/ε⁺ or ζ ≥ 1/ε⁻
-    "SWState-zeta[3]": (lambda v: sw_state(zeta=field(v)), (-5.0, 3.0), NumericalError),
+    "SWState-zeta[3]": (lambda v: sw_state(zeta=field(v)), (-5.0, 3.0), DegenerateGeometryError),
     "StripOperator-layer_sign": (lambda v: StripOperator(GRID, field(), 0.3, 0.5, v, n_z=8),
                                  (0, 2, -2), ValueError),
     "cfl_cap-n_points": (lambda v: cfl_cap(PARAMS, v), (0, 1, -1, 16.0, math.nan, True)),

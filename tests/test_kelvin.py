@@ -14,8 +14,7 @@ from scipy.optimize import minimize_scalar
 
 from twofluid import config_from_dimensionless, derive_params
 from twofluid.operators import _g_tilde_of
-from twofluid.strip import flat_symbol
-from conftest import kelvin_threshold
+from conftest import flat_symbols, kelvin_threshold
 
 GRAVITY = 9.81
 
@@ -51,8 +50,9 @@ def jump_of(p, threshold):
 
 def package_threshold(p, xi):
     """The threshold from the package's symbols, (1 + ξ²/Bo)S̃/(μξ²) with
-    S̃ = 𝒢̃'s symbol of the flat layer symbols."""
-    mix = _g_tilde_of(p, flat_symbol(p.mu_plus, xi), flat_symbol(p.mu_minus, xi))
+    S̃ = 𝒢̃'s symbol of the flat layer symbols, a flat TailSymbolSet's S±."""
+    ts = flat_symbols(p)
+    mix = _g_tilde_of(p, ts.s(0.0, xi, +1), ts.s(0.0, xi, -1))
     return (1.0 + xi**2 / p.bond) * mix / (p.mu * xi**2)
 
 

@@ -21,8 +21,7 @@ from twofluid import (
 )
 from twofluid import strip
 from twofluid.spectral import deriv
-from twofluid.strip import flat_symbol
-from conftest import smooth_field
+from conftest import curved_layer_dn, flat_dn_symbol, smooth_field
 
 
 def test_trivial_diffeo_fields(grid64):
@@ -191,6 +190,49 @@ def test_dn_constant_maps_to_zero(grid64):
     assert abs(np.mean(out)) < 1e-12
 
 
+def curved_dn_error(n, zeta_modes, eps, mu, sign, modes, n_z):
+    """max|G±ψ − exact|/max|exact| of one layer on N = n points against the
+    closed form of curved_layer_dn."""
+    grid = PeriodicGrid(n)
+    zeta, psi, exact = curved_layer_dn(grid, zeta_modes, eps, mu, sign, modes)
+    out = dn_apply(StripOperator(grid, zeta, eps, mu, sign, n_z=n_z), psi)
+    return float(np.max(np.abs(out - exact)) / np.max(np.abs(exact)))
+
+
+def test_curved_dn_map_converges_at_second_order_in_n_z():
+    # ε ≤ 0.6, μ ∈ [0.05, 1], sup|ζ| = 1 on modes 1 and 2, ψ on mode 1 and
+    # a mode k ≤ 3, both layers: each doubling of n_z from 8 to 32 divides
+    # the error by 3.94–4.01 over 300 draws (N = 32, 64), 5.8e-5 at most at
+    # n_z = 32; on 32 points a mode k = 4 of ψ brings the x error in
+    rng = np.random.default_rng(26)
+    for _ in range(8):
+        eps, mu, n = rng.uniform(0.0, 0.6), rng.uniform(0.05, 1.0), int(rng.choice([32, 64]))
+        c = rng.uniform(-1.0, 1.0, 4) * [1.0, 1.0, 0.3, 0.3]
+        c /= np.sum(np.abs(c))
+        zeta_modes = [(1, c[0], c[1]), (2, c[2], c[3])]
+        modes = [(1, rng.normal()), (int(rng.integers(2, 4)), rng.normal())]
+        for sign in (+1, -1):
+            e = [curved_dn_error(n, zeta_modes, eps, mu, sign, modes, n_z) for n_z in (8, 16, 32)]
+            assert 3.9 <= e[0] / e[1] <= 4.05 and 3.9 <= e[1] / e[2] <= 4.05
+            assert e[2] <= 1e-4
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_curved_dn_map_error_floor_is_the_x_resolution(sign):
+    # ζ = cos x + 0.3 cos 4x at ε = 0.6, μ = 1 thins the upper layer to 0.22
+    # and the lower one to 0.4: on 32 points the error stops at 3.3e-3
+    # (lower) or 5.2e-3 (upper) however fine n_z, on 64 points it is the
+    # O(n_z⁻²) error again, and each doubling of N divides it by 37 or more
+    zeta_modes, modes = [(1, 1.0, 0.0), (4, 0.3, 0.0)], [(1, 1.0), (3, 0.3)]
+
+    def error(n, n_z):
+        return curved_dn_error(n, zeta_modes, 0.6, 1.0, sign, modes, n_z)
+
+    assert error(32, 32) == pytest.approx(error(32, 64), rel=0.02)
+    assert 3.9 <= error(64, 32) / error(64, 64) <= 4.05
+    assert error(16, 64) >= 20.0 * error(32, 64) >= 400.0 * error(64, 64)
+
+
 def test_dn_flat_matches_multiplier(grid64):
     mu = 1.0
     d = StripOperator(grid64, np.zeros(64), 0.0, mu, +1, n_z=256)
@@ -198,19 +240,19 @@ def test_dn_flat_matches_multiplier(grid64):
     g = dn_apply(d, psi)
     exact = math.tanh(1.0) * np.cos(grid64.nodes)
     assert np.linalg.norm(g - exact) / np.linalg.norm(exact) < 1e-6
-    assert np.allclose(apply_multiplier(grid64, lambda k: flat_symbol(mu, k), psi), exact,
+    assert np.allclose(apply_multiplier(grid64, lambda k: flat_dn_symbol(mu, k), psi), exact,
                        atol=1e-12)
 
 
 def test_dn_flat_sign_and_small_mu(grid64):
     psi = np.cos(2 * grid64.nodes)
     mu = 1e-6
-    # G⁻ = −Op(flat_symbol) on the upper layer
-    out = apply_multiplier(grid64, lambda k: -flat_symbol(mu, k), psi)
+    # G⁻ = −Op(flat_dn_symbol) on the upper layer
+    out = apply_multiplier(grid64, lambda k: -flat_dn_symbol(mu, k), psi)
     # tanh(y) ~ y: leading order -mu k^2 psi
     assert np.allclose(out, -mu * 4 * psi, rtol=1e-3)
-    assert np.allclose(apply_multiplier(grid64, lambda k: flat_symbol(0.7, k), np.ones(64)), 0.0,
-                       atol=1e-14)
+    assert np.allclose(apply_multiplier(grid64, lambda k: flat_dn_symbol(0.7, k), np.ones(64)),
+                       0.0, atol=1e-14)
 
 
 def test_dn_symmetry_sign_mean(grid64, rng):

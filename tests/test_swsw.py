@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twofluid import (
+    DegenerateGeometryError,
     EvolutionConfig,
     IncompatibleDataError,
     NumericalError,
@@ -215,8 +216,8 @@ def test_non_finite_state_never_finishes_a_run():
 
 
 def test_run_swsw_halts_when_a_step_fails(monkeypatch):
-    # a step that raises NumericalError (a dry or non-finite new state) ends
-    # the run with the error as its reason, at the time of the last state
+    # a step that raises an error of the package ends the run with its type
+    # and message as the reason, at the time of the last state, as in run
     def failing(state, dt):
         raise NumericalError("dry state")
 
@@ -225,8 +226,24 @@ def test_run_swsw_halts_when_a_step_fails(monkeypatch):
     p = derive_params(config_from_dimensionless(eps=0.5, mu=0.1, rhobar_minus=0.4))
     st = SWState(grid=grid, zeta=np.zeros(16), v=0.2 * np.sin(grid.nodes), params=p)
     series = run_swsw(EvolutionConfig(t_end=1.0), st)
-    assert series.halted == {"time": 0.0, "reason": "dry state"}
+    assert series.halted == {"time": 0.0, "reason": "NumericalError: dry state"}
     assert series.times == [0.0]
+
+
+def test_run_swsw_halts_when_a_step_dries_a_layer():
+    # with ρ̄⁻ = 0 the model is one-layer shallow water, hyperbolic for every
+    # v, and nothing holds the interface below the lid: the flow converging
+    # on the crest at x = 0 lifts it past 1/ε⁻ = 2 in the second step
+    grid = PeriodicGrid(16)
+    p = derive_params(config_from_dimensionless(eps=0.5, mu=0.1, rhobar_minus=0.0))
+    st = SWState(grid=grid, zeta=1.8 * np.cos(grid.nodes), v=-np.sin(grid.nodes), params=p)
+    first = fv_step(st, 0.45 * grid.dx / max_wave_speed(st))
+    with pytest.raises(DegenerateGeometryError):
+        fv_step(first, 0.45 * grid.dx / max_wave_speed(first))
+    series = run_swsw(EvolutionConfig(t_end=1.0, snapshot_every=1), st)
+    assert series.halted["reason"].startswith("DegenerateGeometryError: layer depth vanishes")
+    assert series.halted["time"] == series.times[-1] > 0.0
+    assert len(series.times) == 2 and np.array_equal(series.states[-1].zeta, first.zeta)
 
 
 def test_compare_with_full_reports_a_failed_side_as_a_nan_row():

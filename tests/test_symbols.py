@@ -15,8 +15,7 @@ from twofluid import (
     norm_sobolev,
     symbol_comparisons,
 )
-from twofluid.strip import flat_symbol
-from conftest import smooth_field
+from conftest import flat_dn_symbol, smooth_field
 
 
 def make_symbols(grid, zeta, eps=0.3, mu=0.5, rbm=0.4, ratio=1.5):
@@ -102,7 +101,7 @@ def test_flat_symbol_equals_dn_flat(grid64, rng):
     psi = smooth_field(rng, grid64)
     for sign, mu_l in ((+1, p.mu_plus), (-1, p.mu_minus)):
         out = apply_symbol(grid64, lambda x, k: ts.s(x, k, sign), psi)
-        exact = apply_multiplier(grid64, lambda k: flat_symbol(mu_l, k), psi)
+        exact = apply_multiplier(grid64, lambda k: flat_dn_symbol(mu_l, k), psi)
         assert np.max(np.abs(out - exact)) < 1e-12
 
 
@@ -113,7 +112,7 @@ def test_tail_symbols_of_a_flat_interface_are_the_flat_multipliers(grid64):
     # J.1 = rhobar_plus and the ratios 0; the xi -> 0 limit of J would be 1.2 here
     ts, p = make_symbols(grid64, np.zeros(64))
     x, k = grid64.nodes[:, None], grid64.wavenumbers
-    sp, sm = flat_symbol(p.mu_plus, k), flat_symbol(p.mu_minus, k)
+    sp, sm = flat_dn_symbol(p.mu_plus, k), flat_dn_symbol(p.mu_minus, k)
     ratio = np.divide(sp, sm, out=np.zeros(64), where=k != 0.0)
     j = p.rhobar_plus + p.rhobar_minus * (p.hbar_minus / p.hbar_plus) * ratio
     mix = sp * (p.rhobar_minus / p.hbar_plus) + sm * (p.rhobar_plus / p.hbar_minus)
