@@ -54,20 +54,20 @@ import numpy as np
 from ._lapack import dgemv
 from .errors import NumericalError, TwoFluidError
 from .operators import InterfaceState, TraceBundle, transmission_solve
-from .params import DimensionlessParams, _check_count, _check_real
-from .spectral import _all_finite, _read_only, dealias, deriv, inner
+from .params import DimensionlessParams, _check_count, _check_real, _pow
+from .spectral import _finite, _read_only, dealias, deriv, inner
 
 
 def cfl_cap(params: DimensionlessParams, n_points: int, length: float = 2 * math.pi) -> float:
     """Conservative RK4 step cap from the gravity and capillary phase speeds
-    on n_points (an integer >= 2) over a finite length > 0."""
+    on n_points (an integer >= 2) over a finite length > 0, a finite step > 0."""
     _check_count("n_points", n_points, 2)
     _check_real("length", length, 0.0, strict=True)
     k_max = (2.0 * math.pi / length) * (n_points // 2)
-    gravity_dt = math.sqrt(params.mu) / k_max
-    # Bo = ∞ makes the capillary cap ∞
-    capillary_dt = math.sqrt(params.bond * math.sqrt(params.mu)) / k_max**1.5
-    return 0.5 * min(gravity_dt, capillary_dt)
+    k_pow = _check_real("k_max**1.5", _pow(k_max, 1.5), 0.0, strict=True)
+    # the gravity and the capillary cap; Bo = ∞ makes the second ∞
+    dt = min(math.sqrt(params.mu) / k_max, math.sqrt(params.bond * math.sqrt(params.mu)) / k_pow)
+    return _check_real("CFL step", 0.5 * dt, 0.0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,8 @@ def tendency(state: InterfaceState, traces: TraceBundle) -> np.ndarray:
         w_jump *= denom
         w_jump += grad_jump
         np.subtract(w_jump, state.zeta, out=out[1])
-        if not math.isinf(p.bond):
-            out[1] += deriv(state.grid, state.zeta_x / np.sqrt(denom)) / p.bond
-    if not _all_finite(out):
-        raise NumericalError("non-finite tendency")
-    return out
+        out[1] += deriv(state.grid, state.zeta_x / np.sqrt(denom)) / p.bond
+    return _finite(out, "tendency")
 
 
 @functools.lru_cache(maxsize=16)
@@ -147,10 +144,7 @@ def rhs(state: InterfaceState) -> np.ndarray:
     the 2/3-rule projection (:func:`~twofluid.spectral.dealias`) of
     :func:`tendency` at the state's own trace bundle; NumericalError if
     either is not finite."""
-    out = dealias(state.grid, tendency(state, _traces(state)))
-    if not _all_finite(out):
-        raise NumericalError("non-finite right-hand side")
-    return out
+    return dealias(state.grid, tendency(state, _traces(state)))
 
 
 def rk4_step(state: InterfaceState, dt: float) -> InterfaceState:
@@ -163,16 +157,18 @@ def rk4_step(state: InterfaceState, dt: float) -> InterfaceState:
     half = 0.5 * dt
 
     def stage(k, h):
-        # a read-only stack, whose rows the stage state holds uncopied
-        z = _read_only(k * h + y)
+        # a read-only stack, whose rows the stage state holds uncopied, and
+        # whose non-finite field raises NumericalError in its constructor
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = _read_only(k * h + y)
         return state.replace_fields(z[0], z[1])
 
     k1 = rhs(state)
     k2 = rhs(stage(k1, half))
     k3 = rhs(stage(k2, half))
     k4 = rhs(stage(k3, dt))
-    # a non-finite field raises NumericalError in the state's constructor
-    return stage(k1 + k2 * 2 + k3 * 2 + k4, dt / 6.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return stage(k1 + k2 * 2 + k3 * 2 + k4, dt / 6.0)
 
 
 def _record(series: TimeSeries, t: float, state: InterfaceState):
@@ -184,9 +180,8 @@ def _record(series: TimeSeries, t: float, state: InterfaceState):
     # division by ε²μ
     p, grid, zx = state.params, state.grid, state.zeta_x
     energy = (0.5 * inner(grid, state.zeta, state.zeta)
-              + inner(grid, state.psi, traces.flux) / (2.0 * p.mu))
-    if not math.isinf(p.bond):
-        energy += inner(grid, zx, zx / (1.0 + np.sqrt(state._slope_terms[1]))) / p.bond
+              + inner(grid, state.psi, traces.flux) / (2.0 * p.mu)
+              + inner(grid, zx, zx / (1.0 + np.sqrt(state._slope_terms[1]))) / p.bond)
     if not math.isfinite(energy):
         raise NumericalError("the Hamiltonian overflows the largest float")
     series.times.append(t)
@@ -215,7 +210,7 @@ def run(config: EvolutionConfig, initial: InterfaceState) -> TimeSeries:
     grid = initial.grid
     dt = cfl_cap(initial.params, grid.n, grid.length)
     series = TimeSeries()
-    n_steps = int(math.ceil(config.t_end / dt - 1e-12))
+    n_steps = int(math.ceil(_check_real("step count t_end/dt", config.t_end / dt - 1e-12)))
     t = 0.0
     try:
         # a Gibbs overshoot can pinch a layer off, and a sum can overflow

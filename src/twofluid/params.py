@@ -120,12 +120,21 @@ def _check_count(name: str, value, least: int = 1) -> None:
 
 
 def _check_real(name: str, value, least: float = -math.inf, *, strict: bool = False,
-                finite: bool = True) -> None:
-    """Raise InvalidConfigError unless value >= least (> least if strict) and,
-    if finite, value is finite.  NaN fails every comparison."""
+                finite: bool = True):
+    """value; InvalidConfigError unless value >= least (> least if strict)
+    and, if finite, value is finite.  NaN fails every comparison."""
     if not ((value > least if strict else value >= least) and (math.isfinite(value) or not finite)):
         raise InvalidConfigError(f"{name} must be {'>' if strict else '>='} {least}"
                                  f"{' and finite' if finite else ''}, got {value}")
+    return value
+
+
+def _pow(x: float, n: float) -> float:
+    """x**n, or ∞ where the float power overflows (OverflowError)."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
 
 
 def derive_params(cfg: PhysicalConfig) -> DimensionlessParams:
@@ -133,32 +142,35 @@ def derive_params(cfg: PhysicalConfig) -> DimensionlessParams:
 
     Surface tension 0 is not an error here: the Bond number and Υ are set
     to +inf (the capillarity-free limit must be requested explicitly for
-    the criteria; see :func:`upsilon`).
+    the criteria; see :func:`upsilon`).  Any other value that is not a
+    finite float > 0 (or >= 0 for ρ̄⁻, σ, Υ and the ε) raises InvalidConfigError.
     """
     rho_tot = cfg.rho_plus + cfg.rho_minus
     rbp = cfg.rho_plus / rho_tot
     rbm = cfg.rho_minus / rho_tot
     g_red = (rbp - rbm) * cfg.gravity
-    h_eff = cfg.depth_plus * cfg.depth_minus / (rbp * cfg.depth_minus + rbm * cfg.depth_plus)
+    # 0 where ρ⁺ + ρ⁻ overflows
+    h_eff = cfg.depth_plus * cfg.depth_minus / _check_real(
+        "ρ̄-weighted depth", rbp * cfg.depth_minus + rbm * cfg.depth_plus, 0.0, strict=True)
+    h_sq = _check_real("H²", _pow(h_eff, 2), 0.0, strict=True)
     eps = cfg.amplitude / h_eff
-    mu = (h_eff / cfg.wavelength) ** 2
+    mu = _pow(h_eff / cfg.wavelength, 2)
     if cfg.surface_tension > 0.0:
-        bond = rho_tot * g_red * cfg.wavelength**2 / cfg.surface_tension
-        ups = (rbp * rbm) ** 2 * cfg.amplitude**4 / h_eff**2 * rho_tot * g_red / (
-            4.0 * cfg.surface_tension
-        )
+        bond = rho_tot * g_red * _pow(cfg.wavelength, 2) / cfg.surface_tension
+        ups = (_pow(rbp * rbm, 2) * _pow(cfg.amplitude, 4) / h_sq * rho_tot * g_red
+               / (4.0 * cfg.surface_tension))
     else:
         bond = math.inf
         ups = math.inf if rbm > 0.0 and cfg.amplitude > 0.0 else 0.0
-    return DimensionlessParams(
+    params = DimensionlessParams(
         rhobar_plus=rbp,
         rhobar_minus=rbm,
         eps=eps,
         mu=mu,
         eps_plus=cfg.amplitude / cfg.depth_plus,
         eps_minus=cfg.amplitude / cfg.depth_minus,
-        mu_plus=(cfg.depth_plus / cfg.wavelength) ** 2,
-        mu_minus=(cfg.depth_minus / cfg.wavelength) ** 2,
+        mu_plus=_pow(cfg.depth_plus / cfg.wavelength, 2),
+        mu_minus=_pow(cfg.depth_minus / cfg.wavelength, 2),
         hbar_plus=cfg.depth_plus / h_eff,
         hbar_minus=cfg.depth_minus / h_eff,
         bond=bond,
@@ -169,6 +181,11 @@ def derive_params(cfg: PhysicalConfig) -> DimensionlessParams:
         rho_total=rho_tot,
         sigma=cfg.surface_tension,
     )
+    for name, value in vars(params).items():
+        _check_real(name, value, 0.0, strict=name not in ("rhobar_minus", "sigma", "upsilon")
+                    and not name.startswith("eps"),
+                    finite=cfg.surface_tension > 0.0 or name not in ("bond", "upsilon"))
+    return params
 
 
 def upsilon(cfg: PhysicalConfig) -> float:
@@ -230,7 +247,7 @@ def config_from_dimensionless(
     hbar_minus = rbp / depth_ratio + rhobar_minus
     lam = h_eff / math.sqrt(mu)
     g_red = (rbp - rhobar_minus) * gravity
-    sigma = 0.0 if math.isinf(bond) else rho_total * g_red * lam**2 / bond
+    sigma = 0.0 if math.isinf(bond) else rho_total * g_red * _pow(lam, 2) / bond
     return PhysicalConfig(
         rho_plus=rbp * rho_total,
         rho_minus=rhobar_minus * rho_total,

@@ -21,7 +21,9 @@ constants and the Nyquist mode, which D zeroes.  :func:`dealias`, the
 2/3-rule projection of every RK4 stage (Orszag, J. Atmos. Sci. 28, 1971), is
 the product with the matrix of the multiplier that keeps the modes
 |ξ| <= (2/3)ξ_N: ``np.einsum``'s product, which sums a row of a stack as it
-sums the row alone; BLAS does not.
+sums the row alone; BLAS does not.  Each primitive runs its transform or
+product without floating-point warnings and checks what it returns, once:
+NumericalError unless finite, which its callers do not test again.
 """
 
 from __future__ import annotations
@@ -61,11 +63,9 @@ class PeriodicGrid:
         if self.n % 2 != 0:
             raise InvalidConfigError(f"grid size must be even, got {self.n}")
         _check_real("grid length", self.length, 0.0, strict=True)
-        k0 = TWO_PI / self.length
+        nk0 = _check_real("n·2π/length, the divisor of fftfreq", self.n * (TWO_PI / self.length))
         object.__setattr__(self, "nodes", np.arange(self.n) * (self.length / self.n))
-        object.__setattr__(
-            self, "wavenumbers", np.fft.fftfreq(self.n, d=1.0 / (self.n * k0))
-        )
+        object.__setattr__(self, "wavenumbers", np.fft.fftfreq(self.n, d=1.0 / nk0))
 
     @_cached
     def deriv_matrix_t(self) -> np.ndarray:
@@ -96,14 +96,12 @@ class PeriodicGrid:
 
 def _multiplier_values(grid: PeriodicGrid, m) -> np.ndarray:
     """m on the real-FFT wavenumbers 0…ξ_N, its last axis, the Nyquist bin
-    the even part (m(ξ_N) + m(−ξ_N))/2; NumericalError unless finite."""
+    the even part (m(ξ_N) + m(−ξ_N))/2."""
     k = np.append(np.abs(grid.wavenumbers[: grid.n // 2 + 1]), grid.wavenumbers[grid.n // 2])
     mk = np.asarray(m(k), dtype=complex)
     mk = np.broadcast_to(mk, np.broadcast_shapes(mk.shape, k.shape))
     out = mk[..., :-1].copy()
     out[..., -1] = 0.5 * (mk[..., -2] + mk[..., -1])
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("multiplier is not finite on a grid wavenumber")
     return out
 
 
@@ -111,9 +109,11 @@ def apply_multiplier(grid: PeriodicGrid, m, u: np.ndarray) -> np.ndarray:
     """irfft(m·rfft u): the Fourier multiplier m(ξ) applied to a real field,
     or to each row of a stack of fields.  ``m`` is a callable vectorized over
     an array of wavenumbers, its last axis, and Hermitian, m(−ξ) = conj m(ξ)
-    (e.g. iξ); a stack of multipliers applies each to a finite u."""
-    mk = _multiplier_values(grid, m)
-    return np.fft.irfft(mk * np.fft.rfft(_finite(u, "multiplier argument")), n=grid.n)
+    (e.g. iξ); a stack of multipliers applies each to u.  NumericalError
+    unless the result is finite, as when m is not or u's transform overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(np.fft.irfft(_multiplier_values(grid, m) * np.fft.rfft(u), n=grid.n),
+                       "Fourier multiplier")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -181,15 +181,10 @@ def deriv(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
 
 
 def antideriv(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
-    """Zero-mean spectral antiderivative of a finite, mean-zero field."""
-    u = _finite(u, "antiderivative argument")
-
-    def m(k):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(k == 0.0, 0.0, 1.0 / np.where(k == 0.0, 1.0, 1j * k))
-        return out
-
-    return apply_multiplier(grid, m, u - np.mean(u))
+    """Zero-mean spectral antiderivative of a mean-zero field: the multiplier
+    1/(iξ), 0 at ξ = 0, so u's mean does not enter."""
+    return apply_multiplier(
+        grid, lambda k: np.divide(1.0, 1j * k, out=np.zeros(k.shape, complex), where=k != 0.0), u)
 
 
 def apply_symbol(grid: PeriodicGrid, s, u: np.ndarray) -> np.ndarray:
@@ -216,15 +211,14 @@ def inner(grid: PeriodicGrid, u: np.ndarray, v: np.ndarray) -> float:
 def _spectral_weighted_norm(grid: PeriodicGrid, u: np.ndarray, weight: np.ndarray) -> float:
     """√(Σ weight·|û|²) with the trapezoidal scale, for a finite weight >= 0.
     The sum runs over the terms √weight·|û| divided by the largest, so no
-    term overflows unless the norm does.  NumericalError unless u is finite
-    and the norm is representable."""
-    u = _finite(u, "norm argument")
+    term overflows unless the norm does.  NumericalError unless the norm is
+    finite, which it is not for a non-finite u."""
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.sqrt(weight) * (math.sqrt(grid.length) / grid.n * np.abs(np.fft.fft(u)))
         top = float(terms.max())
         norm = top * math.sqrt(float(np.sum((terms / top) ** 2))) if top > 0.0 else top
     if not math.isfinite(norm):
-        raise NumericalError(f"the norm of a finite field overflows on {grid.n} points")
+        raise NumericalError(f"the norm overflows, or u is not finite, on {grid.n} points")
     return norm
 
 
@@ -269,13 +263,15 @@ def fourier_interpolate(grid: PeriodicGrid, u: np.ndarray, n_fine: int) -> np.nd
     """The trigonometric interpolant of u on n_fine points, an integer
     multiple of grid.n: the inverse real FFT to n_fine points of u's real FFT
     with its Nyquist bin halved, which the fine grid reads as the pair ±ξ_N.
-    It is u on the coarse nodes, and exact for band-limited finite u."""
+    It is u on the coarse nodes, exact for band-limited u, and NumericalError
+    unless finite."""
     _check_count("fine grid size", n_fine, grid.n)
     if n_fine % grid.n != 0:
         raise InvalidConfigError("fine grid size must be a multiple of the coarse one")
-    uh = np.fft.rfft(_finite(u, "interpolated field"))
-    uh[-1] *= 0.5
-    return np.fft.irfft(uh, n=n_fine) * (n_fine / grid.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        uh = np.fft.rfft(u)
+        uh[-1] *= 0.5
+        return _finite(np.fft.irfft(uh, n=n_fine) * (n_fine / grid.n), "interpolated field")
 
 
 def _retained(grid: PeriodicGrid, k) -> np.ndarray:
@@ -295,5 +291,5 @@ def dealias(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
     """The 2/3-rule projection of a real field, or of each row of a stack of
     fields, bitwise as if each row were projected alone: the product with the
     grid's cached projection matrix, which zeroes every mode that
-    :func:`_retained` does not keep.  NumericalError unless u is finite."""
-    return np.einsum("...j,jk->...k", _finite(u, "dealiased field"), _dealias_projector(grid))
+    :func:`_retained` does not keep; NumericalError unless it is finite."""
+    return _finite(np.einsum("...j,jk->...k", u, _dealias_projector(grid)), "dealiased field")

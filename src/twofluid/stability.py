@@ -56,7 +56,7 @@ from .operators import InterfaceState, TraceBundle, e_quadratic_form
 from .operators import transmission_tangent
 # imported for the benchmark tracer, which wraps it under this module's name
 from .operators import invert_g_tilde
-from .params import DimensionlessParams, _check_real, practical_verdict
+from .params import DimensionlessParams, _check_real, _pow, practical_verdict
 from .spectral import (PeriodicGrid, _finite, _gauge_constants, _read_only, apply_multiplier,
                        deriv, inner)
 
@@ -186,14 +186,6 @@ def _check_scalars(inf_a: float, **non_negative) -> None:
     _check_real("inf_a", inf_a)
     for name, value in non_negative.items():
         _check_real(name, value, 0.0)
-
-
-def _pow(x: float, n: float) -> float:
-    """x**n, or ∞ where the float power overflows (OverflowError)."""
-    try:
-        return x**n
-    except OverflowError:
-        return math.inf
 
 
 def _check_representable(*values: float) -> None:
@@ -349,12 +341,8 @@ def ins_form(u, inputs: StabilityInputs) -> float:
             * p.rhobar_minus
             * e_quadratic_form(state, u * inputs.jump_v)
         )
-    cap = 0.0
-    if not math.isinf(p.bond):
-        kweight = state._slope_terms[1] ** -1.5
-        du = deriv(grid, u)
-        cap = inner(grid, kweight * du, du) / p.bond
-    return a_term - shear + cap
+    du = deriv(grid, u)
+    return a_term - shear + inner(grid, state._slope_terms[1] ** -1.5 * du, du) / p.bond
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,9 @@ matrix-free :meth:`StripOperator.apply`, is checked against :data:`RESIDUAL_TOL`
 Each primitive guards the float limit once, and raises NumericalError where
 a finite input overflows, without a warning.  :func:`_dn_product` is the
 package's one checked product with a DN-type matrix, S± or 𝒢̃, its scale
-the BLAS alpha.  The gauged solve :class:`_RangeSolver` checks its answer
-before it deflates, and the Dirichlet solve checks its residual.
+the BLAS alpha.  The gauged solve :class:`_RangeSolver` checks its answer,
+not the data that a primitive has checked, and the Dirichlet solve checks
+its residual.
 """
 
 from __future__ import annotations
@@ -171,10 +172,11 @@ def _grid_field(grid: PeriodicGrid, a, what: str) -> np.ndarray:
 class _RangeSolver:
     """The one gauged solve of mat·u = f, f in the range of a symmetric PSD
     mat with kernel span{1, Nyquist}: a DN matrix or a positive sum of them.
-    The factor of the SPD mat + Π is computed once; a call checks that f is
-    finite, deflates, back-substitutes, checks that u is finite, deflates and
-    checks the true residual against mat, so an overflowing solve raises
-    before its deflation sees ±∞.  f is one right-hand side or one per row."""
+    The factor of the SPD mat + Π is computed once; a call deflates f, which
+    its maker has checked, back-substitutes, checks that u is finite,
+    deflates and checks the true residual against mat, so an overflowing
+    solve raises before its deflation sees ±∞.  f is one right-hand side or
+    one per row."""
 
     def __init__(self, mat: np.ndarray, what: str):
         self.mat = mat
@@ -182,7 +184,7 @@ class _RangeSolver:
         self._low = _cholesky(mat + _gauge_constants(mat.shape[0])[1])
 
     def __call__(self, f) -> np.ndarray:
-        f = _deflate(_finite(f, f"{self.what} data"))
+        f = _deflate(f)
         # lower, positional; one column per right-hand side
         u, _ = dpotrs(self._low, f.T if f.ndim > 1 else f[:, None], 1)
         u = _deflate(_finite(u.T.reshape(f.shape), f"{self.what} solution"))
@@ -397,7 +399,6 @@ class StripOperator:
     def solve_dirichlet(self, psi) -> StripSolution:
         """Solve ∇^μ·P∇^μ φ = 0 with φ = ψ at the interface, no-flux at the wall;
         NumericalError unless the field and its residual are finite."""
-        psi = _finite(psi, "Dirichlet data")
         # the one guard of the field solve: an overflow of the back-substitution
         # or of the residual shows in the residual, which the check rejects
         with np.errstate(over="ignore", invalid="ignore"):

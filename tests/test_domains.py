@@ -13,22 +13,30 @@ criteria, the tendency, the inner products and the DN products of one past
 the largest float.  So does a solve whose answer or products pass the
 largest float, at depth ratios from 0.2 to 5: the transmission solve, J and
 its inverse, the inverse of 𝒢̃, the Neumann and the Dirichlet solve; a run
-records it as its breakdown, as it does a Hamiltonian past the largest float."""
+records it as its breakdown, as it does a Hamiltonian past the largest float.
+So do the spectral primitives (a multiplier, a symbol, the antiderivative,
+the interpolant and the 2/3-rule projection) of a finite field at the float
+limit whose transform or projection overflows, and an RK4 step of finite
+length whose stage sums overflow.  A configuration whose derived scalars (a
+power, a sum of densities, k_max of a grid length, a CFL step or the step
+count t_end/dt) pass the float range, or vanish, raises InvalidConfigError."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from twofluid import (DegenerateGeometryError, EvolutionConfig, InterfaceState,
+from twofluid import (PRESETS, DegenerateGeometryError, EvolutionConfig, InterfaceState,
                       InvalidConfigError, NumericalError, PeriodicGrid, StripOperator, SWState,
                       antideriv, apply_g_tilde, apply_j, apply_multiplier, apply_symbol, cfl_cap,
-                      config_from_dimensionless, criteria_from_scalars, dealias, deriv,
-                      derive_params, e_quadratic_form, evaluate_criteria, fv_step, inner, ins_form,
-                      invert_g_tilde, invert_j, modewise_margin, norm_hdot_mu, norm_sobolev,
-                      practical_verdict, rhs, rk4_step, run, run_swsw, stability_inputs,
-                      tendency, transmission_solve, transmission_tangent)
+                      compare_with_full, config_from_dimensionless, criteria_from_scalars,
+                      dealias, deriv, derive_params, e_quadratic_form, evaluate_criteria, fv_step,
+                      inner, ins_form, invert_g_tilde, invert_j, modewise_margin, norm_hdot_mu,
+                      norm_sobolev, practical_verdict, rhs, rk4_step, run, run_swsw,
+                      stability_inputs, tendency, transmission_solve, transmission_tangent,
+                      upsilon)
 from twofluid.spectral import fourier_interpolate
 
 GRID = PeriodicGrid(16)
@@ -63,6 +71,22 @@ def layered_state(depth_ratio, psi=None, zeta=0.3):
     p = derive_params(config_from_dimensionless(0.3, 0.5, 0.4, depth_ratio, 100.0))
     psi = np.sin(GRID.nodes) if psi is None else psi
     return InterfaceState(grid=GRID, zeta=zeta * np.cos(GRID.nodes), psi=psi, params=p, n_z=8)
+
+
+def physical(**values):
+    """The air-water preset with some of its values replaced."""
+    return dataclasses.replace(PRESETS["air_water_long"], **values)
+
+
+def dimensionless(**values):
+    """The default configuration's (ε, μ, ρ̄⁻, H⁺/H⁻, Bo), some replaced."""
+    return config_from_dimensionless(**{"eps": 0.3, "mu": 0.5, "rhobar_minus": 0.4,
+                                        "depth_ratio": 1.5, "bond": 100.0, **values})
+
+
+def run_on(grid, t_end=0.1):
+    """run to t_end from the default state on ``grid``."""
+    return run(EvolutionConfig(t_end=t_end), interface_state(grid=grid))
 
 
 def cos_wave(v, k):
@@ -123,11 +147,26 @@ ROWS = {
                                                  field(v)), NOT_FINITE, NumericalError),
     "antideriv-u[3]": (lambda v: antideriv(GRID, field(v)), NOT_FINITE, NumericalError),
     "dealias-u[3]": (lambda v: dealias(GRID, field(v)), NOT_FINITE, NumericalError),
+    # a finite field whose transform or projection overflows at the float limit
+    "apply_multiplier-u": (lambda v: apply_multiplier(GRID, lambda k: 1j * k, cos_wave(v, 1)),
+                           (1.7e308,), NumericalError),
+    "apply_symbol-u": (lambda v: apply_symbol(GRID, lambda x, k: np.abs(k) + 0.0 * x,
+                                              cos_wave(v, 1)), (1.7e308,), NumericalError),
+    "antideriv-u": (lambda v: antideriv(GRID, cos_wave(v, 1)), (1.7e308,), NumericalError),
+    "fourier_interpolate-u": (lambda v: fourier_interpolate(GRID, cos_wave(v, 1), 32),
+                              (1.7e308,), NumericalError),
+    "dealias-u": (lambda v: dealias(GRID, cos_wave(v, 1)), (1.7e308,), NumericalError),
     "PeriodicGrid-n": (PeriodicGrid, (16.0, 17)),
+    # k_max = 8·2π/length past the largest float
+    "PeriodicGrid-length": (lambda v: PeriodicGrid(16, v), (1e-308,)),
     # a negative Rusanov step is anti-diffusive; a negative RK4 step is a
     # backward step, inside the domain.  Both reject before any solve.
     "fv_step-dt": (lambda v: fv_step(sw_state(), v), NOT_FINITE + (-0.01, 1.0)),
     "rk4_step-dt": (lambda v: rk4_step(interface_state(), v), NOT_FINITE),
+    # a finite step whose stage sums k·dt + y overflow
+    "rk4_step-dt-overflow": (
+        lambda v: rk4_step(layered_state(1.5, 50.0 * np.sin(GRID.nodes), 0.5), v),
+        (1e307, 1e308, 1.7e308, -1.7e308), NumericalError),
     "InterfaceState-psi[3]": (lambda v: interface_state(field(v)), NOT_FINITE, NumericalError),
     "SWState-v[3]": (lambda v: sw_state(field(v)), NOT_FINITE, NumericalError),
     # a layer of zero or negative height: ζ ≤ −1/ε⁺ or ζ ≥ 1/ε⁻
@@ -136,6 +175,30 @@ ROWS = {
                                  (0, 2, -2), ValueError),
     "cfl_cap-n_points": (lambda v: cfl_cap(PARAMS, v), (0, 1, -1, 16.0, math.nan, True)),
     "cfl_cap-length": (lambda v: cfl_cap(PARAMS, 16, v), (*NOT_FINITE, 0.0, -1.0)),
+    # finite lengths whose k_max^1.5 passes the float range, over or under
+    "cfl_cap-length-k_max": (lambda v: cfl_cap(PARAMS, 16, v), (1e-300, 1e300)),
+    "run-grid-length": (lambda v: run_on(PeriodicGrid(16, v)), (1e-300, 1e300)),
+    # t_end/dt passes the largest float
+    "run-t_end": (lambda v: run_on(GRID, v), (1.7e308,)),
+    "compare_with_full-t_end": (
+        lambda v: compare_with_full(GRID, cos_wave(0.1, 1), 0.1 * np.sin(GRID.nodes), 0.1,
+                                    [0.1], v), (1.7e308,)),
+    # λ² = 1/μ passes the largest float
+    "config_from_dimensionless-mu": (lambda v: dimensionless(mu=v), (5e-324,)),
+    # a derived value passes the float range (or ρ⁺ + ρ⁻ does): each of
+    # derive_params and upsilon on each of these inputs
+    **{f"{call.__name__}-{name}": (lambda v, call=call, name=name: call(physical(**{name: v})),
+                                   values)
+       for call in (derive_params, upsilon)
+       for name, values in (("amplitude", (1e200,)), ("wavelength", (1e-200,)),
+                            ("depth_plus", (1e300,)), ("depth_minus", (1e300,)))},
+    **{f"{call.__name__}-rho": (lambda v, call=call: call(physical(rho_plus=v, rho_minus=1e308)),
+                                (1.7e308,))
+       for call in (derive_params, upsilon)},
+    **{f"{call.__name__}-dimensionless-{name}": (
+        lambda v, call=call, name=name: call(dimensionless(**{name: v})), values)
+       for call in (derive_params, upsilon)
+       for name, values in (("eps", (1e200,)), ("depth_ratio", (1e300, 1e-300)))},
     **{f"criteria_from_scalars-{name}": (lambda v, name=name: criteria(**{name: v}),
                                          NOT_FINITE + ((-1.0,) if name != "inf_a" else ()))
        for name in SCALARS},
