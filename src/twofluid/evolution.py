@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from ._lapack import dgemv
-from .errors import NumericalError, TwoFluidError
+from .errors import TwoFluidError
 from .operators import InterfaceState, TraceBundle, transmission_solve
 from .params import DimensionlessParams, _check_count, _check_real, _pow
 from .spectral import _finite, _read_only, dealias, deriv, inner
@@ -182,8 +182,7 @@ def _record(series: TimeSeries, t: float, state: InterfaceState):
     energy = (0.5 * inner(grid, state.zeta, state.zeta)
               + inner(grid, state.psi, traces.flux) / (2.0 * p.mu)
               + inner(grid, zx, zx / (1.0 + np.sqrt(state._slope_terms[1]))) / p.bond)
-    if not math.isfinite(energy):
-        raise NumericalError("the Hamiltonian overflows the largest float")
+    _finite(energy, "the Hamiltonian")
     series.times.append(t)
     # the same read-only fields, without the stepping state's layers, 𝒢̃ and traces
     series.states.append(state.replace_fields(state.zeta, state.psi))

@@ -43,11 +43,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import DimensionlessParams, _check_count
-from .spectral import PeriodicGrid, _cached, _checked, _read_only, deriv, inner
+from .spectral import (PeriodicGrid, _cached, _check_range, _checked, _deflate, _read_only,
+                       deriv, inner)
 from .strip import (
     StripOperator,
-    _check_range,
-    _deflate,
     _dn_product,
     _grid_field,
     _RangeSolver,
@@ -274,7 +273,7 @@ def invert_g_tilde(state: InterfaceState, f) -> np.ndarray:
     f must lie in the range of 𝒢̃: zero mean and no Nyquist component, each
     up to rounding, 1e-8·‖f‖∞; other data raises IncompatibleDataError.
     """
-    return state._g_tilde(_check_range(f, "inverse of the weighted DN sum"))
+    return state._g_tilde(_check_range(f, state.grid.n, "inverse of the weighted DN sum"))
 
 
 def pinv_g_tilde(state: InterfaceState) -> np.ndarray:

@@ -16,14 +16,17 @@ rounding) for x-independent symbols.
 The dense matrices are the rule applied to the identity, once per grid.
 :func:`deriv` is the one x-derivative of the package: the product with Dᵀ,
 D the matrix of iξ, that the grid caches for the strip discretisation too,
-then with Π = :func:`_gauge_constants`, the package's one projector onto
-constants and the Nyquist mode, which D zeroes.  :func:`dealias`, the
-2/3-rule projection of every RK4 stage (Orszag, J. Atmos. Sci. 28, 1971), is
-the product with the matrix of the multiplier that keeps the modes
+then the package's one gauge v − vΠ (:func:`_deflate`, with its range test
+:func:`_check_range`), Π the projector onto constants and the Nyquist mode
+(:func:`_gauge_constants`), which D zeroes.  :func:`dealias`, the 2/3-rule
+projection of every RK4 stage (Orszag, J. Atmos. Sci. 28, 1971), is the
+product with the matrix of the multiplier that keeps the modes
 |ξ| <= (2/3)ξ_N: ``np.einsum``'s product, which sums a row of a stack as it
-sums the row alone; BLAS does not.  Each primitive runs its transform or
-product without floating-point warnings and checks what it returns, once:
-NumericalError unless finite, which its callers do not test again.
+sums the row alone; BLAS does not.  Each primitive takes fields with N
+entries on their last axis (:func:`_check_length`, ValueError otherwise),
+runs its transform or product without floating-point warnings and checks
+what it returns, once, with :func:`_finite`, the one check of a computed
+array or scalar: NumericalError unless finite.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import cache, cached_property, lru_cache, partial
 import numpy as np
 
 from ._lapack import ddot, dgemm, dgemv, dsyrk
-from .errors import InvalidConfigError, NumericalError
+from .errors import IncompatibleDataError, InvalidConfigError, NumericalError
 from .params import _check_count, _check_real
 
 TWO_PI = 2.0 * math.pi
@@ -111,6 +114,7 @@ def apply_multiplier(grid: PeriodicGrid, m, u: np.ndarray) -> np.ndarray:
     an array of wavenumbers, its last axis, and Hermitian, m(−ξ) = conj m(ξ)
     (e.g. iξ); a stack of multipliers applies each to u.  NumericalError
     unless the result is finite, as when m is not or u's transform overflows."""
+    u = _check_length(u, grid.n)
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite(np.fft.irfft(_multiplier_values(grid, m) * np.fft.rfft(u), n=grid.n),
                        "Fourier multiplier")
@@ -133,6 +137,7 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def _finite(a, what: str) -> np.ndarray:
+    """a, an array or scalars, as a float array; NumericalError unless all finite."""
     a = np.asarray(a, dtype=float)
     if not _all_finite(a):
         raise NumericalError(f"{what} contains non-finite values")
@@ -148,6 +153,14 @@ def _checked(op, a, b, what: str) -> np.ndarray:
     return _finite(out, what)
 
 
+def _check_length(u, n: int) -> np.ndarray:
+    """u as a float array; ValueError unless its last axis has the grid's n entries."""
+    u = np.asarray(u, dtype=float)
+    if u.shape[-1:] != (n,):
+        raise ValueError(f"a field of shape {u.shape} is not on a grid of {n} points")
+    return u
+
+
 @cache
 def _gauge_constants(n: int) -> tuple:
     """The Nyquist mode cos(πj) on n nodes, Π = (1 + nyq·nyqᵀ)/n, the
@@ -157,6 +170,26 @@ def _gauge_constants(n: int) -> tuple:
     proj, lower = (1.0 + np.outer(nyq, nyq)) / n, np.tri(n, dtype=bool)
     nyq.flags.writeable = proj.flags.writeable = lower.flags.writeable = False
     return nyq, proj, lower
+
+
+def _deflate(v: np.ndarray) -> np.ndarray:
+    """v − v·Π: a trace, or each row of a stack of traces, projected off
+    constants and the Nyquist mode, which the spectral derivative zeroes."""
+    return v - _dot(v, _gauge_constants(v.shape[-1])[1])
+
+
+def _check_range(f, n: int, what: str) -> np.ndarray:
+    """f as a float array; ValueError unless it has n entries on its last axis,
+    NumericalError unless finite, IncompatibleDataError unless in the range of
+    a DN matrix: mean and Nyquist part below 1e-8·‖f‖∞."""
+    f = _finite(_check_length(f, n), what)
+    off = float(np.max(np.abs(_dot(f, _gauge_constants(n)[1]))))
+    if off > 1e-8 * float(np.max(np.abs(f))):
+        raise IncompatibleDataError(
+            f"{what} needs data with zero mean and no Nyquist component; "
+            f"they reach {off:.3e}"
+        )
+    return f
 
 
 def _dot(u: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -176,8 +209,8 @@ def deriv(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
     overflows."""
     # scipy's BLAS, as for every product of an rhs (_dot), skips numpy's
     # floating-point check: an overflow shows in the result alone
-    d = _finite(_dot(np.asarray(u, dtype=float), grid.deriv_matrix_t), "derivative")
-    return d - _dot(d, _gauge_constants(grid.n)[1])
+    d = _finite(_dot(_check_length(u, grid.n), grid.deriv_matrix_t), "derivative")
+    return _deflate(d)
 
 
 def antideriv(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
@@ -201,11 +234,9 @@ def apply_symbol(grid: PeriodicGrid, s, u: np.ndarray) -> np.ndarray:
 def inner(grid: PeriodicGrid, u: np.ndarray, v: np.ndarray) -> float:
     """Discrete L² inner product; NumericalError unless it is finite, as when
     the products of two finite fields overflow."""
+    u, v = _check_length(u, grid.n), _check_length(v, grid.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = grid.dx * float(np.dot(np.asarray(u), np.asarray(v)))
-    if not math.isfinite(value):
-        raise NumericalError(f"the inner product on {grid.n} points is not finite")
-    return value
+        return float(_finite(grid.dx * np.dot(u, v), f"the inner product on {grid.n} points"))
 
 
 def _spectral_weighted_norm(grid: PeriodicGrid, u: np.ndarray, weight: np.ndarray) -> float:
@@ -213,6 +244,7 @@ def _spectral_weighted_norm(grid: PeriodicGrid, u: np.ndarray, weight: np.ndarra
     The sum runs over the terms √weight·|û| divided by the largest, so no
     term overflows unless the norm does.  NumericalError unless the norm is
     finite, which it is not for a non-finite u."""
+    u = _check_length(u, grid.n)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.sqrt(weight) * (math.sqrt(grid.length) / grid.n * np.abs(np.fft.fft(u)))
         top = float(terms.max())
@@ -268,6 +300,7 @@ def fourier_interpolate(grid: PeriodicGrid, u: np.ndarray, n_fine: int) -> np.nd
     _check_count("fine grid size", n_fine, grid.n)
     if n_fine % grid.n != 0:
         raise InvalidConfigError("fine grid size must be a multiple of the coarse one")
+    u = _check_length(u, grid.n)
     with np.errstate(over="ignore", invalid="ignore"):
         uh = np.fft.rfft(u)
         uh[-1] *= 0.5
@@ -292,4 +325,5 @@ def dealias(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
     fields, bitwise as if each row were projected alone: the product with the
     grid's cached projection matrix, which zeroes every mode that
     :func:`_retained` does not keep; NumericalError unless it is finite."""
+    u = _check_length(u, grid.n)
     return _finite(np.einsum("...j,jk->...k", u, _dealias_projector(grid)), "dealiased field")

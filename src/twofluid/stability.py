@@ -188,12 +188,6 @@ def _check_scalars(inf_a: float, **non_negative) -> None:
         _check_real(name, value, 0.0)
 
 
-def _check_representable(*values: float) -> None:
-    """NumericalError unless every value is finite (not ∞, nor ∞·0 = NaN)."""
-    if not all(map(math.isfinite, values)):
-        raise NumericalError("a quantity of the criteria overflows the largest float")
-
-
 def criteria_from_scalars(
     params: DimensionlessParams,
     e_value: float,
@@ -248,12 +242,12 @@ def criteria_from_scalars(
             * c_sq
             * _pow(omega_sup, 4)
         )
-        _check_representable(dim_rhs)
+        _finite(dim_rhs, "the dimensional shear term")
         dim_verdict = dim_lhs > dim_rhs
     else:
         dim_rhs = 0.0 if p.rhobar_minus == 0.0 else float("nan")
         dim_verdict = dim_lhs > dim_rhs if not math.isnan(dim_lhs + dim_rhs) else sc_alt
-    _check_representable(c_sq, rhs_strong, inf_a - rhs_sc, inf_a - rhs_alt, dim_lhs)
+    _finite((c_sq, rhs_strong, inf_a - rhs_sc, inf_a - rhs_alt, dim_lhs), "the criteria")
     verdict = "stable" if sc else "unstable"
     return StabilityReport(
         upsilon=ups,
@@ -332,15 +326,13 @@ def ins_form(u, inputs: StabilityInputs) -> float:
     if sup > 0.0 and abs((u / sup) @ _gauge_constants(grid.n)[0]) > 1e-8 * grid.n:
         raise IncompatibleDataError("ins_form needs u without a Nyquist component")
     a_term = inner(grid, inputs.a_values * u, u)
-    shear = 0.0
-    if p.rhobar_minus > 0.0 and np.any(inputs.jump_v != 0.0):
-        shear = (
-            p.eps**2
-            * p.mu
-            * p.rhobar_plus
-            * p.rhobar_minus
-            * e_quadratic_form(state, u * inputs.jump_v)
-        )
+    shear = (
+        p.eps**2
+        * p.mu
+        * p.rhobar_plus
+        * p.rhobar_minus
+        * e_quadratic_form(state, u * inputs.jump_v)
+    )
     du = deriv(grid, u)
     return a_term - shear + inner(grid, state._slope_terms[1] ** -1.5 * du, du) / p.bond
 
@@ -374,7 +366,7 @@ def modewise_margin(
     p = params
     a_coeff = p.eps**2 * p.rhobar_plus * p.rhobar_minus * e_value * _pow(jump_sup, 2)
     curvature = _pow(1.0 + p.eps**2 * p.mu * _pow(grad_zeta_sup, 2), 1.5)
-    _check_representable(a_coeff, curvature)
+    _finite((a_coeff, curvature), "the margin's coefficients")
     if math.isinf(p.bond):
         if a_coeff > 0.0:
             return MarginResult(value=-math.inf, xi_argmin=math.inf, unbounded=True)
@@ -392,5 +384,5 @@ def modewise_margin(
     xi = b / (q + root) if q >= 0.0 else (root - q) / (b * d)
     xi_sq = _pow(xi, 2)
     value = (inf_a - b * xi + c * xi_sq) / (1.0 + d * xi_sq)
-    _check_representable(value)
+    _finite(value, "the margin")
     return MarginResult(value=value, xi_argmin=xi, unbounded=False)

@@ -65,9 +65,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import dgemm, dgemv, dnrm2, dpotrf, dpotrs, dtrsm, dtrtrs
-from .errors import DegenerateGeometryError, IncompatibleDataError, NumericalError
+from .errors import DegenerateGeometryError, NumericalError
 from .params import _check_count
-from .spectral import PeriodicGrid, _cached, _dot, _finite, _gauge_constants, _read_only, deriv
+from .spectral import (PeriodicGrid, _cached, _check_length, _check_range, _deflate, _dot,
+                       _finite, _gauge_constants, _read_only, deriv)
 
 # Bound on the relative true residual of every direct solve of the package.
 RESIDUAL_TOL = 1e-9
@@ -103,25 +104,6 @@ class StripSolution:
     residual_norm: float
 
 
-def _deflate(v: np.ndarray) -> np.ndarray:
-    """Project a trace (or each row of a stack of traces) off constants and
-    the Nyquist mode, which the spectral derivative zeroes."""
-    return v - _dot(v, _gauge_constants(v.shape[-1])[1])
-
-
-def _check_range(f, what: str) -> np.ndarray:
-    """f as a float array; NumericalError unless finite, IncompatibleDataError
-    unless in the range of a DN matrix: mean and Nyquist part below 1e-8·‖f‖∞."""
-    f = _finite(f, what)
-    off = float(np.max(np.abs(_dot(f, _gauge_constants(f.shape[-1])[1]))))
-    if off > 1e-8 * float(np.max(np.abs(f))):
-        raise IncompatibleDataError(
-            f"{what} needs data with zero mean and no Nyquist component; "
-            f"they reach {off:.3e}"
-        )
-    return f
-
-
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of the symmetric matrix given by the lower
     triangle of a.  A Fortran-ordered a is factored in place; the strict
@@ -151,7 +133,7 @@ def _dn_product(mat: np.ndarray, rows, scale: float = 1.0) -> np.ndarray:
     """rows·mat/scale for one field or a stack and a symmetric DN-type mat
     (S± or 𝒢̃), NumericalError unless finite: BLAS dgemv (trans = 1,
     positional) or dgemm on matᵀ with alpha = 1/scale, so nothing warns."""
-    rows = np.asarray(rows, dtype=float)
+    rows = _check_length(rows, len(mat))
     if rows.ndim == 1:
         return _finite(dgemv(1.0 / scale, mat.T, rows, 0.0, None, 0, 1, 0, 1, 1), "DN product")
     return _finite(dgemm(1.0 / scale, mat.T, rows.T).T, "DN product")
@@ -399,6 +381,7 @@ class StripOperator:
     def solve_dirichlet(self, psi) -> StripSolution:
         """Solve ∇^μ·P∇^μ φ = 0 with φ = ψ at the interface, no-flux at the wall;
         NumericalError unless the field and its residual are finite."""
+        psi = _check_length(psi, self.grid.n)
         # the one guard of the field solve: an overflow of the back-substitution
         # or of the residual shows in the residual, which the check rejects
         with np.errstate(over="ignore", invalid="ignore"):
@@ -417,7 +400,7 @@ class StripOperator:
         1e-8·‖g‖∞; other data raises IncompatibleDataError.  No sweep once S
         exists: the factor of S + Π is kept on the layer.
         """
-        return self._neumann(self.sign * _check_range(g, "Neumann solve"))
+        return self._neumann(self.sign * _check_range(g, self.grid.n, "Neumann solve"))
 
 
 def dn_apply(d: StripOperator, psi) -> np.ndarray:

@@ -45,8 +45,9 @@ from .errors import InvalidConfigError, NumericalError, TwoFluidError
 from .evolution import EvolutionConfig, _breakdown, run
 from .operators import InterfaceState
 from .params import DimensionlessParams, _check_real, config_from_dimensionless, derive_params
-from .spectral import PeriodicGrid, _cached, _read_only, antideriv, deriv, fourier_interpolate
-from .strip import _check_range, _grid_field, layer_depth
+from .spectral import (PeriodicGrid, _cached, _check_range, _finite, _read_only, antideriv,
+                       deriv, fourier_interpolate)
+from .strip import _grid_field, layer_depth
 
 # run_swsw's time step in units of dx/max|λ|; fv_step rejects steps above 0.5
 CFL_NUMBER = 0.45
@@ -132,8 +133,7 @@ def fv_step(state: SWState, dt: float) -> SWState:
     _check_real("time step", dt, 0.0)
     grid = state.grid
     dx = grid.dx
-    if not math.isfinite(state._max_speed):
-        raise NumericalError("a characteristic speed is not finite")
+    _finite(state._max_speed, "the largest characteristic speed")
     if dt > 0.5 * dx / max(state._max_speed, 1e-300) * (1.0 + 1e-9):
         raise InvalidConfigError("dt violates the CFL restriction")
     # (ζ, v, mass flux, momentum flux, speed) with periodic ghost cells at
@@ -273,7 +273,7 @@ def compare_with_full(
     mean current); other data raises IncompatibleDataError.
     """
     zeta0 = np.asarray(zeta0, dtype=float)
-    v0 = _check_range(v0, "compare_with_full velocity")
+    v0 = _check_range(v0, grid.n, "compare_with_full velocity")
     psi0 = antideriv(grid, v0)
     rows = []
     for i, mu in enumerate(mu_list):
@@ -288,15 +288,12 @@ def compare_with_full(
         # changes: the first μ's reference serves every μ
         if i == 0:
             sw_end = _sw_endpoint(grid, zeta0, v0, p, t_end)
-        if full.broke_down or sw_end is None:
-            rows.append(ComparisonRow(mu=mu, discrepancy=math.nan,
-                                      full_broke_down=full.broke_down,
-                                      sw_halted=sw_end is None))
-            continue
-        zf = full.states[-1].zeta
-        vf = deriv(grid, full.states[-1].psi)
-        za, va = sw_end
-        disc = float(np.max(np.abs(zf - za)) + np.max(np.abs(vf - va)))
-        rows.append(ComparisonRow(mu=mu, discrepancy=disc,
-                                  full_broke_down=False, sw_halted=False))
+        disc = math.nan
+        if not (full.broke_down or sw_end is None):
+            zf = full.states[-1].zeta
+            vf = deriv(grid, full.states[-1].psi)
+            za, va = sw_end
+            disc = float(np.max(np.abs(zf - za)) + np.max(np.abs(vf - va)))
+        rows.append(ComparisonRow(mu=mu, discrepancy=disc, full_broke_down=full.broke_down,
+                                  sw_halted=sw_end is None))
     return ComparisonTable(rows=rows)

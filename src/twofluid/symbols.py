@@ -27,7 +27,9 @@ composed operators; the package has no other source of them.
 At ξ = 0 both S± vanish, and each composed symbol takes the value the gauged
 discrete operator takes on constants, not its ξ → 0 limit: J·1 = ρ̄⁺, so the
 J symbol is ρ̄⁺; (G⁻)⁻¹G⁺·1 = 0, so the ratio symbols are 0; 𝒢̃⁻¹ is gauged
-to 0, so 𝔓²/S̃ is 0.
+to 0, so 𝔓²/S̃ is 0.  The comparisons gauge f and each ratio's symbol side
+with the exact solves' gauge Π, the package's one projector off constants
+and the Nyquist mode (:func:`~twofluid.spectral._deflate`).
 """
 
 from __future__ import annotations
@@ -39,19 +41,15 @@ import numpy as np
 
 from .operators import _g_tilde_of, _gauged_ratio, _j_of, invert_g_tilde, invert_j
 from .params import DimensionlessParams
-from .spectral import PeriodicGrid, _p2, _read_only, apply_multiplier, apply_symbol, deriv
+from .spectral import (PeriodicGrid, _check_length, _deflate, _p2, _read_only, apply_multiplier,
+                       apply_symbol, deriv)
 from .strip import _grid_field, dn_apply
-
-_SMALL_SLOPE = 1e-6
 
 
 def _arctan_ratio(y: np.ndarray) -> np.ndarray:
-    """arctan(y)/y with the removable singularity expanded below |y| ~ 1e-6."""
+    """arctan(y)/y, 1 at y = 0, its removable singularity."""
     y = np.asarray(y, dtype=float)
-    small = np.abs(y) < _SMALL_SLOPE
-    safe = np.where(small, 1.0, y)
-    out = np.arctan(safe) / safe
-    return np.where(small, 1.0 - y**2 / 3.0 + y**4 / 5.0, out)
+    return np.divide(np.arctan(y), y, out=np.ones_like(y), where=y != 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,24 +112,19 @@ class TailSymbolSet:
         return _gauged_ratio(_p2(xi, self.params.mu), self.mix_symbol(x, xi))
 
 
-def _gauged(exact, symbol) -> tuple:
-    """The pair with each mean removed, the gauge of the exact solves."""
-    return exact - float(np.mean(exact)), symbol - float(np.mean(symbol))
-
-
 def symbol_comparisons(state, f) -> dict:
-    """Each exact operator of a state and its symbol on the zero-mean part
-    of f, as (exact, symbol) pairs: ``"dn"`` G⁺f and Op(S⁺)f;
-    ``"dn_tailless"`` G⁺f and Op(√μ⁺|ξ|)f; ``"dn_ratio"`` (G⁻)⁻¹G⁺f and
-    Op(−S⁺/S⁻)f; ``"coupled_ratio"`` (G⁻)⁻¹𝒢f and (1/H̄⁺)Op(−S⁺/(S⁻S_J))f;
-    ``"p2_mix"`` 𝔓²𝒢̃⁻¹∂xf and Op(𝔓²/S̃)∂xf.  The exact sides use the
-    state's cached DN matrices S± and factor of 𝒢̃; the ratio pairs, gauged
-    like the exact solves, have their means removed.  The caller measures
-    the pairs, e.g. with :func:`~twofluid.spectral.norm_sobolev` or
+    """Each exact operator of a state and its symbol on the gauged f − fΠ,
+    as (exact, symbol) pairs: ``"dn"`` G⁺f and Op(S⁺)f; ``"dn_tailless"``
+    G⁺f and Op(√μ⁺|ξ|)f; ``"dn_ratio"`` (G⁻)⁻¹G⁺f and Op(−S⁺/S⁻)f;
+    ``"coupled_ratio"`` (G⁻)⁻¹𝒢f and (1/H̄⁺)Op(−S⁺/(S⁻S_J))f; ``"p2_mix"``
+    𝔓²𝒢̃⁻¹∂xf and Op(𝔓²/S̃)∂xf.  The exact sides use the state's cached DN
+    matrices S± and factor of 𝒢̃; the ratio pairs' symbol sides are gauged
+    with Π like the exact solves.  The caller measures the pairs, e.g. with
+    :func:`~twofluid.spectral.norm_sobolev` or
     :func:`~twofluid.spectral.norm_hdot_mu`.
     """
     p, grid = state.params, state.grid
-    f = np.asarray(f, dtype=float) - float(np.mean(f))
+    f = _deflate(_check_length(f, grid.n))
     df = deriv(grid, f)
     ts = TailSymbolSet(grid, state.zeta, p)
     upper_solve = state.layer(-1).solve_neumann
@@ -140,11 +133,11 @@ def symbol_comparisons(state, f) -> dict:
     return {
         "dn": (g_plus, apply_symbol(grid, lambda x, k: ts.s(x, k, +1), f)),
         "dn_tailless": (g_plus, apply_multiplier(grid, lambda k: smu * np.abs(k), f)),
-        "dn_ratio": _gauged(upper_solve(g_plus), apply_symbol(grid, ts.dn_ratio_symbol, f)),
-        "coupled_ratio": _gauged(
+        "dn_ratio": (upper_solve(g_plus), _deflate(apply_symbol(grid, ts.dn_ratio_symbol, f))),
+        "coupled_ratio": (
             upper_solve(dn_apply(state.layer(+1), invert_j(state, f))) / p.hbar_plus,
-            apply_symbol(grid, ts.coupled_ratio_symbol, f)),
-        "p2_mix": _gauged(
+            _deflate(apply_symbol(grid, ts.coupled_ratio_symbol, f))),
+        "p2_mix": (
             apply_multiplier(grid, lambda k: _p2(k, p.mu), invert_g_tilde(state, df)),
-            apply_symbol(grid, ts.p2_over_mix_symbol, df)),
+            _deflate(apply_symbol(grid, ts.p2_over_mix_symbol, df))),
     }

@@ -44,7 +44,8 @@ def test_every_module_level_import_is_read():
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         for stmt in tree.body:
             if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
                 continue

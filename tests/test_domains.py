@@ -19,7 +19,10 @@ the interpolant and the 2/3-rule projection) of a finite field at the float
 limit whose transform or projection overflows, and an RK4 step of finite
 length whose stage sums overflow.  A configuration whose derived scalars (a
 power, a sum of densities, k_max of a grid length, a CFL step or the step
-count t_end/dt) pass the float range, or vanish, raises InvalidConfigError."""
+count t_end/dt) pass the float range, or vanish, raises InvalidConfigError.
+A field, or a stack of fields, must have the grid's N entries on its last
+axis: one of 1, N − 4, N + 1 or N + 4 entries raises ValueError at every
+entry point that takes a field, never an answer read from part of it."""
 
 import dataclasses
 import math
@@ -32,11 +35,11 @@ from twofluid import (PRESETS, DegenerateGeometryError, EvolutionConfig, Interfa
                       InvalidConfigError, NumericalError, PeriodicGrid, StripOperator, SWState,
                       antideriv, apply_g_tilde, apply_j, apply_multiplier, apply_symbol, cfl_cap,
                       compare_with_full, config_from_dimensionless, criteria_from_scalars,
-                      dealias, deriv, derive_params, e_quadratic_form, evaluate_criteria, fv_step,
-                      inner, ins_form, invert_g_tilde, invert_j, modewise_margin, norm_hdot_mu,
-                      norm_sobolev, practical_verdict, rhs, rk4_step, run, run_swsw,
-                      stability_inputs, tendency, transmission_solve, transmission_tangent,
-                      upsilon)
+                      dealias, deriv, derive_params, dn_apply, e_quadratic_form,
+                      evaluate_criteria, fv_step, inner, ins_form, invert_g_tilde, invert_j,
+                      modewise_margin, norm_hdot_mu, norm_sobolev, practical_verdict, rhs,
+                      rk4_step, run, run_swsw, stability_inputs, symbol_comparisons, tendency,
+                      transmission_solve, transmission_tangent, upsilon)
 from twofluid.spectral import fourier_interpolate
 
 GRID = PeriodicGrid(16)
@@ -127,6 +130,40 @@ def tangent_along(dzeta, dpsi, grid=GRID):
 def tangent_at(grid):
     """transmission_tangent along ψ̇ = v·sin x at the default state on ``grid``."""
     return lambda v: tangent_along(np.zeros(grid.n), v * np.sin(grid.nodes), grid)
+
+
+def of_length(m):
+    """0.1·cos(2πj/m) on m nodes: zero mean and no Nyquist part on its own length."""
+    return 0.1 * np.cos(2.0 * np.pi * np.arange(m) / m)
+
+
+# fields of a length other than the grid's N = 16
+LENGTHS = (1, GRID.n - 4, GRID.n + 1, GRID.n + 4)
+# every entry point that takes a field, called with one
+ON_A_FIELD = {
+    "deriv": lambda u: deriv(GRID, u),
+    "antideriv": lambda u: antideriv(GRID, u),
+    "apply_multiplier": lambda u: apply_multiplier(GRID, lambda k: 1j * k, u),
+    "apply_symbol": lambda u: apply_symbol(GRID, lambda x, k: np.abs(k) + 0.0 * x, u),
+    "dealias": lambda u: dealias(GRID, u),
+    "fourier_interpolate": lambda u: fourier_interpolate(GRID, u, 32),
+    "inner": lambda u: inner(GRID, u, u),
+    "norm_sobolev": lambda u: norm_sobolev(GRID, u, 1.0),
+    "norm_hdot_mu": lambda u: norm_hdot_mu(GRID, u, 0.0, 0.5),
+    "dn_apply": lambda u: dn_apply(interface_state().layer(+1), u),
+    "solve_dirichlet": lambda u: interface_state().layer(+1).solve_dirichlet(u),
+    "solve_neumann": lambda u: interface_state().layer(-1).solve_neumann(u),
+    "apply_j": lambda u: apply_j(interface_state(), u),
+    "invert_j": lambda u: invert_j(interface_state(), u),
+    "apply_g_tilde": lambda u: apply_g_tilde(interface_state(), u),
+    "invert_g_tilde": lambda u: invert_g_tilde(interface_state(), u),
+    "e_quadratic_form": lambda u: e_quadratic_form(interface_state(), u),
+    "symbol_comparisons": lambda u: symbol_comparisons(interface_state(), u),
+    "compare_with_full": lambda u: compare_with_full(GRID, cos_wave(0.1, 1), u, 0.1, [0.1], 0.01),
+    "ins_form": lambda u: ins_form(u, inputs_of(interface_state())),
+    "transmission_tangent-dpsi": lambda u: tangent_along(np.zeros(16), u),
+    "transmission_tangent-dzeta": lambda u: tangent_along(u, np.zeros(16)),
+}
 
 
 ROWS = {
@@ -265,6 +302,9 @@ ROWS = {
                               NOT_FINITE, NumericalError),
     "ins_form-u[3]": (lambda v: ins_form(field(v), inputs_of(interface_state())), NOT_FINITE,
                       NumericalError),
+    # a field of the wrong length, which BLAS or broadcasting would read in part
+    **{f"{name}-length": (lambda m, call=call: call(of_length(m)), LENGTHS, ValueError)
+       for name, call in ON_A_FIELD.items()},
 }
 
 

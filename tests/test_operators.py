@@ -34,8 +34,7 @@ from twofluid import (
     transmission_solve,
 )
 from twofluid import operators, strip
-from twofluid.spectral import deriv
-from twofluid.strip import _deflate
+from twofluid.spectral import _deflate, deriv
 from conftest import (apply_e, flat_coupled_symbol, flat_symbols, make_state, shear_form_matrix,
                       smooth_field)
 
@@ -267,7 +266,7 @@ def test_invert_j_flat_closed_form(grid64):
     assert np.max(np.abs(invert_j(st, psi) - expected)) < 2e-5
 
 
-def test_invert_j_steep_symbolic_preconditioner(grid64, rng):
+def test_invert_j_round_trips_on_a_steep_interface(grid64, rng):
     # a steep interface still inverts J to the round-trip tolerance
     zeta = 0.9 * np.cos(grid64.nodes)
     st = make_state(grid64, zeta, np.zeros(64), eps=0.7, mu=0.3, n_z=32)
@@ -493,7 +492,7 @@ def test_apply_e_positivity_and_bound(grid64, rng):
         assert st.params.mu * q <= e_val * bnorm2 * (1.0 + 1e-6)
 
 
-def test_workspace_warm_start_consistency(grid64, rng):
+def test_a_repeated_transmission_solve_matches_a_fresh_state(grid64, rng):
     # a second solve on the same state reuses its cached factors
     zeta = 0.2 * np.cos(grid64.nodes)
     psi = smooth_field(rng, grid64)

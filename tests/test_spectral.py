@@ -16,8 +16,8 @@ from twofluid import (
     norm_hdot_mu,
     norm_sobolev,
 )
-from twofluid.spectral import _dealias_projector, _gauge_constants, _retained, fourier_interpolate
-from twofluid.strip import _check_range
+from twofluid.spectral import (_check_range, _dealias_projector, _gauge_constants, _retained,
+                               fourier_interpolate)
 from conftest import smooth_field
 
 
@@ -199,7 +199,7 @@ def test_deriv_is_in_the_range_of_a_dn_matrix(rng):
         out = deriv(g, stack)
         for row, d in zip(stack, out):
             assert np.max(np.abs(d @ proj)) <= 1e-14 * np.max(np.abs(d))
-            _check_range(d, "derivative")
+            _check_range(d, n, "derivative")
             # a row by itself agrees with its row of the stack, to rounding of
             # the terms each entry sums: a matrix-vector product sums them in
             # another order than a matrix product

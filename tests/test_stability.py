@@ -33,6 +33,7 @@ from twofluid import (
 )
 from twofluid import strip
 from twofluid.operators import pinv_g_tilde
+from twofluid.spectral import deriv
 from conftest import flat_quotient, make_state, shear_form_matrix, smooth_field
 
 
@@ -440,6 +441,21 @@ def test_ins_form_reduces_to_h1_sigma(grid64, rng):
     u = smooth_field(rng, grid64)
     val = ins_form(u, inputs)
     assert val == pytest.approx(h1_sigma_norm2(grid64, u, 50.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("rbm, jump", [(0.0, None), (0.4, 0.0)], ids=["rhobar_minus=0", "jump=0"])
+def test_ins_form_without_shear_is_its_a_and_capillary_terms(grid64, rng, rbm, jump):
+    # the shear term is a product with ρ̄⁻ and with ⟦V⟧, which is exactly 0
+    st = make_state(grid64, 0.2 * np.cos(grid64.nodes), smooth_field(rng, grid64), rbm=rbm,
+                    bond=40.0)
+    inputs = stability_inputs(st, transmission_solve(st))
+    assert np.any(inputs.jump_v != 0.0)
+    if jump is not None:
+        inputs.jump_v = np.full(64, jump)
+    u = smooth_field(rng, grid64)
+    du = deriv(grid64, u)
+    capillary = inner(grid64, st._slope_terms[1] ** -1.5 * du, du) / st.params.bond
+    assert ins_form(u, inputs) == inner(grid64, inputs.a_values * u, u) + capillary
 
 
 def test_ins_form_infinite_bond(grid64, rng):

@@ -15,6 +15,8 @@ from twofluid import (
     norm_sobolev,
     symbol_comparisons,
 )
+from twofluid.spectral import _gauge_constants
+from twofluid.symbols import _arctan_ratio
 from conftest import flat_dn_symbol, smooth_field
 
 
@@ -47,6 +49,15 @@ def test_tail_unit_slope_factor(grid64):
     got = ts.t(x_star, 1.0, +1)
     depth = 1.0 + p.eps_plus * float(np.interp(x_star, grid64.nodes, zeta))
     assert got == pytest.approx(depth * math.pi / 4.0, rel=1e-6)
+
+
+def test_arctan_ratio_at_its_removable_singularity():
+    # 1 at y = 0, and the series 1 − y²/3 + y⁴/5 to within 1 ulp near it
+    assert _arctan_ratio(0.0) == 1.0
+    small = np.geomspace(1e-300, 1e-6, 400, endpoint=False)
+    for y in (small, -small):
+        series = 1.0 - y**2 / 3.0 + y**4 / 5.0
+        assert np.all(np.abs(_arctan_ratio(y) - series) <= np.spacing(series))
 
 
 def t_quadrature(ts, x, xi, sign):
@@ -181,6 +192,21 @@ def ratio_errors(state, f):
     return {key: (norm_hdot_mu(state.grid, pairs[key][0] - pairs[key][1], 0.0, mu),
                   norm_hdot_mu(state.grid, pairs[key][0], 0.0, mu))
             for key in ("dn_ratio", "coupled_ratio", "p2_mix")}
+
+
+def test_ratio_symbol_sides_take_the_gauge_of_the_exact_solves(rng):
+    # the exact sides come from gauged solves; each symbol side is projected
+    # with the same Π, so neither has a mean or a Nyquist part
+    grid = PeriodicGrid(32)
+    zeta = np.cos(grid.nodes) + 0.3 * np.sin(2.0 * grid.nodes)
+    pairs = symbol_comparisons(make_state(grid, zeta, 0.3, 0.05, n_z=16),
+                               smooth_field(rng, grid, k_max=8))
+    nyq = _gauge_constants(grid.n)[0]
+    for key in ("dn_ratio", "coupled_ratio", "p2_mix"):
+        for side in pairs[key]:
+            top = np.max(np.abs(side))
+            assert abs(np.mean(side)) <= 1e-14 * top
+            assert abs(side @ nyq) / grid.n <= 1e-14 * top
 
 
 def test_ratio_symbol_flat_is_floor(grid64, rng):
