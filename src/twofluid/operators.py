@@ -43,12 +43,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import DimensionlessParams, _check_count
-from .spectral import (PeriodicGrid, _cached, _check_range, _checked, _deflate, _read_only,
-                       deriv, inner)
+from .spectral import (PeriodicGrid, _cached, _check_range, _checked, _deflate, _grid_field,
+                       _one_field, _read_only, deriv, inner)
 from .strip import (
     StripOperator,
     _dn_product,
-    _grid_field,
     _RangeSolver,
     _XMatrices,
     dn_apply,
@@ -191,7 +190,7 @@ def _couple(state: InterfaceState, psi) -> tuple:
 
 def invert_j(state: InterfaceState, psi) -> np.ndarray:
     """Solve J ψ⁺ = ψ for the lower-layer trace ψ⁺ = (ψ + ρ̄⁻ψ⁻)/ρ̄⁺."""
-    return _couple(state, np.asarray(psi, dtype=float))[0][0]
+    return _couple(state, _one_field(psi, state.grid.n))[0][0]
 
 
 def transmission_solve(state: InterfaceState) -> TraceBundle:

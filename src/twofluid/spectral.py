@@ -22,11 +22,14 @@ then the package's one gauge v − vΠ (:func:`_deflate`, with its range test
 projection of every RK4 stage (Orszag, J. Atmos. Sci. 28, 1971), is the
 product with the matrix of the multiplier that keeps the modes
 |ξ| <= (2/3)ξ_N: ``np.einsum``'s product, which sums a row of a stack as it
-sums the row alone; BLAS does not.  Each primitive takes fields with N
-entries on their last axis (:func:`_check_length`, ValueError otherwise),
-runs its transform or product without floating-point warnings and checks
-what it returns, once, with :func:`_finite`, the one check of a computed
-array or scalar: NumericalError unless finite.
+sums the row alone; BLAS does not.  The module owns the field rule, N
+entries on the last axis: a primitive that maps rows takes a stack too and
+maps each of its rows (:func:`_check_length`); an entry that takes one
+field or returns one number takes shape (N,) alone (:func:`_one_field`,
+:func:`_grid_field` for a constructor); ValueError otherwise.  Each runs
+its transform or product without floating-point warnings and checks what it
+returns, once, with :func:`_finite`, the one check of a computed array or
+scalar: NumericalError unless finite.
 """
 
 from __future__ import annotations
@@ -161,6 +164,23 @@ def _check_length(u, n: int) -> np.ndarray:
     return u
 
 
+def _one_field(u, n: int) -> np.ndarray:
+    """u as a float array; ValueError unless it is one field, of shape (n,)."""
+    u = _check_length(u, n)
+    if u.ndim != 1:
+        raise ValueError(f"a field of shape {u.shape} is not one field of {n} points")
+    return u
+
+
+def _grid_field(grid: PeriodicGrid, a, what: str) -> np.ndarray:
+    """a constructor's field: a read-only float field on the grid, copied unless read-only
+    down to the memory it views; ValueError unless one field, NumericalError unless finite."""
+    view = a = _finite(_one_field(a, grid.n), what)
+    while isinstance(view, np.ndarray) and not view.flags.writeable:
+        view = view.base
+    return _read_only(a.copy()) if isinstance(view, np.ndarray) else a
+
+
 @cache
 def _gauge_constants(n: int) -> tuple:
     """The Nyquist mode cos(πj) on n nodes, Π = (1 + nyq·nyqᵀ)/n, the
@@ -223,10 +243,10 @@ def antideriv(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
 def apply_symbol(grid: PeriodicGrid, s, u: np.ndarray) -> np.ndarray:
     """Apply a variable-coefficient symbol s(x, ξ) by direct quantization:
     entry j of the multiplier s(x_j, ·) applied to u, the diagonal of N
-    inverse real FFTs.  ``s`` is a callable broadcasting over (x, ξ) arrays,
-    Hermitian in ξ; for x-independent symbols the result agrees with
-    :func:`apply_multiplier` to rounding."""
-    x = grid.nodes[:, None]
+    inverse real FFTs, for one field u.  ``s`` is a callable broadcasting over
+    (x, ξ) arrays, Hermitian in ξ; for x-independent symbols the result agrees
+    with :func:`apply_multiplier` to rounding."""
+    x, u = grid.nodes[:, None], _one_field(u, grid.n)
     rows = apply_multiplier(grid, lambda k: np.broadcast_to(s(x, k), (grid.n, k.size)), u)
     return rows.diagonal().copy()
 
@@ -234,7 +254,7 @@ def apply_symbol(grid: PeriodicGrid, s, u: np.ndarray) -> np.ndarray:
 def inner(grid: PeriodicGrid, u: np.ndarray, v: np.ndarray) -> float:
     """Discrete L² inner product; NumericalError unless it is finite, as when
     the products of two finite fields overflow."""
-    u, v = _check_length(u, grid.n), _check_length(v, grid.n)
+    u, v = _one_field(u, grid.n), _one_field(v, grid.n)
     with np.errstate(over="ignore", invalid="ignore"):
         return float(_finite(grid.dx * np.dot(u, v), f"the inner product on {grid.n} points"))
 
@@ -244,7 +264,7 @@ def _spectral_weighted_norm(grid: PeriodicGrid, u: np.ndarray, weight: np.ndarra
     The sum runs over the terms √weight·|û| divided by the largest, so no
     term overflows unless the norm does.  NumericalError unless the norm is
     finite, which it is not for a non-finite u."""
-    u = _check_length(u, grid.n)
+    u = _one_field(u, grid.n)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.sqrt(weight) * (math.sqrt(grid.length) / grid.n * np.abs(np.fft.fft(u)))
         top = float(terms.max())
@@ -292,18 +312,18 @@ def norm_hdot_mu(grid: PeriodicGrid, u: np.ndarray, s: float, mu: float) -> floa
 
 
 def fourier_interpolate(grid: PeriodicGrid, u: np.ndarray, n_fine: int) -> np.ndarray:
-    """The trigonometric interpolant of u on n_fine points, an integer
-    multiple of grid.n: the inverse real FFT to n_fine points of u's real FFT
-    with its Nyquist bin halved, which the fine grid reads as the pair ±ξ_N.
-    It is u on the coarse nodes, exact for band-limited u, and NumericalError
-    unless finite."""
+    """The trigonometric interpolant of u, or of each row of a stack, on n_fine
+    points, an integer multiple of grid.n: the inverse real FFT to n_fine
+    points of u's real FFT with each Nyquist bin halved, which the fine grid
+    reads as the pair ±ξ_N.  It is u on the coarse nodes, exact for
+    band-limited u, and NumericalError unless finite."""
     _check_count("fine grid size", n_fine, grid.n)
     if n_fine % grid.n != 0:
         raise InvalidConfigError("fine grid size must be a multiple of the coarse one")
     u = _check_length(u, grid.n)
     with np.errstate(over="ignore", invalid="ignore"):
         uh = np.fft.rfft(u)
-        uh[-1] *= 0.5
+        uh[..., -1] *= 0.5
         return _finite(np.fft.irfft(uh, n=n_fine) * (n_fine / grid.n), "interpolated field")
 
 

@@ -57,8 +57,8 @@ from .operators import transmission_tangent
 # imported for the benchmark tracer, which wraps it under this module's name
 from .operators import invert_g_tilde
 from .params import DimensionlessParams, _check_real, _pow, practical_verdict
-from .spectral import (PeriodicGrid, _finite, _gauge_constants, _read_only, apply_multiplier,
-                       deriv, inner)
+from .spectral import (PeriodicGrid, _finite, _gauge_constants, _one_field, _read_only,
+                       apply_multiplier, deriv, inner)
 
 
 @functools.lru_cache(maxsize=16)
@@ -320,7 +320,7 @@ def ins_form(u, inputs: StabilityInputs) -> float:
     state = inputs.state
     p = state.params
     grid = state.grid
-    u = _finite(u, "ins_form argument")
+    u = _finite(_one_field(u, grid.n), "ins_form argument")
     # u over its sup, so that the Nyquist product cannot overflow
     sup = np.max(np.abs(u))
     if sup > 0.0 and abs((u / sup) @ _gauge_constants(grid.n)[0]) > 1e-8 * grid.n:

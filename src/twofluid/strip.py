@@ -20,9 +20,9 @@ and positive semi-definite.  Rows are numbered from the wall (row 0) to the
 interface (row n_z) in both layers.
 
 :class:`StripOperator` is the one object per layer.  Its constructor checks
-n_z, ζ and the depth (:func:`layer_depth`), or takes all three as an
-:class:`~twofluid.operators.InterfaceState` has checked them, and samples
-the metric; nothing else is computed until it is asked for.  Because x is
+n_z, ζ by spectral's field rule, the depth (:func:`layer_depth`), or takes
+all three as an :class:`~twofluid.operators.InterfaceState` has checked them,
+and samples the metric; nothing else is computed until asked.  Because x is
 spectral, A is block tridiagonal with dense N×N blocks.  With p11 = 1 ± εζ
 and p12 = ±f·q, q = −√μεζₓ, every block is a scalar combination of four N×N
 x-matrices, DᵀD, Dᵀdiag(ζ)D and Q ± Qᵀ with Q = Dᵀdiag(ζₓ), plus a diagonal
@@ -68,7 +68,7 @@ from ._lapack import dgemm, dgemv, dnrm2, dpotrf, dpotrs, dtrsm, dtrtrs
 from .errors import DegenerateGeometryError, NumericalError
 from .params import _check_count
 from .spectral import (PeriodicGrid, _cached, _check_length, _check_range, _deflate, _dot,
-                       _finite, _gauge_constants, _read_only, deriv)
+                       _finite, _gauge_constants, _grid_field, _one_field, _read_only, deriv)
 
 # Bound on the relative true residual of every direct solve of the package.
 RESIDUAL_TOL = 1e-9
@@ -137,18 +137,6 @@ def _dn_product(mat: np.ndarray, rows, scale: float = 1.0) -> np.ndarray:
     if rows.ndim == 1:
         return _finite(dgemv(1.0 / scale, mat.T, rows, 0.0, None, 0, 1, 0, 1, 1), "DN product")
     return _finite(dgemm(1.0 / scale, mat.T, rows.T).T, "DN product")
-
-
-def _grid_field(grid: PeriodicGrid, a, what: str) -> np.ndarray:
-    """a as a read-only float field on the grid, copied unless read-only down to
-    the memory it views; ValueError unless of shape (N,), NumericalError unless finite."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (grid.n,):
-        raise ValueError(f"{what} must have shape ({grid.n},)")
-    view = a = _finite(a, what)
-    while isinstance(view, np.ndarray) and not view.flags.writeable:
-        view = view.base
-    return _read_only(a.copy()) if isinstance(view, np.ndarray) else a
 
 
 class _RangeSolver:
@@ -381,7 +369,7 @@ class StripOperator:
     def solve_dirichlet(self, psi) -> StripSolution:
         """Solve ∇^μ·P∇^μ φ = 0 with φ = ψ at the interface, no-flux at the wall;
         NumericalError unless the field and its residual are finite."""
-        psi = _check_length(psi, self.grid.n)
+        psi = _one_field(psi, self.grid.n)
         # the one guard of the field solve: an overflow of the back-substitution
         # or of the residual shows in the residual, which the check rejects
         with np.errstate(over="ignore", invalid="ignore"):

@@ -23,9 +23,9 @@ pinch-off check (:func:`~twofluid.strip.layer_depth`,
 DegenerateGeometryError), and its characteristic triple (a, u, ind) once,
 on first use; the triple serves the state's fluxes, its indicator and its
 Rusanov speeds |u| + √|a·ind|, which are the characteristic speeds max|λ±|
-where the state is hyperbolic.  A step of :func:`run_swsw` reads the
-state's largest speed for its time step and :func:`fv_step` reads the same
-number for its CFL check.  A step that fails halts a run with the record of
+where the state is hyperbolic, once per state.  A step of :func:`run_swsw`
+takes the largest for its time step, and :func:`fv_step` for its CFL check
+(:func:`max_wave_speed`).  A step that fails halts a run with the record of
 a breakdown of :func:`~twofluid.evolution.run`, ``"Type: message"``.
 
 The model carries neither μ nor Bo: a state reads only ε, ε±, H̄± and ρ̄±.
@@ -45,9 +45,9 @@ from .errors import InvalidConfigError, NumericalError, TwoFluidError
 from .evolution import EvolutionConfig, _breakdown, run
 from .operators import InterfaceState
 from .params import DimensionlessParams, _check_real, config_from_dimensionless, derive_params
-from .spectral import (PeriodicGrid, _cached, _check_range, _finite, _read_only, antideriv,
-                       deriv, fourier_interpolate)
-from .strip import _grid_field, layer_depth
+from .spectral import (PeriodicGrid, _cached, _check_range, _finite, _grid_field, _read_only,
+                       antideriv, deriv, fourier_interpolate)
+from .strip import layer_depth
 
 # run_swsw's time step in units of dx/max|λ|; fv_step rejects steps above 0.5
 CFL_NUMBER = 0.45
@@ -95,12 +95,6 @@ class SWState:
         speed += np.abs(u)
         return speed
 
-    @_cached
-    def _max_speed(self) -> float:
-        """max of :attr:`_local_speed`, read by run_swsw's step and fv_step's CFL check."""
-        speed = self._local_speed
-        return speed.item(speed.argmax())
-
 
 def heights(p: DimensionlessParams, zeta: np.ndarray) -> tuple:
     """Layer heights h⁺ = H̄⁺(1+ε⁺ζ), h⁻ = H̄⁻(1−ε⁻ζ); DegenerateGeometryError
@@ -121,8 +115,9 @@ def hyperbolicity_indicator(state: SWState) -> np.ndarray:
 
 
 def max_wave_speed(state: SWState) -> float:
-    """Largest Rusanov speed of the state (:attr:`SWState._local_speed`)."""
-    return state._max_speed
+    """Largest Rusanov speed of the state (:attr:`SWState._local_speed`), NaN if one is NaN."""
+    speed = state._local_speed
+    return speed.item(speed.argmax())
 
 
 def fv_step(state: SWState, dt: float) -> SWState:
@@ -133,8 +128,8 @@ def fv_step(state: SWState, dt: float) -> SWState:
     _check_real("time step", dt, 0.0)
     grid = state.grid
     dx = grid.dx
-    _finite(state._max_speed, "the largest characteristic speed")
-    if dt > 0.5 * dx / max(state._max_speed, 1e-300) * (1.0 + 1e-9):
+    speed = float(_finite(max_wave_speed(state), "the largest characteristic speed"))
+    if dt > 0.5 * dx / max(speed, 1e-300) * (1.0 + 1e-9):
         raise InvalidConfigError("dt violates the CFL restriction")
     # (ζ, v, mass flux, momentum flux, speed) with periodic ghost cells at
     # both ends, so that the n + 1 cell faces are slices
@@ -221,29 +216,25 @@ class ComparisonTable:
 
 
 def _sw_endpoint(grid, zeta0, v0, params, t_end):
-    """Shallow-model end state on the comparison grid.
-
-    Run the finite-volume scheme on grids refined 16 and 8 times,
-    extrapolate its first-order error away (Richardson) and restrict to the
-    coarse nodes.
-    """
+    """Shallow-model end state (ζ, v) on the comparison grid, one (2, N) stack:
+    the finite-volume scheme on grids refined 16 and 8 times, its first-order
+    error extrapolated away (Richardson), restricted to the coarse nodes."""
 
     def one(r):
         fine = PeriodicGrid(grid.n * r, grid.length)
-        z = fourier_interpolate(grid, zeta0, fine.n)
-        v = fourier_interpolate(grid, v0, fine.n)
+        zeta, v = fourier_interpolate(grid, np.array([zeta0, v0]), fine.n)
         series = run_swsw(EvolutionConfig(t_end=t_end, snapshot_every=10**9),
-                          SWState(grid=fine, zeta=z, v=v, params=params))
+                          SWState(grid=fine, zeta=zeta, v=v, params=params))
         if series.halted is not None:
             return None
         end = series.states[-1]
-        return end.zeta[::r].copy(), end.v[::r].copy()
+        return np.array([end.zeta, end.v])[:, ::r]
 
     coarse = one(8)
     fine = one(16)
     if fine is None or coarse is None:
         return None
-    return 2.0 * fine[0] - coarse[0], 2.0 * fine[1] - coarse[1]
+    return 2.0 * fine - coarse
 
 
 def compare_with_full(
@@ -272,7 +263,6 @@ def compare_with_full(
     no Nyquist component, each up to 1e-8·‖v0‖∞ (a periodic ψ carries no
     mean current); other data raises IncompatibleDataError.
     """
-    zeta0 = np.asarray(zeta0, dtype=float)
     v0 = _check_range(v0, grid.n, "compare_with_full velocity")
     psi0 = antideriv(grid, v0)
     rows = []

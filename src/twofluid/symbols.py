@@ -41,9 +41,9 @@ import numpy as np
 
 from .operators import _g_tilde_of, _gauged_ratio, _j_of, invert_g_tilde, invert_j
 from .params import DimensionlessParams
-from .spectral import (PeriodicGrid, _check_length, _deflate, _p2, _read_only, apply_multiplier,
-                       apply_symbol, deriv)
-from .strip import _grid_field, dn_apply
+from .spectral import (PeriodicGrid, _deflate, _grid_field, _one_field, _p2, _read_only,
+                       apply_multiplier, apply_symbol, deriv)
+from .strip import dn_apply
 
 
 def _arctan_ratio(y: np.ndarray) -> np.ndarray:
@@ -124,7 +124,7 @@ def symbol_comparisons(state, f) -> dict:
     :func:`~twofluid.spectral.norm_hdot_mu`.
     """
     p, grid = state.params, state.grid
-    f = _deflate(_check_length(f, grid.n))
+    f = _deflate(_one_field(f, grid.n))
     df = deriv(grid, f)
     ts = TailSymbolSet(grid, state.zeta, p)
     upper_solve = state.layer(-1).solve_neumann

@@ -118,6 +118,26 @@ def test_only_spectral_takes_a_fourier_transform():
     assert users == []
 
 
+def test_only_spectral_tests_a_field_shape():
+    # spectral's field rule decides what a field on the grid is: a stack for
+    # a primitive that maps rows, one field for an entry that takes one.
+    # Dispatch on .ndim is no shape test
+    package = Path(__file__).resolve().parents[1] / "src" / "twofluid"
+
+    def is_shape(node):
+        node = node.value if isinstance(node, ast.Subscript) else node
+        return isinstance(node, ast.Attribute) and node.attr == "shape"
+
+    tests = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(map(is_shape, (node.left, *node.comparators))):
+                tests.append(f"{path.stem}:{node.lineno}")
+    assert tests == []
+
+
 # StripOperator builds in one traced SMALL pass: two per state
 OPERATOR_BUILDS = {"evolve_steep": 10, "criteria": 6, "shallow_sweep": 62}
 

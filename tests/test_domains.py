@@ -22,7 +22,12 @@ power, a sum of densities, k_max of a grid length, a CFL step or the step
 count t_end/dt) pass the float range, or vanish, raises InvalidConfigError.
 A field, or a stack of fields, must have the grid's N entries on its last
 axis: one of 1, N − 4, N + 1 or N + 4 entries raises ValueError at every
-entry point that takes a field, never an answer read from part of it."""
+entry point that takes a field, never an answer read from part of it.  An
+entry that takes one field or returns one number (the inner product, either
+argument; the norms; a symbol's quantization; the Dirichlet solve; J⁻¹; the
+forms of ℰ and Ins; the symbol comparisons) takes exactly one, of shape (N,):
+a (2, N) or an (N, N) stack raises ValueError there, never the answer of
+one row or of all rows together."""
 
 import dataclasses
 import math
@@ -137,6 +142,12 @@ def of_length(m):
     return 0.1 * np.cos(2.0 * np.pi * np.arange(m) / m)
 
 
+def stack_of(rows):
+    """rows fields 0.1·sin(kx), k = 1…7 in turn, on the default grid: each row
+    has zero mean and no Nyquist part."""
+    return 0.1 * np.sin((np.arange(rows)[:, None] % 7 + 1) * GRID.nodes)
+
+
 # fields of a length other than the grid's N = 16
 LENGTHS = (1, GRID.n - 4, GRID.n + 1, GRID.n + 4)
 # every entry point that takes a field, called with one
@@ -163,6 +174,14 @@ ON_A_FIELD = {
     "ins_form": lambda u: ins_form(u, inputs_of(interface_state())),
     "transmission_tangent-dpsi": lambda u: tangent_along(np.zeros(16), u),
     "transmission_tangent-dzeta": lambda u: tangent_along(u, np.zeros(16)),
+}
+# every entry point that takes one field, called with a stack of 2 or N rows
+ON_ONE_FIELD = {
+    **{name: ON_A_FIELD[name] for name in (
+        "apply_symbol", "norm_sobolev", "norm_hdot_mu", "solve_dirichlet", "invert_j",
+        "e_quadratic_form", "ins_form", "symbol_comparisons")},
+    "inner-u": lambda u: inner(GRID, u, field()),
+    "inner-v": lambda u: inner(GRID, field(), u),
 }
 
 
@@ -305,6 +324,9 @@ ROWS = {
     # a field of the wrong length, which BLAS or broadcasting would read in part
     **{f"{name}-length": (lambda m, call=call: call(of_length(m)), LENGTHS, ValueError)
        for name, call in ON_A_FIELD.items()},
+    # a stack where one field belongs, which no row or sum of rows may answer
+    **{f"{name}-stack": (lambda rows, call=call: call(stack_of(rows)), (2, GRID.n), ValueError)
+       for name, call in ON_ONE_FIELD.items()},
 }
 
 

@@ -170,6 +170,17 @@ def test_fourier_interpolate_is_the_trigonometric_interpolant(n, factor, rng):
     assert err <= 1e-13
 
 
+@pytest.mark.parametrize("rows", [2, 3, 16])
+def test_fourier_interpolate_maps_each_row_of_a_stack(rows, rng):
+    # each row's Nyquist bin is halved: halving uh[-1] halved the last row's
+    # whole transform instead, an error of 0.8 to 1.3 on these stacks
+    grid = PeriodicGrid(16)
+    stack = rng.standard_normal((rows, grid.n))
+    alone = np.array([fourier_interpolate(grid, u, 64) for u in stack])
+    err = np.max(np.abs(fourier_interpolate(grid, stack, 64) - alone))
+    assert err <= 1e-15 * np.max(np.abs(alone))
+
+
 def _dealias_fft(grid, u):
     """The real-FFT 2/3-rule projection: the oracle of the cached projector."""
     uh = np.fft.rfft(u, axis=-1)
