@@ -58,12 +58,12 @@ from .params import DimensionlessParams, _check_count, _check_real, _pow
 from .spectral import _finite, _read_only, dealias, deriv, inner
 
 
-def cfl_cap(params: DimensionlessParams, n_points: int, length: float = 2 * math.pi) -> float:
+def cfl_cap(params: DimensionlessParams, n_points: int) -> float:
     """Conservative RK4 step cap from the gravity and capillary phase speeds
-    on n_points (an integer >= 2) over a finite length > 0, a finite step > 0."""
+    on n_points (an integer >= 2) of the 2π period, a finite step > 0."""
     _check_count("n_points", n_points, 2)
-    _check_real("length", length, 0.0, strict=True)
-    k_max = (2.0 * math.pi / length) * (n_points // 2)
+    # k_max = n_points // 2 as a float, ∞ past the float range
+    k_max = _check_real("k_max", _pow(n_points // 2, 1.0), 0.0, strict=True)
     k_pow = _check_real("k_max**1.5", _pow(k_max, 1.5), 0.0, strict=True)
     # the gravity and the capillary cap; Bo = ∞ makes the second ∞
     dt = min(math.sqrt(params.mu) / k_max, math.sqrt(params.bond * math.sqrt(params.mu)) / k_pow)
@@ -207,7 +207,7 @@ def run(config: EvolutionConfig, initial: InterfaceState) -> TimeSeries:
     stage of the step that leaves it.  An error of the package ends the run
     as a recorded breakdown, one from the projected initial data at t = 0."""
     grid = initial.grid
-    dt = cfl_cap(initial.params, grid.n, grid.length)
+    dt = cfl_cap(initial.params, grid.n)
     series = TimeSeries()
     n_steps = int(math.ceil(_check_real("step count t_end/dt", config.t_end / dt - 1e-12)))
     t = 0.0

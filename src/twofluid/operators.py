@@ -230,6 +230,7 @@ def transmission_tangent(state: InterfaceState, traces: TraceBundle, dzeta, dpsi
     """
     p, grid = state.params, state.grid
     eps, mu = p.eps, p.mu
+    dzeta, dpsi = _one_field(dzeta, grid.n), _one_field(dpsi, grid.n)
     s_plus, s_minus = state.layer(+1).dn_matrix, state.layer(-1).dn_matrix
     w, v = traces.w, traces.v
     zx = state.zeta_x
@@ -284,6 +285,6 @@ def pinv_g_tilde(state: InterfaceState) -> np.ndarray:
 def e_quadratic_form(state: InterfaceState, v) -> float:
     """Quadratic form (ℰ v, v) evaluated without the outer derivative;
     NumericalError unless v is finite."""
-    g = deriv(state.grid, v)
+    g = deriv(state.grid, _one_field(v, state.grid.n))
     u = invert_g_tilde(state, g)
     return inner(state.grid, u, g)

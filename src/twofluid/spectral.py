@@ -1,12 +1,14 @@
 """Periodic grid, Fourier multipliers, discrete quantization and norms.
 
-All fields live on a uniform periodic grid of N points over [0, L).  Every
-Fourier operator is a multiplier on the real FFT, valued by one rule,
-:func:`_multiplier_values`: on the wavenumbers 0…ξ_N, with the unpaired
-Nyquist bin the even part (m(ξ_N) + m(−ξ_N))/2, which zeroes it for odd
-(derivative-like) multipliers.  The real FFT reads a bin as the pair ±ξ, so
-a multiplier, and a symbol s(x, ξ) in ξ, must be Hermitian, m(−ξ) = conj m(ξ).
-:func:`apply_symbol` quantizes a symbol directly,
+All fields live on a uniform periodic grid of N points over [0, 2π), x in
+units of λ/2π (λ the wavelength of μ and Bo), so the wavenumbers are the
+integers; a period P is this grid with λ = P/2π, and (SC)'s ∂x and ∂t
+terms are in those λ-units.  Every Fourier operator is a multiplier on the
+real FFT, valued by one rule, :func:`_multiplier_values`: on the wavenumbers
+0…ξ_N, with the unpaired Nyquist bin the even part (m(ξ_N) + m(−ξ_N))/2, which
+zeroes it for odd (derivative-like) multipliers.  The real FFT reads a bin as
+the pair ±ξ, so a multiplier, and a symbol s(x, ξ) in ξ, must be Hermitian,
+m(−ξ) = conj m(ξ).  :func:`apply_symbol` quantizes a symbol directly,
 
     (Op(s) u)(x_j) = Σ_ξ e^{i x_j ξ} s(x_j, ξ) û(ξ) / N,
 
@@ -57,26 +59,26 @@ class _cached(cached_property):
 
 @dataclass(frozen=True)
 class PeriodicGrid:
-    """Uniform periodic grid on [0, length)."""
+    """Uniform periodic grid of an even n >= 8 points on [0, 2π), its arrays
+    read-only: a period P is this grid with λ = P/2π."""
 
     n: int
-    length: float = TWO_PI
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
+    length = TWO_PI
 
     def __post_init__(self):
         _check_count("grid size", self.n, 8)
         if self.n % 2 != 0:
             raise InvalidConfigError(f"grid size must be even, got {self.n}")
-        _check_real("grid length", self.length, 0.0, strict=True)
-        nk0 = _check_real("n·2π/length, the divisor of fftfreq", self.n * (TWO_PI / self.length))
-        object.__setattr__(self, "nodes", np.arange(self.n) * (self.length / self.n))
-        object.__setattr__(self, "wavenumbers", np.fft.fftfreq(self.n, d=1.0 / nk0))
+        k = np.fft.fftfreq(self.n, 1.0 / self.n).round()  # exact integers, not an ulp off
+        object.__setattr__(self, "nodes", _read_only(np.arange(self.n) * self.dx))
+        object.__setattr__(self, "wavenumbers", _read_only(k))
 
     @_cached
     def deriv_matrix_t(self) -> np.ndarray:
         """Dᵀ, the transpose of the dense spectral derivative matrix (row j is D e_j)."""
-        return apply_multiplier(self, lambda k: 1j * k, np.eye(self.n))
+        return _read_only(apply_multiplier(self, lambda k: 1j * k, np.eye(self.n)))
 
     @_cached
     def deriv_gram(self) -> np.ndarray:
@@ -85,19 +87,15 @@ class PeriodicGrid:
         # mirrored: bitwise numpy's A·Aᵀ, which is a syrk in numpy's own
         # OpenBLAS pool, and which a gemm matches only at some N
         low = dsyrk(1.0, self.deriv_matrix_t.T, 0.0, None, 1, 1)
-        return np.where(_gauge_constants(self.n)[2], low, low.T)
+        return _read_only(np.where(_gauge_constants(self.n)[2], low, low.T))
 
     @property
     def dx(self) -> float:
-        return self.length / self.n
+        return TWO_PI / self.n
 
     @property
-    def k_fundamental(self) -> float:
-        return TWO_PI / self.length
-
-    @property
-    def k_max(self) -> float:
-        return self.k_fundamental * (self.n // 2)
+    def k_max(self) -> int:
+        return self.n // 2
 
 
 def _multiplier_values(grid: PeriodicGrid, m) -> np.ndarray:
@@ -266,7 +264,7 @@ def _spectral_weighted_norm(grid: PeriodicGrid, u: np.ndarray, weight: np.ndarra
     finite, which it is not for a non-finite u."""
     u = _one_field(u, grid.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.sqrt(weight) * (math.sqrt(grid.length) / grid.n * np.abs(np.fft.fft(u)))
+        terms = np.sqrt(weight) * (math.sqrt(TWO_PI) / grid.n * np.abs(np.fft.fft(u)))
         top = float(terms.max())
         norm = top * math.sqrt(float(np.sum((terms / top) ** 2))) if top > 0.0 else top
     if not math.isfinite(norm):
@@ -328,15 +326,15 @@ def fourier_interpolate(grid: PeriodicGrid, u: np.ndarray, n_fine: int) -> np.nd
 
 
 def _retained(grid: PeriodicGrid, k) -> np.ndarray:
-    """The 2/3 rule: True where |ξ| <= (2/3)·ξ_N."""
-    return np.abs(k) <= (2.0 / 3.0) * grid.k_max + 1e-12
+    """The 2/3 rule on integer wavenumbers: True where 3|ξ| <= N, |ξ| <= (2/3)·ξ_N."""
+    return 3.0 * np.abs(k) <= grid.n
 
 
 @lru_cache(maxsize=16)
 def _dealias_projector(grid: PeriodicGrid) -> np.ndarray:
     """Read-only N×N matrix P with u·P the 2/3-rule projection of u, the
     multiplier of :func:`_retained` applied to the identity.  Cached by grid
-    value, so a fresh grid of the same size and length reuses it."""
+    value, so a fresh grid of the same size reuses it."""
     return _read_only(apply_multiplier(grid, partial(_retained, grid), np.eye(grid.n)))
 
 

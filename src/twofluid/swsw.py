@@ -221,7 +221,7 @@ def _sw_endpoint(grid, zeta0, v0, params, t_end):
     error extrapolated away (Richardson), restricted to the coarse nodes."""
 
     def one(r):
-        fine = PeriodicGrid(grid.n * r, grid.length)
+        fine = PeriodicGrid(grid.n * r)
         zeta, v = fourier_interpolate(grid, np.array([zeta0, v0]), fine.n)
         series = run_swsw(EvolutionConfig(t_end=t_end, snapshot_every=10**9),
                           SWState(grid=fine, zeta=zeta, v=v, params=params))

@@ -34,8 +34,8 @@ def smooth_field(rng, grid, k_max=6, amplitude=1.0):
     x = grid.nodes
     u = np.zeros(grid.n)
     for k in range(1, k_max + 1):
-        u += rng.normal() * np.cos(k * grid.k_fundamental * x)
-        u += rng.normal() * np.sin(k * grid.k_fundamental * x)
+        u += rng.normal() * np.cos(k * x)
+        u += rng.normal() * np.sin(k * x)
     return amplitude * u / max(np.max(np.abs(u)), 1e-30)
 
 
@@ -138,7 +138,7 @@ def linear_mode_rates(params, grid, n_z, k):
     """
     from twofluid import rhs
 
-    mode = 1e-3 * np.cos(k * grid.k_fundamental * grid.nodes)
+    mode = 1e-3 * np.cos(k * grid.nodes)
     zero = np.zeros(grid.n)
     dzeta, _ = rhs(InterfaceState(grid=grid, zeta=zero, psi=mode, params=params, n_z=n_z))
     _, dpsi = rhs(InterfaceState(grid=grid, zeta=mode, psi=zero, params=params, n_z=n_z))

@@ -9,17 +9,24 @@ pass solves with.  A module-level import of the package that its module
 does not read is dead, unless the tracer patches it there, and so is a
 public function or class that neither the package nor the benchmark reads,
 unless it waits for a ROADMAP item that will call it.  These tests
-read ``bench/`` and change nothing there; one more reads the package's
-sources for its one Fourier transform module.
+read ``bench/`` and change nothing there; more read the package's sources
+for its one Fourier transform module and its one field rule, and its
+signatures for the one domain: a grid is its size alone, and no public
+callable takes a length.
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twofluid
 from twofluid import InterfaceState, PeriodicGrid, apply_j, config_from_dimensionless, derive_params
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -136,6 +143,25 @@ def test_only_spectral_tests_a_field_shape():
             if isinstance(node, ast.Compare) and any(map(is_shape, (node.left, *node.comparators))):
                 tests.append(f"{path.stem}:{node.lineno}")
     assert tests == []
+
+
+def test_a_grid_is_its_size_alone():
+    # x is in units of λ/2π, so the period is 2π: neither the grid nor any
+    # public function, class or method of the package takes a length
+    assert [f.name for f in dataclasses.fields(PeriodicGrid) if f.init] == ["n"]
+    taking = []
+    for info in pkgutil.iter_modules(twofluid.__path__):
+        module = importlib.import_module(f"twofluid.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            # a class's constructor is its __init__, a dataclass's too
+            members = ({f"{name}.{key}": value for key, value in vars(obj).items()
+                        if inspect.isfunction(value) and (key == "__init__" or key[0] != "_")}
+                       if inspect.isclass(obj) else {name: obj} if inspect.isfunction(obj) else {})
+            taking += [f"{module.__name__}.{key}" for key, member in members.items()
+                       if "length" in inspect.signature(member).parameters]
+    assert taking == []
 
 
 # StripOperator builds in one traced SMALL pass: two per state

@@ -18,16 +18,17 @@ So do the spectral primitives (a multiplier, a symbol, the antiderivative,
 the interpolant and the 2/3-rule projection) of a finite field at the float
 limit whose transform or projection overflows, and an RK4 step of finite
 length whose stage sums overflow.  A configuration whose derived scalars (a
-power, a sum of densities, k_max of a grid length, a CFL step or the step
-count t_end/dt) pass the float range, or vanish, raises InvalidConfigError.
+power, a sum of densities, the CFL cap's k_max or k_max^1.5, a CFL step or
+the step count t_end/dt) pass the float range, or vanish, raises
+InvalidConfigError.
 A field, or a stack of fields, must have the grid's N entries on its last
 axis: one of 1, N − 4, N + 1 or N + 4 entries raises ValueError at every
 entry point that takes a field, never an answer read from part of it.  An
 entry that takes one field or returns one number (the inner product, either
 argument; the norms; a symbol's quantization; the Dirichlet solve; J⁻¹; the
-forms of ℰ and Ins; the symbol comparisons) takes exactly one, of shape (N,):
-a (2, N) or an (N, N) stack raises ValueError there, never the answer of
-one row or of all rows together."""
+forms of ℰ and Ins; the symbol comparisons; the tangent's ζ̇ and ψ̇) takes
+exactly one, of shape (N,): a (2, N) or an (N, N) stack raises the field
+rule's ValueError there, never the answer of one row or of all rows together."""
 
 import dataclasses
 import math
@@ -179,7 +180,8 @@ ON_A_FIELD = {
 ON_ONE_FIELD = {
     **{name: ON_A_FIELD[name] for name in (
         "apply_symbol", "norm_sobolev", "norm_hdot_mu", "solve_dirichlet", "invert_j",
-        "e_quadratic_form", "ins_form", "symbol_comparisons")},
+        "e_quadratic_form", "ins_form", "symbol_comparisons", "transmission_tangent-dpsi",
+        "transmission_tangent-dzeta")},
     "inner-u": lambda u: inner(GRID, u, field()),
     "inner-v": lambda u: inner(GRID, field(), u),
 }
@@ -213,8 +215,6 @@ ROWS = {
                               (1.7e308,), NumericalError),
     "dealias-u": (lambda v: dealias(GRID, cos_wave(v, 1)), (1.7e308,), NumericalError),
     "PeriodicGrid-n": (PeriodicGrid, (16.0, 17)),
-    # k_max = 8·2π/length past the largest float
-    "PeriodicGrid-length": (lambda v: PeriodicGrid(16, v), (1e-308,)),
     # a negative Rusanov step is anti-diffusive; a negative RK4 step is a
     # backward step, inside the domain.  Both reject before any solve.
     "fv_step-dt": (lambda v: fv_step(sw_state(), v), NOT_FINITE + (-0.01, 1.0)),
@@ -230,10 +230,9 @@ ROWS = {
     "StripOperator-layer_sign": (lambda v: StripOperator(GRID, field(), 0.3, 0.5, v, n_z=8),
                                  (0, 2, -2), ValueError),
     "cfl_cap-n_points": (lambda v: cfl_cap(PARAMS, v), (0, 1, -1, 16.0, math.nan, True)),
-    "cfl_cap-length": (lambda v: cfl_cap(PARAMS, 16, v), (*NOT_FINITE, 0.0, -1.0)),
-    # finite lengths whose k_max^1.5 passes the float range, over or under
-    "cfl_cap-length-k_max": (lambda v: cfl_cap(PARAMS, 16, v), (1e-300, 1e300)),
-    "run-grid-length": (lambda v: run_on(PeriodicGrid(16, v)), (1e-300, 1e300)),
+    # n_points = 2**e: at 2**700 k_max^1.5 passes the largest float, at
+    # 2**1100 k_max itself does
+    "cfl_cap-n_points-2**e": (lambda e: cfl_cap(PARAMS, 2**e), (700, 1100)),
     # t_end/dt passes the largest float
     "run-t_end": (lambda v: run_on(GRID, v), (1.7e308,)),
     "compare_with_full-t_end": (
@@ -325,18 +324,25 @@ ROWS = {
     **{f"{name}-length": (lambda m, call=call: call(of_length(m)), LENGTHS, ValueError)
        for name, call in ON_A_FIELD.items()},
     # a stack where one field belongs, which no row or sum of rows may answer
-    **{f"{name}-stack": (lambda rows, call=call: call(stack_of(rows)), (2, GRID.n), ValueError)
+    **{f"{name}-stack": (lambda rows, call=call: call(stack_of(rows)), (2, GRID.n), ValueError,
+                         "is not one field")
        for name, call in ON_ONE_FIELD.items()},
 }
 
 
-@pytest.mark.parametrize("call, value, error", [
-    pytest.param(call, value, error[0] if error else InvalidConfigError, id=f"{name}={value}")
-    for name, (call, values, *error) in ROWS.items() for value in values])
-def test_entry_point_rejects_a_value_outside_its_domain(call, value, error):
+def expected(rest):
+    """A row's error and message pattern: InvalidConfigError with any message
+    unless the row names its error, and a pattern after it."""
+    return (*rest, None)[:2] if rest else (InvalidConfigError, None)
+
+
+@pytest.mark.parametrize("call, value, error, match", [
+    pytest.param(call, value, *expected(rest), id=f"{name}={value}")
+    for name, (call, values, *rest) in ROWS.items() for value in values])
+def test_entry_point_rejects_a_value_outside_its_domain(call, value, error, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             call(value)
 
 

@@ -492,6 +492,17 @@ def test_apply_e_positivity_and_bound(grid64, rng):
         assert st.params.mu * q <= e_val * bnorm2 * (1.0 + 1e-6)
 
 
+def test_e_quadratic_form_rejects_a_stack_before_it_solves():
+    # the field rule on entry: an (N, N) stack builds no factor of 𝒢̃ and
+    # solves with none of its rows
+    grid = PeriodicGrid(16)
+    st = make_state(grid, 0.3 * np.cos(grid.nodes), np.sin(grid.nodes), n_z=8)
+    stack = 0.1 * np.sin((np.arange(16)[:, None] % 7 + 1) * grid.nodes)
+    with pytest.raises(ValueError, match="is not one field"):
+        e_quadratic_form(st, stack)
+    assert "_g_tilde" not in vars(st)
+
+
 def test_a_repeated_transmission_solve_matches_a_fresh_state(grid64, rng):
     # a second solve on the same state reuses its cached factors
     zeta = 0.2 * np.cos(grid64.nodes)

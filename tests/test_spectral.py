@@ -26,16 +26,28 @@ def test_grid_invariants():
         PeriodicGrid(7)
     with pytest.raises(InvalidConfigError):
         PeriodicGrid(6)
-    g = PeriodicGrid(16, length=4.0)
-    assert g.dx == pytest.approx(0.25)
+    g = PeriodicGrid(16)
+    assert g.length == 2 * math.pi and g.k_max == 8
+    assert g.dx == pytest.approx(2 * math.pi / 16, rel=1e-15)
     assert np.allclose(np.diff(g.nodes), g.dx)
 
 
-def test_grid_rejects_a_length_that_is_not_finite():
-    # an infinite length used to raise ZeroDivisionError
-    for length in (math.inf, math.nan):
-        with pytest.raises(InvalidConfigError):
-            PeriodicGrid(16, length)
+@pytest.mark.parametrize("n", [8, 16, 98, 196, 1024])
+def test_grid_wavenumbers_are_the_exact_integers(n):
+    # 0, 1, …, n/2 − 1, −n/2, …, −1 in float64; fftfreq(n, 1/n) is an ulp
+    # off an integer at n = 98 and 196
+    k = PeriodicGrid(n).wavenumbers
+    assert k.dtype == float
+    assert np.array_equal(k, np.concatenate([np.arange(n // 2), np.arange(-(n // 2), 0)]))
+
+
+def test_grid_arrays_are_read_only():
+    # an in-place edit of a cached array would change every later operator
+    # on the grid
+    g = PeriodicGrid(16)
+    for name in ("nodes", "wavenumbers", "deriv_matrix_t", "deriv_gram"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, name)[0] = 1.0
 
 
 def test_multiplier_identity(grid64, rng):
@@ -227,9 +239,9 @@ def test_dealias_acts_on_each_row_of_a_stack(grid64, rng):
 
 
 def test_dealias_builds_one_projector_per_grid_value():
-    # a fresh grid of the same size and length reuses the projector, which
-    # is read-only; another length or size gets its own
+    # a fresh grid of the same size reuses the projector, which is
+    # read-only; another size gets its own
     p = _dealias_projector(PeriodicGrid(32))
     assert _dealias_projector(PeriodicGrid(32)) is p and not p.flags.writeable
-    assert _dealias_projector(PeriodicGrid(32, length=4.0)) is not p
-    assert _dealias_projector(PeriodicGrid(16)).shape == (16, 16)
+    other = _dealias_projector(PeriodicGrid(16))
+    assert other is not p and other.shape == (16, 16)
